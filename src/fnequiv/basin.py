@@ -18,6 +18,7 @@ import numpy as np
 from .canonical import (
     canonicalize,
     distinct_permutation_images,
+    group_rows,
     symmetry_profile,
     SymmetryProfile,
 )
@@ -179,10 +180,6 @@ class TrainRun:
     cluster_id: int | None = None
 
 
-def _grad_max(g: NetworkParams) -> float:
-    return g.max_abs()
-
-
 def train(
     arch: Architecture,
     theta0: NetworkParams,
@@ -210,7 +207,7 @@ def train(
             diverged = True
             iterations = it
             break
-        if _grad_max(grad) <= config.grad_threshold:
+        if grad.max_abs() <= config.grad_threshold:
             converged = True
             iterations = it
             break
@@ -293,20 +290,6 @@ class BasinSummary:
         }
 
 
-def _cluster_by_canonical(runs, tolerance):
-    reps: list[np.ndarray] = []
-    assignment = []
-    for run in runs:
-        for cid, rep in enumerate(reps):
-            if np.abs(run.canonical_flat - rep).max() <= tolerance:
-                assignment.append(cid)
-                break
-        else:
-            reps.append(run.canonical_flat)
-            assignment.append(len(reps) - 1)
-    return reps, assignment
-
-
 def _run_one_seed(task):
     arch, scheme, dataset, config, index = task
     theta0 = initialize(arch, scheme)
@@ -347,12 +330,13 @@ def basin_experiment(
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             runs = list(pool.map(_run_one_seed, tasks))
     converged = [r for r in runs if r.converged]
+    tol = cluster_tolerance if cluster_tolerance is not None else DEFAULT_CLUSTER_TOL
     if not converged:
         return BasinSummary(
             n_runs=n_runs,
             n_converged=0,
             cluster_sizes=(),
-            cluster_tolerance=cluster_tolerance or DEFAULT_CLUSTER_TOL,
+            cluster_tolerance=tol,
             reference_profile=None,
             orbit_fraction=0.0,
             single_fraction=0.0,
@@ -361,30 +345,27 @@ def basin_experiment(
             runs=tuple(runs),
         )
 
-    tol = cluster_tolerance if cluster_tolerance is not None else DEFAULT_CLUSTER_TOL
-    reps, assignment = _cluster_by_canonical(converged, tol)
+    flats = np.stack([r.canonical_flat for r in converged])
+    assignment, reps = group_rows(flats, tol)
     if cluster_tolerance is None:
         # Re-derive the tolerance from the dominant cluster's row gap.
-        sizes = np.bincount(assignment)
-        best = converged[assignment.index(int(np.argmax(sizes)))]
+        best = converged[reps[int(np.argmax(np.bincount(assignment)))]]
         profile = symmetry_profile(best.final_params, row_tolerance=tol)
         if math.isfinite(profile.delta_min) and profile.delta_min > 0:
             tol = profile.delta_min / 4.0
-            reps, assignment = _cluster_by_canonical(converged, tol)
+            assignment, reps = group_rows(flats, tol)
 
     sizes = np.bincount(assignment)
-    ref_run = converged[assignment.index(int(np.argmax(sizes)))]
-    theta_star = ref_run.final_params
+    ref = reps[int(np.argmax(sizes))]
+    theta_star = converged[ref].final_params
     profile = symmetry_profile(theta_star, row_tolerance=tol)
 
-    cluster_of = {id(r): cid for r, cid in zip(converged, assignment)}
+    cluster_of = {id(r): cid for r, cid in zip(converged, assignment.tolist())}
     runs = tuple(
         replace(r, cluster_id=cluster_of.get(id(r))) if r.converged else r for r in runs
     )
 
-    orbit_hits = sum(
-        1 for r in converged if np.abs(r.canonical_flat - ref_run.canonical_flat).max() <= tol
-    )
+    orbit_hits = int(np.count_nonzero(np.abs(flats - flats[ref]).max(axis=1) <= tol))
     single_hits = sum(1 for r in converged if params_max_diff(r.final_params, theta_star) <= tol)
     n_conv = len(converged)
     return BasinSummary(

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConfigError, DomainError, IntegrationFailureError
-from .nncore import Architecture, default_lipschitz_constants
+from .nncore import MAX_LOG_LINEAR, Architecture, default_lipschitz_constants
 
 DUDLEY_ABS_TOL = 1e-6
 DUDLEY_CONSTANT = 12.0
@@ -27,8 +27,6 @@ _DIVERGENCE_EXPONENT = 2.0
 
 PDIM_EXACT_MAX_D = 300
 PDIM_EXACT_MAX_N = 100_000
-
-MAX_LOG_LINEAR = math.log(np.finfo(float).max)
 
 
 def log_factorial(d: int) -> float:
@@ -110,7 +108,7 @@ def shallow_covering_bound(cfg: BoundConfig) -> float:
 
 def permutation_discount(arch: Architecture) -> float:
     """The -sum_l log(d_l!) term contributed by hidden-layer permutations."""
-    return -sum(log_factorial(d) for d in arch.hidden_widths)
+    return -arch.log_permutation_count
 
 
 def deep_covering_bound(cfg: BoundConfig, discount: bool = True) -> float:

@@ -1,10 +1,12 @@
 """Canonical representatives under hidden-neuron permutations.
 
 Within every hidden layer the rows of the concatenated (bias | weight-row)
-matrix are put in non-increasing lexicographic order, bias first.  This picks
-one element from each permutation orbit; the descending-bias constraint alone
-would not be a unique choice when biases tie, so the comparison extends
-through the weight entries.
+matrix are put in non-increasing lexicographic order, bias first; the
+comparison extends through the weight entries because biases can tie.  This
+picks one element from each permutation orbit whose sort keys are pairwise
+distinct within every hidden layer.  Neurons with tied keys but different
+outgoing columns keep their relative order, so permuted copies of such a
+network can canonicalize differently.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .nncore import Architecture, NetworkParams
+from .nncore import MAX_LOG_LINEAR, Architecture, NetworkParams
 from .transforms import PermutationSpec, apply_permutation
-
-MAX_LOG_LINEAR = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,22 +78,31 @@ class SymmetryProfile:
         }
 
 
-def _row_groups(rows: np.ndarray, tolerance: float) -> list[list[int]]:
-    """Group row indices by equality (exact, or first-fit within tolerance)."""
-    if tolerance == 0.0:
-        seen: dict[bytes, list[int]] = {}
-        for i, row in enumerate(rows):
-            seen.setdefault(row.tobytes(), []).append(i)
-        return list(seen.values())
-    groups: list[list[int]] = []
+def group_rows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, list[int]]:
+    """First-fit grouping of the rows of a 2-D array.
+
+    Each row joins the first group, in order of creation, whose
+    representative (its first row) lies within ``tolerance`` of it in the
+    max norm, and otherwise starts a new group.  At tolerance 0 rows group
+    only when bit-identical, so 0.0 and -0.0 differ.  Returns each row's
+    group index and the row index of each group's representative.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    bits = rows.view(np.uint64)
+    assignment = np.empty(len(rows), dtype=np.int64)
+    reps: list[int] = []
     for i, row in enumerate(rows):
-        for g in groups:
-            if np.abs(rows[g[0]] - row).max() <= tolerance:
-                g.append(i)
-                break
+        if tolerance == 0.0:
+            match = (bits[reps] == bits[i]).all(axis=1)
         else:
-            groups.append([i])
-    return groups
+            match = np.abs(rows[reps] - row).max(axis=1) <= tolerance
+        near = np.flatnonzero(match)
+        if near.size:
+            assignment[i] = near[0]
+        else:
+            assignment[i] = len(reps)
+            reps.append(i)
+    return assignment, reps
 
 
 def symmetry_profile(params: NetworkParams, row_tolerance: float = 0.0) -> SymmetryProfile:
@@ -111,13 +120,13 @@ def symmetry_profile(params: NetworkParams, row_tolerance: float = 0.0) -> Symme
     for l in range(1, params.n_layers):
         W, b = params.layers[l - 1]
         rows = np.column_stack([W, b])
-        groups = _row_groups(rows, row_tolerance)
+        assignment, rep_idx = group_rows(rows, row_tolerance)
         d = rows.shape[0]
         denom = 1
-        for g in groups:
-            denom *= math.factorial(len(g))
+        for size in np.bincount(assignment):
+            denom *= math.factorial(int(size))
         counts.append(math.factorial(d) // denom)
-        reps = [rows[g[0]] for g in groups]
+        reps = rows[rep_idx]
         for a, bb in itertools.combinations(range(len(reps)), 2):
             gap = float(np.abs(reps[a] - reps[bb]).max())
             if gap > row_tolerance:
@@ -147,8 +156,7 @@ def effective_volume(arch: Architecture, B: float) -> EffectiveVolume:
     if B <= 0:
         raise DomainError("B must be positive")
     log_total = arch.param_count * math.log(2.0 * B)
-    log_discount = sum(math.lgamma(d + 1) for d in arch.hidden_widths)
-    log_effective = log_total - log_discount
+    log_effective = log_total - arch.log_permutation_count
     to_linear = lambda lv: math.exp(lv) if lv <= MAX_LOG_LINEAR else None
     return EffectiveVolume(log_total, log_effective, to_linear(log_total), to_linear(log_effective))
 

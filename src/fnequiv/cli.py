@@ -29,11 +29,12 @@ from .basin import (
 )
 from .canonical import canonicalize, effective_volume
 from .equivalence import decide_equivalence, sampled_sup_distance
-from .errors import FnequivError, DomainError
+from .errors import ConfigError, FnequivError, DomainError
 from .nncore import (
     Architecture,
     Network,
     activation_from_tag,
+    arch_from_json_dict,
     load_network,
     network_to_json_dict,
 )
@@ -108,25 +109,6 @@ def _parse_arch(widths_spec: str, activations_spec: str) -> Architecture:
         tuple(widths[1:-1]),
         tuple(activation_from_tag(t) for t in tags),
         widths[-1],
-    )
-
-
-def _arch_json(arch: Architecture) -> dict:
-    return {
-        "d0": arch.input_dim,
-        "hidden": list(arch.hidden_widths),
-        "out": arch.output_dim,
-        "activations": [a.tag() for a in arch.activations],
-    }
-
-
-def _arch_from_json(a: dict) -> Architecture:
-    _require_keys(a, {"d0", "hidden", "out", "activations"}, "arch")
-    return Architecture(
-        int(a["d0"]),
-        tuple(int(w) for w in a["hidden"]),
-        tuple(activation_from_tag(t) for t in a["activations"]),
-        int(a["out"]),
     )
 
 
@@ -231,13 +213,17 @@ _SWEEP_KEYS = ("hidden", "B", "B_x", "epsilon")
 
 def _config_from_doc(doc: dict) -> bounds_mod.BoundConfig:
     _require_keys(doc, _BOUND_CONFIG_KEYS, "bound config")
-    return bounds_mod.BoundConfig(
-        arch=_arch_from_json(doc["arch"]),
-        B=float(doc["B"]),
-        B_x=float(doc["B_x"]),
-        epsilon=float(doc["epsilon"]),
-        rho=tuple(doc["rho"]) if doc.get("rho") is not None else None,
-    )
+    try:
+        _require_keys(doc["arch"], {"d0", "hidden", "out", "activations"}, "arch")
+        return bounds_mod.BoundConfig(
+            arch=arch_from_json_dict(doc["arch"]),
+            B=float(doc["B"]),
+            B_x=float(doc["B_x"]),
+            epsilon=float(doc["epsilon"]),
+            rho=tuple(doc["rho"]) if doc.get("rho") is not None else None,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed bound config: {exc!r}") from exc
 
 
 def _apply_flag_overrides(doc: dict, args) -> dict:

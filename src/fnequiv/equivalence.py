@@ -1,9 +1,11 @@
 """Decision procedures for functional equivalence of two parameterizations.
 
 The structural route canonicalizes both parameterizations and compares them
-bit-exactly, which is complete for permutation orbits.  The numeric route
-samples the input ball and is a one-sided check: it can distinguish, but a
-small sampled distance is not a certificate of equivalence.
+bit-exactly, which recognizes permutation orbits whenever the sort keys
+(bias | incoming row) within each hidden layer are pairwise distinct.  The
+numeric route samples the input ball and is a one-sided check: it can
+distinguish, but a small sampled distance is not a certificate of
+equivalence.
 """
 
 from __future__ import annotations
@@ -109,6 +111,9 @@ def decide_equivalence(
     Tries a structural proof first (canonical forms compare bit-exactly,
     yielding an explicit permutation witness); otherwise falls back to
     sampling, labelling the pair numerically equivalent or distinguished.
+    The structural proof is found for every permuted pair whose sort keys
+    within each hidden layer are pairwise distinct; tied keys with different
+    outgoing columns can leave a permuted pair to the sampled verdict.
     """
     if f1.arch != f2.arch:
         raise ShapeError("architectures differ")

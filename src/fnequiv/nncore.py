@@ -25,6 +25,9 @@ EQUIV_ATOL = 1e-9
 # Loss explosion threshold past which training marks a run as diverged.
 DIVERGENCE_THRESHOLD = 1e12
 
+# Largest natural log whose exponential is still a finite double.
+MAX_LOG_LINEAR = math.log(np.finfo(float).max)
+
 
 # ---------------------------------------------------------------------------
 # Activations
@@ -181,6 +184,11 @@ class Architecture:
     def hidden_unit_count(self) -> int:
         return sum(self.hidden_widths)
 
+    @property
+    def log_permutation_count(self) -> float:
+        """sum_l log(d_l!), the log of the number of hidden-neuron permutations."""
+        return sum(math.lgamma(d + 1) for d in self.hidden_widths)
+
     def layer_param_count(self, layer: int) -> int:
         """Entries in (W, b) of layer ``layer`` (1-based, 1..L+1)."""
         w = self.widths
@@ -329,18 +337,19 @@ def forward_batch(arch: Architecture, params: NetworkParams, X) -> np.ndarray:
         raise ShapeError(f"batch must have shape (n, {arch.input_dim}), got {X.shape}")
     if not np.isfinite(X).all():
         raise NumericError("non-finite input", layer=0)
-    h = X
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l, (W, b) in enumerate(params.layers, start=1):
-            z = h @ W.T + b
-            if not np.isfinite(z).all():
-                raise NumericError(f"non-finite pre-activation at layer {l}", layer=l)
-            h = arch.activations[l - 1](z) if l <= arch.depth else z
-    return h
+    pre, post = _forward_trace(arch, params, X)
+    for l, z in enumerate(pre, start=1):
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite pre-activation at layer {l}", layer=l)
+    return post[-1]
 
 
 def _forward_trace(arch, params, X):
-    """Forward pass keeping pre-activations and activations for backprop."""
+    """The forward layer loop, keeping pre-activations and activations.
+
+    Overflow is left as non-finite values: ``forward_batch`` raises on them,
+    while training records them as divergence.
+    """
     pre, post = [], [X]
     h = X
     with np.errstate(over="ignore", invalid="ignore"):
@@ -400,13 +409,7 @@ def gradient(
         raise ShapeError(f"input must have shape ({arch.input_dim},), got {x.shape}")
     pre, post = _forward_trace(arch, params, x[None, :])
     g = np.asarray(loss.grad(post[-1][0], target), dtype=float)[None, :]
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * params.n_layers
-    for l in range(params.n_layers, 0, -1):
-        W, _ = params.layers[l - 1]
-        grads[l - 1] = (g.T @ post[l - 1], g[0].copy())
-        if l > 1:
-            g = (g @ W) * arch.activations[l - 2].deriv(pre[l - 2])
-    return NetworkParams(tuple(grads))
+    return _backprop(arch, params, pre, post, g)
 
 
 def mse_loss(arch: Architecture, params: NetworkParams, X, Y) -> float:
@@ -430,14 +433,20 @@ def mse_gradient(arch: Architecture, params: NetworkParams, X, Y):
     pre, post = _forward_trace(arch, params, X)
     resid = post[-1] - Y
     value = float(np.mean(np.sum(resid * resid, axis=1)))
-    G = (2.0 / n) * resid
+    return value, _backprop(arch, params, pre, post, (2.0 / n) * resid)
+
+
+def _backprop(arch, params, pre, post, G):
+    """Reverse sweep over a ``_forward_trace``; ``G`` holds the loss gradient
+    w.r.t. the network output, one row per input, and the parameter partials
+    are summed over the rows."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * params.n_layers
     for l in range(params.n_layers, 0, -1):
         W, _ = params.layers[l - 1]
         grads[l - 1] = (G.T @ post[l - 1], G.sum(axis=0))
         if l > 1:
             G = (G @ W) * arch.activations[l - 2].deriv(pre[l - 2])
-    return value, NetworkParams(tuple(grads))
+    return NetworkParams(tuple(grads))
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +472,11 @@ def hidden_range_bound(
         raise DomainError(f"hidden layer index {i} out of range 1..{arch.depth}")
     if B <= 0 or B_x <= 0:
         raise DomainError("B and B_x must be positive")
+    if rho is None:
+        rho = default_lipschitz_constants(arch, B, B_x)
     bound = 2.0 * B
     for j in range(1, i):
-        rho_j = rho[j - 1] if rho is not None else arch.activations[j - 1].lipschitz_on(bound)
-        bound *= 2.0 * B * rho_j * arch.hidden_widths[j - 1]
+        bound *= 2.0 * B * rho[j - 1] * arch.hidden_widths[j - 1]
     return bound
 
 
@@ -484,15 +494,31 @@ def default_lipschitz_constants(arch: Architecture, B: float, B_x: float) -> tup
 # JSON serialization
 
 
+def arch_to_json_dict(arch: Architecture) -> dict:
+    return {
+        "d0": arch.input_dim,
+        "hidden": list(arch.hidden_widths),
+        "out": arch.output_dim,
+        "activations": [a.tag() for a in arch.activations],
+    }
+
+
+def arch_from_json_dict(a: dict) -> Architecture:
+    try:
+        return Architecture(
+            input_dim=int(a["d0"]),
+            hidden_widths=tuple(int(w) for w in a["hidden"]),
+            activations=tuple(activation_from_tag(t) for t in a["activations"]),
+            output_dim=int(a["out"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ShapeError(f"malformed architecture: {exc!r}") from exc
+
+
 def network_to_json_dict(net: Network) -> dict:
     arch, params = net
     return {
-        "arch": {
-            "d0": arch.input_dim,
-            "hidden": list(arch.hidden_widths),
-            "out": arch.output_dim,
-            "activations": [a.tag() for a in arch.activations],
-        },
+        "arch": arch_to_json_dict(arch),
         "layers": [
             {"W": [list(row) for row in W], "b": list(b)} for W, b in params.layers
         ],
@@ -501,13 +527,7 @@ def network_to_json_dict(net: Network) -> dict:
 
 def network_from_json_dict(doc: dict) -> Network:
     try:
-        a = doc["arch"]
-        arch = Architecture(
-            input_dim=int(a["d0"]),
-            hidden_widths=tuple(int(w) for w in a["hidden"]),
-            activations=tuple(activation_from_tag(t) for t in a["activations"]),
-            output_dim=int(a["out"]),
-        )
+        arch = arch_from_json_dict(doc["arch"])
         params = NetworkParams(
             tuple((np.array(l["W"], dtype=float), np.array(l["b"], dtype=float)) for l in doc["layers"])
         )

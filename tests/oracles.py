@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -170,3 +171,32 @@ def attention_oracle(X, W_Q, W_K, W_V):
         w = w / w.sum()
         out[i] = sum(w[j] * V[j] for j in range(X.shape[0]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# First-fit row grouping, one coordinate at a time
+
+
+def first_fit_row_groups(rows, tolerance):
+    """Groups of row indices, in order of creation.
+
+    Each row joins the earliest group whose first row matches it, and
+    otherwise opens a new group.  At tolerance 0 a match means the same bit
+    pattern in every coordinate (so 0.0 and -0.0 differ); above 0 it means
+    every coordinate differs by at most ``tolerance``.
+    """
+    bits = lambda v: struct.pack("<d", float(v))
+    groups = []
+    for i, row in enumerate(rows):
+        for g in groups:
+            rep = rows[g[0]]
+            if tolerance == 0.0:
+                same = all(bits(a) == bits(b) for a, b in zip(row, rep))
+            else:
+                same = all(abs(float(a) - float(b)) <= tolerance for a, b in zip(row, rep))
+            if same:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups

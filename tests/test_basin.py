@@ -242,6 +242,18 @@ class TestBasinExperiment:
         assert summary.no_converged_runs
         assert summary.n_converged == 0 and summary.cluster_sizes == ()
 
+    def test_zero_tolerance_reported_without_converged_runs(self):
+        summary = basin_experiment(
+            Architecture(2, (2,), (TANH,)),
+            InitScheme("uniform"),
+            xor_dataset(),
+            2,
+            OptimizerConfig(0.1, 0),
+            cluster_tolerance=0.0,
+        )
+        assert summary.no_converged_runs
+        assert summary.cluster_tolerance == 0.0
+
     def test_cluster_ids_assigned(self):
         arch = Architecture(2, (3,), (TANH,))
         summary = basin_experiment(

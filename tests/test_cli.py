@@ -257,6 +257,21 @@ class TestBounds:
         assert "extra_field" in err
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"arch": {"d0": 1, "out": 1, "activations": ["relu"]}, "B": 1.0, "B_x": 1.0, "epsilon": 1.0},
+            {"arch": {"d0": 1, "hidden": [2], "out": 1, "activations": ["relu"]}, "B_x": 1.0, "epsilon": 1.0},
+        ],
+        ids=["arch_without_hidden", "config_without_B"],
+    )
+    def test_missing_field_is_invalid_configuration(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["bounds", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "internal error" not in err
+
 class TestEntropyCompare:
     def test_json_output(self, tmp_path, bound_config, capsys):
         out = tmp_path / "ent.json"
