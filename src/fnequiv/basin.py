@@ -10,7 +10,6 @@ times the number of distinct images.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,12 +29,16 @@ from .nncore import (
     check_same_shapes,
     check_shapes,
     forward_batch,
-    mse_gradient,
     params_from_flat,
     params_max_diff,
+    _mse_value_and_grad,
 )
 
 DEFAULT_CLUSTER_TOL = 1e-3
+
+# Activation bytes the lockstep trainer may hold at once: runs step together
+# in blocks of as many as fit, so memory does not grow with the run count.
+LOCKSTEP_BLOCK_BYTES = 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -194,43 +197,72 @@ def train(
     values mark the run as diverged instead of raising.
     """
     check_shapes(arch, theta0)
+    return _train_lockstep(arch, [theta0], dataset, config, [seed])[0]
+
+
+def _train_lockstep(arch, thetas, dataset, config, seeds) -> list[TrainRun]:
+    """``train`` from every start in ``thetas``, the runs of a block stepping
+    together on stacked parameters.
+
+    At each iteration a run stops, and leaves the active set, when its loss
+    is non-finite or above ``DIVERGENCE_THRESHOLD`` (diverged), else when its
+    gradient L-infinity norm is at most the threshold (converged), else when
+    the iteration count reaches ``max_iters``.  Runs never interact, so the
+    block size changes no result.
+    """
     X, Y = dataset
-    if np.asarray(X).shape[0] == 0:
+    n = np.asarray(X).shape[0]
+    if n == 0:
         raise DomainError("dataset must be nonempty")
-    params = theta0
-    converged = diverged = False
-    iterations = 0
-    loss = math.inf
+    # Float64 pre-activations and activations of every layer, per run.
+    block = max(1, LOCKSTEP_BLOCK_BYTES // (16 * n * sum(arch.widths[1:])))
+    runs = []
+    for start in range(0, len(thetas), block):
+        end = start + block
+        runs.extend(_descend(arch, thetas[start:end], seeds[start:end], X, Y, config))
+    return runs
+
+
+def _descend(arch, thetas, seeds, X, Y, config) -> list[TrainRun]:
+    """The gradient-descent loop of ``_train_lockstep`` over one block."""
+    layers = [
+        (np.stack([t.weight(l) for t in thetas]), np.stack([t.bias(l) for t in thetas]))
+        for l in range(1, arch.depth + 2)
+    ]
+    active = np.arange(len(thetas))
+    runs = [None] * len(thetas)
     for it in range(config.max_iters + 1):
-        loss, grad = mse_gradient(arch, params, X, Y)
-        if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
-            diverged = True
-            iterations = it
-            break
-        if grad.max_abs() <= config.grad_threshold:
-            converged = True
-            iterations = it
-            break
-        if it == config.max_iters:
-            iterations = it
-            break
-        params = NetworkParams(
-            tuple(
-                (W - config.step_size * gW, b - config.step_size * gb)
-                for (W, b), (gW, gb) in zip(params.layers, grad.layers)
+        loss, grads = _mse_value_and_grad(arch, layers, X, Y)
+        grad_max = np.concatenate(
+            [np.abs(g).reshape(len(active), -1) for pair in grads for g in pair], axis=1
+        ).max(axis=1)
+        diverged = ~np.isfinite(loss) | (loss > DIVERGENCE_THRESHOLD)
+        converged = ~diverged & (grad_max <= config.grad_threshold)
+        stop = diverged | converged | (it == config.max_iters)
+        for j in np.flatnonzero(stop):
+            i = active[j]
+            params = NetworkParams(tuple((W[j], b[j]) for W, b in layers))
+            runs[i] = TrainRun(
+                seed=seeds[i],
+                init_params=thetas[i],
+                final_params=params,
+                final_loss=float(loss[j]),
+                iterations=it,
+                converged=bool(converged[j]),
+                diverged=bool(diverged[j]),
+                canonical_flat=canonicalize(params).params.flat(),
             )
-        )
-    canonical_flat = canonicalize(params).params.flat()
-    return TrainRun(
-        seed=seed,
-        init_params=theta0,
-        final_params=params,
-        final_loss=loss,
-        iterations=iterations,
-        converged=converged,
-        diverged=diverged,
-        canonical_flat=canonical_flat,
-    )
+        if stop.all():
+            return runs
+        if stop.any():
+            keep = ~stop
+            active = active[keep]
+            layers = [(W[keep], b[keep]) for W, b in layers]
+            grads = [(gW[keep], gb[keep]) for gW, gb in grads]
+        layers = [
+            (W - config.step_size * gW, b - config.step_size * gb)
+            for (W, b), (gW, gb) in zip(layers, grads)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +322,6 @@ class BasinSummary:
         }
 
 
-def _run_one_seed(task):
-    arch, scheme, dataset, config, index = task
-    theta0 = initialize(arch, scheme)
-    return train(arch, theta0, dataset, config, seed=index)
-
-
 def basin_experiment(
     arch: Architecture,
     scheme: InitScheme,
@@ -309,26 +335,19 @@ def basin_experiment(
     the converged solutions by canonical form.
 
     Per-run seeds are spawned from the scheme's seed, so the experiment is
-    reproducible and runs are independent; with ``n_jobs > 1`` they execute
-    in a process pool, and the result does not depend on the worker count.
-    When no tolerance is given, a provisional pass picks the largest cluster
-    and the final tolerance is a quarter of its representative's minimal
-    row gap.
+    reproducible and runs are independent; all runs are trained in lockstep
+    in one process.  ``n_jobs`` is accepted for compatibility and ignored
+    (it must still be >= 1).  When no tolerance is given, a provisional pass
+    picks the largest cluster and the final tolerance is a quarter of its
+    representative's minimal row gap.
     """
     if n_runs < 1:
         raise DomainError("need at least one run")
     if n_jobs < 1:
         raise DomainError("need at least one worker")
     children = np.random.SeedSequence(scheme.seed).spawn(n_runs)
-    tasks = [
-        (arch, replace(scheme, seed=child), dataset, config, i)
-        for i, child in enumerate(children)
-    ]
-    if n_jobs == 1:
-        runs = [_run_one_seed(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            runs = list(pool.map(_run_one_seed, tasks))
+    thetas = [initialize(arch, replace(scheme, seed=child)) for child in children]
+    runs = _train_lockstep(arch, thetas, dataset, config, range(n_runs))
     converged = [r for r in runs if r.converged]
     tol = cluster_tolerance if cluster_tolerance is not None else DEFAULT_CLUSTER_TOL
     if not converged:

@@ -116,29 +116,36 @@ def _parse_arch(widths_spec: str, activations_spec: str) -> Architecture:
 # transform
 
 
+_TRANSFORM_KEYS = {
+    "permutation": {"perms"},
+    "scaling": {"layer", "alpha"},
+    "sign_flip": {"layer", "signs"},
+}
+
+
 def cmd_transform(args) -> int:
     net = load_network(args.network)
     spec_doc = _load_json(args.transform)
     kind = spec_doc.get("kind")
-    if kind == "permutation":
-        _require_keys(spec_doc, {"kind", "perms"}, "transform spec")
-        transformed = apply_permutation(
-            net.params, PermutationSpec.from_json_list(spec_doc["perms"])
-        )
-    elif kind == "scaling":
-        _require_keys(spec_doc, {"kind", "layer", "alpha"}, "transform spec")
-        transformed = apply_scaling(
-            net.arch,
-            net.params,
-            ScalingSpec(int(spec_doc["layer"]), tuple(spec_doc["alpha"])),
-        )
-    elif kind == "sign_flip":
-        _require_keys(spec_doc, {"kind", "layer", "signs"}, "transform spec")
-        transformed = apply_sign_flip(
-            net.arch, net.params, int(spec_doc["layer"]), spec_doc["signs"]
-        )
-    else:
+    if kind not in _TRANSFORM_KEYS:
         raise DomainError(f"unknown transform kind {kind!r}")
+    _require_keys(spec_doc, {"kind", *_TRANSFORM_KEYS[kind]}, "transform spec")
+    try:
+        if kind == "permutation":
+            perms = PermutationSpec.from_json_list(spec_doc["perms"])
+        elif kind == "scaling":
+            scaling = ScalingSpec(int(spec_doc["layer"]), tuple(spec_doc["alpha"]))
+        else:
+            layer = int(spec_doc["layer"])
+            signs = [float(s) for s in spec_doc["signs"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed transform spec: {exc!r}") from exc
+    if kind == "permutation":
+        transformed = apply_permutation(net.params, perms)
+    elif kind == "scaling":
+        transformed = apply_scaling(net.arch, net.params, scaling)
+    else:
+        transformed = apply_sign_flip(net.arch, net.params, layer, signs)
     out_net = Network(net.arch, transformed)
     config = {
         "subcommand": "transform",
@@ -247,10 +254,13 @@ def _sweep_configs(base_doc: dict, sweep_doc: dict):
     for hidden, B, B_x, eps in itertools.product(*axes):
         doc = dict(base_doc)
         if hidden is not None:
-            doc["arch"] = dict(doc["arch"], hidden=hidden)
-            acts = doc["arch"]["activations"]
-            if len(acts) == 1 and len(hidden) > 1:
-                doc["arch"]["activations"] = acts * len(hidden)
+            try:
+                doc["arch"] = dict(doc["arch"], hidden=hidden)
+                acts = doc["arch"]["activations"]
+                if len(acts) == 1 and len(hidden) > 1:
+                    doc["arch"]["activations"] = acts * len(hidden)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"malformed bound config: {exc!r}") from exc
         if B is not None:
             doc["B"] = B
         if B_x is not None:
@@ -626,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--grad-threshold", type=float, default=1e-5)
     p.add_argument("--cluster-tolerance", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the runs")
+    p.add_argument("--jobs", type=int, default=1, help="ignored; runs train in lockstep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix", default="basin")
     p.set_defaults(func=cmd_basin)

@@ -337,24 +337,28 @@ def forward_batch(arch: Architecture, params: NetworkParams, X) -> np.ndarray:
         raise ShapeError(f"batch must have shape (n, {arch.input_dim}), got {X.shape}")
     if not np.isfinite(X).all():
         raise NumericError("non-finite input", layer=0)
-    pre, post = _forward_trace(arch, params, X)
+    pre, post = _forward_trace(arch, params.layers, X)
     for l, z in enumerate(pre, start=1):
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite pre-activation at layer {l}", layer=l)
     return post[-1]
 
 
-def _forward_trace(arch, params, X):
+def _forward_trace(arch, layers, X):
     """The forward layer loop, keeping pre-activations and activations.
 
-    Overflow is left as non-finite values: ``forward_batch`` raises on them,
-    while training records them as divergence.
+    ``layers`` holds (W, b) pairs, either plain (W of shape (d_out, d_in)) or
+    stacked over R networks (W of shape (R, d_out, d_in), b of shape
+    (R, d_out)); the stacked case gives one (R, n, d) activation per layer
+    and computes each network exactly as the plain case does.  Overflow is
+    left as non-finite values: ``forward_batch`` raises on them, while
+    training records them as divergence.
     """
     pre, post = [], [X]
     h = X
     with np.errstate(over="ignore", invalid="ignore"):
-        for l, (W, b) in enumerate(params.layers, start=1):
-            z = h @ W.T + b
+        for l, (W, b) in enumerate(layers, start=1):
+            z = h @ np.swapaxes(W, -1, -2) + b[..., None, :]
             pre.append(z)
             h = arch.activations[l - 1](z) if l <= arch.depth else z
             post.append(h)
@@ -407,46 +411,56 @@ def gradient(
     x = np.asarray(x, dtype=float)
     if x.shape != (arch.input_dim,):
         raise ShapeError(f"input must have shape ({arch.input_dim},), got {x.shape}")
-    pre, post = _forward_trace(arch, params, x[None, :])
+    pre, post = _forward_trace(arch, params.layers, x[None, :])
     g = np.asarray(loss.grad(post[-1][0], target), dtype=float)[None, :]
-    return _backprop(arch, params, pre, post, g)
+    return NetworkParams(_backprop(arch, params.layers, pre, post, g))
+
+
+def _targets(X, Y) -> np.ndarray:
+    """Targets with one row per input; a single row of n values for n > 1
+    inputs is read as one value per input."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if Y.shape[0] == 1 and np.asarray(X).shape[0] != 1:
+        Y = Y.T
+    return Y
 
 
 def mse_loss(arch: Architecture, params: NetworkParams, X, Y) -> float:
     """Mean over the dataset of the squared error summed across outputs."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[0] == 1 and np.asarray(X).shape[0] != 1:
-        Y = Y.T
-    pred = forward_batch(arch, params, X)
-    d = pred - Y
+    Y = _targets(X, Y)
+    d = forward_batch(arch, params, X) - Y
     return float(np.mean(np.sum(d * d, axis=1)))
 
 
 def mse_gradient(arch: Architecture, params: NetworkParams, X, Y):
     """Full-batch MSE value and gradient, vectorized over the dataset."""
     check_shapes(arch, params)
+    value, grads = _mse_value_and_grad(arch, params.layers, X, Y)
+    return float(value), NetworkParams(grads)
+
+
+def _mse_value_and_grad(arch, layers, X, Y):
+    """Full-batch MSE and its (W, b) partials over plain or stacked layers
+    (see ``_forward_trace``); stacked layers give one value per network."""
     X = np.asarray(X, dtype=float)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[0] == 1 and X.shape[0] != 1:
-        Y = Y.T
-    n = X.shape[0]
-    pre, post = _forward_trace(arch, params, X)
-    resid = post[-1] - Y
-    value = float(np.mean(np.sum(resid * resid, axis=1)))
-    return value, _backprop(arch, params, pre, post, (2.0 / n) * resid)
+    pre, post = _forward_trace(arch, layers, X)
+    resid = post[-1] - _targets(X, Y)
+    value = np.mean(np.sum(resid * resid, axis=-1), axis=-1)
+    return value, _backprop(arch, layers, pre, post, (2.0 / X.shape[0]) * resid)
 
 
-def _backprop(arch, params, pre, post, G):
+def _backprop(arch, layers, pre, post, G):
     """Reverse sweep over a ``_forward_trace``; ``G`` holds the loss gradient
-    w.r.t. the network output, one row per input, and the parameter partials
-    are summed over the rows."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * params.n_layers
-    for l in range(params.n_layers, 0, -1):
-        W, _ = params.layers[l - 1]
-        grads[l - 1] = (G.T @ post[l - 1], G.sum(axis=0))
+    w.r.t. the network output, one row per input (with the same leading stack
+    axis as ``layers``, if any), and the parameter partials are summed over
+    the rows.  Returns the partials as (W, b) pairs shaped like ``layers``."""
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    for l in range(len(layers), 0, -1):
+        W, _ = layers[l - 1]
+        grads[l - 1] = (np.swapaxes(G, -1, -2) @ post[l - 1], G.sum(axis=-2))
         if l > 1:
             G = (G @ W) * arch.activations[l - 2].deriv(pre[l - 2])
-    return NetworkParams(tuple(grads))
+    return tuple(grads)
 
 
 # ---------------------------------------------------------------------------

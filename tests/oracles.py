@@ -200,3 +200,66 @@ def first_fit_row_groups(rows, tolerance):
         else:
             groups.append([i])
     return groups
+
+
+# ---------------------------------------------------------------------------
+# Full-batch gradient descent for one network, plain 2-D arrays
+
+
+def _ref_act(name, z):
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    raise ValueError(name)
+
+
+def _ref_act_deriv(name, z):
+    if name == "tanh":
+        t = np.tanh(z)
+        return 1.0 - t * t
+    if name == "relu":
+        return (z > 0.0).astype(float)
+    raise ValueError(name)
+
+
+def gd_reference(layers, activations, X, Y, step_size, max_iters, grad_threshold):
+    """Full-batch gradient descent on the mean squared error of one net.
+
+    ``layers`` is a list of (W, b) arrays with W of shape (d_out, d_in),
+    ``activations`` names each hidden layer's activation ("tanh" or "relu")
+    and ``Y`` has one row per input.  Each iteration evaluates the loss and
+    its gradient, then stops with ``diverged`` when the loss is non-finite or
+    above 1e12, else with ``converged`` when every partial has magnitude at
+    most ``grad_threshold``, else when the iteration count is ``max_iters``;
+    otherwise it steps.  Returns (layers, loss, iterations, converged,
+    diverged).
+    """
+    layers = [(np.array(W, dtype=float), np.array(b, dtype=float)) for W, b in layers]
+    n = X.shape[0]
+    for it in range(max_iters + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            zs, hs = [], [X]
+            for l, (W, b) in enumerate(layers):
+                z = hs[-1] @ W.T + b
+                zs.append(z)
+                hs.append(_ref_act(activations[l], z) if l < len(activations) else z)
+            resid = hs[-1] - Y
+            loss = float(np.mean(np.sum(resid * resid, axis=1)))
+            G = (2.0 / n) * resid
+            grads = [None] * len(layers)
+            for l in range(len(layers) - 1, -1, -1):
+                grads[l] = (G.T @ hs[l], G.sum(axis=0))
+                if l > 0:
+                    G = (G @ layers[l][0]) * _ref_act_deriv(activations[l - 1], zs[l - 1])
+        if not math.isfinite(loss) or loss > 1e12:
+            return layers, loss, it, False, True
+        if all((np.abs(g) <= grad_threshold).all() for pair in grads for g in pair):
+            return layers, loss, it, True, False
+        if it == max_iters:
+            return layers, loss, it, False, False
+        with np.errstate(over="ignore", invalid="ignore"):
+            layers = [
+                (W - step_size * gW, b - step_size * gb)
+                for (W, b), (gW, gb) in zip(layers, grads)
+            ]

@@ -29,6 +29,7 @@ from fnequiv.nncore import (
     random_params,
 )
 from fnequiv.transforms import apply_permutation, random_spec
+from oracles import gd_reference
 
 
 def two_distinct_rows_params():
@@ -276,6 +277,92 @@ class TestBasinExperiment:
         assert serial.to_json_dict() == parallel.to_json_dict()
         for a, b in zip(serial.runs, parallel.runs):
             assert params_max_diff(a.final_params, b.final_params) == 0.0
+
+
+def _teacher_3_5_2_dataset():
+    arch = Architecture(3, (5,), (TANH,), 2)
+    teacher = random_params(arch, np.random.default_rng(1))
+    return teacher_dataset(arch, teacher, 32, 1.0, seed=1)
+
+
+# name -> (arch, scheme, dataset, optimizer, run outcomes the one lockstep
+# batch of 16 runs must mix)
+LOCKSTEP_CASES = {
+    "xor_2_3_1_tanh": (
+        Architecture(2, (3,), (TANH,)),
+        InitScheme("uniform", seed=4),
+        xor_dataset(),
+        OptimizerConfig(step_size=0.5, max_iters=100, grad_threshold=1e-3),
+        {"converged", "max_iters"},
+    ),
+    "xor_2_4_3_1_tanh_relu": (
+        Architecture(2, (4, 3), (TANH, RELU)),
+        InitScheme("uniform", seed=4),
+        xor_dataset(),
+        OptimizerConfig(step_size=0.5, max_iters=100, grad_threshold=1e-3),
+        {"converged", "max_iters"},
+    ),
+    "teacher_3_5_2_tanh": (
+        Architecture(3, (5,), (TANH,), 2),
+        InitScheme("uniform", seed=4),
+        _teacher_3_5_2_dataset(),
+        OptimizerConfig(step_size=0.45, max_iters=30, grad_threshold=1e-2),
+        {"converged", "diverged", "max_iters"},
+    ),
+    "xor_relu_diverging": (
+        Architecture(2, (4,), (RELU,)),
+        InitScheme("normal", seed=4),
+        xor_dataset(),
+        OptimizerConfig(step_size=50.0, max_iters=100, grad_threshold=1e-3),
+        {"diverged"},
+    ),
+}
+
+
+def _outcome(run):
+    if run.diverged:
+        return "diverged"
+    return "converged" if run.converged else "max_iters"
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestLockstepTraining:
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+    def test_runs_match_per_run_reference_bit_for_bit(self, name):
+        arch, scheme, (X, Y), cfg, outcomes = LOCKSTEP_CASES[name]
+        summary = basin_experiment(arch, scheme, (X, Y), 16, cfg)
+        assert {_outcome(r) for r in summary.runs} == outcomes
+        acts = [a.name for a in arch.activations]
+        for run in summary.runs:
+            layers, loss, iterations, converged, diverged = gd_reference(
+                run.init_params.layers, acts, X, Y,
+                cfg.step_size, cfg.max_iters, cfg.grad_threshold,
+            )  # fmt: skip
+            assert (run.iterations, run.converged, run.diverged) == (
+                iterations, converged, diverged
+            )
+            assert _bits(run.final_loss) == _bits(loss)
+            for (W, b), (W_ref, b_ref) in zip(run.final_params.layers, layers):
+                assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+    def test_one_run_blocks_change_nothing(self, monkeypatch):
+        import fnequiv.basin as basin_mod
+
+        arch, scheme, dataset, cfg, _ = LOCKSTEP_CASES["teacher_3_5_2_tanh"]
+        together = basin_experiment(arch, scheme, dataset, 16, cfg)
+        monkeypatch.setattr(basin_mod, "LOCKSTEP_BLOCK_BYTES", 1)
+        alone = basin_experiment(arch, scheme, dataset, 16, cfg)
+        assert together.to_json_dict() == alone.to_json_dict()
+        for a, b in zip(together.runs, alone.runs):
+            assert (a.seed, a.iterations, a.converged, a.diverged, a.cluster_id) == (
+                b.seed, b.iterations, b.converged, b.diverged, b.cluster_id
+            )
+            assert _bits(a.final_loss) == _bits(b.final_loss)
+            assert a.final_params.flat().tobytes() == b.final_params.flat().tobytes()
+            assert a.canonical_flat.tobytes() == b.canonical_flat.tobytes()
 
 
 class TestAmplification:

@@ -112,6 +112,37 @@ class TestTransform:
         assert "unknown fields" in err
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "permutation"},
+            {"kind": "scaling", "alpha": [2.0, 2.0]},
+            {"kind": "scaling", "layer": 1},
+            {"kind": "sign_flip", "signs": [1.0, -1.0]},
+            {"kind": "sign_flip", "layer": 1},
+            {"kind": "sign_flip", "layer": [1], "signs": [1.0, -1.0]},
+            {"kind": "scaling", "layer": "first", "alpha": [2.0, 2.0]},
+        ],
+        ids=[
+            "permutation_without_perms",
+            "scaling_without_layer",
+            "scaling_without_alpha",
+            "sign_flip_without_layer",
+            "sign_flip_without_signs",
+            "list_layer",
+            "string_layer",
+        ],
+    )
+    def test_missing_or_ill_typed_spec_field_exits_one(self, tmp_path, small_net, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli(
+            ["transform", "--network", str(small_net), "--transform", str(path)], capsys
+        )
+        assert code == 1
+        assert "malformed transform spec" in err
+
+
 class TestCanonicalize:
     def test_output_sorted_with_witness(self, tmp_path, capsys):
         arch = Architecture(1, (3,), (TANH,))
@@ -271,6 +302,16 @@ class TestBounds:
         code, _, err = run_cli(["bounds", "--config", str(cfg)], capsys)
         assert code == 1
         assert "internal error" not in err
+
+    def test_hidden_sweep_without_arch_is_invalid_configuration(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"B": 1.0, "B_x": 1.0, "epsilon": 1.0}))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"hidden": [[2]]}))
+        code, _, err = run_cli(["bounds", "--config", str(cfg), "--sweep", str(sweep)], capsys)
+        assert code == 1
+        assert "malformed bound config" in err
+
 
 class TestEntropyCompare:
     def test_json_output(self, tmp_path, bound_config, capsys):
