@@ -31,14 +31,13 @@ from .nncore import (
     forward_batch,
     params_from_flat,
     params_max_diff,
+    stack_block,
+    _flatten,
     _mse_value_and_grad,
+    _unflatten,
 )
 
 DEFAULT_CLUSTER_TOL = 1e-3
-
-# Activation bytes the lockstep trainer may hold at once: runs step together
-# in blocks of as many as fit, so memory does not grow with the run count.
-LOCKSTEP_BLOCK_BYTES = 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +94,14 @@ def initialize_batch(arch: Architecture, scheme: InitScheme, n: int) -> np.ndarr
     """Draw ``n`` flat parameter vectors (layer by layer, weights then biases)."""
     if n < 1:
         raise DomainError("need n >= 1 draws")
-    rng = np.random.default_rng(scheme.seed)
+    return _draw(arch, scheme, np.random.default_rng(scheme.seed), n)
+
+
+def _draw(arch: Architecture, scheme: InitScheme, rng, n: int) -> np.ndarray:
+    """``n`` flat parameter vectors from ``rng``, drawn layer by layer."""
     blocks = []
     for (fan_out, fan_in), _ in arch.layer_shapes():
-        W, b = _layer_draw(scheme, rng, n, fan_out, fan_in)
-        blocks.extend([W, b])
+        blocks.extend(_layer_draw(scheme, rng, n, fan_out, fan_in))
     return np.concatenate(blocks, axis=1)
 
 
@@ -215,7 +217,7 @@ def _train_lockstep(arch, thetas, dataset, config, seeds) -> list[TrainRun]:
     if n == 0:
         raise DomainError("dataset must be nonempty")
     # Float64 pre-activations and activations of every layer, per run.
-    block = max(1, LOCKSTEP_BLOCK_BYTES // (16 * n * sum(arch.widths[1:])))
+    block = stack_block(16 * n * sum(arch.widths[1:]))
     runs = []
     for start in range(0, len(thetas), block):
         end = start + block
@@ -225,17 +227,12 @@ def _train_lockstep(arch, thetas, dataset, config, seeds) -> list[TrainRun]:
 
 def _descend(arch, thetas, seeds, X, Y, config) -> list[TrainRun]:
     """The gradient-descent loop of ``_train_lockstep`` over one block."""
-    layers = [
-        (np.stack([t.weight(l) for t in thetas]), np.stack([t.bias(l) for t in thetas]))
-        for l in range(1, arch.depth + 2)
-    ]
+    layers = _unflatten(arch, np.stack([t.flat() for t in thetas]))
     active = np.arange(len(thetas))
     runs = [None] * len(thetas)
     for it in range(config.max_iters + 1):
         loss, grads = _mse_value_and_grad(arch, layers, X, Y)
-        grad_max = np.concatenate(
-            [np.abs(g).reshape(len(active), -1) for pair in grads for g in pair], axis=1
-        ).max(axis=1)
+        grad_max = np.abs(_flatten(grads)).max(axis=1)
         diverged = ~np.isfinite(loss) | (loss > DIVERGENCE_THRESHOLD)
         converged = ~diverged & (grad_max <= config.grad_threshold)
         stop = diverged | converged | (it == config.max_iters)
@@ -430,14 +427,15 @@ def amplification_check(
     theta_star: NetworkParams,
     n_draws: int,
     tolerance: float | None = None,
-    batch: int = 50_000,
 ) -> AmplificationCheck:
     """Estimate P(init within tol of theta_star) and P(init within tol of any
     distinct permutation image), and compare their ratio with the image count.
 
     The default tolerance is half the minimal row gap of ``theta_star``, the
     radius at which the image neighborhoods are disjoint; the standard error
-    of the ratio comes from the multinomial delta method.
+    of the ratio comes from the multinomial delta method.  Draws are made
+    one ``nncore.stack_block`` at a time, so memory does not grow with
+    ``n_draws``; within one block they equal ``initialize_batch``'s.
     """
     check_shapes(arch, theta_star)
     if n_draws < 1:
@@ -456,9 +454,12 @@ def amplification_check(
 
     single_hits = 0
     orbit_hits = 0
-    draws = initialize_batch(arch, scheme, n_draws)
-    for start in range(0, n_draws, batch):
-        chunk = draws[start : start + batch]
+    rng = np.random.default_rng(scheme.seed)
+    # Float64 bytes per draw: its parameters and one image difference, and
+    # its distances to every image, listed and then stacked.
+    block = stack_block(16 * (arch.param_count + len(images)))
+    for start in range(0, n_draws, block):
+        chunk = _draw(arch, scheme, rng, min(block, n_draws - start))
         dists = np.stack([np.abs(chunk - img).max(axis=1) for img in image_mat])
         hit = dists <= tolerance
         single_hits += int(hit[star_idx].sum())

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .nncore import MAX_LOG_LINEAR, Architecture, NetworkParams
-from .transforms import PermutationSpec, apply_permutation
+from .nncore import MAX_LOG_LINEAR, Architecture, NetworkParams, _flatten
+from .transforms import PermutationSpec, _permute_neurons
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,32 +30,32 @@ class CanonicalForm:
     witness: PermutationSpec
 
 
-def _descending_lex_order(b: np.ndarray, W: np.ndarray) -> np.ndarray:
-    # np.lexsort treats the last key as primary, so feed columns reversed:
-    # bias is the primary key, then weight columns left to right.
-    keys = np.column_stack([b, W])
-    order = np.lexsort((-keys.T)[::-1])
-    return order
-
-
 def canonicalize(params: NetworkParams) -> CanonicalForm:
     """Sort each hidden layer's rows, co-permuting the downstream columns.
 
     Idempotent, and constant on permutation orbits whenever the sort keys
     within a layer are pairwise distinct (ties keep their relative order).
     """
-    n_hidden = params.n_layers - 1
-    Ws = [np.array(W) for W, _ in params.layers]
-    bs = [np.array(b) for _, b in params.layers]
-    perms = []
-    for l in range(n_hidden):
-        order = _descending_lex_order(bs[l], Ws[l])
-        perms.append(order)
-        Ws[l] = Ws[l][order]
-        bs[l] = bs[l][order]
-        Ws[l + 1] = Ws[l + 1][:, order]
-    canon = NetworkParams(tuple(zip(Ws, bs)))
-    return CanonicalForm(canon, PermutationSpec(tuple(perms)))
+    layers, orders = _canonical_layers(params.layers)
+    return CanonicalForm(NetworkParams(tuple(layers)), PermutationSpec(tuple(orders)))
+
+
+def _canonical_layers(layers) -> tuple[list, list[np.ndarray]]:
+    """``canonicalize`` on plain or stacked (W, b) layers (see
+    ``nncore._forward_trace``), each network sorted on its own.  Returns the
+    canonical layers and the sort order of each hidden layer, one row per
+    network when stacked."""
+    layers = list(layers)
+    orders = []
+    for l in range(1, len(layers)):
+        W, b = layers[l - 1]
+        keys = np.concatenate([b[..., None], W], axis=-1)
+        # np.lexsort's primary key is its last, so feed the negated keys
+        # reversed: bias first, then the weight columns left to right.
+        order = np.lexsort(np.moveaxis(-keys, -1, 0)[::-1], axis=-1)
+        _permute_neurons(layers, l, order)
+        orders.append(order)
+    return layers, orders
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,18 @@ def group_rows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, list[int
     group index and the row index of each group's representative.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
-    bits = rows.view(np.uint64)
+    if tolerance == 0.0:
+        # np.unique numbers the distinct rows in sorted order; renumber them
+        # by first occurrence, which is first fit for an equivalence relation.
+        _, first, inverse = np.unique(
+            rows.view(np.uint64), axis=0, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        return np.argsort(order)[inverse.reshape(-1)], first[order].tolist()
     assignment = np.empty(len(rows), dtype=np.int64)
     reps: list[int] = []
     for i, row in enumerate(rows):
-        if tolerance == 0.0:
-            match = (bits[reps] == bits[i]).all(axis=1)
-        else:
-            match = np.abs(rows[reps] - row).max(axis=1) <= tolerance
-        near = np.flatnonzero(match)
+        near = np.flatnonzero(np.abs(rows[reps] - row).max(axis=1) <= tolerance)
         if near.size:
             assignment[i] = near[0]
         else:
@@ -180,9 +183,9 @@ def distinct_permutation_images(
             f"orbit enumeration needs {total} permutations (limit {limit})",
             required=total,
         )
-    images: dict[bytes, NetworkParams] = {}
-    for combo in itertools.product(*[itertools.permutations(range(d)) for d in sizes]):
-        spec = PermutationSpec(tuple(np.array(p, dtype=np.int64) for p in combo))
-        image = apply_permutation(params, spec)
-        images.setdefault(image.flat().tobytes(), image)
-    return list(images.values())
+    combos = itertools.product(*[itertools.permutations(range(d)) for d in sizes])
+    layers = [tuple(np.broadcast_to(a, (total, *a.shape)) for a in wb) for wb in params.layers]
+    for l, perms in enumerate(zip(*combos), start=1):
+        _permute_neurons(layers, l, np.array(perms))
+    _, reps = group_rows(_flatten(layers), 0.0)
+    return [NetworkParams(tuple((W[i], b[i]) for W, b in layers)) for i in reps]

@@ -82,7 +82,17 @@ def _csv_text(config: dict, header: list[str], rows: list[list[str]]) -> str:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _json_int(value) -> int:
+    """A JSON integer as an int; floats, booleans and strings are rejected."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _require_keys(doc: dict, allowed: set[str], what: str) -> None:
@@ -134,9 +144,9 @@ def cmd_transform(args) -> int:
         if kind == "permutation":
             perms = PermutationSpec.from_json_list(spec_doc["perms"])
         elif kind == "scaling":
-            scaling = ScalingSpec(int(spec_doc["layer"]), tuple(spec_doc["alpha"]))
+            scaling = ScalingSpec(_json_int(spec_doc["layer"]), tuple(spec_doc["alpha"]))
         else:
-            layer = int(spec_doc["layer"])
+            layer = _json_int(spec_doc["layer"])
             signs = [float(s) for s in spec_doc["signs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed transform spec: {exc!r}") from exc

@@ -14,10 +14,10 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.spatial.distance import cdist
 
-from .canonical import canonicalize
+from .canonical import _canonical_layers, group_rows
 from .equivalence import ball_points
 from .errors import BudgetExceededError, DomainError
-from .nncore import Architecture, forward_batch, params_from_flat
+from .nncore import Architecture, _flatten, _forward_checked, _unflatten, stack_block
 
 METRIC_PARAMS = "linf_params"
 METRIC_FUNCTION = "sampled_sup_function"
@@ -201,17 +201,18 @@ def function_class_sample(
     thetas = np.stack([axis[d] for d in digits], axis=1)
 
     if dedup_canonical:
-        reps: dict[bytes, np.ndarray] = {}
-        for theta in thetas:
-            canon = canonicalize(params_from_flat(arch, theta))
-            reps.setdefault(canon.params.flat().tobytes(), theta)
-        kept = np.stack(list(reps.values()))
-    else:
-        kept = thetas
+        canon, _ = _canonical_layers(_unflatten(arch, thetas))
+        thetas = thetas[group_rows(_flatten(canon), 0.0)[1]]
 
     X = ball_points(arch.input_dim, n_eval_points, B_x, seed=eval_seed)
-    values = np.stack(
-        [forward_batch(arch, params_from_flat(arch, theta), X).ravel() for theta in kept]
+    # Float64 pre-activations and activations of every layer, per network.
+    block = stack_block(16 * X.shape[0] * sum(arch.widths[1:]))
+    values = np.concatenate(
+        [
+            _forward_checked(arch, _unflatten(arch, thetas[start : start + block]), X)
+            .reshape(-1, X.shape[0] * arch.output_dim)
+            for start in range(0, len(thetas), block)
+        ]
     )
     return MetricSpaceSample(
         values,
@@ -225,7 +226,7 @@ def function_class_sample(
             "eval_seed": eval_seed,
             "n_eval_points": X.shape[0],
             "n_enumerated": int(total),
-            "n_kept": int(kept.shape[0]),
-            "dedup_ratio": total / kept.shape[0],
+            "n_kept": int(thetas.shape[0]),
+            "dedup_ratio": total / thetas.shape[0],
         },
     )

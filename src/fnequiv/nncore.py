@@ -28,6 +28,15 @@ DIVERGENCE_THRESHOLD = 1e12
 # Largest natural log whose exponential is still a finite double.
 MAX_LOG_LINEAR = math.log(np.finfo(float).max)
 
+# Working-set bytes a computation over stacked networks or draws may hold at
+# once; it takes them in blocks of as many as fit (see ``stack_block``).
+STACK_BLOCK_BYTES = 32 * 2**20
+
+
+def stack_block(bytes_per_item: int) -> int:
+    """Items per block when each holds ``bytes_per_item`` working bytes (>= 1)."""
+    return max(1, STACK_BLOCK_BYTES // bytes_per_item)
+
 
 # ---------------------------------------------------------------------------
 # Activations
@@ -239,7 +248,7 @@ class NetworkParams:
 
     def flat(self) -> np.ndarray:
         """Row-major flattening, layer by layer, weights before biases."""
-        return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in self.layers])
+        return _flatten(self.layers)
 
     def max_abs(self) -> float:
         return float(max(max(np.abs(W).max(), np.abs(b).max()) for W, b in self.layers))
@@ -262,15 +271,28 @@ def params_from_flat(arch: Architecture, vec: Sequence[float]) -> NetworkParams:
         raise ShapeError(
             f"flat vector has {vec.size} entries, architecture needs {arch.param_count}"
         )
+    return NetworkParams(tuple(_unflatten(arch, vec)))
+
+
+def _unflatten(arch: Architecture, vecs: np.ndarray) -> list:
+    """(W, b) views of flat parameter vectors: an (S,) vector gives plain
+    layers, an (R, S) stack gives stacked ones (see ``_forward_trace``)."""
+    lead = vecs.shape[:-1]
     layers = []
     pos = 0
     for (rows, cols), blen in arch.layer_shapes():
-        W = vec[pos : pos + rows * cols].reshape(rows, cols)
+        W = vecs[..., pos : pos + rows * cols].reshape(*lead, rows, cols)
         pos += rows * cols
-        b = vec[pos : pos + blen]
+        layers.append((W, vecs[..., pos : pos + blen]))
         pos += blen
-        layers.append((W, b))
-    return NetworkParams(tuple(layers))
+    return layers
+
+
+def _flatten(layers) -> np.ndarray:
+    """Inverse of ``_unflatten``: one flat row per network of a stack, or one
+    vector for plain layers."""
+    lead = layers[0][1].shape[:-1]
+    return np.concatenate([a.reshape(*lead, -1) for W, b in layers for a in (W, b)], axis=-1)
 
 
 def params_identical(a: NetworkParams, b: NetworkParams) -> bool:
@@ -337,7 +359,14 @@ def forward_batch(arch: Architecture, params: NetworkParams, X) -> np.ndarray:
         raise ShapeError(f"batch must have shape (n, {arch.input_dim}), got {X.shape}")
     if not np.isfinite(X).all():
         raise NumericError("non-finite input", layer=0)
-    pre, post = _forward_trace(arch, params.layers, X)
+    return _forward_checked(arch, params.layers, X)
+
+
+def _forward_checked(arch, layers, X) -> np.ndarray:
+    """Network outputs over plain or stacked layers (see ``_forward_trace``);
+    raises ``NumericError`` naming the first (1-based) layer with a
+    non-finite pre-activation."""
+    pre, post = _forward_trace(arch, layers, X)
     for l, z in enumerate(pre, start=1):
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite pre-activation at layer {l}", layer=l)
@@ -351,7 +380,7 @@ def _forward_trace(arch, layers, X):
     stacked over R networks (W of shape (R, d_out, d_in), b of shape
     (R, d_out)); the stacked case gives one (R, n, d) activation per layer
     and computes each network exactly as the plain case does.  Overflow is
-    left as non-finite values: ``forward_batch`` raises on them, while
+    left as non-finite values: ``_forward_checked`` raises on them, while
     training records them as divergence.
     """
     pre, post = [], [X]

@@ -93,18 +93,22 @@ def apply_permutation(params: NetworkParams, spec: PermutationSpec) -> NetworkPa
         raise ShapeError(
             f"spec has {len(spec.perms)} layer permutations, network has {n_hidden}"
         )
+    layers = list(params.layers)
     for l, p in enumerate(spec.perms, start=1):
         if p.size != params.weight(l).shape[0]:
             raise ShapeError(f"layer {l}: permutation size {p.size} != width")
-    layers = []
-    for l, (W, b) in enumerate(params.layers, start=1):
-        if l <= n_hidden:
-            W = W[spec.perms[l - 1]]
-            b = b[spec.perms[l - 1]]
-        if l >= 2:
-            W = W[:, spec.perms[l - 2]]
-        layers.append((W, b))
+        _permute_neurons(layers, l, p)
     return NetworkParams(tuple(layers))
+
+
+def _permute_neurons(layers: list, l: int, p: np.ndarray) -> None:
+    """Gather the rows of hidden layer ``l`` (1-based) and the columns of
+    layer l+1 by ``p``, in place in the list ``layers``: plain (W, b) pairs
+    with ``p`` of shape (d,), or stacked ones (see ``nncore._forward_trace``)
+    with one permutation per network, ``p`` of shape (R, d)."""
+    (W, b), (W_next, b_next) = layers[l - 1], layers[l]
+    layers[l - 1] = (np.take_along_axis(W, p[..., None], -2), np.take_along_axis(b, p, -1))
+    layers[l] = (np.take_along_axis(W_next, p[..., None, :], -1), b_next)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import types
 
 import mpmath
 import numpy as np
@@ -200,6 +201,71 @@ def first_fit_row_groups(rows, tolerance):
         else:
             groups.append([i])
     return groups
+
+
+# ---------------------------------------------------------------------------
+# Canonical neuron order and the function-class grid, one network at a time
+
+
+def canonical_sort(layers):
+    """Canonical form of one network and the sort order of each hidden layer.
+
+    ``layers`` is a list of (W, b) arrays.  The neurons of each hidden layer
+    are ordered by the tuple (bias, incoming weights left to right), largest
+    first, and neurons with equal tuples keep their relative order; the next
+    layer's columns follow the same order.  Returns (layers, orders).
+    """
+    layers = [(np.array(W, dtype=float), np.array(b, dtype=float)) for W, b in layers]
+    orders = []
+    for l in range(len(layers) - 1):
+        W, b = layers[l]
+        keys = [(float(b[i]), *(float(w) for w in W[i])) for i in range(len(b))]
+        # sorted is stable, also with reverse=True.
+        order = sorted(range(len(keys)), key=lambda i: keys[i], reverse=True)
+        W_next, b_next = layers[l + 1]
+        layers[l] = (
+            np.array([W[i] for i in order]).reshape(W.shape),
+            np.array([b[i] for i in order]),
+        )
+        layers[l + 1] = (
+            np.array([[row[i] for i in order] for row in W_next]).reshape(W_next.shape),
+            b_next,
+        )
+        orders.append(order)
+    return layers, orders
+
+
+def function_class_reference(arch, B, grid_resolution, X, dedup):
+    """Value vectors of the networks on the uniform parameter grid, one row
+    per kept network in grid order (last parameter varying fastest).
+
+    Parameters are read layer by layer, each weight matrix row by row and
+    then its biases.  With ``dedup`` a network is kept only when no earlier
+    one has the same canonical form bit for bit.  Each network is evaluated
+    at the rows of ``X`` with ``scalar_forward``.
+    """
+    widths = arch.widths
+    axis = np.linspace(-B, B, grid_resolution)
+    seen = set()
+    values = []
+    for theta in itertools.product(axis, repeat=arch.param_count):
+        layers, pos = [], 0
+        for d_in, d_out in zip(widths, widths[1:]):
+            W = np.array(theta[pos : pos + d_out * d_in]).reshape(d_out, d_in)
+            pos += d_out * d_in
+            layers.append((W, np.array(theta[pos : pos + d_out])))
+            pos += d_out
+        if dedup:
+            canon, _ = canonical_sort(layers)
+            key = b"".join(
+                struct.pack("<d", float(v)) for W, b in canon for v in (*W.ravel(), *b)
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+        net = types.SimpleNamespace(layers=layers)
+        values.append(np.concatenate([scalar_forward(arch, net, x) for x in X]))
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from fnequiv.nncore import (
     params_max_diff,
     random_params,
 )
-from fnequiv.transforms import apply_permutation, random_spec
+from fnequiv.transforms import PermutationSpec, apply_permutation, random_spec
 from oracles import gd_reference
 
 
@@ -353,7 +354,7 @@ class TestLockstepTraining:
 
         arch, scheme, dataset, cfg, _ = LOCKSTEP_CASES["teacher_3_5_2_tanh"]
         together = basin_experiment(arch, scheme, dataset, 16, cfg)
-        monkeypatch.setattr(basin_mod, "LOCKSTEP_BLOCK_BYTES", 1)
+        monkeypatch.setattr("fnequiv.nncore.STACK_BLOCK_BYTES", 1)
         alone = basin_experiment(arch, scheme, dataset, 16, cfg)
         assert together.to_json_dict() == alone.to_json_dict()
         for a, b in zip(together.runs, alone.runs):
@@ -389,6 +390,39 @@ class TestAmplification:
         assert result.n_images == 1
         assert result.ratio == 1.0
         assert result.p_orbit == result.p_single
+
+    def test_within_one_block_equals_up_front_draws(self):
+        arch = Architecture(1, (2,), (RELU,))
+        scheme = InitScheme("uniform", seed=7)
+        theta_star = two_distinct_rows_params()
+        result = amplification_check(arch, scheme, theta_star, 30_000)
+        draws = initialize_batch(arch, scheme, 30_000)
+        swapped = apply_permutation(theta_star, PermutationSpec(([1, 0],)))
+        images = [theta_star.flat(), swapped.flat()]
+        hit = np.stack([np.abs(draws - img).max(axis=1) <= 0.5 for img in images])
+        assert result.p_single == hit[0].sum() / 30_000
+        assert result.p_orbit == hit.any(axis=0).sum() / 30_000
+
+    def test_memory_bounded_by_block(self):
+        import fnequiv.nncore as nncore_mod
+
+        arch = Architecture(1, (3,), (RELU,))
+        theta_star = NetworkParams(
+            (
+                (np.array([[-0.5], [0.5], [-0.5]]), np.array([-0.5, -0.5, 0.5])),
+                (np.array([[0.1, -0.2, 0.3]]), np.array([0.0])),
+            )
+        )
+        tracemalloc.start()
+        try:
+            result = amplification_check(
+                arch, InitScheme("uniform", seed=3), theta_star, 2_000_000
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.n_images == 6
+        assert peak <= 2 * nncore_mod.STACK_BLOCK_BYTES
 
     def test_all_identical_rows_requires_tolerance(self):
         arch = Architecture(1, (2,), (RELU,))

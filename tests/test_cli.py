@@ -142,6 +142,26 @@ class TestTransform:
         assert code == 1
         assert "malformed transform spec" in err
 
+    @pytest.mark.parametrize("layer", [1.7, True, "1"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("kind,values", [("sign_flip", "signs"), ("scaling", "alpha")])
+    def test_non_integer_layer_exits_one(self, tmp_path, small_net, capsys, layer, kind, values):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": kind, "layer": layer, values: [1.0, 1.0]}))
+        code, _, err = run_cli(
+            ["transform", "--network", str(small_net), "--transform", str(path)], capsys
+        )
+        assert code == 1
+        assert "malformed transform spec" in err
+
+    def test_spec_that_is_not_an_object_exits_one(self, tmp_path, small_net, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text("[1, 2]")
+        code, _, err = run_cli(
+            ["transform", "--network", str(small_net), "--transform", str(path)], capsys
+        )
+        assert code == 1
+        assert "JSON object" in err
+
 
 class TestCanonicalize:
     def test_output_sorted_with_witness(self, tmp_path, capsys):
@@ -302,6 +322,19 @@ class TestBounds:
         code, _, err = run_cli(["bounds", "--config", str(cfg)], capsys)
         assert code == 1
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("which", ["config", "sweep"])
+    def test_document_that_is_not_an_object_exits_one(
+        self, tmp_path, bound_config, capsys, which
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        args = ["bounds", "--config", str(bound_config), "--sweep", str(bad)]
+        if which == "config":
+            args = ["bounds", "--config", str(bad)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert "JSON object" in err
 
     def test_hidden_sweep_without_arch_is_invalid_configuration(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

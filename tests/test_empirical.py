@@ -14,10 +14,11 @@ from fnequiv.empirical import (
     greedy_packing_estimate,
     grid_sample,
 )
+from fnequiv.equivalence import ball_points
 from fnequiv.errors import BudgetExceededError, DomainError
-from fnequiv.nncore import Architecture, IDENTITY, RELU
+from fnequiv.nncore import Architecture, IDENTITY, RELU, TANH
 
-from oracles import exhaustive_max_packing, exhaustive_min_cover
+from oracles import exhaustive_max_packing, exhaustive_min_cover, function_class_reference
 
 # distances on these grids are multiples of exactly representable spacings,
 # and the radii stay clear of every attainable value, so all comparisons in
@@ -151,6 +152,24 @@ class TestFunctionClassSample:
         arch = Architecture(1, (1,), (IDENTITY,))
         sample = function_class_sample(arch, 1.0, 2, 1.0, 4)
         assert sample.provenance["n_enumerated"] == 16
+
+    @pytest.mark.parametrize("dedup", [False, True], ids=["all", "dedup"])
+    @pytest.mark.parametrize(
+        "arch,resolution",
+        [(Architecture(1, (2,), (RELU,)), 3), (Architecture(2, (2,), (TANH,)), 2)],
+        ids=["1-2-1_relu_r3", "2-2-1_tanh_r2"],
+    )
+    def test_matches_per_network_reference(self, monkeypatch, arch, resolution, dedup):
+        sample = function_class_sample(arch, 1.0, resolution, 1.0, 5, dedup_canonical=dedup)
+        X = ball_points(arch.input_dim, 5, 1.0, seed=0)
+        expected = function_class_reference(arch, 1.0, resolution, X, dedup)
+        assert sample.provenance["n_kept"] == len(expected)
+        np.testing.assert_allclose(sample.points, expected, rtol=0, atol=1e-12)
+        # One network per block.
+        monkeypatch.setattr("fnequiv.nncore.STACK_BLOCK_BYTES", 1)
+        alone = function_class_sample(arch, 1.0, resolution, 1.0, 5, dedup_canonical=dedup)
+        assert alone.points.tobytes() == sample.points.tobytes()
+        assert alone.provenance == sample.provenance
 
 
 class TestMetricSpaceSample:

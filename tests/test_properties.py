@@ -1,15 +1,16 @@
 """Property-based tests: permutation group laws, canonical-form invariance,
-and the first-fit row grouper against a brute-force oracle."""
+the stacked canonical sort and the first-fit row grouper against
+brute-force oracles."""
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fnequiv.canonical import canonicalize, group_rows
+from fnequiv.canonical import _canonical_layers, canonicalize, group_rows
 from fnequiv.nncore import NetworkParams, params_identical
 from fnequiv.transforms import PermutationSpec, apply_permutation, compose, inverse
 
-from oracles import first_fit_row_groups
+from oracles import canonical_sort, first_fit_row_groups
 
 # Derandomized so that the suite is reproducible; no deadline, because the
 # machine running the suite may be loaded.
@@ -112,6 +113,41 @@ class TestCanonicalize:
         assert params_identical(canonicalize(permuted).params, canonicalize(params).params)
 
 
+@st.composite
+def stacks(draw):
+    """R networks of one shape, stacked, with entries from a 3-value set so
+    that sort keys tie within and across layers."""
+    widths = draw(hidden_widths)
+    dims = (draw(st.integers(1, 3)), *widths, draw(st.integers(1, 2)))
+    R = draw(st.integers(1, 6))
+    tie = st.sampled_from([-1.0, 0.0, 1.0])
+    return [
+        (
+            draw(hnp.arrays(float, (R, d_out, d_in), elements=tie)),
+            draw(hnp.arrays(float, (R, d_out), elements=tie)),
+        )
+        for d_in, d_out in zip(dims, dims[1:])
+    ]
+
+
+class TestStackedCanonicalize:
+    @PROPERTY
+    @given(stacks())
+    def test_matches_oracle_and_per_network_canonicalize(self, layers):
+        canon, orders = _canonical_layers(layers)
+        for r in range(layers[0][0].shape[0]):
+            net = [(W[r], b[r]) for W, b in layers]
+            expected, expected_orders = canonical_sort(net)
+            form = canonicalize(NetworkParams(tuple(net)))
+            assert [order[r].tolist() for order in orders] == expected_orders
+            assert form.witness.to_json_list() == expected_orders
+            for (W, b), (W_ref, b_ref), (W_one, b_one) in zip(
+                canon, expected, form.params.layers
+            ):
+                assert W[r].tobytes() == W_ref.tobytes() == W_one.tobytes()
+                assert b[r].tobytes() == b_ref.tobytes() == b_one.tobytes()
+
+
 def assert_matches_oracle(rows, tolerance):
     assignment, reps = group_rows(rows, tolerance)
     groups = first_fit_row_groups(rows, tolerance)
@@ -141,3 +177,9 @@ class TestGroupRows:
         base = data.draw(st.sampled_from([0.0, 1.0, -3.0]))
         rows = base + data.draw(hnp.arrays(float, shape, elements=st.sampled_from(near)))
         assert_matches_oracle(rows, tol)
+
+    def test_bit_identity_many_rows(self):
+        rng = np.random.default_rng(0)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+        rows = values[rng.integers(0, values.size, size=(5000, 3))]
+        assert_matches_oracle(rows, 0.0)
