@@ -20,6 +20,7 @@ from .canonical import (
     group_rows,
     symmetry_profile,
     SymmetryProfile,
+    _canonical_layers,
 )
 from .errors import DomainError
 from .nncore import (
@@ -236,18 +237,21 @@ def _descend(arch, thetas, seeds, X, Y, config) -> list[TrainRun]:
         diverged = ~np.isfinite(loss) | (loss > DIVERGENCE_THRESHOLD)
         converged = ~diverged & (grad_max <= config.grad_threshold)
         stop = diverged | converged | (it == config.max_iters)
-        for j in np.flatnonzero(stop):
+        if stop.any():
+            # The runs stopping at this step are canonicalized together.
+            final = [(W[stop], b[stop]) for W, b in layers]
+            canon_flat = _flatten(_canonical_layers(final)[0])
+        for k, j in enumerate(np.flatnonzero(stop)):
             i = active[j]
-            params = NetworkParams(tuple((W[j], b[j]) for W, b in layers))
             runs[i] = TrainRun(
                 seed=seeds[i],
                 init_params=thetas[i],
-                final_params=params,
+                final_params=NetworkParams(tuple((W[k], b[k]) for W, b in final)),
                 final_loss=float(loss[j]),
                 iterations=it,
                 converged=bool(converged[j]),
                 diverged=bool(diverged[j]),
-                canonical_flat=canonicalize(params).params.flat(),
+                canonical_flat=canon_flat[k],
             )
         if stop.all():
             return runs

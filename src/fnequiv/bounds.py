@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, DomainError, IntegrationFailureError
 from .nncore import MAX_LOG_LINEAR, Architecture, default_lipschitz_constants
@@ -240,6 +239,7 @@ def dudley_rademacher_bound(
         raise DomainError("entropy function must be nonnegative")
     if any(a < b - 1e-12 for a, b in zip(vals, vals[1:])):
         raise DomainError("entropy function must be nonincreasing")
+    from scipy import integrate
 
     integrand = lambda e: math.sqrt(float(entropy_fn(e)) / n)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .nncore import MAX_LOG_LINEAR, Architecture, NetworkParams, _flatten
+from .nncore import MAX_LOG_LINEAR, Architecture, NetworkParams, _flatten, stack_block
 from .transforms import PermutationSpec, _permute_neurons
 
 
@@ -172,7 +172,10 @@ def distinct_permutation_images(
     The count equals the product of per-layer distinct-ordering counts when
     duplicated rows are duplicated as entire neurons (incoming row and
     outgoing column together); layers whose duplicated rows feed distinct
-    outgoing columns can produce strictly more images.
+    outgoing columns can produce strictly more images.  Images come in order
+    of first occurrence; permutations are taken in blocks of
+    ``nncore.stack_block`` size, so memory holds the distinct images plus
+    one block.
     """
     sizes = [params.weight(l).shape[0] for l in range(1, params.n_layers)]
     total = 1
@@ -183,9 +186,35 @@ def distinct_permutation_images(
             f"orbit enumeration needs {total} permutations (limit {limit})",
             required=total,
         )
-    combos = itertools.product(*[itertools.permutations(range(d)) for d in sizes])
-    layers = [tuple(np.broadcast_to(a, (total, *a.shape)) for a in wb) for wb in params.layers]
-    for l, perms in enumerate(zip(*combos), start=1):
-        _permute_neurons(layers, l, np.array(perms))
-    _, reps = group_rows(_flatten(layers), 0.0)
-    return [NetworkParams(tuple((W[i], b[i]) for W, b in layers)) for i in reps]
+    # Four float64 copies per permutation: the gathered layers, their flat
+    # rows and np.unique's two sorted copies.
+    block = stack_block(32 * sum(W.size + b.size for W, b in params.layers))
+    combos = _permutation_product(sizes)
+    seen: set[bytes] = set()
+    images = []
+    while chunk := list(itertools.islice(combos, block)):
+        layers = [
+            tuple(np.broadcast_to(a, (len(chunk), *a.shape)) for a in wb) for wb in params.layers
+        ]
+        for l, perms in enumerate(zip(*chunk), start=1):
+            _permute_neurons(layers, l, np.array(perms))
+        rows = _flatten(layers)
+        # Within the block by the one grouper; across blocks by bit pattern,
+        # so the images kept so far are never sorted again.
+        for i in group_rows(rows, 0.0)[1]:
+            key = rows[i].tobytes()
+            if key not in seen:
+                seen.add(key)
+                images.append(NetworkParams(tuple((W[i], b[i]) for W, b in layers)))
+    return images
+
+
+def _permutation_product(sizes):
+    """``itertools.product`` of the permutations of each ``range(d)``, in the
+    same order, without holding every layer's permutations at once."""
+    if not sizes:
+        yield ()
+        return
+    for head in itertools.permutations(range(sizes[0])):
+        for tail in _permutation_product(sizes[1:]):
+            yield (head, *tail)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.spatial.distance import cdist
 
 from .canonical import _canonical_layers, group_rows
 from .equivalence import ball_points
@@ -40,12 +38,22 @@ class MetricSpaceSample:
         object.__setattr__(self, "points", pts)
         if self.metric not in (METRIC_PARAMS, METRIC_FUNCTION):
             raise DomainError(f"unknown metric tag {self.metric!r}")
+        if not np.isfinite(pts).all():
+            raise DomainError("points must be finite (no NaN or infinity)")
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
-        return cdist(self.points, self.points, metric="chebyshev")
+        return _chebyshev(self.points, self.points)
+
+
+def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """L-infinity distances from each row of ``points`` (axis 0) to each row
+    of ``centers`` (axis 1); exact, since each is a max of |a - b|."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(points, centers, metric="chebyshev")
 
 
 def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> MetricSpaceSample:
@@ -66,43 +74,47 @@ def greedy_covering_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     """Size of a farthest-point greedy eps-cover; upper-bounds the exact one.
 
     Deterministic given point order: starts at index 0 and breaks ties toward
-    the lowest index.
+    the lowest index.  Each new center costs one distance pass over the
+    points not yet covered; covered points are dropped (in index order, so
+    the tie rule holds), since no later center can uncover them.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     pts = space.points
     if len(pts) == 0:
         raise DomainError("empty point set")
-    min_dist = np.abs(pts - pts[0]).max(axis=1)
+    min_dist = _chebyshev(pts, pts[:1])[:, 0]
     count = 1
     while True:
-        uncovered = min_dist > epsilon
-        if not uncovered.any():
+        live = min_dist > epsilon
+        pts, min_dist = pts[live], min_dist[live]
+        if len(pts) == 0:
             return count
-        candidate = np.where(uncovered, min_dist, -np.inf)
-        idx = int(np.argmax(candidate))  # argmax returns the first maximizer
+        idx = int(np.argmax(min_dist))  # argmax returns the first maximizer
         count += 1
-        min_dist = np.minimum(min_dist, np.abs(pts - pts[idx]).max(axis=1))
+        min_dist = np.minimum(min_dist, _chebyshev(pts, pts[idx : idx + 1])[:, 0])
 
 
 def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     """Size of a maximal greedy eps-packing (pairwise distances > 2*eps).
 
     First-fit in index order; maximal (no remaining point can be added) but
-    not necessarily maximum.
+    not necessarily maximum.  Keeps the first live point and drops every
+    later one within 2*eps of it, so there is one distance pass per kept
+    point over the points still live.
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     pts = space.points
     if len(pts) == 0:
         raise DomainError("empty point set")
-    kept = [0]
     threshold = 2.0 * epsilon
-    for i in range(1, len(pts)):
-        d = np.abs(pts[list(kept)] - pts[i]).max(axis=1)
-        if (d > threshold).all():
-            kept.append(i)
-    return len(kept)
+    count = 0
+    while len(pts):
+        count += 1
+        rest = pts[1:]
+        pts = rest[_chebyshev(rest, pts[:1])[:, 0] > threshold]
+    return count
 
 
 def _check_exact_size(n: int) -> None:
@@ -121,6 +133,8 @@ def exact_covering_number(space: MetricSpaceSample, epsilon: float) -> int:
     if n == 0:
         raise DomainError("empty point set")
     _check_exact_size(n)
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     covers = (space.distance_matrix() <= epsilon).astype(float)
     res = milp(
         c=np.ones(n),
@@ -142,6 +156,8 @@ def exact_packing_number(space: MetricSpaceSample, epsilon: float) -> int:
     if n == 0:
         raise DomainError("empty point set")
     _check_exact_size(n)
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     D = space.distance_matrix()
     ii, jj = np.where(np.triu(D <= 2.0 * epsilon, k=1))
     if ii.size == 0:

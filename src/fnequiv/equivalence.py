@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from .canonical import canonicalize
 from .errors import DomainError, ShapeError
@@ -59,6 +58,8 @@ def ball_points(dim: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
         raise DomainError("need at least one sample point")
     if radius <= 0:
         raise DomainError("radius must be positive")
+    from scipy.stats import norm, qmc
+
     sampler = qmc.Halton(d=dim + 1, scramble=True, seed=seed)
     u = sampler.random(n)
     z = norm.ppf(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, NumericError, ShapeError
 
@@ -65,6 +64,8 @@ class Activation:
         if self.name == "tanh":
             return np.tanh(x)
         if self.name == "sigmoid":
+            from scipy.special import expit
+
             return expit(x)
         if self.name == "identity":
             return x
@@ -81,6 +82,8 @@ class Activation:
             t = np.tanh(x)
             return 1.0 - t * t
         if self.name == "sigmoid":
+            from scipy.special import expit
+
             s = expit(x)
             return s * (1.0 - s)
         if self.name == "identity":

@@ -155,6 +155,34 @@ def exhaustive_max_packing(D, eps):
     return best
 
 
+def greedy_cover_reference(pts, epsilon):
+    """Farthest-point greedy eps-cover size over all points at every step:
+    the first center is row 0, each next one the first row farthest from
+    the centers so far among those farther than eps, until none is left."""
+    min_dist = np.abs(pts - pts[0]).max(axis=1)
+    count = 1
+    while True:
+        uncovered = min_dist > epsilon
+        if not uncovered.any():
+            return count
+        candidate = np.where(uncovered, min_dist, -np.inf)
+        idx = int(np.argmax(candidate))  # argmax returns the first maximizer
+        count += 1
+        min_dist = np.minimum(min_dist, np.abs(pts - pts[idx]).max(axis=1))
+
+
+def greedy_pack_reference(pts, epsilon):
+    """First-fit eps-packing size, one row at a time in index order: a row is
+    kept when it is farther than 2*eps from every row kept before it."""
+    kept = [0]
+    threshold = 2.0 * epsilon
+    for i in range(1, len(pts)):
+        d = np.abs(pts[list(kept)] - pts[i]).max(axis=1)
+        if (d > threshold).all():
+            kept.append(i)
+    return len(kept)
+
+
 # ---------------------------------------------------------------------------
 # Self-attention written independently (explicit loops over rows)
 
@@ -201,6 +229,36 @@ def first_fit_row_groups(rows, tolerance):
         else:
             groups.append([i])
     return groups
+
+
+# ---------------------------------------------------------------------------
+# Orbit enumeration, one permutation at a time
+
+
+def permutation_images_reference(layers):
+    """Distinct images of a network under hidden-neuron permutations.
+
+    ``layers`` is a list of (W, b) arrays.  Every combination of one
+    permutation per hidden layer is tried in ``itertools.product`` order;
+    each gathers the rows of its layer and the columns of the next one.  An
+    image is kept when no earlier one has the same bits.  Returns the kept
+    images as lists of (W, b) arrays, in order of first occurrence.
+    """
+    sizes = [len(b) for W, b in layers[:-1]]
+    seen, images = set(), []
+    for perms in itertools.product(*[itertools.permutations(range(d)) for d in sizes]):
+        image = [(np.array(W, dtype=float), np.array(b, dtype=float)) for W, b in layers]
+        for l, p in enumerate(perms):
+            p = list(p)
+            W, b = image[l]
+            image[l] = (W[p], b[p])
+            W_next, b_next = image[l + 1]
+            image[l + 1] = (W_next[:, p], b_next)
+        key = b"".join(a.tobytes() for pair in image for a in pair)
+        if key not in seen:
+            seen.add(key)
+            images.append(image)
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fnequiv.basin import (
     train,
     xor_dataset,
 )
-from fnequiv.canonical import symmetry_profile
+from fnequiv.canonical import canonicalize, symmetry_profile
 from fnequiv.errors import DomainError
 from fnequiv.nncore import (
     Architecture,
@@ -348,6 +348,16 @@ class TestLockstepTraining:
             assert _bits(run.final_loss) == _bits(loss)
             for (W, b), (W_ref, b_ref) in zip(run.final_params.layers, layers):
                 assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+    def test_canonical_flat_matches_per_run_canonicalize(self, name):
+        # Runs that stop at the same step are canonicalized together.
+        arch, scheme, dataset, cfg, _ = LOCKSTEP_CASES[name]
+        summary = basin_experiment(arch, scheme, dataset, 16, cfg)
+        assert len({r.iterations for r in summary.runs}) < len(summary.runs)
+        for run in summary.runs:
+            expected = canonicalize(run.final_params).params.flat()
+            assert run.canonical_flat.tobytes() == expected.tobytes()
 
     def test_one_run_blocks_change_nothing(self, monkeypatch):
         import fnequiv.basin as basin_mod

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from fnequiv.nncore import (
     random_params,
 )
 from fnequiv.transforms import apply_permutation, random_spec
+
+from oracles import permutation_images_reference
 
 
 def net_1_3_1(b1, W1=None, W2=None):
@@ -180,6 +183,55 @@ class TestCountingConsistency:
         arch = Architecture(1, (9,), (TANH,))
         with pytest.raises(BudgetExceededError):
             distinct_permutation_images(random_params(arch, rng))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # 2-5-1, neurons 1 and 3 duplicated whole: 120 permutations, 60 images.
+            NetworkParams(
+                (
+                    (
+                        [[0.5, -1.0], [0.25, 0.75], [-0.5, 0.5], [0.25, 0.75], [1.0, 0.0]],
+                        [0.1, -0.2, 0.3, -0.2, 0.0],
+                    ),
+                    ([[0.4, 0.6, -0.7, 0.6, 0.2]], [0.5]),
+                )
+            ),
+            # 1-3-3-1, neurons 0 and 2 of the first layer duplicated: 18 images.
+            NetworkParams(
+                (
+                    ([[0.5], [-1.0], [0.5]], [0.25, 0.0, 0.25]),
+                    ([[1.0, 2.0, 1.0], [0.5, -0.5, 0.5], [-1.0, 0.0, -1.0]], [0.1, 0.2, 0.3]),
+                    ([[0.7, -0.3, 0.9]], [0.0]),
+                )
+            ),
+        ],
+        ids=["2-5-1", "1-3-3-1"],
+    )
+    def test_images_independent_of_block_size(self, monkeypatch, params):
+        expected = [
+            b"".join(a.tobytes() for pair in image for a in pair)
+            for image in permutation_images_reference(params.layers)
+        ]
+        whole = distinct_permutation_images(params)
+        # 32 bytes per parameter of one permutation: 7 permutations per block.
+        monkeypatch.setattr("fnequiv.nncore.STACK_BLOCK_BYTES", 7 * 32 * params.flat().size)
+        blocked = distinct_permutation_images(params)
+        for images in (whole, blocked):
+            assert [img.flat().tobytes() for img in images] == expected
+
+    def test_memory_bounded_by_block(self, monkeypatch):
+        # 1-8-1 with eight identical neurons: 40320 permutations, one image.
+        params = NetworkParams((([[0.5]] * 8, [0.25] * 8), ([[0.3] * 8], [0.0])))
+        monkeypatch.setattr("fnequiv.nncore.STACK_BLOCK_BYTES", 2**20)
+        tracemalloc.start()
+        try:
+            images = distinct_permutation_images(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(images) == 1 and params_identical(images[0], params)
+        assert peak <= 4 * 2**20
 
 
 class TestEffectiveVolume:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fnequiv
 from fnequiv.cli import main
 from fnequiv.nncore import (
     Architecture,
@@ -532,3 +537,17 @@ class TestErrorsAndDeterminism:
                 stdouts.append(stdout)
             assert outputs[0] == outputs[1], template[0]
             assert stdouts[0] == stdouts[1], template[0]
+
+
+def test_import_loads_no_scipy():
+    # scipy loads on first use only (about 1 s of import time).
+    code = (
+        "import sys, fnequiv, fnequiv.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    paths = [str(Path(fnequiv.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

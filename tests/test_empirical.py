@@ -18,7 +18,13 @@ from fnequiv.equivalence import ball_points
 from fnequiv.errors import BudgetExceededError, DomainError
 from fnequiv.nncore import Architecture, IDENTITY, RELU, TANH
 
-from oracles import exhaustive_max_packing, exhaustive_min_cover, function_class_reference
+from oracles import (
+    exhaustive_max_packing,
+    exhaustive_min_cover,
+    function_class_reference,
+    greedy_cover_reference,
+    greedy_pack_reference,
+)
 
 # distances on these grids are multiples of exactly representable spacings,
 # and the radii stay clear of every attainable value, so all comparisons in
@@ -57,6 +63,19 @@ class TestGreedyEstimates:
         a = [greedy_covering_estimate(space, 0.3) for _ in range(3)]
         b = [greedy_packing_estimate(space, 0.15) for _ in range(3)]
         assert len(set(a)) == 1 and len(set(b)) == 1
+
+
+    def test_function_class_sample_matches_reference(self):
+        arch = Architecture(1, (2,), (RELU,))
+        sample = function_class_sample(arch, 1.0, 4, 1.0, 32, dedup_canonical=True)
+        assert len(sample) == 8704
+        for eps in (0.2, 0.4):
+            assert greedy_covering_estimate(sample, eps) == greedy_cover_reference(
+                sample.points, eps
+            )
+            assert greedy_packing_estimate(sample, eps) == greedy_pack_reference(
+                sample.points, eps
+            )
 
 
 class TestExactOracles:
@@ -186,3 +205,13 @@ class TestMetricSpaceSample:
     def test_unknown_metric_tag(self):
         with pytest.raises(DomainError):
             MetricSpaceSample(np.zeros((2, 2)), metric="l2")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.0], [np.nan], [5.0]], [[np.nan], [0.0], [5.0]], [[0.0], [np.inf]], [[-np.inf, 1.0]]],
+        ids=["nan_inside", "nan_first", "inf", "minus_inf"],
+    )
+    def test_non_finite_points_rejected(self, rows):
+        # Unchecked, a NaN row skews both greedy counts without an error.
+        with pytest.raises(DomainError):
+            MetricSpaceSample(np.array(rows))

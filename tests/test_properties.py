@@ -1,16 +1,22 @@
 """Property-based tests: permutation group laws, canonical-form invariance,
-the stacked canonical sort and the first-fit row grouper against
-brute-force oracles."""
+the stacked canonical sort, the first-fit row grouper and the greedy
+covering and packing oracles against brute-force references."""
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fnequiv.canonical import _canonical_layers, canonicalize, group_rows
+from fnequiv.empirical import MetricSpaceSample, greedy_covering_estimate, greedy_packing_estimate
 from fnequiv.nncore import NetworkParams, params_identical
 from fnequiv.transforms import PermutationSpec, apply_permutation, compose, inverse
 
-from oracles import canonical_sort, first_fit_row_groups
+from oracles import (
+    canonical_sort,
+    first_fit_row_groups,
+    greedy_cover_reference,
+    greedy_pack_reference,
+)
 
 # Derandomized so that the suite is reproducible; no deadline, because the
 # machine running the suite may be loaded.
@@ -183,3 +189,23 @@ class TestGroupRows:
         values = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
         rows = values[rng.integers(0, values.size, size=(5000, 3))]
         assert_matches_oracle(rows, 0.0)
+
+
+@st.composite
+def grid_point_sets(draw):
+    """Rows with coordinates on a 0.25 grid, some of them repeated, so that
+    distances are exact and often equal to eps or 2 * eps."""
+    dim = draw(st.integers(1, 3))
+    grid = st.integers(-4, 4).map(lambda k: 0.25 * k)
+    base = draw(hnp.arrays(float, st.tuples(st.integers(1, 8), st.just(dim)), elements=grid))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=16))
+    return base[picks]
+
+
+class TestGreedyOracles:
+    @PROPERTY
+    @given(grid_point_sets(), st.sampled_from([0.1, 0.125, 0.25, 0.5, 0.75]))
+    def test_match_reference(self, pts, eps):
+        space = MetricSpaceSample(pts)
+        assert greedy_covering_estimate(space, eps) == greedy_cover_reference(pts, eps)
+        assert greedy_packing_estimate(space, eps) == greedy_pack_reference(pts, eps)
