@@ -186,9 +186,8 @@ def distinct_permutation_images(
             f"orbit enumeration needs {total} permutations (limit {limit})",
             required=total,
         )
-    # Four float64 copies per permutation: the gathered layers, their flat
-    # rows and np.unique's two sorted copies.
-    block = stack_block(32 * sum(W.size + b.size for W, b in params.layers))
+    # Two float64 copies per permutation: the gathered layers and their rows.
+    block = stack_block(16 * sum(W.size + b.size for W, b in params.layers))
     combos = _permutation_product(sizes)
     seen: set[bytes] = set()
     images = []
@@ -198,11 +197,8 @@ def distinct_permutation_images(
         ]
         for l, perms in enumerate(zip(*chunk), start=1):
             _permute_neurons(layers, l, np.array(perms))
-        rows = _flatten(layers)
-        # Within the block by the one grouper; across blocks by bit pattern,
-        # so the images kept so far are never sorted again.
-        for i in group_rows(rows, 0.0)[1]:
-            key = rows[i].tobytes()
+        for i, row in enumerate(_flatten(layers)):
+            key = row.tobytes()
             if key not in seen:
                 seen.add(key)
                 images.append(NetworkParams(tuple((W[i], b[i]) for W, b in layers)))

@@ -214,8 +214,8 @@ class TestCountingConsistency:
             for image in permutation_images_reference(params.layers)
         ]
         whole = distinct_permutation_images(params)
-        # 32 bytes per parameter of one permutation: 7 permutations per block.
-        monkeypatch.setattr("fnequiv.nncore.STACK_BLOCK_BYTES", 7 * 32 * params.flat().size)
+        # 16 bytes per parameter of one permutation: 7 permutations per block.
+        monkeypatch.setattr("fnequiv.nncore.STACK_BLOCK_BYTES", 7 * 16 * params.flat().size)
         blocked = distinct_permutation_images(params)
         for images in (whole, blocked):
             assert [img.flat().tobytes() for img in images] == expected
