@@ -33,6 +33,7 @@ from .nncore import (
     params_from_flat,
     params_max_diff,
     stack_block,
+    _chebyshev,
     _flatten,
     _mse_value_and_grad,
     _unflatten,
@@ -67,6 +68,8 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in ("uniform", "normal", "xavier", "he"):
             raise DomainError(f"unknown init scheme {self.kind!r}")
+        if not all(map(math.isfinite, (self.low, self.high, self.mu, self.sigma))):
+            raise DomainError("init parameters must be finite")
         if self.kind == "uniform" and not self.low <= self.high:
             raise DomainError("uniform init needs low <= high")
         if self.kind == "normal" and not self.sigma >= 0:
@@ -165,8 +168,8 @@ class OptimizerConfig:
     grad_threshold: float = 1e-6
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise DomainError("step size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise DomainError("step size must be finite and positive")
         if self.max_iters < 0:
             raise DomainError("max_iters must be nonnegative")
 
@@ -444,6 +447,8 @@ def amplification_check(
     check_shapes(arch, theta_star)
     if n_draws < 1:
         raise DomainError("need at least one draw")
+    if not np.isfinite(theta_star.flat()).all():
+        raise DomainError("theta_star must be finite")
     profile = symmetry_profile(theta_star)
     if tolerance is None:
         if not math.isfinite(profile.delta_min):
@@ -453,21 +458,20 @@ def amplification_check(
         tolerance = profile.delta_min / 2.0
     images = distinct_permutation_images(theta_star)
     image_mat = np.stack([img.flat() for img in images])
-    star_flat = theta_star.flat()
-    star_idx = int(np.argmin(np.abs(image_mat - star_flat).max(axis=1)))
+    star_idx = int(np.argmin(_chebyshev(theta_star.flat()[None], image_mat)))
 
     single_hits = 0
     orbit_hits = 0
     rng = np.random.default_rng(scheme.seed)
-    # Float64 bytes per draw: its parameters and one image difference, and
-    # its distances to every image, listed and then stacked.
+    # Twice the float64 bytes of a draw's parameters and of its distances to
+    # every image.  Each block draws layer by layer, so the draw stream, and
+    # with it every count, depends on this block size.
     block = stack_block(16 * (arch.param_count + len(images)))
     for start in range(0, n_draws, block):
         chunk = _draw(arch, scheme, rng, min(block, n_draws - start))
-        dists = np.stack([np.abs(chunk - img).max(axis=1) for img in image_mat])
-        hit = dists <= tolerance
-        single_hits += int(hit[star_idx].sum())
-        orbit_hits += int(hit.any(axis=0).sum())
+        hit = _chebyshev(chunk, image_mat) <= tolerance
+        single_hits += int(hit[:, star_idx].sum())
+        orbit_hits += int(hit.any(axis=1).sum())
 
     p_single = single_hits / n_draws
     p_orbit = orbit_hits / n_draws

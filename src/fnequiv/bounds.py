@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError, IntegrationFailureError
-from .nncore import MAX_LOG_LINEAR, Architecture, default_lipschitz_constants
+from .nncore import MAX_LOG_LINEAR, Architecture, default_lipschitz_constants, linear_or_none
 
 DUDLEY_ABS_TOL = 1e-6
 DUDLEY_CONSTANT = 12.0
@@ -26,10 +26,6 @@ _DIVERGENCE_EXPONENT = 2.0
 
 PDIM_EXACT_MAX_D = 300
 PDIM_EXACT_MAX_N = 100_000
-
-
-def log_factorial(d: int) -> float:
-    return math.lgamma(d + 1)
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ def shallow_covering_bound(cfg: BoundConfig) -> float:
     log_base = math.log(16.0 * cfg.B**2 * (cfg.B_x + 1.0) * math.sqrt(d0) * d1) - math.log(
         cfg.epsilon
     )
-    return S * log_base + S_h * math.log(cfg.rho[0]) - log_factorial(d1)
+    return S * log_base + S_h * math.log(cfg.rho[0]) + permutation_discount(arch)
 
 
 def permutation_discount(arch: Architecture) -> float:
@@ -141,21 +137,21 @@ def deep_covering_bound(cfg: BoundConfig, discount: bool = True) -> float:
 
 @dataclass(frozen=True)
 class StirlingBracket:
-    lower: float
+    lower: float | None
     factorial: int
-    upper: float
+    upper: float | None
 
 
 def stirling_bracket(d: int) -> StirlingBracket:
     """Strict two-sided factorial bracket with the exact d! in the middle.
 
     sqrt(2 pi d) (d/e)^d e^(1/(12d+1)) < d! < sqrt(2 pi d) (d/e)^d e^(1/(12d)).
+    A side that does not fit in a double (from d = 171 on) is None.
     """
     if d < 1:
         raise DomainError("the bracket requires d >= 1")
     log_core = 0.5 * math.log(2.0 * math.pi * d) + d * (math.log(d) - 1.0)
-    lower = math.exp(log_core + 1.0 / (12 * d + 1))
-    upper = math.exp(log_core + 1.0 / (12 * d))
+    lower, upper = (linear_or_none(log_core + 1.0 / k) for k in (12 * d + 1, 12 * d))
     return StirlingBracket(lower, math.factorial(d), upper)
 
 

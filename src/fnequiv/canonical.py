@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .nncore import MAX_LOG_LINEAR, Architecture, NetworkParams, _flatten, stack_block
+from .nncore import Architecture, NetworkParams, _flatten, linear_or_none, stack_block
 from .transforms import PermutationSpec, _permute_neurons
 
 
@@ -124,20 +124,13 @@ def symmetry_profile(params: NetworkParams, row_tolerance: float = 0.0) -> Symme
         W, b = params.layers[l - 1]
         rows = np.column_stack([W, b])
         assignment, rep_idx = group_rows(rows, row_tolerance)
-        d = rows.shape[0]
-        denom = 1
-        for size in np.bincount(assignment):
-            denom *= math.factorial(int(size))
-        counts.append(math.factorial(d) // denom)
+        ties = math.prod(math.factorial(int(n)) for n in np.bincount(assignment))
+        counts.append(math.factorial(rows.shape[0]) // ties)
         reps = rows[rep_idx]
-        for a, bb in itertools.combinations(range(len(reps)), 2):
-            gap = float(np.abs(reps[a] - reps[bb]).max())
-            if gap > row_tolerance:
-                delta = min(delta, gap)
-    total = 1
-    for c in counts:
-        total *= c
-    return SymmetryProfile(tuple(counts), delta, total)
+        for a in range(len(reps) - 1):
+            gaps = np.abs(reps[a + 1 :] - reps[a]).max(axis=1)
+            delta = min(delta, float(gaps[gaps > row_tolerance].min(initial=math.inf)))
+    return SymmetryProfile(tuple(counts), delta, math.prod(counts))
 
 
 @dataclass(frozen=True)
@@ -160,8 +153,9 @@ def effective_volume(arch: Architecture, B: float) -> EffectiveVolume:
         raise DomainError("B must be positive")
     log_total = arch.param_count * math.log(2.0 * B)
     log_effective = log_total - arch.log_permutation_count
-    to_linear = lambda lv: math.exp(lv) if lv <= MAX_LOG_LINEAR else None
-    return EffectiveVolume(log_total, log_effective, to_linear(log_total), to_linear(log_effective))
+    return EffectiveVolume(
+        log_total, log_effective, linear_or_none(log_total), linear_or_none(log_effective)
+    )
 
 
 def distinct_permutation_images(
@@ -178,9 +172,7 @@ def distinct_permutation_images(
     one block.
     """
     sizes = [params.weight(l).shape[0] for l in range(1, params.n_layers)]
-    total = 1
-    for d in sizes:
-        total *= math.factorial(d)
+    total = math.prod(map(math.factorial, sizes))
     if total > limit:
         raise BudgetExceededError(
             f"orbit enumeration needs {total} permutations (limit {limit})",

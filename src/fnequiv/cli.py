@@ -49,9 +49,10 @@ from .transforms import (
 OUTPUT_DIR_ENV = "FNEQUIV_OUTPUT_DIR"
 
 
-def _fmt(v: float) -> str:
-    """Fixed 17-significant-digit float formatting for CSV cells."""
-    return f"{v:.17g}"
+def _fmt(v: float | None) -> str:
+    """Fixed 17-significant-digit float formatting for CSV cells; None is an
+    empty cell."""
+    return "" if v is None else f"{v:.17g}"
 
 
 def _resolve_path(path: str) -> str:
@@ -243,26 +244,17 @@ def _config_from_doc(doc: dict) -> bounds_mod.BoundConfig:
         raise ConfigError(f"malformed bound config: {exc!r}") from exc
 
 
-def _apply_flag_overrides(doc: dict, args) -> dict:
-    """Flags beat config-file values; the merged document is echoed."""
-    doc = dict(doc)
-    if args.B is not None:
-        doc["B"] = args.B
-    if args.bx is not None:
-        doc["B_x"] = args.bx
-    if args.epsilon is not None:
-        doc["epsilon"] = args.epsilon
-    return doc
+def _override(doc: dict, **values) -> dict:
+    """A copy of ``doc`` with each value that is not None put in; the merged
+    document is what gets echoed."""
+    return {**doc, **{k: v for k, v in values.items() if v is not None}}
 
 
 def _sweep_configs(base_doc: dict, sweep_doc: dict):
     _require_keys(sweep_doc, set(_SWEEP_KEYS), "sweep spec")
-    axes = []
-    for key in _SWEEP_KEYS:
-        values = sweep_doc.get(key)
-        axes.append([None] if values is None else list(values))
+    axes = [[None] if sweep_doc.get(k) is None else list(sweep_doc[k]) for k in _SWEEP_KEYS]
     for hidden, B, B_x, eps in itertools.product(*axes):
-        doc = dict(base_doc)
+        doc = _override(base_doc, B=B, B_x=B_x, epsilon=eps)
         if hidden is not None:
             try:
                 doc["arch"] = dict(doc["arch"], hidden=hidden)
@@ -271,12 +263,6 @@ def _sweep_configs(base_doc: dict, sweep_doc: dict):
                     doc["arch"]["activations"] = acts * len(hidden)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"malformed bound config: {exc!r}") from exc
-        if B is not None:
-            doc["B"] = B
-        if B_x is not None:
-            doc["B_x"] = B_x
-        if eps is not None:
-            doc["epsilon"] = eps
         yield _config_from_doc(doc)
 
 
@@ -284,7 +270,7 @@ def _bounds_row(cfg: bounds_mod.BoundConfig) -> dict:
     arch = cfg.arch
     comparison = bounds_mod.entropy_comparison(cfg)
     vol = effective_volume(arch, cfg.B)
-    row = {
+    return {
         "arch": arch.describe(),
         "activations": ",".join(a.tag() for a in arch.activations),
         "B": cfg.B,
@@ -294,78 +280,62 @@ def _bounds_row(cfg: bounds_mod.BoundConfig) -> dict:
         "L": arch.depth,
         "S": arch.param_count,
         "U": arch.hidden_unit_count,
-        "shallow_log_bound": (
-            bounds_mod.shallow_covering_bound(cfg) if arch.depth == 1 else None
-        ),
+        "shallow_log_bound": bounds_mod.shallow_covering_bound(cfg) if arch.depth == 1 else None,
         "deep_log_bound": bounds_mod.deep_covering_bound(cfg),
         "entropies": comparison.values(),
         "floored": list(comparison.floored),
         "stirling": [
-            {"d": d, "lower": br.lower, "factorial": br.factorial, "upper": br.upper}
-            for d, br in (
-                (d, bounds_mod.stirling_bracket(d)) for d in arch.hidden_widths
-            )
+            {"d": d, **vars(bounds_mod.stirling_bracket(d))} for d in arch.hidden_widths
         ],
         "log_total_volume": vol.log_total,
         "log_effective_volume": vol.log_effective,
         "effective_volume": vol.effective,
     }
-    return row
 
 
-_BOUNDS_CSV_HEADER = [
-    "arch",
-    "activations",
-    "B",
-    "B_x",
-    "epsilon",
-    "rho",
-    "L",
-    "S",
-    "U",
-    "shallow_log_bound",
-    "deep_log_bound",
-    "spectral_2017",
-    "pacbayes_2017",
-    "lin_2019",
-    "pdim_2019",
-    "permutation_aware",
-    "floored",
-    "stirling_brackets",
-    "log_total_volume",
-    "log_effective_volume",
-    "effective_volume",
+# The bounds CSV, one (column, cell) pair per column; a cell formats one
+# ``_bounds_row`` dict.
+_BOUNDS_COLUMNS = [
+    ("arch", lambda r: r["arch"]),
+    ("activations", lambda r: r["activations"].replace(",", "|")),
+    ("B", lambda r: _fmt(r["B"])),
+    ("B_x", lambda r: _fmt(r["B_x"])),
+    ("epsilon", lambda r: _fmt(r["epsilon"])),
+    ("rho", lambda r: "|".join(_fmt(x) for x in r["rho"])),
+    ("L", lambda r: str(r["L"])),
+    ("S", lambda r: str(r["S"])),
+    ("U", lambda r: str(r["U"])),
+    ("shallow_log_bound", lambda r: _fmt(r["shallow_log_bound"])),
+    ("deep_log_bound", lambda r: _fmt(r["deep_log_bound"])),
+    *[
+        (name, lambda r, name=name: _fmt(r["entropies"][name]))
+        for name in bounds_mod.EntropyComparison.ROW_NAMES
+    ],
+    ("floored", lambda r: "|".join(r["floored"])),
+    (
+        "stirling_brackets",
+        lambda r: ";".join(
+            f"{s['d']}:{_fmt(s['lower'])}<{s['factorial']}<{_fmt(s['upper'])}"
+            for s in r["stirling"]
+        ),
+    ),
+    ("log_total_volume", lambda r: _fmt(r["log_total_volume"])),
+    ("log_effective_volume", lambda r: _fmt(r["log_effective_volume"])),
+    ("effective_volume", lambda r: _fmt(r["effective_volume"])),
+]
+# entropy-compare's CSV: the five entropies and the floored rows.
+_ENTROPY_COLUMNS = [
+    c for c in _BOUNDS_COLUMNS if c[0] in (*bounds_mod.EntropyComparison.ROW_NAMES, "floored")
 ]
 
 
-def _bounds_csv_row(row: dict) -> list[str]:
-    stirling = ";".join(
-        f"{s['d']}:{_fmt(s['lower'])}<{s['factorial']}<{_fmt(s['upper'])}"
-        for s in row["stirling"]
-    )
-    return [
-        row["arch"],
-        row["activations"].replace(",", "|"),
-        _fmt(row["B"]),
-        _fmt(row["B_x"]),
-        _fmt(row["epsilon"]),
-        "|".join(_fmt(r) for r in row["rho"]),
-        str(row["L"]),
-        str(row["S"]),
-        str(row["U"]),
-        "" if row["shallow_log_bound"] is None else _fmt(row["shallow_log_bound"]),
-        _fmt(row["deep_log_bound"]),
-        *[_fmt(row["entropies"][k]) for k in bounds_mod.EntropyComparison.ROW_NAMES],
-        "|".join(row["floored"]),
-        stirling,
-        _fmt(row["log_total_volume"]),
-        _fmt(row["log_effective_volume"]),
-        "" if row["effective_volume"] is None else _fmt(row["effective_volume"]),
-    ]
+def _table_text(config: dict, columns, rows: list[dict]) -> str:
+    header = [name for name, _ in columns]
+    return _csv_text(config, header, [[cell(r) for _, cell in columns] for r in rows])
 
 
 def cmd_bounds(args) -> int:
-    base_doc = _apply_flag_overrides(_load_json(args.config), args)
+    base_doc = _override(_load_json(args.config), B=args.B, B_x=args.bx, epsilon=args.epsilon)
     config = {
         "subcommand": "bounds",
         "config_file": args.config,
@@ -384,17 +354,13 @@ def cmd_bounds(args) -> int:
     if args.format == "json":
         _emit(_json_text({"config": config, "rows": rows}), args.output)
     else:
-        _emit(
-            _csv_text(config, _BOUNDS_CSV_HEADER, [_bounds_csv_row(r) for r in rows]),
-            args.output,
-        )
+        _emit(_table_text(config, _BOUNDS_COLUMNS, rows), args.output)
     return 0
 
 
 def cmd_entropy_compare(args) -> int:
-    base_doc = _apply_flag_overrides(_load_json(args.config), args)
-    cfg = _config_from_doc(base_doc)
-    comparison = bounds_mod.entropy_comparison(cfg)
+    base_doc = _override(_load_json(args.config), B=args.B, B_x=args.bx, epsilon=args.epsilon)
+    comparison = bounds_mod.entropy_comparison(_config_from_doc(base_doc))
     config = {
         "subcommand": "entropy-compare",
         "config_file": args.config,
@@ -402,18 +368,11 @@ def cmd_entropy_compare(args) -> int:
         "output": args.output,
         "resolved": base_doc,
     }
+    row = {"entropies": comparison.values(), "floored": list(comparison.floored)}
     if args.format == "json":
-        doc = {
-            "config": config,
-            "entropies": comparison.values(),
-            "floored": list(comparison.floored),
-        }
-        _emit(_json_text(doc), args.output)
+        _emit(_json_text({"config": config, **row}), args.output)
     else:
-        header = list(bounds_mod.EntropyComparison.ROW_NAMES) + ["floored"]
-        row = [_fmt(comparison.values()[k]) for k in bounds_mod.EntropyComparison.ROW_NAMES]
-        row.append("|".join(comparison.floored))
-        _emit(_csv_text(config, header, [row]), args.output)
+        _emit(_table_text(config, _ENTROPY_COLUMNS, [row]), args.output)
     return 0
 
 
@@ -422,9 +381,12 @@ def cmd_entropy_compare(args) -> int:
 
 
 def cmd_covering_sweep(args) -> int:
-    epsilons = [float(e) for e in args.epsilons.split(",")]
-    if any(e <= 0 for e in epsilons):
-        raise DomainError("epsilons must be positive")
+    try:
+        epsilons = [float(e) for e in args.epsilons.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"bad --epsilons: {exc}") from exc
+    if not all(0 < e < math.inf for e in epsilons):
+        raise DomainError("epsilons must be finite and positive")
     space = empirical.grid_sample(args.dim, args.points_per_axis, args.half_width)
     volume = (2.0 * args.half_width) ** args.dim
     config = {
@@ -522,6 +484,8 @@ def cmd_basin(args) -> int:
         "seed": args.seed,
         "output_prefix": args.output_prefix,
     }
+    if args.dataset == "teacher":
+        config.update(teacher_network=args.teacher_network, n_points=args.n_points, bx=args.bx)
     doc = {"config": config, "summary": summary.to_json_dict()}
     prefix = _resolve_path(args.output_prefix)
     with open(prefix + ".summary.json", "w") as fh:
@@ -601,23 +565,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_check_equiv)
 
-    p = sub.add_parser("bounds", help="evaluate covering bounds over a config (sweep)")
-    p.add_argument("--config", required=True)
+    bound_args = argparse.ArgumentParser(add_help=False)
+    bound_args.add_argument("--config", required=True)
+    for flag in ("--epsilon", "--B", "--bx"):
+        bound_args.add_argument(flag, type=float, default=None, help="override the config value")
+    bound_args.add_argument("--output", default=None)
+
+    p = sub.add_parser(
+        "bounds", parents=[bound_args], help="evaluate covering bounds over a config (sweep)"
+    )
     p.add_argument("--sweep", default=None)
-    p.add_argument("--epsilon", type=float, default=None, help="override the config value")
-    p.add_argument("--B", type=float, default=None, help="override the config value")
-    p.add_argument("--bx", type=float, default=None, help="override the config value")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("entropy-compare", help="the five comparable metric entropies")
-    p.add_argument("--config", required=True)
-    p.add_argument("--epsilon", type=float, default=None, help="override the config value")
-    p.add_argument("--B", type=float, default=None, help="override the config value")
-    p.add_argument("--bx", type=float, default=None, help="override the config value")
+    p = sub.add_parser(
+        "entropy-compare", parents=[bound_args], help="the five comparable metric entropies"
+    )
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_entropy_compare)
 
     p = sub.add_parser("covering-sweep", help="greedy/exact covering and packing on a grid")

@@ -15,7 +15,7 @@ import numpy as np
 from .canonical import _canonical_layers, group_rows
 from .equivalence import ball_points
 from .errors import BudgetExceededError, DomainError
-from .nncore import Architecture, _flatten, _forward_checked, _unflatten, stack_block
+from .nncore import Architecture, _chebyshev, _flatten, _forward_checked, _unflatten, stack_block
 
 METRIC_PARAMS = "linf_params"
 METRIC_FUNCTION = "sampled_sup_function"
@@ -46,14 +46,6 @@ class MetricSpaceSample:
 
     def distance_matrix(self) -> np.ndarray:
         return _chebyshev(self.points, self.points)
-
-
-def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """L-infinity distances from each row of ``points`` (axis 0) to each row
-    of ``centers`` (axis 1); exact, since each is a max of |a - b|."""
-    from scipy.spatial.distance import cdist
-
-    return cdist(points, centers, metric="chebyshev")
 
 
 def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> MetricSpaceSample:

@@ -27,6 +27,12 @@ DIVERGENCE_THRESHOLD = 1e12
 # Largest natural log whose exponential is still a finite double.
 MAX_LOG_LINEAR = math.log(np.finfo(float).max)
 
+
+def linear_or_none(log_value: float) -> float | None:
+    """exp(log_value), or None when that does not fit in a double."""
+    return math.exp(log_value) if log_value <= MAX_LOG_LINEAR else None
+
+
 # Working-set bytes a computation over stacked networks or draws may hold at
 # once; it takes them in blocks of as many as fit (see ``stack_block``).
 STACK_BLOCK_BYTES = 32 * 2**20
@@ -143,7 +149,10 @@ def activation_from_tag(tag: str) -> Activation:
             raise DomainError(f"activation {name!r} takes no parameter")
         return simple[name]
     if name == "leaky_relu":
-        return leaky_relu(float(param) if param else 0.01)
+        try:
+            return leaky_relu(float(param) if param else 0.01)
+        except ValueError as exc:
+            raise DomainError(f"bad leaky_relu slope {param!r}") from exc
     raise DomainError(f"unknown activation tag {tag!r}")
 
 
@@ -296,6 +305,18 @@ def _flatten(layers) -> np.ndarray:
     vector for plain layers."""
     lead = layers[0][1].shape[:-1]
     return np.concatenate([a.reshape(*lead, -1) for W, b in layers for a in (W, b)], axis=-1)
+
+
+def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """L-infinity distances from each row of ``points`` (axis 0) to each row
+    of ``centers`` (axis 1); exact, since each is a max of |a - b|.
+
+    Both inputs must be finite: the kernel skips NaN coordinates, so a NaN
+    row can come out at a finite distance (even 0) instead of NaN.
+    """
+    from scipy.spatial.distance import cdist
+
+    return cdist(points, centers, metric="chebyshev")
 
 
 def params_identical(a: NetworkParams, b: NetworkParams) -> bool:

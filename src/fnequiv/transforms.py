@@ -147,13 +147,7 @@ def apply_scaling(
         )
     if len(spec.alpha) != arch.hidden_widths[l - 1]:
         raise ShapeError("one factor per neuron is required")
-    a = np.asarray(spec.alpha, dtype=float)
-    layers = list(params.layers)
-    W, b = layers[l - 1]
-    layers[l - 1] = (W * a[:, None], b * a)
-    W_next, b_next = layers[l]
-    layers[l] = (W_next / a[None, :], b_next)
-    return NetworkParams(tuple(layers))
+    return _rescale_neurons(params, l, np.asarray(spec.alpha, dtype=float))
 
 
 def apply_sign_flip(
@@ -176,11 +170,17 @@ def apply_sign_flip(
         raise ShapeError("one sign per neuron is required")
     if not np.all(np.abs(s) == 1.0):
         raise DomainError("signs must be +1 or -1")
+    return _rescale_neurons(params, layer, s)
+
+
+def _rescale_neurons(params: NetworkParams, l: int, factors: np.ndarray) -> NetworkParams:
+    """Multiply the rows of hidden layer ``l`` (1-based) by ``factors`` and
+    divide its outgoing columns by them; exact when the factors are +-1."""
     layers = list(params.layers)
-    W, b = layers[layer - 1]
-    layers[layer - 1] = (W * s[:, None], b * s)
-    W_next, b_next = layers[layer]
-    layers[layer] = (W_next * s[None, :], b_next)
+    W, b = layers[l - 1]
+    layers[l - 1] = (W * factors[:, None], b * factors)
+    W_next, b_next = layers[l]
+    layers[l] = (W_next / factors, b_next)
     return NetworkParams(tuple(layers))
 
 

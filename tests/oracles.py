@@ -231,6 +231,21 @@ def first_fit_row_groups(rows, tolerance):
     return groups
 
 
+def min_row_gap_reference(layers, tolerance):
+    """Smallest L-infinity gap above ``tolerance`` between the first rows of
+    the (bias | weight-row) groups of any hidden layer, one pair at a time;
+    +inf when there is none."""
+    delta = math.inf
+    for W, b in layers[:-1]:
+        rows = [list(w) + [bb] for w, bb in zip(W, b)]
+        reps = [rows[g[0]] for g in first_fit_row_groups(rows, tolerance)]
+        for r, s in itertools.combinations(reps, 2):
+            gap = max(abs(float(x) - float(y)) for x, y in zip(r, s))
+            if gap > tolerance:
+                delta = min(delta, gap)
+    return delta
+
+
 # ---------------------------------------------------------------------------
 # Orbit enumeration, one permutation at a time
 

@@ -110,6 +110,10 @@ class TestInitialize:
             InitScheme("normal", sigma=-1.0)
         with pytest.raises(DomainError):
             InitScheme("orthogonal")
+        with pytest.raises(DomainError):
+            InitScheme("normal", mu=math.nan)
+        with pytest.raises(DomainError):
+            InitScheme("uniform", low=-math.inf)
 
 
 class TestTrain:
@@ -433,6 +437,15 @@ class TestAmplification:
             tracemalloc.stop()
         assert result.n_images == 6
         assert peak <= 2 * nncore_mod.STACK_BLOCK_BYTES
+
+    def test_non_finite_theta_star_rejected(self):
+        # The distance kernel skips NaN coordinates, so a NaN entry would
+        # otherwise read as a hit.
+        arch = Architecture(1, (2,), (RELU,))
+        (W, b), out = two_distinct_rows_params().layers
+        theta_star = NetworkParams(((W, np.array([math.nan, -0.25])), out))
+        with pytest.raises(DomainError, match="finite"):
+            amplification_check(arch, InitScheme("uniform", seed=7), theta_star, 100, 0.5)
 
     def test_all_identical_rows_requires_tolerance(self):
         arch = Architecture(1, (2,), (RELU,))

@@ -189,6 +189,11 @@ class TestStirling:
             br = stirling_bracket(d)
             assert br.lower < br.factorial < br.upper, d
 
+    def test_sides_past_double_range_are_none(self):
+        br = stirling_bracket(171)
+        assert (br.lower, br.upper) == (None, None)
+        assert br.factorial == math.factorial(171)
+
     def test_matches_high_precision_oracle(self):
         for d in (1, 7, 40, 170):
             lo, hi = mp_stirling_bracket(d)

@@ -16,12 +16,13 @@ from fnequiv.nncore import (
     NetworkParams,
     RELU,
     TANH,
+    params_from_flat,
     params_identical,
     random_params,
 )
 from fnequiv.transforms import apply_permutation, random_spec
 
-from oracles import permutation_images_reference
+from oracles import min_row_gap_reference, permutation_images_reference
 
 
 def net_1_3_1(b1, W1=None, W2=None):
@@ -116,6 +117,19 @@ class TestSymmetryProfile:
         profile = symmetry_profile(params)
         assert profile.distinct_perm_counts == (3,)
         assert profile.delta_min == 0.5
+
+    @pytest.mark.parametrize("tolerance", [0.0, 0.5, 1.0])
+    def test_delta_min_matches_pairwise_reference(self, tolerance):
+        # Entries on a 0.5 grid give exact ties and gaps equal to the
+        # tolerance; signed zeros give distinct rows at gap 0.
+        rng = np.random.default_rng(11)
+        arch = Architecture(1, (6, 4), (TANH, TANH))
+        S = arch.param_count
+        for _ in range(20):
+            signs = rng.choice([-1.0, 1.0], size=S)
+            params = params_from_flat(arch, 0.5 * rng.integers(-1, 2, size=S) * signs)
+            expected = min_row_gap_reference(params.layers, tolerance)
+            assert symmetry_profile(params, tolerance).delta_min == expected
 
     def test_multi_layer_product(self):
         rng = np.random.default_rng(4)

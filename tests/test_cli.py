@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -341,6 +342,18 @@ class TestBounds:
         assert code == 1
         assert "JSON object" in err
 
+    def test_width_past_double_range_prints_empty_stirling_bounds(
+        self, tmp_path, bound_config, capsys
+    ):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"hidden": [[171]]}))
+        code, stdout, err = run_cli(
+            ["bounds", "--config", str(bound_config), "--sweep", str(sweep)], capsys
+        )
+        assert code == 0, err
+        header, row = (line.split(",") for line in stdout.strip().split("\n")[1:])
+        assert row[header.index("stirling_brackets")] == f"171:<{math.factorial(171)}<"
+
     def test_hidden_sweep_without_arch_is_invalid_configuration(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"B": 1.0, "B_x": 1.0, "epsilon": 1.0}))
@@ -422,9 +435,44 @@ class TestBasinCommand:
         summary = json.loads((tmp_path / "exp.summary.json").read_text())
         assert summary["summary"]["n_runs"] == 4
         assert summary["config"]["subcommand"] == "basin"
+        assert "n_points" not in summary["config"]  # teacher-only keys
         runs_csv = (tmp_path / "exp.runs.csv").read_text().strip().split("\n")
         assert len(runs_csv) == 2 + 4  # config comment + header + rows
         assert "basin:" in stdout
+
+    def test_teacher_config_echoes_data_settings(self, tmp_path, capsys):
+        arch = Architecture(2, (3,), (TANH,))
+        teacher = tmp_path / "teacher.json"
+        save_network(Network(arch, random_params(arch, np.random.default_rng(5))), teacher)
+        configs = []
+        for n_points in ("8", "16"):
+            code, _, _ = run_cli(
+                [
+                    "basin",
+                    "--arch",
+                    "2-3-1",
+                    "--dataset",
+                    "teacher",
+                    "--teacher-network",
+                    str(teacher),
+                    "--n-points",
+                    n_points,
+                    "--n-runs",
+                    "2",
+                    "--iters",
+                    "5",
+                    "--output-prefix",
+                    str(tmp_path / "exp"),
+                ],
+                capsys,
+            )
+            assert code == 0
+            summary = json.loads((tmp_path / "exp.summary.json").read_text())
+            configs.append(summary["config"])
+        assert configs[0] != configs[1]
+        assert configs[1]["n_points"] == 16
+        assert configs[1]["teacher_network"] == str(teacher)
+        assert configs[1]["bx"] == 1.0
 
 
 class TestVerify:
@@ -450,6 +498,23 @@ class TestErrorsAndDeterminism:
     def test_bad_arguments_exit_one(self, capsys):
         code, _, _ = run_cli(["bounds"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["covering-sweep", "--dim", "1", "--points-per-axis", "3", "--epsilons", "0.1,abc"],
+            ["covering-sweep", "--dim", "1", "--points-per-axis", "3", "--epsilons", "inf"],
+            ["covering-sweep", "--dim", "1", "--points-per-axis", "3", "--epsilons", "nan"],
+            ["basin", "--arch", "2-2-1", "--activations", "leaky_relu:abc", "--n-runs", "1"],
+            ["basin", "--arch", "2-2-1", "--step-size", "nan", "--n-runs", "1"],
+        ],
+        ids=["epsilons_abc", "epsilons_inf", "epsilons_nan", "leaky_relu_abc", "step_size_nan"],
+    )
+    def test_malformed_number_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # basin writes to the working directory
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error:")
 
     def test_internal_error_exit_two(self, small_net, capsys, monkeypatch):
         import fnequiv.cli as cli_mod
@@ -539,15 +604,27 @@ class TestErrorsAndDeterminism:
             assert stdouts[0] == stdouts[1], template[0]
 
 
-def test_import_loads_no_scipy():
-    # scipy loads on first use only (about 1 s of import time).
-    code = (
-        "import sys, fnequiv, fnequiv.cli; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    )
+def scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    code += "; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     paths = [str(Path(fnequiv.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().split("\n")[-1]
+
+
+def test_import_loads_no_scipy():
+    # scipy loads on first use only (about 1 s of import time).
+    assert scipy_modules_after("import sys, fnequiv, fnequiv.cli") == "[]"
+
+
+def test_basin_run_loads_no_scipy(tmp_path):
+    # Importing scipy.spatial alone more than doubles a basin run's peak memory.
+    argv = ["basin", "--arch", "2-3-1", "--n-runs", "4", "--iters", "200", "--step-size", "0.5"]
+    argv += ["--grad-threshold", "1e-3", "--output-prefix", str(tmp_path / "exp")]
+    code = f"import sys; from fnequiv.cli import main; assert main({argv!r}) == 0"
+    assert scipy_modules_after(code) == "[]"
+    summary = json.loads((tmp_path / "exp.summary.json").read_text())["summary"]
+    assert summary["n_converged"] > 0  # so the clustering ran too

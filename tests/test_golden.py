@@ -1,0 +1,88 @@
+"""Byte-for-byte pins of CLI outputs that refactors must leave unchanged.
+
+Each case runs the CLI from a fixed working directory with relative input
+paths and writes to stdout, so the echoed configuration holds no temporary
+path.  The sha256 of everything written to stdout is pinned.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from fnequiv.cli import main
+
+BOUND_CONFIG = {
+    "arch": {"d0": 2, "hidden": [3], "out": 1, "activations": ["relu"]},
+    "B": 1.5,
+    "B_x": 1.0,
+    "epsilon": 0.5,
+}
+SWEEP = {"epsilon": [0.01, 2.0], "B": [1.0, 2.0], "hidden": [[3], [4, 4], [170]]}
+
+TANH_NET = {
+    "arch": {"d0": 2, "hidden": [3], "out": 1, "activations": ["tanh"]},
+    "layers": [
+        {"W": [[0.5, -1.25], [0.1, 0.3], [-2.0, 0.7]], "b": [0.2, -0.4, 0.0]},
+        {"W": [[1.5, -0.6, 0.9]], "b": [0.05]},
+    ],
+}
+RELU_NET = {**TANH_NET, "arch": {**TANH_NET["arch"], "activations": ["relu"]}}
+
+TRANSFORMS = {
+    "perm.json": {"kind": "permutation", "perms": [[2, 0, 1]]},
+    "scale.json": {"kind": "scaling", "layer": 1, "alpha": [2.0, 0.5, 3.0]},
+    "flip.json": {"kind": "sign_flip", "layer": 1, "signs": [-1, 1, -1]},
+}
+
+OVERRIDES = ["--epsilon", "0.25", "--B", "2", "--bx", "0.5"]
+
+CASES = {
+    "bounds_sweep_csv": ["bounds", "--config", "cfg.json", "--sweep", "sweep.json"],
+    "bounds_sweep_json": [
+        "bounds", "--config", "cfg.json", "--sweep", "sweep.json", "--format", "json",
+    ],
+    "bounds_overrides_csv": ["bounds", "--config", "cfg.json", *OVERRIDES],
+    "bounds_overrides_json": ["bounds", "--config", "cfg.json", *OVERRIDES, "--format", "json"],
+    "entropy_csv": ["entropy-compare", "--config", "cfg.json", "--epsilon", "2", "--format", "csv"],
+    "entropy_json": ["entropy-compare", "--config", "cfg.json", *OVERRIDES],
+    "transform_permutation": ["transform", "--network", "tanh.json", "--transform", "perm.json"],
+    "transform_scaling": ["transform", "--network", "relu.json", "--transform", "scale.json"],
+    "transform_sign_flip": ["transform", "--network", "tanh.json", "--transform", "flip.json"],
+}
+
+DIGESTS = {
+    "bounds_sweep_csv": "fd84540fee1a6b1c7cae0cfe433d85c318cf1163717c6061be223b42a46f566f",
+    "bounds_sweep_json": "6dd6f8ce653836fd597a3693d53dc26025ad7725c5951cf432360b59ac1cd82c",
+    "bounds_overrides_csv": "bd11581fb74431830b82a1e38c1818b77ef33ab8466624bb6bae5b52300b332a",
+    "bounds_overrides_json": "bb3bde4e1a49bf58ec58218525eb7ed21626005601f66bac3044aa6aa04d0e9c",
+    "entropy_csv": "d87953c3183cba2b6063c2d7986762ac73f1218c57314c22c0c82072e3c5d7ac",
+    "entropy_json": "fd8c4502f1058469902e5db526e84c4371db92a8c3e7c87e118a7a50d7b1ff6b",
+    "transform_permutation": "8b96426ad45167b72efbefa6b52a9f8d7745ba91d5ac6cd2f135514aced313f6",
+    "transform_scaling": "8ee1d0df2830723d2fc74152c354f3184414da76573ff82d30ed2c02c3b23d4c",
+    "transform_sign_flip": "a77189216f5c151484a4839bea4dfad1f0f991cd6931465b07764c432f2b29f3",
+}
+
+
+def write_inputs(directory) -> None:
+    files = {
+        "cfg.json": BOUND_CONFIG,
+        "sweep.json": SWEEP,
+        "tanh.json": TANH_NET,
+        "relu.json": RELU_NET,
+        **TRANSFORMS,
+    }
+    for name, doc in files.items():
+        (directory / name).write_text(json.dumps(doc))
+
+
+def stdout_digest(argv, capsys) -> str:
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_pinned(case, tmp_path, monkeypatch, capsys):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert stdout_digest(CASES[case], capsys) == DIGESTS[case]
