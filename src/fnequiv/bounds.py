@@ -8,6 +8,7 @@ linear values overflow doubles at modest widths.  Metric entropies
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,7 +139,7 @@ def deep_covering_bound(cfg: BoundConfig, discount: bool = True) -> float:
 @dataclass(frozen=True)
 class StirlingBracket:
     lower: float | None
-    factorial: int
+    factorial: int | None
     upper: float | None
 
 
@@ -146,13 +147,19 @@ def stirling_bracket(d: int) -> StirlingBracket:
     """Strict two-sided factorial bracket with the exact d! in the middle.
 
     sqrt(2 pi d) (d/e)^d e^(1/(12d+1)) < d! < sqrt(2 pi d) (d/e)^d e^(1/(12d)).
-    A side that does not fit in a double (from d = 171 on) is None.
+    A side that does not fit in a double (from d = 171 on) is None, and so is
+    d! once it has more digits than the interpreter converts to a string
+    (``sys.get_int_max_str_digits``; from d = 1559 at the default 4300).
     """
     if d < 1:
         raise DomainError("the bracket requires d >= 1")
     log_core = 0.5 * math.log(2.0 * math.pi * d) + d * (math.log(d) - 1.0)
     lower, upper = (linear_or_none(log_core + 1.0 / k) for k in (12 * d + 1, 12 * d))
-    return StirlingBracket(lower, math.factorial(d), upper)
+    factorial = math.factorial(d)
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if max_digits and factorial >= 10**max_digits:
+        factorial = None
+    return StirlingBracket(lower, factorial, upper)
 
 
 @dataclass(frozen=True)

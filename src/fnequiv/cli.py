@@ -3,7 +3,11 @@
 Subcommands: transform, canonicalize, check-equiv, bounds, entropy-compare,
 covering-sweep, basin, verify.  Every run is deterministic given its
 arguments (all randomness flows from --seed) and echoes its fully-resolved
-configuration into the output.  Exit codes: 0 success, 1 domain/validation
+configuration into the output: every parsed argument under its dest name,
+with the --epsilon/--B/--bx overrides folded into base/resolved, and without
+basin's --jobs or, for an xor run, its teacher-only fields.  A bounds sweep
+axis must be a list, and a d! too long to print as a decimal string is an
+empty cell (null in JSON).  Exit codes: 0 success, 1 domain/validation
 error, 2 internal invariant violation.
 
 Relative --output paths are resolved against $FNEQUIV_OUTPUT_DIR when set.
@@ -79,6 +83,13 @@ def _csv_text(config: dict, header: list[str], rows: list[list[str]]) -> str:
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _echo(args, drop=(), **resolved) -> dict:
+    """The configuration a run echoes: every parsed argument except ``func``
+    and the ``drop`` names, with the ``resolved`` values put in."""
+    skip = {"func", *drop}
+    return {**{k: v for k, v in vars(args).items() if k not in skip}, **resolved}
 
 
 def _load_json(path: str) -> dict:
@@ -158,17 +169,8 @@ def cmd_transform(args) -> int:
     else:
         transformed = apply_sign_flip(net.arch, net.params, layer, signs)
     out_net = Network(net.arch, transformed)
-    config = {
-        "subcommand": "transform",
-        "network": args.network,
-        "transform": spec_doc,
-        "output": args.output,
-        "bx": args.bx,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     doc = network_to_json_dict(out_net)
-    doc["config"] = config
+    doc["config"] = _echo(args, transform=spec_doc)
     _emit(_json_text(doc), args.output)
     dist = sampled_sup_distance(net, out_net, args.bx, args.samples, seed=args.seed)
     print(f"self-check: sampled sup distance to original = {_fmt(dist)}")
@@ -182,13 +184,8 @@ def cmd_transform(args) -> int:
 def cmd_canonicalize(args) -> int:
     net = load_network(args.network)
     form = canonicalize(net.params)
-    config = {
-        "subcommand": "canonicalize",
-        "network": args.network,
-        "output": args.output,
-    }
     doc = {
-        "config": config,
+        "config": _echo(args),
         "network": network_to_json_dict(Network(net.arch, form.params)),
         "witness": form.witness.to_json_list(),
         "already_canonical": form.witness.is_identity(),
@@ -207,17 +204,7 @@ def cmd_check_equiv(args) -> int:
     verdict = decide_equivalence(
         first, second, args.bx, args.tolerance, args.samples, seed=args.seed
     )
-    config = {
-        "subcommand": "check-equiv",
-        "first": args.first,
-        "second": args.second,
-        "bx": args.bx,
-        "tolerance": args.tolerance,
-        "samples": args.samples,
-        "seed": args.seed,
-        "output": args.output,
-    }
-    _emit(_json_text({"config": config, "verdict": verdict.to_json_dict()}), args.output)
+    _emit(_json_text({"config": _echo(args), "verdict": verdict.to_json_dict()}), args.output)
     return 0
 
 
@@ -227,6 +214,8 @@ def cmd_check_equiv(args) -> int:
 
 _BOUND_CONFIG_KEYS = {"arch", "B", "B_x", "epsilon", "rho"}
 _SWEEP_KEYS = ("hidden", "B", "B_x", "epsilon")
+# The override flags' dests; the echo holds their values inside base/resolved.
+_OVERRIDE_FLAGS = ("epsilon", "B", "bx")
 
 
 def _config_from_doc(doc: dict) -> bounds_mod.BoundConfig:
@@ -252,7 +241,10 @@ def _override(doc: dict, **values) -> dict:
 
 def _sweep_configs(base_doc: dict, sweep_doc: dict):
     _require_keys(sweep_doc, set(_SWEEP_KEYS), "sweep spec")
-    axes = [[None] if sweep_doc.get(k) is None else list(sweep_doc[k]) for k in _SWEEP_KEYS]
+    axes = [[None] if sweep_doc.get(k) is None else sweep_doc[k] for k in _SWEEP_KEYS]
+    for name, axis in zip(_SWEEP_KEYS, axes):
+        if not isinstance(axis, list):
+            raise ConfigError(f"sweep axis {name!r} must be a list, got {axis!r}")
     for hidden, B, B_x, eps in itertools.product(*axes):
         doc = _override(base_doc, B=B, B_x=B_x, epsilon=eps)
         if hidden is not None:
@@ -315,7 +307,7 @@ _BOUNDS_COLUMNS = [
     (
         "stirling_brackets",
         lambda r: ";".join(
-            f"{s['d']}:{_fmt(s['lower'])}<{s['factorial']}<{_fmt(s['upper'])}"
+            f"{s['d']}:{_fmt(s['lower'])}<{s['factorial'] or ''}<{_fmt(s['upper'])}"
             for s in r["stirling"]
         ),
     ),
@@ -335,22 +327,11 @@ def _table_text(config: dict, columns, rows: list[dict]) -> str:
 
 
 def cmd_bounds(args) -> int:
-    base_doc = _override(_load_json(args.config), B=args.B, B_x=args.bx, epsilon=args.epsilon)
-    config = {
-        "subcommand": "bounds",
-        "config_file": args.config,
-        "sweep_file": args.sweep,
-        "format": args.format,
-        "output": args.output,
-        "base": base_doc,
-    }
-    if args.sweep:
-        sweep_doc = _load_json(args.sweep)
-        config["sweep"] = sweep_doc
-        configs = list(_sweep_configs(base_doc, sweep_doc))
-    else:
-        configs = [_config_from_doc(base_doc)]
-    rows = [_bounds_row(cfg) for cfg in configs]
+    base_doc = _override(_load_json(args.config_file), B=args.B, B_x=args.bx, epsilon=args.epsilon)
+    sweep = {"sweep": _load_json(args.sweep_file)} if args.sweep_file else {}
+    # An empty sweep yields the base config alone.
+    rows = [_bounds_row(cfg) for cfg in _sweep_configs(base_doc, sweep.get("sweep", {}))]
+    config = _echo(args, drop=_OVERRIDE_FLAGS, base=base_doc, **sweep)
     if args.format == "json":
         _emit(_json_text({"config": config, "rows": rows}), args.output)
     else:
@@ -359,15 +340,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_entropy_compare(args) -> int:
-    base_doc = _override(_load_json(args.config), B=args.B, B_x=args.bx, epsilon=args.epsilon)
+    base_doc = _override(_load_json(args.config_file), B=args.B, B_x=args.bx, epsilon=args.epsilon)
     comparison = bounds_mod.entropy_comparison(_config_from_doc(base_doc))
-    config = {
-        "subcommand": "entropy-compare",
-        "config_file": args.config,
-        "format": args.format,
-        "output": args.output,
-        "resolved": base_doc,
-    }
+    config = _echo(args, drop=_OVERRIDE_FLAGS, resolved=base_doc)
     row = {"entropies": comparison.values(), "floored": list(comparison.floored)}
     if args.format == "json":
         _emit(_json_text({"config": config, **row}), args.output)
@@ -389,15 +364,7 @@ def cmd_covering_sweep(args) -> int:
         raise DomainError("epsilons must be finite and positive")
     space = empirical.grid_sample(args.dim, args.points_per_axis, args.half_width)
     volume = (2.0 * args.half_width) ** args.dim
-    config = {
-        "subcommand": "covering-sweep",
-        "dim": args.dim,
-        "points_per_axis": args.points_per_axis,
-        "half_width": args.half_width,
-        "epsilons": epsilons,
-        "exact": args.exact,
-        "output": args.output,
-    }
+    config = _echo(args, epsilons=epsilons)
     header = [
         "epsilon",
         "greedy_cover",
@@ -433,6 +400,10 @@ def cmd_covering_sweep(args) -> int:
 # basin
 
 
+# The teacher dataset's settings; an xor run does not echo them.
+_TEACHER_ONLY = ("teacher_network", "n_points", "bx")
+
+
 def cmd_basin(args) -> int:
     arch = _parse_arch(args.arch, args.activations)
     scheme = InitScheme(
@@ -447,15 +418,13 @@ def cmd_basin(args) -> int:
         if arch.input_dim != 2 or arch.output_dim != 1:
             raise DomainError("the xor dataset needs a 2-input, 1-output network")
         dataset = xor_dataset()
-    elif args.dataset == "teacher":
+    else:
         if not args.teacher_network:
             raise DomainError("--teacher-network is required with --dataset teacher")
         teacher = load_network(args.teacher_network)
         if teacher.arch != arch:
             raise DomainError("teacher network architecture must match --arch")
         dataset = teacher_dataset(arch, teacher.params, args.n_points, args.bx, seed=args.seed)
-    else:
-        raise DomainError(f"unknown dataset {args.dataset!r}")
     opt = OptimizerConfig(args.step_size, args.iters, args.grad_threshold)
     summary = basin_experiment(
         arch,
@@ -466,26 +435,8 @@ def cmd_basin(args) -> int:
         cluster_tolerance=args.cluster_tolerance,
         n_jobs=args.jobs,
     )
-    config = {
-        "subcommand": "basin",
-        "arch": args.arch,
-        "activations": args.activations,
-        "scheme": args.scheme,
-        "low": args.low,
-        "high": args.high,
-        "mu": args.mu,
-        "sigma": args.sigma,
-        "dataset": args.dataset,
-        "n_runs": args.n_runs,
-        "step_size": args.step_size,
-        "iters": args.iters,
-        "grad_threshold": args.grad_threshold,
-        "cluster_tolerance": args.cluster_tolerance,
-        "seed": args.seed,
-        "output_prefix": args.output_prefix,
-    }
-    if args.dataset == "teacher":
-        config.update(teacher_network=args.teacher_network, n_points=args.n_points, bx=args.bx)
+    teacher_only = () if args.dataset == "teacher" else _TEACHER_ONLY
+    config = _echo(args, drop=("jobs", *teacher_only))
     doc = {"config": config, "summary": summary.to_json_dict()}
     prefix = _resolve_path(args.output_prefix)
     with open(prefix + ".summary.json", "w") as fh:
@@ -516,14 +467,7 @@ def cmd_basin(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify.run_suite(args.suite, seed=args.seed)
-    except KeyError:
-        print(
-            f"error: unknown suite {args.suite!r}; available: {', '.join(verify.SUITES)}",
-            file=sys.stderr,
-        )
-        return 1
+    report = verify.run_suite(args.suite, seed=args.seed)
     _emit(_json_text(report), args.output)
     return 0 if report["passed"] else 2
 
@@ -566,15 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_equiv)
 
     bound_args = argparse.ArgumentParser(add_help=False)
-    bound_args.add_argument("--config", required=True)
-    for flag in ("--epsilon", "--B", "--bx"):
-        bound_args.add_argument(flag, type=float, default=None, help="override the config value")
+    bound_args.add_argument("--config", dest="config_file", metavar="CONFIG", required=True)
+    for dest in _OVERRIDE_FLAGS:
+        bound_args.add_argument("--" + dest, type=float, help="override the config value")
     bound_args.add_argument("--output", default=None)
 
     p = sub.add_parser(
         "bounds", parents=[bound_args], help="evaluate covering bounds over a config (sweep)"
     )
-    p.add_argument("--sweep", default=None)
+    p.add_argument("--sweep", dest="sweep_file", metavar="SWEEP", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_bounds)
 
@@ -616,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_basin)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("suite")
+    p.add_argument("suite", choices=verify.SUITES, metavar="suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
@@ -629,10 +573,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except FnequivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (FnequivError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is an internal invariant violation

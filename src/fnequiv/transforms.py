@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -60,12 +60,8 @@ class PermutationSpec:
         return cls(tuple(np.asarray(p, dtype=np.int64) for p in doc))
 
 
-def identity_spec(sizes: Sequence[int]) -> PermutationSpec:
-    return PermutationSpec(tuple(np.arange(int(n)) for n in sizes))
-
-
 def identity_spec_for(arch: Architecture) -> PermutationSpec:
-    return identity_spec(arch.hidden_widths)
+    return PermutationSpec(tuple(np.arange(d) for d in arch.hidden_widths))
 
 
 def random_spec(arch: Architecture, rng: np.random.Generator) -> PermutationSpec:
@@ -208,10 +204,6 @@ class PoolingPartition:
             if seen & set(r):
                 raise DomainError("pooling regions must be disjoint")
             seen |= set(r)
-
-    @property
-    def n_rows(self) -> int:
-        return sum(len(r) for r in self.regions)
 
     def validate_against(self, n_rows: int) -> None:
         covered = {i for r in self.regions for i in r}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -193,6 +194,16 @@ class TestStirling:
         br = stirling_bracket(171)
         assert (br.lower, br.upper) == (None, None)
         assert br.factorial == math.factorial(171)
+
+    def test_factorial_past_string_digit_limit_is_none(self):
+        # Under the default 4300-digit limit, 1558! is the last d! that prints.
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert stirling_bracket(1558).factorial == math.factorial(1558)
+            assert stirling_bracket(1559).factorial is None
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_matches_high_precision_oracle(self):
         for d in (1, 7, 40, 170):

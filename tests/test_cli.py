@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import fnequiv
-from fnequiv.cli import main
+from fnequiv.cli import build_parser, main
 from fnequiv.nncore import (
     Architecture,
     Network,
@@ -354,6 +355,35 @@ class TestBounds:
         header, row = (line.split(",") for line in stdout.strip().split("\n")[1:])
         assert row[header.index("stirling_brackets")] == f"171:<{math.factorial(171)}<"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_factorial_past_string_digit_limit_prints_empty(
+        self, tmp_path, bound_config, capsys, fmt
+    ):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"hidden": [[1800]]}))
+        argv = ["bounds", "--config", str(bound_config), "--sweep", str(sweep), "--format", fmt]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0, err
+        if fmt == "csv":
+            header, row = (line.split(",") for line in stdout.strip().split("\n")[1:])
+            assert row[header.index("stirling_brackets")] == "1800:<<"
+            assert row[header.index("arch")] == "1-1800-1"
+        else:
+            (row,) = json.loads(stdout)["rows"]
+            assert row["stirling"] == [{"d": 1800, "lower": None, "factorial": None, "upper": None}]
+            assert row["U"] == 1800
+
+    @pytest.mark.parametrize("axis", ["hidden", "B", "B_x", "epsilon"])
+    def test_scalar_sweep_axis_is_invalid_configuration(
+        self, tmp_path, bound_config, capsys, axis
+    ):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({axis: 2.0}))
+        argv = ["bounds", "--config", str(bound_config), "--sweep", str(sweep)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and repr(axis) in err
+
     def test_hidden_sweep_without_arch_is_invalid_configuration(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"B": 1.0, "B_x": 1.0, "epsilon": 1.0}))
@@ -488,6 +518,63 @@ class TestVerify:
         assert code == 1
         for name in ("permutation", "sandwich", "amplification"):
             assert name in err
+
+
+def subcommand_dests(name: str) -> set[str]:
+    """The argparse dests of one subcommand, with the subcommand name itself."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[name]._actions if a.dest != "help"} | {"subcommand"}
+
+
+_TEACHER_ONLY = {"teacher_network", "n_points", "bx"}
+_OVERRIDES = {"epsilon", "B", "bx"}
+
+
+@pytest.mark.parametrize(
+    "name, argv, drop, extra",
+    [
+        ("transform", ["--network", "net.json", "--transform", "spec.json"], set(), set()),
+        ("canonicalize", ["--network", "net.json"], set(), set()),
+        ("check-equiv", ["--first", "net.json", "--second", "net.json"], set(), set()),
+        (
+            "bounds",
+            ["--config", "cfg.json", "--sweep", "sweep.json", "--format", "json"],
+            _OVERRIDES,
+            {"base", "sweep"},
+        ),
+        ("entropy-compare", ["--config", "cfg.json"], _OVERRIDES, {"resolved"}),
+        ("covering-sweep", ["--dim", "1", "--points-per-axis", "3", "--epsilons", "1"], set(), set()),
+        (
+            "basin",
+            ["--arch", "1-2-1", "--dataset", "teacher", "--teacher-network", "net.json",
+             "--n-runs", "1", "--iters", "1"],
+            {"jobs"},
+            set(),
+        ),
+        ("basin", ["--arch", "2-2-1", "--n-runs", "1", "--iters", "1"], {"jobs", *_TEACHER_ONLY}, set()),
+    ],
+    ids=[
+        "transform", "canonicalize", "check-equiv", "bounds", "entropy-compare",
+        "covering-sweep", "basin-teacher", "basin-xor",
+    ],
+)
+def test_echoed_config_is_every_parsed_argument(
+    tmp_path, monkeypatch, small_net, bound_config, capsys, name, argv, drop, extra
+):
+    """The echo holds every dest of the subcommand's parser, minus the
+    documented drops, plus the resolved extras; a new flag cannot go missing."""
+    (tmp_path / "spec.json").write_text(json.dumps({"kind": "permutation", "perms": [[1, 0]]}))
+    (tmp_path / "sweep.json").write_text(json.dumps({"epsilon": [1.0]}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FNEQUIV_OUTPUT_DIR", raising=False)
+    output = tmp_path / ("basin.summary.json" if name == "basin" else "out")
+    code, _, err = run_cli([name, *argv] + ([] if name == "basin" else ["--output", "out"]), capsys)
+    assert code == 0, err
+    if name == "covering-sweep":
+        config = json.loads(output.read_text().split("\n")[0].removeprefix("# config: "))
+    else:
+        config = json.loads(output.read_text())["config"]
+    assert set(config) == (subcommand_dests(name) - drop) | extra
 
 
 class TestErrorsAndDeterminism:

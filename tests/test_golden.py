@@ -1,8 +1,9 @@
 """Byte-for-byte pins of CLI outputs that refactors must leave unchanged.
 
 Each case runs the CLI from a fixed working directory with relative input
-paths and writes to stdout, so the echoed configuration holds no temporary
-path.  The sha256 of everything written to stdout is pinned.
+and output paths, so the echoed configuration holds no temporary path.  The
+sha256 of everything written to stdout is pinned; for ``basin``, so are the
+files it writes under its relative ``--output-prefix``.
 """
 
 import hashlib
@@ -10,7 +11,7 @@ import json
 
 import pytest
 
-from fnequiv.cli import main
+from fnequiv.cli import OUTPUT_DIR_ENV, main
 
 BOUND_CONFIG = {
     "arch": {"d0": 2, "hidden": [3], "out": 1, "activations": ["relu"]},
@@ -28,6 +29,14 @@ TANH_NET = {
     ],
 }
 RELU_NET = {**TANH_NET, "arch": {**TANH_NET["arch"], "activations": ["relu"]}}
+# TANH_NET with its hidden neurons permuted by [2, 0, 1].
+TANH_PERMUTED = {
+    "arch": TANH_NET["arch"],
+    "layers": [
+        {"W": [[-2.0, 0.7], [0.5, -1.25], [0.1, 0.3]], "b": [0.0, 0.2, -0.4]},
+        {"W": [[0.9, 1.5, -0.6]], "b": [0.05]},
+    ],
+}
 
 TRANSFORMS = {
     "perm.json": {"kind": "permutation", "perms": [[2, 0, 1]]},
@@ -49,6 +58,12 @@ CASES = {
     "transform_permutation": ["transform", "--network", "tanh.json", "--transform", "perm.json"],
     "transform_scaling": ["transform", "--network", "relu.json", "--transform", "scale.json"],
     "transform_sign_flip": ["transform", "--network", "tanh.json", "--transform", "flip.json"],
+    "canonicalize": ["canonicalize", "--network", "tanh.json"],
+    "check_equiv": ["check-equiv", "--first", "tanh.json", "--second", "tanh_permuted.json"],
+    "covering_sweep_exact": [
+        "covering-sweep", "--dim", "2", "--points-per-axis", "5", "--epsilons", "0.3,0.6",
+        "--exact",
+    ],
 }
 
 DIGESTS = {
@@ -61,6 +76,30 @@ DIGESTS = {
     "transform_permutation": "8b96426ad45167b72efbefa6b52a9f8d7745ba91d5ac6cd2f135514aced313f6",
     "transform_scaling": "8ee1d0df2830723d2fc74152c354f3184414da76573ff82d30ed2c02c3b23d4c",
     "transform_sign_flip": "a77189216f5c151484a4839bea4dfad1f0f991cd6931465b07764c432f2b29f3",
+    "canonicalize": "0ef94f7fcc57342a5a588df161288d74592d154432555287c71ce45977be6536",
+    "check_equiv": "4dfa74632e813b0c3295892a796f01ee3f7d23ea34f7fb557be69d6c66207ee0",
+    "covering_sweep_exact": "947b36493bcbf828240189607a87d5346d629ed47b37912667429f65598cb8b3",
+}
+
+BASIN = [
+    "basin", "--arch", "2-3-1", "--n-runs", "6", "--iters", "200", "--step-size", "0.5",
+    "--grad-threshold", "1e-3",
+]
+# (argv, output prefix); the files checked are <prefix>.summary.json and <prefix>.runs.csv.
+BASIN_CASES = {
+    "basin_xor": ([*BASIN, "--jobs", "2", "--output-prefix", "xor"], "xor"),
+    "basin_teacher": (
+        [
+            *BASIN, "--dataset", "teacher", "--teacher-network", "tanh.json", "--n-points", "8",
+            "--bx", "2", "--output-prefix", "teacher",
+        ],
+        "teacher",
+    ),
+}
+
+BASIN_DIGESTS = {
+    "basin_xor": "d4168ce5589118b363347d34b7455718d99141f09fa654ebae2b0d8b49db742a",
+    "basin_teacher": "df59c7196d40b6a11b647c478d48c8f3140a5b3b1ce3c57a9d82324637c33f3e",
 }
 
 
@@ -70,6 +109,7 @@ def write_inputs(directory) -> None:
         "sweep.json": SWEEP,
         "tanh.json": TANH_NET,
         "relu.json": RELU_NET,
+        "tanh_permuted.json": TANH_PERMUTED,
         **TRANSFORMS,
     }
     for name, doc in files.items():
@@ -86,3 +126,15 @@ def test_output_bytes_pinned(case, tmp_path, monkeypatch, capsys):
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert stdout_digest(CASES[case], capsys) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(BASIN_CASES))
+def test_basin_output_files_pinned(case, tmp_path, monkeypatch, capsys):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    argv, prefix = BASIN_CASES[case]
+    digest = hashlib.sha256(stdout_digest(argv, capsys).encode())
+    for suffix in (".summary.json", ".runs.csv"):
+        digest.update((tmp_path / (prefix + suffix)).read_bytes())
+    assert digest.hexdigest() == BASIN_DIGESTS[case]
