@@ -6,7 +6,8 @@ arguments (all randomness flows from --seed) and echoes its fully-resolved
 configuration into the output: every parsed argument under its dest name,
 with the --epsilon/--B/--bx overrides folded into base/resolved, and without
 basin's --jobs or, for an xor run, its teacher-only fields.  A bounds sweep
-axis must be a list, and a d! too long to print as a decimal string is an
+axis must be a non-empty list, B, B_x and epsilon must be JSON numbers (not
+booleans or strings), and a d! too long to print as a decimal string is an
 empty cell (null in JSON).  Exit codes: 0 success, 1 domain/validation
 error, 2 internal invariant violation.
 
@@ -105,6 +106,13 @@ def _json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _json_float(value) -> float:
+    """A JSON number as a float; booleans and strings are rejected."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _require_keys(doc: dict, allowed: set[str], what: str) -> None:
@@ -224,9 +232,9 @@ def _config_from_doc(doc: dict) -> bounds_mod.BoundConfig:
         _require_keys(doc["arch"], {"d0", "hidden", "out", "activations"}, "arch")
         return bounds_mod.BoundConfig(
             arch=arch_from_json_dict(doc["arch"]),
-            B=float(doc["B"]),
-            B_x=float(doc["B_x"]),
-            epsilon=float(doc["epsilon"]),
+            B=_json_float(doc["B"]),
+            B_x=_json_float(doc["B_x"]),
+            epsilon=_json_float(doc["epsilon"]),
             rho=tuple(doc["rho"]) if doc.get("rho") is not None else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -245,6 +253,8 @@ def _sweep_configs(base_doc: dict, sweep_doc: dict):
     for name, axis in zip(_SWEEP_KEYS, axes):
         if not isinstance(axis, list):
             raise ConfigError(f"sweep axis {name!r} must be a list, got {axis!r}")
+        if not axis:
+            raise ConfigError(f"sweep axis {name!r} is empty, so the sweep has no rows")
     for hidden, B, B_x, eps in itertools.product(*axes):
         doc = _override(base_doc, B=B, B_x=B_x, epsilon=eps)
         if hidden is not None:

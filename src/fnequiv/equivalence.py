@@ -10,6 +10,8 @@ equivalence.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,8 @@ from .transforms import PermutationSpec, compose, inverse
 
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_N_SAMPLES = 4096
+# How many distinct ball_points sets stay cached.
+_BALL_POINTS_CACHE_SIZE = 8
 
 STRUCTURALLY_EQUAL = "structurally_equal_by_permutation"
 NUMERICALLY_EQUIVALENT = "numerically_equivalent"
@@ -52,12 +56,25 @@ def ball_points(dim: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
 
     A scrambled Halton sequence is mapped into the ball (Gaussian-inverse
     directions, radial inverse-CDF), then the origin and the +-radius axis
-    points are appended so boundary behavior is always probed.
+    points are appended so boundary behavior is always probed.  Each
+    ``(dim, n, radius, seed)`` set is computed once per process and returned
+    read-only; at most ``_BALL_POINTS_CACHE_SIZE`` (8) sets are held, least
+    recently used dropped first.  The seed must be an integer, so a cached
+    set always equals a fresh one.
     """
     if n < 1:
         raise DomainError("need at least one sample point")
     if radius <= 0:
         raise DomainError("radius must be positive")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    return _ball_points(dim, n, radius, seed)
+
+
+@functools.lru_cache(maxsize=_BALL_POINTS_CACHE_SIZE)
+def _ball_points(dim: int, n: int, radius: float, seed: int) -> np.ndarray:
     from scipy.stats import norm, qmc
 
     sampler = qmc.Halton(d=dim + 1, scramble=True, seed=seed)
@@ -68,7 +85,9 @@ def ball_points(dim: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
     r = radius * u[:, dim:] ** (1.0 / dim)
     pts = z / norms * r
     axes = np.concatenate([np.eye(dim), -np.eye(dim)]) * radius
-    return np.concatenate([pts, np.zeros((1, dim)), axes])
+    out = np.concatenate([pts, np.zeros((1, dim)), axes])
+    out.setflags(write=False)
+    return out
 
 
 def sampled_sup_distance(
@@ -96,7 +115,7 @@ def _max_gap(f1: Network, f2: Network, B_x, n_samples, seed):
         forward_batch(f1.arch, f1.params, X) - forward_batch(f2.arch, f2.params, X)
     ).max(axis=1)
     i = int(np.argmax(gap))
-    return float(gap[i]), X[i]
+    return float(gap[i]), X[i].copy()
 
 
 def decide_equivalence(

@@ -342,6 +342,27 @@ def function_class_reference(arch, B, grid_resolution, X, dedup):
 
 
 # ---------------------------------------------------------------------------
+# Ball sample points, recomputed from scratch on every call
+
+
+def ball_points_reference(dim, n, radius, seed=0):
+    """The scrambled-Halton ball points, built afresh with no cache: Halton
+    points mapped into the ball (Gaussian-inverse directions, radial
+    inverse-CDF), then the origin and the +-radius axis points appended."""
+    from scipy.stats import norm, qmc
+
+    sampler = qmc.Halton(d=dim + 1, scramble=True, seed=seed)
+    u = sampler.random(n)
+    z = norm.ppf(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    r = radius * u[:, dim:] ** (1.0 / dim)
+    pts = z / norms * r
+    axes = np.concatenate([np.eye(dim), -np.eye(dim)]) * radius
+    return np.concatenate([pts, np.zeros((1, dim)), axes])
+
+
+# ---------------------------------------------------------------------------
 # Full-batch gradient descent for one network, plain 2-D arrays
 
 

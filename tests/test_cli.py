@@ -384,6 +384,35 @@ class TestBounds:
         assert code == 1, err
         assert err.startswith("error:") and repr(axis) in err
 
+    @pytest.mark.parametrize("axis", ["hidden", "B", "B_x", "epsilon"])
+    def test_empty_sweep_axis_is_invalid_configuration(
+        self, tmp_path, bound_config, capsys, axis
+    ):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({axis: []}))
+        argv = ["bounds", "--config", str(bound_config), "--sweep", str(sweep)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and repr(axis) in err and "empty" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("key", ["B", "B_x", "epsilon"])
+    @pytest.mark.parametrize("where", ["config", "sweep"])
+    def test_boolean_number_is_invalid_configuration(
+        self, tmp_path, bound_config, capsys, key, where
+    ):
+        argv = ["bounds", "--config", str(bound_config)]
+        if where == "config":
+            bound_config.write_text(json.dumps({**json.loads(bound_config.read_text()), key: True}))
+        else:
+            sweep = tmp_path / "sweep.json"
+            sweep.write_text(json.dumps({key: [True]}))
+            argv += ["--sweep", str(sweep)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and "malformed bound config" in err and "True" in err
+        assert stdout == ""
+
     def test_hidden_sweep_without_arch_is_invalid_configuration(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"B": 1.0, "B_x": 1.0, "epsilon": 1.0}))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.stats
 
+from fnequiv import equivalence
 from fnequiv.equivalence import (
     DISTINGUISHED,
     NUMERICALLY_EQUIVALENT,
@@ -9,7 +11,7 @@ from fnequiv.equivalence import (
     decide_equivalence,
     sampled_sup_distance,
 )
-from fnequiv.errors import ShapeError
+from fnequiv.errors import DomainError, ShapeError
 from fnequiv.nncore import (
     Architecture,
     Network,
@@ -22,9 +24,23 @@ from fnequiv.nncore import (
 )
 from fnequiv.transforms import apply_permutation, apply_scaling, random_spec, uniform_scaling
 
+from oracles import ball_points_reference
+
 
 def random_net(arch, seed):
     return Network(arch, random_params(arch, np.random.default_rng(seed)))
+
+
+def perturbed_pair():
+    """A tanh net and a copy with one output weight moved by 0.5."""
+    arch = Architecture(2, (3,), (TANH,))
+    net = random_net(arch, 9)
+    layers = list(net.params.layers)
+    W, b = layers[1]
+    W = np.array(W)
+    W[0, 0] += 0.5
+    layers[1] = (W, b)
+    return net, Network(arch, NetworkParams(tuple(layers)))
 
 
 class TestBallPoints:
@@ -39,6 +55,38 @@ class TestBallPoints:
         assert any(np.all(p == 0.0) for p in pts)
         for axis in ([1.5, 0.0], [0.0, -1.5]):
             assert any(np.array_equal(p, axis) for p in pts)
+
+    @pytest.mark.parametrize(
+        "dim, n, radius, seed",
+        [(4, 4096, 1.0, 0), (1, 1, 0.5, 3), (1, 64, 2.0, 0), (3, 256, 2.0, 5), (2, 17, 1.5, 7)],
+    )
+    def test_matches_uncached_reference_bit_for_bit(self, dim, n, radius, seed):
+        expected = ball_points_reference(dim, n, radius, seed)
+        for _ in range(2):
+            pts = ball_points(dim, n, radius, seed=seed)
+            assert pts.dtype == expected.dtype
+            assert pts.tobytes() == expected.tobytes()
+
+    def test_returned_points_are_read_only(self):
+        pts = ball_points(2, 32, 1.0, seed=1)
+        with pytest.raises(ValueError):
+            pts[0, 0] = 5.0
+        assert ball_points_reference(2, 32, 1.0, 1).tobytes() == pts.tobytes()
+
+    def test_numpy_integer_seed_is_the_same_set(self):
+        assert ball_points(2, 32, 1.0, seed=np.int64(4)) is ball_points(2, 32, 1.0, seed=4)
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(0), 1.0, 0.5, None])
+    def test_non_integer_seed_is_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            ball_points(2, 8, 1.0, seed=seed)
+
+    def test_cache_holds_a_bounded_number_of_sets(self):
+        limit = equivalence._BALL_POINTS_CACHE_SIZE
+        for seed in range(1000, 1000 + 3 * limit):
+            ball_points(2, 8, 1.0, seed=seed)
+            assert equivalence._ball_points.cache_info().currsize <= limit
+        assert equivalence._ball_points.cache_info().currsize == limit
 
 
 class TestSampledSupDistance:
@@ -99,6 +147,33 @@ class TestDecideEquivalence:
         verdict = decide_equivalence(net, other, 1.0)
         assert verdict.kind == DISTINGUISHED
         assert verdict.distinguishing_input is not None
+
+    def test_repeated_sampled_fallbacks_build_the_points_once(self, monkeypatch):
+        net, other = perturbed_pair()
+        built = []
+        halton = scipy.stats.qmc.Halton
+
+        def counting_halton(*args, **kwargs):
+            built.append(kwargs)
+            return halton(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.stats.qmc, "Halton", counting_halton)
+        equivalence._ball_points.cache_clear()
+        verdicts = [decide_equivalence(net, other, 1.0, n_samples=300, seed=11) for _ in range(10)]
+        assert len(built) == 1
+        assert {v.kind for v in verdicts} == {DISTINGUISHED}
+        assert len({v.sup_distance_estimate for v in verdicts}) == 1
+
+    def test_distinguishing_input_is_a_private_copy(self):
+        net, other = perturbed_pair()
+        verdict = decide_equivalence(net, other, 1.0, n_samples=300, seed=11)
+        cached = ball_points(net.arch.input_dim, 300, 1.0, seed=11)
+        x = verdict.distinguishing_input
+        assert x.flags.writeable
+        assert not np.shares_memory(x, cached)
+        assert any(np.array_equal(x, p) for p in cached)
+        x[:] = 9.0
+        assert ball_points_reference(net.arch.input_dim, 300, 1.0, 11).tobytes() == cached.tobytes()
 
     def test_distinguished_witness_reproducible(self):
         arch = Architecture(2, (2,), (TANH,))
