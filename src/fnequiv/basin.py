@@ -10,7 +10,7 @@ times the number of distinct images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .nncore import (
     check_same_shapes,
     check_shapes,
     forward_batch,
+    forward_block,
     params_from_flat,
-    params_max_diff,
     stack_block,
     _chebyshev,
     _flatten,
@@ -203,70 +203,72 @@ def train(
     values mark the run as diverged instead of raising.
     """
     check_shapes(arch, theta0)
-    return _train_lockstep(arch, [theta0], dataset, config, [seed])[0]
+    starts = theta0.flat()[None]
+    trained = _train_lockstep(arch, starts, dataset, config)
+    return _train_runs(arch, [seed], starts, trained, [None])[0]
 
 
-def _train_lockstep(arch, thetas, dataset, config, seeds) -> list[TrainRun]:
-    """``train`` from every start in ``thetas``, the runs of a block stepping
-    together on stacked parameters.
+def _train_lockstep(arch, starts, dataset, config):
+    """``train`` from every row of the (R, S) stack ``starts``, the runs of a
+    block stepping together as one flat parameter stack.
 
     At each iteration a run stops, and leaves the active set, when its loss
     is non-finite or above ``DIVERGENCE_THRESHOLD`` (diverged), else when its
     gradient L-infinity norm is at most the threshold (converged), else when
     the iteration count reaches ``max_iters``.  Runs never interact, so the
-    block size changes no result.
+    block size changes no result.  Returns per-run arrays: final parameters,
+    their canonical forms (the runs stopping at one step are canonicalized
+    together), final losses, iteration counts, and converged/diverged flags.
     """
     X, Y = dataset
     n = np.asarray(X).shape[0]
     if n == 0:
         raise DomainError("dataset must be nonempty")
-    # Float64 pre-activations and activations of every layer, per run.
-    block = stack_block(16 * n * sum(arch.widths[1:]))
-    runs = []
-    for start in range(0, len(thetas), block):
-        end = start + block
-        runs.extend(_descend(arch, thetas[start:end], seeds[start:end], X, Y, config))
-    return runs
+    n_runs = len(starts)
+    final, canon = np.empty_like(starts), np.empty_like(starts)
+    loss_at, iters_at = np.empty(n_runs), np.empty(n_runs, dtype=np.int64)
+    converged_at, diverged_at = np.empty(n_runs, dtype=bool), np.empty(n_runs, dtype=bool)
+    block = forward_block(arch, n)
+    for first in range(0, n_runs, block):
+        active = np.arange(first, min(first + block, n_runs))
+        P = starts[active]
+        for it in range(config.max_iters + 1):
+            loss, grads = _mse_value_and_grad(arch, _unflatten(arch, P), X, Y)
+            G = _flatten(grads)
+            diverged = ~np.isfinite(loss) | (loss > DIVERGENCE_THRESHOLD)
+            converged = ~diverged & (np.abs(G).max(axis=1) <= config.grad_threshold)
+            stop = diverged | converged | (it == config.max_iters)
+            if stop.any():
+                done = active[stop]
+                final[done] = P[stop]
+                canon[done] = _flatten(_canonical_layers(_unflatten(arch, P[stop]))[0])
+                loss_at[done], iters_at[done] = loss[stop], it
+                converged_at[done], diverged_at[done] = converged[stop], diverged[stop]
+                if stop.all():
+                    break
+                keep = ~stop
+                active, P, G = active[keep], P[keep], G[keep]
+            P = P - config.step_size * G
+    return final, canon, loss_at, iters_at, converged_at, diverged_at
 
 
-def _descend(arch, thetas, seeds, X, Y, config) -> list[TrainRun]:
-    """The gradient-descent loop of ``_train_lockstep`` over one block."""
-    layers = _unflatten(arch, np.stack([t.flat() for t in thetas]))
-    active = np.arange(len(thetas))
-    runs = [None] * len(thetas)
-    for it in range(config.max_iters + 1):
-        loss, grads = _mse_value_and_grad(arch, layers, X, Y)
-        grad_max = np.abs(_flatten(grads)).max(axis=1)
-        diverged = ~np.isfinite(loss) | (loss > DIVERGENCE_THRESHOLD)
-        converged = ~diverged & (grad_max <= config.grad_threshold)
-        stop = diverged | converged | (it == config.max_iters)
-        if stop.any():
-            # The runs stopping at this step are canonicalized together.
-            final = [(W[stop], b[stop]) for W, b in layers]
-            canon_flat = _flatten(_canonical_layers(final)[0])
-        for k, j in enumerate(np.flatnonzero(stop)):
-            i = active[j]
-            runs[i] = TrainRun(
-                seed=seeds[i],
-                init_params=thetas[i],
-                final_params=NetworkParams(tuple((W[k], b[k]) for W, b in final)),
-                final_loss=float(loss[j]),
-                iterations=it,
-                converged=bool(converged[j]),
-                diverged=bool(diverged[j]),
-                canonical_flat=canon_flat[k],
-            )
-        if stop.all():
-            return runs
-        if stop.any():
-            keep = ~stop
-            active = active[keep]
-            layers = [(W[keep], b[keep]) for W, b in layers]
-            grads = [(gW[keep], gb[keep]) for gW, gb in grads]
-        layers = [
-            (W - config.step_size * gW, b - config.step_size * gb)
-            for (W, b), (gW, gb) in zip(layers, grads)
-        ]
+def _train_runs(arch, seeds, starts, trained, cluster_ids) -> tuple[TrainRun, ...]:
+    """One ``TrainRun`` per start, from ``_train_lockstep``'s arrays."""
+    final, canon, loss, iters, converged, diverged = trained
+    return tuple(
+        TrainRun(
+            seed=seed,
+            init_params=params_from_flat(arch, starts[i]),
+            final_params=params_from_flat(arch, final[i]),
+            final_loss=float(loss[i]),
+            iterations=int(iters[i]),
+            converged=bool(converged[i]),
+            diverged=bool(diverged[i]),
+            canonical_flat=canon[i],
+            cluster_id=cluster_ids[i],
+        )
+        for i, seed in enumerate(seeds)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,59 +351,45 @@ def basin_experiment(
         raise DomainError("need at least one run")
     if n_jobs < 1:
         raise DomainError("need at least one worker")
+    if cluster_tolerance is not None and not 0 <= cluster_tolerance < math.inf:
+        raise DomainError("cluster tolerance must be finite and nonnegative")
     children = np.random.SeedSequence(scheme.seed).spawn(n_runs)
-    thetas = [initialize(arch, replace(scheme, seed=child)) for child in children]
-    runs = _train_lockstep(arch, thetas, dataset, config, range(n_runs))
-    converged = [r for r in runs if r.converged]
+    starts = np.concatenate([_draw(arch, scheme, np.random.default_rng(c), 1) for c in children])
+    trained = _train_lockstep(arch, starts, dataset, config)
+    final, canon, _, _, converged, _ = trained
+    conv = np.flatnonzero(converged)
+    flats, raw = canon[conv], final[conv]
     tol = cluster_tolerance if cluster_tolerance is not None else DEFAULT_CLUSTER_TOL
-    if not converged:
-        return BasinSummary(
-            n_runs=n_runs,
-            n_converged=0,
-            cluster_sizes=(),
-            cluster_tolerance=tol,
-            reference_profile=None,
-            orbit_fraction=0.0,
-            single_fraction=0.0,
-            predicted_orbit_fraction=0.0,
-            no_converged_runs=True,
-            runs=tuple(runs),
-        )
-
-    flats = np.stack([r.canonical_flat for r in converged])
     assignment, reps = group_rows(flats, tol)
-    if cluster_tolerance is None:
+    if cluster_tolerance is None and reps:
         # Re-derive the tolerance from the dominant cluster's row gap.
-        best = converged[reps[int(np.argmax(np.bincount(assignment)))]]
-        profile = symmetry_profile(best.final_params, row_tolerance=tol)
+        best = raw[reps[int(np.argmax(np.bincount(assignment)))]]
+        profile = symmetry_profile(params_from_flat(arch, best), row_tolerance=tol)
         if math.isfinite(profile.delta_min) and profile.delta_min > 0:
             tol = profile.delta_min / 4.0
             assignment, reps = group_rows(flats, tol)
 
     sizes = np.bincount(assignment)
-    ref = reps[int(np.argmax(sizes))]
-    theta_star = converged[ref].final_params
-    profile = symmetry_profile(theta_star, row_tolerance=tol)
-
-    cluster_of = {id(r): cid for r, cid in zip(converged, assignment.tolist())}
-    runs = tuple(
-        replace(r, cluster_id=cluster_of.get(id(r))) if r.converged else r for r in runs
-    )
-
-    orbit_hits = int(np.count_nonzero(np.abs(flats - flats[ref]).max(axis=1) <= tol))
-    single_hits = sum(1 for r in converged if params_max_diff(r.final_params, theta_star) <= tol)
-    n_conv = len(converged)
+    profile, orbit_fraction, single_fraction, predicted = None, 0.0, 0.0, 0.0
+    if reps:
+        ref = reps[int(np.argmax(sizes))]
+        profile = symmetry_profile(params_from_flat(arch, raw[ref]), row_tolerance=tol)
+        near = [np.abs(a - a[ref]).max(axis=1) <= tol for a in (flats, raw)]
+        orbit_fraction, single_fraction = (int(hit.sum()) / len(conv) for hit in near)
+        predicted = single_fraction * profile.total_multiplicity
+    cluster_ids = np.full(n_runs, None)
+    cluster_ids[conv] = assignment.tolist()
     return BasinSummary(
         n_runs=n_runs,
-        n_converged=n_conv,
-        cluster_sizes=tuple(int(s) for s in sorted(sizes, reverse=True)),
+        n_converged=len(conv),
+        cluster_sizes=tuple(sorted(sizes.tolist(), reverse=True)),
         cluster_tolerance=tol,
         reference_profile=profile,
-        orbit_fraction=orbit_hits / n_conv,
-        single_fraction=single_hits / n_conv,
-        predicted_orbit_fraction=(single_hits / n_conv) * profile.total_multiplicity,
-        no_converged_runs=False,
-        runs=tuple(runs),
+        orbit_fraction=orbit_fraction,
+        single_fraction=single_fraction,
+        predicted_orbit_fraction=predicted,
+        no_converged_runs=not reps,
+        runs=_train_runs(arch, range(n_runs), starts, trained, cluster_ids),
     )
 
 

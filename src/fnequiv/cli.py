@@ -7,8 +7,9 @@ configuration into the output: every parsed argument under its dest name,
 with the --epsilon/--B/--bx overrides folded into base/resolved, and without
 basin's --jobs or, for an xor run, its teacher-only fields.  A bounds sweep
 axis must be a non-empty list, B, B_x and epsilon must be JSON numbers (not
-booleans or strings), and a d! too long to print as a decimal string is an
-empty cell (null in JSON).  Exit codes: 0 success, 1 domain/validation
+booleans or strings) and rho a list of them, and a d! too long to print as a
+decimal string is an empty cell (null in JSON).  A basin --cluster-tolerance
+must be finite and nonnegative.  Exit codes: 0 success, 1 domain/validation
 error, 2 internal invariant violation.
 
 Relative --output paths are resolved against $FNEQUIV_OUTPUT_DIR when set.
@@ -113,6 +114,13 @@ def _json_float(value) -> float:
     if type(value) not in (int, float):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _json_floats(value) -> tuple[float, ...]:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(map(_json_float, value))
 
 
 def _require_keys(doc: dict, allowed: set[str], what: str) -> None:
@@ -235,7 +243,7 @@ def _config_from_doc(doc: dict) -> bounds_mod.BoundConfig:
             B=_json_float(doc["B"]),
             B_x=_json_float(doc["B_x"]),
             epsilon=_json_float(doc["epsilon"]),
-            rho=tuple(doc["rho"]) if doc.get("rho") is not None else None,
+            rho=None if doc.get("rho") is None else _json_floats(doc["rho"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed bound config: {exc!r}") from exc

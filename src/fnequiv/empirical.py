@@ -15,7 +15,7 @@ import numpy as np
 from .canonical import _canonical_layers, group_rows
 from .equivalence import ball_points
 from .errors import BudgetExceededError, DomainError
-from .nncore import Architecture, _chebyshev, _flatten, _forward_checked, _unflatten, stack_block
+from .nncore import Architecture, _chebyshev, _flatten, _forward_checked, _unflatten, forward_block
 
 METRIC_PARAMS = "linf_params"
 METRIC_FUNCTION = "sampled_sup_function"
@@ -217,8 +217,7 @@ def function_class_sample(
         thetas = thetas[group_rows(_flatten(canon), 0.0)[1]]
 
     X = ball_points(arch.input_dim, n_eval_points, B_x, seed=eval_seed)
-    # Float64 pre-activations and activations of every layer, per network.
-    block = stack_block(16 * X.shape[0] * sum(arch.widths[1:]))
+    block = forward_block(arch, X.shape[0])
     values = np.concatenate(
         [
             _forward_checked(arch, _unflatten(arch, thetas[start : start + block]), X)

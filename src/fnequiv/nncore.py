@@ -43,6 +43,12 @@ def stack_block(bytes_per_item: int) -> int:
     return max(1, STACK_BLOCK_BYTES // bytes_per_item)
 
 
+def forward_block(arch: Architecture, n_inputs: int) -> int:
+    """Networks per block in a stacked forward pass over ``n_inputs`` inputs,
+    each holding the float64 pre-activations and activations of every layer."""
+    return stack_block(16 * n_inputs * sum(arch.widths[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Activations
 
@@ -263,7 +269,8 @@ class NetworkParams:
         return _flatten(self.layers)
 
     def max_abs(self) -> float:
-        return float(max(max(np.abs(W).max(), np.abs(b).max()) for W, b in self.layers))
+        """Largest entry magnitude; NaN when any entry is NaN."""
+        return float(np.abs(self.flat()).max())
 
     def within_box(self, bound: float) -> bool:
         """True when every entry lies in [-bound, bound]."""
@@ -321,25 +328,15 @@ def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def params_identical(a: NetworkParams, b: NetworkParams) -> bool:
     """Bit-exact equality (distinguishes -0.0 from 0.0)."""
-    if a.n_layers != b.n_layers:
-        return False
-    for (Wa, ba), (Wb, bb) in zip(a.layers, b.layers):
-        if Wa.shape != Wb.shape or ba.shape != bb.shape:
-            return False
-        if Wa.tobytes() != Wb.tobytes() or ba.tobytes() != bb.tobytes():
-            return False
-    return True
+    shapes = lambda p: [(W.shape, bias.shape) for W, bias in p.layers]
+    return shapes(a) == shapes(b) and a.flat().tobytes() == b.flat().tobytes()
 
 
 def params_max_diff(a: NetworkParams, b: NetworkParams) -> float:
-    """Entrywise L-infinity distance between two same-shaped parameterizations."""
+    """Entrywise L-infinity distance between two same-shaped
+    parameterizations; NaN when either has a NaN entry."""
     check_same_shapes(a, b)
-    return float(
-        max(
-            max(np.abs(Wa - Wb).max(), np.abs(ba - bb).max())
-            for (Wa, ba), (Wb, bb) in zip(a.layers, b.layers)
-        )
-    )
+    return float(np.abs(a.flat() - b.flat()).max())
 
 
 def check_shapes(arch: Architecture, params: NetworkParams) -> None:

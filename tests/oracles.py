@@ -423,3 +423,68 @@ def gd_reference(layers, activations, X, Y, step_size, max_iters, grad_threshold
                 (W - step_size * gW, b - step_size * gb)
                 for (W, b), (gW, gb) in zip(layers, grads)
             ]
+
+
+# ---------------------------------------------------------------------------
+# Basin summary, one run at a time
+
+
+def basin_summary_reference(runs, cluster_tolerance):
+    """Every ``BasinSummary`` field but ``runs``, and every run's cluster id,
+    rebuilt from the trained runs one run at a time.
+
+    Converged runs are canonicalized one by one and grouped first-fit at the
+    tolerance (1e-3 by default).  With no explicit tolerance, the final one
+    is a quarter of the minimal row gap of the first run of the largest
+    group, when that gap is finite and positive.  The reference run is the
+    first run of the largest group; a run is an orbit hit when its canonical
+    form, and a single hit when its raw parameters, lie within the tolerance
+    of the reference's.  Returns (fields dict, cluster ids).  It calls the
+    library's one-network functions, never basin's stacked path.
+    """
+    from fnequiv.canonical import canonicalize, symmetry_profile
+    from fnequiv.nncore import params_max_diff
+
+    conv = [i for i, r in enumerate(runs) if r.converged]
+    tol = 1e-3 if cluster_tolerance is None else cluster_tolerance
+    flats = [canonicalize(runs[i].final_params).params.flat() for i in conv]
+
+    def largest_first(groups):
+        return max(groups, key=len)[0]  # max keeps the earliest of equal sizes
+
+    groups = first_fit_row_groups(flats, tol)
+    if cluster_tolerance is None and groups:
+        best = runs[conv[largest_first(groups)]].final_params
+        delta = symmetry_profile(best, row_tolerance=tol).delta_min
+        if math.isfinite(delta) and delta > 0:
+            tol = delta / 4.0
+            groups = first_fit_row_groups(flats, tol)
+
+    cluster_ids = [None] * len(runs)
+    for cid, g in enumerate(groups):
+        for k in g:
+            cluster_ids[conv[k]] = cid
+    fields = {
+        "n_runs": len(runs),
+        "n_converged": len(conv),
+        "cluster_sizes": tuple(sorted((len(g) for g in groups), reverse=True)),
+        "cluster_tolerance": tol,
+        "reference_profile": None,
+        "orbit_fraction": 0.0,
+        "single_fraction": 0.0,
+        "predicted_orbit_fraction": 0.0,
+        "no_converged_runs": not conv,
+    }
+    if groups:
+        ref = largest_first(groups)
+        star = runs[conv[ref]].final_params
+        profile = symmetry_profile(star, row_tolerance=tol)
+        orbit = sum(1 for f in flats if max(abs(a - b) for a, b in zip(f, flats[ref])) <= tol)
+        single = sum(1 for i in conv if params_max_diff(runs[i].final_params, star) <= tol)
+        fields.update(
+            reference_profile=profile,
+            orbit_fraction=orbit / len(conv),
+            single_fraction=single / len(conv),
+            predicted_orbit_fraction=single / len(conv) * profile.total_multiplicity,
+        )
+    return fields, cluster_ids

@@ -30,7 +30,7 @@ from fnequiv.nncore import (
     random_params,
 )
 from fnequiv.transforms import PermutationSpec, apply_permutation, random_spec
-from oracles import gd_reference
+from oracles import basin_summary_reference, gd_reference
 
 
 def two_distinct_rows_params():
@@ -378,6 +378,84 @@ class TestLockstepTraining:
             assert _bits(a.final_loss) == _bits(b.final_loss)
             assert a.final_params.flat().tobytes() == b.final_params.flat().tobytes()
             assert a.canonical_flat.tobytes() == b.canonical_flat.tobytes()
+
+
+def _assert_summary_matches_reference(summary, cluster_tolerance):
+    fields, cluster_ids = basin_summary_reference(summary.runs, cluster_tolerance)
+    assert {name: getattr(summary, name) for name in fields} == fields
+    assert [r.cluster_id for r in summary.runs] == cluster_ids
+
+
+class TestBasinSummaryReference:
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+    def test_lockstep_cases(self, name):
+        arch, scheme, dataset, cfg, _ = LOCKSTEP_CASES[name]
+        summary = basin_experiment(arch, scheme, dataset, 16, cfg)
+        _assert_summary_matches_reference(summary, None)
+
+    def test_explicit_tolerance(self):
+        summary = basin_experiment(
+            Architecture(2, (3,), (TANH,)),
+            InitScheme("uniform", seed=0),
+            xor_dataset(),
+            24,
+            OptimizerConfig(step_size=0.5, max_iters=400, grad_threshold=1e-3),
+            cluster_tolerance=0.3,
+        )
+        # The largest cluster is not the first, and orbit and single hits differ.
+        assert np.argmax(np.bincount([r.cluster_id for r in summary.runs if r.converged])) > 0
+        assert summary.orbit_fraction > summary.single_fraction
+        _assert_summary_matches_reference(summary, 0.3)
+
+    def test_provisional_tolerance_from_the_largest_cluster(self, monkeypatch):
+        # Starts that every run keeps (no step, any gradient counts as
+        # converged): two near copies of A, then three of B.  Only B's row
+        # gap (0.25; A's is 1) gives the final tolerance.
+        a = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.5, 1.0, 1.0, 0.0])
+        b = np.array([1.0, 0.0, 1.0, 0.25, 0.0, 0.0, 1.0, 1.0, 0.0])
+        rows = iter([a, a + 1e-4, b, b + 1e-4, b - 1e-4])
+        monkeypatch.setattr("fnequiv.basin._draw", lambda arch, scheme, rng, n: next(rows)[None])
+        summary = basin_experiment(
+            Architecture(2, (2,), (TANH,)),
+            InitScheme("uniform"),
+            xor_dataset(),
+            5,
+            OptimizerConfig(step_size=0.1, max_iters=0, grad_threshold=math.inf),
+        )
+        assert summary.cluster_sizes == (3, 2)
+        assert summary.cluster_tolerance == 0.25 / 4.0
+        _assert_summary_matches_reference(summary, None)
+
+    @pytest.mark.parametrize("cluster_tolerance", [None, 0.0, 0.25])
+    def test_no_converged_runs(self, cluster_tolerance):
+        summary = basin_experiment(
+            Architecture(2, (2,), (TANH,)),
+            InitScheme("uniform", seed=1),
+            xor_dataset(),
+            3,
+            OptimizerConfig(step_size=1e-9, max_iters=3, grad_threshold=1e-12),
+            cluster_tolerance=cluster_tolerance,
+        )
+        assert summary.no_converged_runs
+        _assert_summary_matches_reference(summary, cluster_tolerance)
+
+
+class TestClusterToleranceChecked:
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejected_before_any_draw(self, tolerance, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew starts for an invalid tolerance")
+
+        monkeypatch.setattr("fnequiv.basin._draw", no_draws)
+        with pytest.raises(DomainError, match="cluster tolerance"):
+            basin_experiment(
+                Architecture(2, (2,), (TANH,)),
+                InitScheme("uniform"),
+                xor_dataset(),
+                2,
+                OptimizerConfig(0.1, 0),
+                cluster_tolerance=tolerance,
+            )
 
 
 class TestAmplification:

@@ -413,6 +413,32 @@ class TestBounds:
         assert err.startswith("error:") and "malformed bound config" in err and "True" in err
         assert stdout == ""
 
+    # The arch has two hidden layers, so "12" would read as two rates.
+    @pytest.mark.parametrize("rho", [[True, 1.0], ["2", 1.0], "12", 2.0, {"0": 2.0}])
+    def test_rho_must_be_a_list_of_numbers(self, tmp_path, capsys, rho):
+        cfg = tmp_path / "cfg.json"
+        arch = {"d0": 1, "hidden": [2, 2], "out": 1, "activations": ["relu"] * 2}
+        cfg.write_text(
+            json.dumps({"arch": arch, "B": 1.0, "B_x": 1.0, "epsilon": 1.0, "rho": rho})
+        )
+        code, stdout, err = run_cli(["bounds", "--config", str(cfg)], capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and "malformed bound config" in err
+        assert stdout == ""
+
+    def test_integer_and_float_rho_print_the_same_rows(self, tmp_path, bound_config, capsys):
+        outputs = []
+        for rho in ([2], [2.0]):
+            doc = {**json.loads(bound_config.read_text()), "rho": rho}
+            bound_config.write_text(json.dumps(doc))
+            code, stdout, err = run_cli(
+                ["bounds", "--config", str(bound_config), "--format", "json"], capsys
+            )
+            assert code == 0, err
+            outputs.append(json.loads(stdout)["rows"])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]["rho"] == [2.0]
+
     def test_hidden_sweep_without_arch_is_invalid_configuration(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"B": 1.0, "B_x": 1.0, "epsilon": 1.0}))
@@ -532,6 +558,26 @@ class TestBasinCommand:
         assert configs[1]["n_points"] == 16
         assert configs[1]["teacher_network"] == str(teacher)
         assert configs[1]["bx"] == 1.0
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("iters", ["200", "0"])
+    def test_invalid_cluster_tolerance_exits_one_writing_nothing(
+        self, tmp_path, capsys, tolerance, iters
+    ):
+        # At 0 iterations no run converges, so nothing after training would
+        # reject the tolerance.
+        code, stdout, err = run_cli(
+            [
+                "basin", "--arch", "2-2-1", "--n-runs", "2", "--iters", iters,
+                "--step-size", "0.5", "--grad-threshold", "1e-3",
+                f"--cluster-tolerance={tolerance}", "--output-prefix", str(tmp_path / "exp"),
+            ],
+            capsys,
+        )  # fmt: skip
+        assert code == 1, err
+        assert err.startswith("error:") and "cluster tolerance" in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:

@@ -95,11 +95,16 @@ BASIN_CASES = {
         ],
         "teacher",
     ),
+    "basin_xor_tolerance": (
+        [*BASIN, "--dataset", "xor", "--cluster-tolerance", "0.05", "--output-prefix", "xortol"],
+        "xortol",
+    ),
 }
 
 BASIN_DIGESTS = {
     "basin_xor": "d4168ce5589118b363347d34b7455718d99141f09fa654ebae2b0d8b49db742a",
     "basin_teacher": "df59c7196d40b6a11b647c478d48c8f3140a5b3b1ce3c57a9d82324637c33f3e",
+    "basin_xor_tolerance": "2408967ab555b5c5d3509a88747b9720e9bd8124b53e953dd1550cf3396a60eb",
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from fnequiv.nncore import (
     network_to_json_dict,
     params_from_flat,
     params_identical,
+    params_max_diff,
     random_params,
 )
 
@@ -249,3 +252,49 @@ class TestFlatRoundTrip:
         arch = Architecture(1, (1,), (TANH,))
         with pytest.raises(ShapeError):
             params_from_flat(arch, np.zeros(3))
+
+
+def nan_bias_params(first_bias=math.nan):
+    """A 1-2-1 net with finite weights of magnitude at most 1 and the given
+    first layer-1 bias."""
+    return NetworkParams(
+        (
+            ([[1.0], [-0.5]], [first_bias, 0.25]),
+            ([[0.5, -1.0]], [0.0]),
+        )
+    )
+
+
+class TestEntrywiseReductions:
+    def test_max_abs_propagates_nan(self):
+        params = nan_bias_params()
+        assert math.isnan(params.max_abs())
+        assert not params.within_box(2.0)
+
+    def test_max_abs_of_finite_params(self):
+        assert nan_bias_params(-1.5).max_abs() == 1.5
+        assert nan_bias_params(0.0).within_box(1.0)
+        assert not nan_bias_params(-1.5).within_box(1.0)
+
+    def test_max_diff_propagates_nan(self):
+        assert math.isnan(params_max_diff(nan_bias_params(), nan_bias_params(0.0)))
+        assert math.isnan(params_max_diff(nan_bias_params(0.0), nan_bias_params()))
+
+    def test_max_diff_of_finite_params(self):
+        assert params_max_diff(nan_bias_params(2.0), nan_bias_params(-0.5)) == 2.5
+        assert params_max_diff(nan_bias_params(0.0), nan_bias_params(-0.0)) == 0.0
+
+    def test_max_diff_rejects_mismatched_shapes(self):
+        other = NetworkParams((([[1.0, 0.0]], [0.0]), ([[1.0]], [0.0])))
+        with pytest.raises(ShapeError):
+            params_max_diff(nan_bias_params(0.0), other)
+
+    def test_identical_compares_bits_and_shapes(self):
+        assert params_identical(nan_bias_params(), nan_bias_params())
+        assert not params_identical(nan_bias_params(0.0), nan_bias_params(-0.0))
+        # Same flat bytes, different layer shapes.
+        a = NetworkParams((([[1.0], [2.0]], [3.0, 4.0]), ([[5.0, 6.0]], [7.0])))
+        b = NetworkParams((([[1.0, 2.0]], [3.0]), ([[4.0], [5.0]], [6.0, 7.0])))
+        assert a.flat().tobytes() == b.flat().tobytes()
+        assert not params_identical(a, b)
+        assert not params_identical(a, NetworkParams(a.layers[:1]))
