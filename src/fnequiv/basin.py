@@ -275,6 +275,11 @@ def _train_runs(arch, seeds, starts, trained, cluster_ids) -> tuple[TrainRun, ..
 # Orbit membership and clustering
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance >= 0:  # also rejects NaN
+        raise DomainError("tolerance must be nonnegative")
+
+
 def orbit_membership(theta: NetworkParams, theta_star: NetworkParams, tolerance: float) -> bool:
     """True when the canonical forms agree entrywise within tolerance.
 
@@ -282,8 +287,7 @@ def orbit_membership(theta: NetworkParams, theta_star: NetworkParams, tolerance:
     matches being within tolerance of some permutation image of it.
     """
     check_same_shapes(theta, theta_star)
-    if tolerance < 0:
-        raise DomainError("tolerance must be nonnegative")
+    _check_tolerance(tolerance)
     a = canonicalize(theta).params.flat()
     b = canonicalize(theta_star).params.flat()
     return bool(np.abs(a - b).max() <= tolerance)
@@ -444,6 +448,7 @@ def amplification_check(
                 "theta_star has no distinct rows; pass an explicit tolerance"
             )
         tolerance = profile.delta_min / 2.0
+    _check_tolerance(tolerance)
     images = distinct_permutation_images(theta_star)
     image_mat = np.stack([img.flat() for img in images])
     star_idx = int(np.argmin(_chebyshev(theta_star.flat()[None], image_mat)))

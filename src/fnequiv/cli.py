@@ -110,10 +110,17 @@ def _json_int(value) -> int:
 
 
 def _json_float(value) -> float:
-    """A JSON number as a float; booleans and strings are rejected."""
+    """A finite JSON number as a float; booleans, strings and the NaN and
+    Infinity literals are rejected."""
     if type(value) not in (int, float):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _json_floats(value) -> tuple[float, ...]:

@@ -62,29 +62,102 @@ def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> Metr
     )
 
 
+def _check_oracle_args(space: MetricSpaceSample, epsilon: float) -> None:
+    if not epsilon > 0:  # also rejects NaN
+        raise DomainError("epsilon must be positive")
+    if len(space) == 0:
+        raise DomainError("empty point set")
+
+
+# Relative slack on the greedy cover's pruning test; see _greedy_cover_centers.
+PRUNE_MARGIN = 1e-9
+
+
 def greedy_covering_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     """Size of a farthest-point greedy eps-cover; upper-bounds the exact one.
 
     Deterministic given point order: starts at index 0 and breaks ties toward
     the lowest index.  Each new center costs one distance pass over the
-    points not yet covered; covered points are dropped (in index order, so
-    the tie rule holds), since no later center can uncover them.
+    points of the centers within 2R of it, R being its own distance to the
+    centers before it (see ``_greedy_cover_centers``).
     """
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    return len(_greedy_cover_centers(space, epsilon))
+
+
+def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> np.ndarray:
+    """Row indices of the farthest-point greedy eps-cover's centers, in the
+    order they are chosen.
+
+    Every uncovered point (distance to its nearest center above eps) has an
+    owner, the center nearest to it; each center keeps the largest distance
+    among its points (``gmax``, -inf when it has none) and the lowest index
+    attaining it (``garg``).  The next center ``c`` is the lowest ``garg``
+    among the centers with the largest ``gmax``, R.  R bounds every point's
+    distance, so for a point p of center a with d(a, c) >= 2R the triangle
+    inequality gives d(p, c) >= d(a, c) - d(p, a) >= R >= d(p, a): c cannot
+    take p.  One pass from the live centers to c finds the centers with
+    d(a, c) < 2R, one pass over their points updates those points, and only
+    those centers are regrouped.
+
+    Each computed distance is the true one correctly rounded (the kernel
+    takes a max of once-rounded |x_i - y_i|, and rounding is monotone), so
+    the computed triangle inequality can fail by an ulp: in the tests, a
+    computed d(a, c) of exactly 2R hides a point that c does take.  A
+    computed d(a, c) above 2R cannot, since the true d(a, c) then exceeds 2R
+    by half an ulp of 2R and the true d(p, a) exceeds R by at most half an
+    ulp of R, which leaves the true d(p, c) at least R.  So it is enough to
+    scan every center at a computed distance up to 2R; the test
+    d(a, c) < 2R (1 + PRUNE_MARGIN) does that with room for a kernel that
+    rounds a few ulps worse, and only adds the rare center that lies beyond
+    2R but within 2R (1 + 1e-9).
+    """
+    _check_oracle_args(space, epsilon)
     pts = space.points
-    if len(pts) == 0:
-        raise DomainError("empty point set")
+    n = len(pts)
+    covered = n  # owner of covered points: a spare slot that is never live
     min_dist = _chebyshev(pts, pts[:1])[:, 0]
-    count = 1
+    owner = np.where(min_dist > epsilon, 0, covered)
+    gmax = np.full(n + 1, -np.inf)
+    garg = np.zeros(n + 1, dtype=np.intp)
+    scan = np.zeros(n + 1, dtype=bool)
+    centers = np.zeros(n, dtype=np.intp)
+    _regroup(gmax, garg, np.arange(n), owner, min_dist)
+    k = 1
     while True:
-        live = min_dist > epsilon
-        pts, min_dist = pts[live], min_dist[live]
-        if len(pts) == 0:
-            return count
-        idx = int(np.argmax(min_dist))  # argmax returns the first maximizer
-        count += 1
-        min_dist = np.minimum(min_dist, _chebyshev(pts, pts[idx : idx + 1])[:, 0])
+        live = np.flatnonzero(gmax[:k] > -np.inf)
+        if len(live) == 0:
+            return centers[:k]
+        top = gmax[live]
+        R = top.max()
+        c = int(garg[live[top == R]].min())
+        centers[k] = c
+        center = pts[c : c + 1]
+        reach = _chebyshev(pts[centers[live]], center)[:, 0]
+        near = live[reach < 2.0 * R * (1.0 + PRUNE_MARGIN)]
+        scan[near] = True
+        sel = np.flatnonzero(scan[owner])
+        scan[near] = False
+        dist = _chebyshev(pts[sel], center)[:, 0]
+        sel_dist, sel_owner = min_dist[sel], owner[sel]
+        closer = dist < sel_dist
+        sel_dist[closer] = dist[closer]
+        sel_owner[closer] = k
+        sel_owner[sel_dist <= epsilon] = covered
+        min_dist[sel], owner[sel] = sel_dist, sel_owner
+        gmax[near] = -np.inf
+        _regroup(gmax, garg, sel, sel_owner, sel_dist)
+        k += 1
+
+
+def _regroup(gmax, garg, idx, owner, dist) -> None:
+    """Fold the points ``idx`` (ascending) into their owners' largest
+    distance and its lowest index; the spare last slot collects the covered
+    points and is reset."""
+    np.maximum.at(gmax, owner, dist)
+    top = dist == gmax[owner]
+    garg[owner[top]] = len(garg)
+    np.minimum.at(garg, owner[top], idx[top])
+    gmax[-1] = -np.inf
 
 
 def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:
@@ -95,11 +168,8 @@ def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     later one within 2*eps of it, so there is one distance pass per kept
     point over the points still live.
     """
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    _check_oracle_args(space, epsilon)
     pts = space.points
-    if len(pts) == 0:
-        raise DomainError("empty point set")
     threshold = 2.0 * epsilon
     count = 0
     while len(pts):
@@ -119,11 +189,8 @@ def _check_exact_size(n: int) -> None:
 def exact_covering_number(space: MetricSpaceSample, epsilon: float) -> int:
     """Minimum number of eps-balls centered at sample points covering the
     sample, via integer programming (branch and bound)."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    _check_oracle_args(space, epsilon)
     n = len(space)
-    if n == 0:
-        raise DomainError("empty point set")
     _check_exact_size(n)
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -142,11 +209,8 @@ def exact_covering_number(space: MetricSpaceSample, epsilon: float) -> int:
 def exact_packing_number(space: MetricSpaceSample, epsilon: float) -> int:
     """Maximum number of sample points with pairwise distances > 2*eps,
     via integer programming on the conflict pairs."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    _check_oracle_args(space, epsilon)
     n = len(space)
-    if n == 0:
-        raise DomainError("empty point set")
     _check_exact_size(n)
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array

@@ -316,7 +316,10 @@ def _flatten(layers) -> np.ndarray:
 
 def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """L-infinity distances from each row of ``points`` (axis 0) to each row
-    of ``centers`` (axis 1); exact, since each is a max of |a - b|.
+    of ``centers`` (axis 1), bit for bit those of ``np.abs(a - b).max()``:
+    a max of once-rounded |a - b|, which is the true distance correctly
+    rounded, so three computed distances can miss the triangle inequality
+    by an ulp.
 
     Both inputs must be finite: the kernel skips NaN coordinates, so a NaN
     row can come out at a finite distance (even 0) instead of NaN.

@@ -155,20 +155,26 @@ def exhaustive_max_packing(D, eps):
     return best
 
 
-def greedy_cover_reference(pts, epsilon):
-    """Farthest-point greedy eps-cover size over all points at every step:
-    the first center is row 0, each next one the first row farthest from
-    the centers so far among those farther than eps, until none is left."""
+def greedy_cover_centers_reference(pts, epsilon):
+    """Farthest-point greedy eps-cover over all points at every step, as the
+    list of center indices: the first center is row 0, each next one the
+    first row farthest from the centers so far among those farther than
+    eps, until none is left."""
     min_dist = np.abs(pts - pts[0]).max(axis=1)
-    count = 1
+    centers = [0]
     while True:
         uncovered = min_dist > epsilon
         if not uncovered.any():
-            return count
+            return centers
         candidate = np.where(uncovered, min_dist, -np.inf)
         idx = int(np.argmax(candidate))  # argmax returns the first maximizer
-        count += 1
+        centers.append(idx)
         min_dist = np.minimum(min_dist, np.abs(pts - pts[idx]).max(axis=1))
+
+
+def greedy_cover_reference(pts, epsilon):
+    """Size of the farthest-point greedy eps-cover."""
+    return len(greedy_cover_centers_reference(pts, epsilon))
 
 
 def greedy_pack_reference(pts, epsilon):

@@ -458,6 +458,26 @@ class TestClusterToleranceChecked:
             )
 
 
+class TestToleranceChecked:
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_amplification_rejects_before_any_draw(self, tolerance, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew for an invalid tolerance")
+
+        monkeypatch.setattr("fnequiv.basin._draw", no_draws)
+        arch = Architecture(1, (2,), (RELU,))
+        with pytest.raises(DomainError, match="tolerance"):
+            amplification_check(
+                arch, InitScheme("uniform", seed=7), two_distinct_rows_params(), 100, tolerance
+            )
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, -math.inf])
+    def test_orbit_membership_rejects(self, tolerance):
+        theta = two_distinct_rows_params()
+        with pytest.raises(DomainError, match="tolerance"):
+            orbit_membership(theta, theta, tolerance)
+
+
 class TestAmplification:
     def test_two_distinct_rows_ratio_near_two(self):
         arch = Architecture(1, (2,), (RELU,))

@@ -413,6 +413,43 @@ class TestBounds:
         assert err.startswith("error:") and "malformed bound config" in err and "True" in err
         assert stdout == ""
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+    )
+    @pytest.mark.parametrize("key", ["B", "B_x", "epsilon", "rho"])
+    @pytest.mark.parametrize("where", ["config", "sweep"])
+    def test_non_finite_number_is_invalid_configuration(
+        self, tmp_path, bound_config, capsys, key, where, value
+    ):
+        # Python's JSON reader takes NaN and Infinity; 10**400 overflows a double.
+        value = [value] if key == "rho" else value
+        doc = json.loads(bound_config.read_text())
+        sweep = tmp_path / "sweep.json"
+        if where == "sweep" and key != "rho":
+            sweep.write_text(json.dumps({key: [value]}))
+        else:
+            doc[key] = value
+            sweep.write_text(json.dumps({"epsilon": [0.5, 1.0]}))
+        bound_config.write_text(json.dumps(doc))
+        argv = ["bounds", "--config", str(bound_config), "--format", "json"]
+        if where == "sweep":
+            argv += ["--sweep", str(sweep)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and "expected a finite number" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--B", "--bx", "--epsilon"])
+    def test_non_finite_override_flag_is_invalid_configuration(
+        self, bound_config, capsys, flag, value
+    ):
+        argv = ["bounds", "--config", str(bound_config), f"{flag}={value}"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and "expected a finite number" in err
+        assert stdout == ""
+
     # The arch has two hidden layers, so "12" would read as two rates.
     @pytest.mark.parametrize("rho", [[True, 1.0], ["2", 1.0], "12", 2.0, {"0": 2.0}])
     def test_rho_must_be_a_list_of_numbers(self, tmp_path, capsys, rho):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_
 from fnequiv.empirical import (
     METRIC_FUNCTION,
     MetricSpaceSample,
+    _greedy_cover_centers,
     exact_covering_number,
     exact_packing_number,
     function_class_sample,
@@ -22,7 +24,7 @@ from oracles import (
     exhaustive_max_packing,
     exhaustive_min_cover,
     function_class_reference,
-    greedy_cover_reference,
+    greedy_cover_centers_reference,
     greedy_pack_reference,
 )
 
@@ -34,6 +36,16 @@ BINARY_EPSILONS = (0.1875, 0.3125, 0.4375, 0.625, 0.8125, 1.1875)
 
 def line(points):
     return MetricSpaceSample(np.asarray(points, dtype=float).reshape(-1, 1))
+
+
+@pytest.fixture(scope="module")
+def fclass_sample():
+    """The 8704-point function-class sample the benchmark covers."""
+    sample = function_class_sample(
+        Architecture(1, (2,), (RELU,)), 1.0, 4, 1.0, 32, dedup_canonical=True
+    )
+    assert len(sample) == 8704
+    return sample
 
 
 class TestGreedyEstimates:
@@ -57,6 +69,21 @@ class TestGreedyEstimates:
         with pytest.raises(DomainError):
             greedy_packing_estimate(line([0.0]), 0.0)
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            greedy_covering_estimate,
+            greedy_packing_estimate,
+            exact_covering_number,
+            exact_packing_number,
+        ],
+    )
+    @pytest.mark.parametrize("eps", [math.nan, -math.inf, -1.0, -0.0])
+    def test_epsilon_not_positive_rejected(self, oracle, eps):
+        # NaN fails every comparison, so "epsilon <= 0" alone would let it in.
+        with pytest.raises(DomainError, match="epsilon"):
+            oracle(grid_sample(2, 5), eps)
+
     def test_deterministic_reruns(self):
         rng = np.random.default_rng(0)
         space = MetricSpaceSample(rng.uniform(-1, 1, (60, 2)))
@@ -65,17 +92,49 @@ class TestGreedyEstimates:
         assert len(set(a)) == 1 and len(set(b)) == 1
 
 
-    def test_function_class_sample_matches_reference(self):
-        arch = Architecture(1, (2,), (RELU,))
-        sample = function_class_sample(arch, 1.0, 4, 1.0, 32, dedup_canonical=True)
-        assert len(sample) == 8704
+    def test_function_class_sample_matches_reference(self, fclass_sample):
         for eps in (0.2, 0.4):
-            assert greedy_covering_estimate(sample, eps) == greedy_cover_reference(
-                sample.points, eps
+            centers = _greedy_cover_centers(fclass_sample, eps)
+            assert centers.tolist() == greedy_cover_centers_reference(fclass_sample.points, eps)
+            assert greedy_covering_estimate(fclass_sample, eps) == len(centers)
+            assert greedy_packing_estimate(fclass_sample, eps) == greedy_pack_reference(
+                fclass_sample.points, eps
             )
-            assert greedy_packing_estimate(sample, eps) == greedy_pack_reference(
-                sample.points, eps
-            )
+
+    @pytest.mark.parametrize("eps", [0.2, 0.4])
+    def test_cover_memory_bounded_by_the_points(self, fclass_sample, eps):
+        greedy_covering_estimate(line([0.0, 1.0]), 0.5)  # loads the distance kernel
+        tracemalloc.start()
+        try:
+            greedy_covering_estimate(fclass_sample, eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * fclass_sample.points.nbytes
+
+
+class TestGreedyCoverPruning:
+    """Hand-built boundaries of the test that lets a new center c skip the
+    points of a center a with d(a, c) >= 2R, R being c's own distance."""
+
+    def test_point_as_far_from_new_center_as_from_its_own(self):
+        # a = row 0, then row 1; c = row 2 has R = 1 and d(a, c) = 2 = 2R;
+        # row 3 is 1 from a and 1 from c, so c leaves it live and it is last.
+        pts = np.array([[0.0, 0.0], [3.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+        assert greedy_cover_centers_reference(pts, 0.5) == [0, 1, 2, 3]
+        assert _greedy_cover_centers(MetricSpaceSample(pts), 0.5).tolist() == [0, 1, 2, 3]
+
+    def test_distance_rounded_to_exactly_2r(self):
+        # Row 2, c = (2 - 2**-52, 0), has R = 1.5 (to row 1), and its true
+        # distance 3 - 2**-52 to row 0 rounds to 3.0 = 2R.  Row 3 is 1.5 from
+        # row 0 but 1.5 - 2**-52 from c, which covers it at this eps: a test
+        # of d(a, c) < 2R without a margin would skip row 3 and add a center.
+        x = 2.0 - 2.0**-52
+        pts = np.array([[-1.0, 0.0], [x, 1.5], [x, 0.0], [0.5, 0.0]])
+        eps = 1.5 - 2.0**-52
+        assert np.abs(pts[2] - pts[0]).max() == 3.0
+        assert greedy_cover_centers_reference(pts, eps) == [0, 1, 2]
+        assert _greedy_cover_centers(MetricSpaceSample(pts), eps).tolist() == [0, 1, 2]
 
 
 class TestExactOracles:

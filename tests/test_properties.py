@@ -7,13 +7,19 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fnequiv.canonical import _canonical_layers, canonicalize, group_rows
-from fnequiv.empirical import MetricSpaceSample, greedy_covering_estimate, greedy_packing_estimate
+from fnequiv.empirical import (
+    MetricSpaceSample,
+    _greedy_cover_centers,
+    greedy_covering_estimate,
+    greedy_packing_estimate,
+)
 from fnequiv.nncore import NetworkParams, params_identical
 from fnequiv.transforms import PermutationSpec, apply_permutation, compose, inverse
 
 from oracles import (
     canonical_sort,
     first_fit_row_groups,
+    greedy_cover_centers_reference,
     greedy_cover_reference,
     greedy_pack_reference,
 )
@@ -209,3 +215,31 @@ class TestGreedyOracles:
         space = MetricSpaceSample(pts)
         assert greedy_covering_estimate(space, eps) == greedy_cover_reference(pts, eps)
         assert greedy_packing_estimate(space, eps) == greedy_pack_reference(pts, eps)
+
+
+@st.composite
+def cover_point_sets(draw):
+    """1-400 rows picked from a pool of 1-400 rows with coordinates either
+    continuous or on a 0.25 grid: enough centers that most of them lie
+    beyond 2R of a new one, with repeated rows and (on the grid) exact
+    distances equal to eps or 2R."""
+    dim = draw(st.integers(1, 3))
+    coords = draw(
+        st.sampled_from(
+            [st.floats(-1.0, 1.0, allow_nan=False), st.integers(-4, 4).map(lambda k: 0.25 * k)]
+        )
+    )
+    # fill=nothing() draws every entry, rather than mostly one fill value.
+    pool_shape = st.tuples(st.integers(1, 400), st.just(dim))
+    pool = draw(hnp.arrays(float, pool_shape, elements=coords, fill=st.nothing()))
+    picks = st.integers(0, len(pool) - 1)
+    picks = draw(hnp.arrays(np.intp, st.integers(1, 400), elements=picks, fill=st.nothing()))
+    return pool[picks]
+
+
+class TestGreedyCoverCenters:
+    @PROPERTY
+    @given(cover_point_sets(), st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.3, 0.5]))
+    def test_match_reference(self, pts, eps):
+        centers = _greedy_cover_centers(MetricSpaceSample(pts), eps)
+        assert centers.tolist() == greedy_cover_centers_reference(pts, eps)
