@@ -83,13 +83,9 @@ def _layer_draw(scheme: InitScheme, rng, n, fan_out, fan_in):
     elif scheme.kind == "normal":
         W = rng.normal(scheme.mu, scheme.sigma, size=(n, fan_out * fan_in))
         b = rng.normal(scheme.mu, scheme.sigma, size=(n, fan_out))
-    elif scheme.kind == "xavier":
-        std = math.sqrt(2.0 / (fan_in + fan_out))
-        W = rng.normal(0.0, std, size=(n, fan_out * fan_in))
-        b = np.zeros((n, fan_out))
-    else:  # he
-        std = math.sqrt(2.0 / fan_in)
-        W = rng.normal(0.0, std, size=(n, fan_out * fan_in))
+    else:  # xavier or he: they differ only in the fan that sets the std
+        fan = fan_in + fan_out if scheme.kind == "xavier" else fan_in
+        W = rng.normal(0.0, math.sqrt(2.0 / fan), size=(n, fan_out * fan_in))
         b = np.zeros((n, fan_out))
     return W, b
 
@@ -134,27 +130,6 @@ def teacher_dataset(
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     X = np.where(norms > B_x, X * (B_x / norms), X)
     return X, forward_batch(arch, teacher, X)
-
-
-def dataset_to_csv(X, Y, path) -> None:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[0] != X.shape[0]:
-        Y = Y.T
-    header = [f"x{i}" for i in range(X.shape[1])] + [f"y{i}" for i in range(Y.shape[1])]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for xi, yi in zip(X, Y):
-            fh.write(",".join(f"{v:.17g}" for v in (*xi, *yi)) + "\n")
-
-
-def dataset_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        n_x = sum(1 for c in header if c.startswith("x"))
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    data = np.array(rows)
-    return data[:, :n_x], data[:, n_x:]
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +192,8 @@ def _train_lockstep(arch, starts, dataset, config):
     gradient L-infinity norm is at most the threshold (converged), else when
     the iteration count reaches ``max_iters``.  Runs never interact, so the
     block size changes no result.  Returns per-run arrays: final parameters,
-    their canonical forms (the runs stopping at one step are canonicalized
-    together), final losses, iteration counts, and converged/diverged flags.
+    their canonical forms (a block's are sorted together once its loop ends),
+    final losses, iteration counts, and converged/diverged flags.
     """
     X, Y = dataset
     n = np.asarray(X).shape[0]
@@ -241,7 +216,6 @@ def _train_lockstep(arch, starts, dataset, config):
             if stop.any():
                 done = active[stop]
                 final[done] = P[stop]
-                canon[done] = _flatten(_canonical_layers(_unflatten(arch, P[stop]))[0])
                 loss_at[done], iters_at[done] = loss[stop], it
                 converged_at[done], diverged_at[done] = converged[stop], diverged[stop]
                 if stop.all():
@@ -249,6 +223,8 @@ def _train_lockstep(arch, starts, dataset, config):
                 keep = ~stop
                 active, P, G = active[keep], P[keep], G[keep]
             P = P - config.step_size * G
+        rows = slice(first, first + block)
+        canon[rows] = _flatten(_canonical_layers(_unflatten(arch, final[rows]))[0])
     return final, canon, loss_at, iters_at, converged_at, diverged_at
 
 

@@ -45,20 +45,20 @@ class BoundConfig:
     rho: tuple[float, ...] = None
 
     def __post_init__(self):
-        if self.B < 1:
-            raise ConfigError("the parameter box assumes B >= 1")
-        if self.B_x <= 0:
-            raise DomainError("B_x must be positive")
-        if self.epsilon <= 0:
-            raise DomainError("covering radius epsilon must be positive")
+        if not 1 <= self.B < math.inf:  # also rejects NaN
+            raise ConfigError("the parameter box assumes a finite B >= 1")
+        if not 0 < self.B_x < math.inf:
+            raise DomainError("B_x must be finite and positive")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError("covering radius epsilon must be finite and positive")
         if self.rho is None:
             rho = default_lipschitz_constants(self.arch, self.B, self.B_x)
         else:
             rho = tuple(float(r) for r in self.rho)
         if len(rho) != self.arch.depth:
             raise ConfigError(f"need {self.arch.depth} Lipschitz constants")
-        if any(r <= 0 for r in rho):
-            raise DomainError("Lipschitz constants must be positive")
+        if not all(0 < r < math.inf for r in rho):
+            raise DomainError("Lipschitz constants must be finite and positive")
         object.__setattr__(self, "rho", rho)
 
     @property

@@ -116,7 +116,7 @@ def symmetry_profile(params: NetworkParams, row_tolerance: float = 0.0) -> Symme
     groups nearly identical rows instead (useful after training, where exact
     ties never occur).
     """
-    if row_tolerance < 0:
+    if not row_tolerance >= 0:  # also rejects NaN
         raise DomainError("row tolerance must be nonnegative")
     counts = []
     delta = math.inf

@@ -43,6 +43,7 @@ from .nncore import (
     arch_from_json_dict,
     load_network,
     network_to_json_dict,
+    _json_int,
 )
 from .transforms import (
     PermutationSpec,
@@ -61,30 +62,19 @@ def _fmt(v: float | None) -> str:
     return "" if v is None else f"{v:.17g}"
 
 
-def _resolve_path(path: str) -> str:
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to stdout when ``output`` is None, else to the file
+    ``output``, a relative path being taken inside $FNEQUIV_OUTPUT_DIR when set."""
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(_resolve_path(output), "w") as fh:
-            fh.write(text)
+        return
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    with open(os.path.join(base, output) if base else output, "w") as fh:
+        fh.write(text)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(config: dict, header: list[str], rows: list[list[str]]) -> str:
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _echo(args, drop=(), **resolved) -> dict:
@@ -100,13 +90,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must hold a JSON object, not {type(doc).__name__}")
     return doc
-
-
-def _json_int(value) -> int:
-    """A JSON integer as an int; floats, booleans and strings are rejected."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def _json_float(value) -> float:
@@ -192,10 +175,12 @@ def cmd_transform(args) -> int:
     else:
         transformed = apply_sign_flip(net.arch, net.params, layer, signs)
     out_net = Network(net.arch, transformed)
+    # Measured before anything is written, so an invalid --samples or --bx
+    # leaves no output file.
+    dist = sampled_sup_distance(net, out_net, args.bx, args.samples, seed=args.seed)
     doc = network_to_json_dict(out_net)
     doc["config"] = _echo(args, transform=spec_doc)
     _emit(_json_text(doc), args.output)
-    dist = sampled_sup_distance(net, out_net, args.bx, args.samples, seed=args.seed)
     print(f"self-check: sampled sup distance to original = {_fmt(dist)}")
     return 0
 
@@ -244,7 +229,6 @@ _OVERRIDE_FLAGS = ("epsilon", "B", "bx")
 def _config_from_doc(doc: dict) -> bounds_mod.BoundConfig:
     _require_keys(doc, _BOUND_CONFIG_KEYS, "bound config")
     try:
-        _require_keys(doc["arch"], {"d0", "hidden", "out", "activations"}, "arch")
         return bounds_mod.BoundConfig(
             arch=arch_from_json_dict(doc["arch"]),
             B=_json_float(doc["B"]),
@@ -346,9 +330,13 @@ _ENTROPY_COLUMNS = [
 ]
 
 
-def _table_text(config: dict, columns, rows: list[dict]) -> str:
-    header = [name for name, _ in columns]
-    return _csv_text(config, header, [[cell(r) for _, cell in columns] for r in rows])
+def _table_text(config: dict, columns, rows) -> str:
+    """A CSV of ``rows`` under a ``# config:`` line, one (column, cell) pair
+    per column; a cell formats one row."""
+    lines = ["# config: " + json.dumps(config, sort_keys=True)]
+    lines.append(",".join(name for name, _ in columns))
+    lines.extend(",".join(cell(r) for _, cell in columns) for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 def cmd_bounds(args) -> int:
@@ -380,6 +368,20 @@ def cmd_entropy_compare(args) -> int:
 # covering-sweep
 
 
+def _str_or_empty(v) -> str:
+    return "" if v is None else str(v)
+
+
+_COVER_COLUMNS = [
+    ("epsilon", lambda r: _fmt(r["epsilon"])),
+    ("greedy_cover", lambda r: str(r["greedy_cover"])),
+    ("exact_cover", lambda r: _str_or_empty(r["exact_cover"])),
+    ("greedy_pack", lambda r: str(r["greedy_pack"])),
+    ("exact_pack", lambda r: _str_or_empty(r["exact_pack"])),
+    ("theory_bound_log", lambda r: _fmt(r["theory_bound_log"])),
+]
+
+
 def cmd_covering_sweep(args) -> int:
     try:
         epsilons = [float(e) for e in args.epsilons.split(",")]
@@ -389,35 +391,18 @@ def cmd_covering_sweep(args) -> int:
         raise DomainError("epsilons must be finite and positive")
     space = empirical.grid_sample(args.dim, args.points_per_axis, args.half_width)
     volume = (2.0 * args.half_width) ** args.dim
-    config = _echo(args, epsilons=epsilons)
-    header = [
-        "epsilon",
-        "greedy_cover",
-        "exact_cover",
-        "greedy_pack",
-        "exact_pack",
-        "theory_bound_log",
+    rows = [
+        {
+            "epsilon": eps,
+            "greedy_cover": empirical.greedy_covering_estimate(space, eps),
+            "greedy_pack": empirical.greedy_packing_estimate(space, eps),
+            "exact_cover": empirical.exact_covering_number(space, eps) if args.exact else None,
+            "exact_pack": empirical.exact_packing_number(space, eps) if args.exact else None,
+            "theory_bound_log": math.log(bounds_mod.volume_covering_bound(args.dim, volume, eps)),
+        }
+        for eps in epsilons
     ]
-    rows = []
-    for eps in epsilons:
-        greedy_cover = empirical.greedy_covering_estimate(space, eps)
-        greedy_pack = empirical.greedy_packing_estimate(space, eps)
-        exact_cover = exact_pack = ""
-        if args.exact:
-            exact_cover = str(empirical.exact_covering_number(space, eps))
-            exact_pack = str(empirical.exact_packing_number(space, eps))
-        theory_log = math.log(bounds_mod.volume_covering_bound(args.dim, volume, eps))
-        rows.append(
-            [
-                _fmt(eps),
-                str(greedy_cover),
-                exact_cover,
-                str(greedy_pack),
-                exact_pack,
-                _fmt(theory_log),
-            ]
-        )
-    _emit(_csv_text(config, header, rows), args.output)
+    _emit(_table_text(_echo(args, epsilons=epsilons), _COVER_COLUMNS, rows), args.output)
     return 0
 
 
@@ -427,6 +412,15 @@ def cmd_covering_sweep(args) -> int:
 
 # The teacher dataset's settings; an xor run does not echo them.
 _TEACHER_ONLY = ("teacher_network", "n_points", "bx")
+# runs.csv, one (column, cell) pair per column; a cell formats one TrainRun.
+_RUNS_COLUMNS = [
+    ("run", lambda r: str(r.seed)),
+    ("converged", lambda r: str(int(r.converged))),
+    ("diverged", lambda r: str(int(r.diverged))),
+    ("iterations", lambda r: str(r.iterations)),
+    ("final_loss", lambda r: _fmt(r.final_loss)),
+    ("cluster_id", lambda r: _str_or_empty(r.cluster_id)),
+]
 
 
 def cmd_basin(args) -> int:
@@ -463,23 +457,8 @@ def cmd_basin(args) -> int:
     teacher_only = () if args.dataset == "teacher" else _TEACHER_ONLY
     config = _echo(args, drop=("jobs", *teacher_only))
     doc = {"config": config, "summary": summary.to_json_dict()}
-    prefix = _resolve_path(args.output_prefix)
-    with open(prefix + ".summary.json", "w") as fh:
-        fh.write(_json_text(doc))
-    header = ["run", "converged", "diverged", "iterations", "final_loss", "cluster_id"]
-    rows = [
-        [
-            str(r.seed),
-            str(int(r.converged)),
-            str(int(r.diverged)),
-            str(r.iterations),
-            _fmt(r.final_loss),
-            "" if r.cluster_id is None else str(r.cluster_id),
-        ]
-        for r in summary.runs
-    ]
-    with open(prefix + ".runs.csv", "w") as fh:
-        fh.write(_csv_text(config, header, rows))
+    _emit(_json_text(doc), args.output_prefix + ".summary.json")
+    _emit(_table_text(config, _RUNS_COLUMNS, summary.runs), args.output_prefix + ".runs.csv")
     print(
         f"basin: {summary.n_converged}/{summary.n_runs} converged, "
         f"{len(summary.cluster_sizes)} clusters"

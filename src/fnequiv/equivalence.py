@@ -11,6 +11,7 @@ equivalence.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -64,8 +65,8 @@ def ball_points(dim: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("need at least one sample point")
-    if radius <= 0:
-        raise DomainError("radius must be positive")
+    if not 0 < radius < math.inf:  # also rejects NaN
+        raise DomainError("radius must be finite and positive")
     try:
         seed = operator.index(seed)
     except TypeError:
@@ -134,9 +135,14 @@ def decide_equivalence(
     The structural proof is found for every permuted pair whose sort keys
     within each hidden layer are pairwise distinct; tied keys with different
     outgoing columns can leave a permuted pair to the sampled verdict.
+    ``tolerance`` must be nonnegative and ``B_x`` finite and positive.
     """
     if f1.arch != f2.arch:
         raise ShapeError("architectures differ")
+    if not tolerance >= 0:  # also rejects NaN
+        raise DomainError("tolerance must be nonnegative")
+    if not 0 < B_x < math.inf:
+        raise DomainError("B_x must be finite and positive")
     c1 = canonicalize(f1.params)
     c2 = canonicalize(f2.params)
     if params_identical(c1.params, c2.params):

@@ -143,6 +143,8 @@ def leaky_relu(negative_slope: float) -> Activation:
 
 def activation_from_tag(tag: str) -> Activation:
     """Parse tags like ``"relu"`` or ``"leaky_relu:0.1"``."""
+    if not isinstance(tag, str):
+        raise TypeError(f"activation tag must be a string, got {tag!r}")
     name, _, param = tag.partition(":")
     simple = {
         "relu": RELU,
@@ -215,13 +217,6 @@ class Architecture:
     def log_permutation_count(self) -> float:
         """sum_l log(d_l!), the log of the number of hidden-neuron permutations."""
         return sum(math.lgamma(d + 1) for d in self.hidden_widths)
-
-    def layer_param_count(self, layer: int) -> int:
-        """Entries in (W, b) of layer ``layer`` (1-based, 1..L+1)."""
-        w = self.widths
-        if not 1 <= layer <= self.depth + 1:
-            raise DomainError(f"layer index {layer} out of range")
-        return w[layer - 1] * w[layer] + w[layer]
 
     def layer_shapes(self) -> list[tuple[tuple[int, int], int]]:
         w = self.widths
@@ -478,13 +473,6 @@ def _targets(X, Y) -> np.ndarray:
     return Y
 
 
-def mse_loss(arch: Architecture, params: NetworkParams, X, Y) -> float:
-    """Mean over the dataset of the squared error summed across outputs."""
-    Y = _targets(X, Y)
-    d = forward_batch(arch, params, X) - Y
-    return float(np.mean(np.sum(d * d, axis=1)))
-
-
 def mse_gradient(arch: Architecture, params: NetworkParams, X, Y):
     """Full-batch MSE value and gradient, vectorized over the dataset."""
     check_shapes(arch, params)
@@ -570,13 +558,25 @@ def arch_to_json_dict(arch: Architecture) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A JSON integer as an int; floats, booleans and strings are rejected."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def arch_from_json_dict(a: dict) -> Architecture:
+    """Decode ``arch_to_json_dict``'s document: every width must be a JSON
+    integer, and keys other than its four are rejected."""
     try:
+        unknown = set(a) - {"d0", "hidden", "out", "activations"}
+        if unknown:
+            raise ValueError(f"unknown fields in arch: {sorted(unknown)}")
         return Architecture(
-            input_dim=int(a["d0"]),
-            hidden_widths=tuple(int(w) for w in a["hidden"]),
+            input_dim=_json_int(a["d0"]),
+            hidden_widths=tuple(map(_json_int, a["hidden"])),
             activations=tuple(activation_from_tag(t) for t in a["activations"]),
-            output_dim=int(a["out"]),
+            output_dim=_json_int(a["out"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed architecture: {exc!r}") from exc

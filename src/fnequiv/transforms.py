@@ -132,18 +132,9 @@ def apply_scaling(
     Requires the activation at the targeted layer to be positively
     homogeneous (ReLU, LeakyReLU, identity).
     """
-    check_shapes(arch, params)
-    l = spec.layer
-    if not 1 <= l <= arch.depth:
-        raise DomainError(f"layer {l} out of range 1..{arch.depth}")
-    if not arch.activations[l - 1].is_positive_homogeneous:
-        raise UnsupportedTransformError(
-            f"{arch.activations[l - 1].name} is not positively homogeneous; "
-            "scaling does not preserve the function"
-        )
-    if len(spec.alpha) != arch.hidden_widths[l - 1]:
-        raise ShapeError("one factor per neuron is required")
-    return _rescale_neurons(params, l, np.asarray(spec.alpha, dtype=float))
+    return _gated_rescale(
+        arch, params, spec.layer, spec.alpha, "is_positive_homogeneous", "positively homogeneous"
+    )
 
 
 def apply_sign_flip(
@@ -153,20 +144,27 @@ def apply_sign_flip(
 
     Requires an odd activation at the targeted layer (tanh, identity).
     """
-    check_shapes(arch, params)
-    if not 1 <= layer <= arch.depth:
-        raise DomainError(f"layer {layer} out of range 1..{arch.depth}")
-    if not arch.activations[layer - 1].is_odd:
-        raise UnsupportedTransformError(
-            f"{arch.activations[layer - 1].name} is not odd; "
-            "sign flips do not preserve the function"
-        )
-    s = np.asarray(signs, dtype=float)
-    if s.shape != (arch.hidden_widths[layer - 1],):
-        raise ShapeError("one sign per neuron is required")
-    if not np.all(np.abs(s) == 1.0):
+    if not np.all(np.abs(np.asarray(signs, dtype=float)) == 1.0):
         raise DomainError("signs must be +1 or -1")
-    return _rescale_neurons(params, layer, s)
+    return _gated_rescale(arch, params, layer, signs, "is_odd", "odd")
+
+
+def _gated_rescale(arch, params, l: int, factors, flag: str, flag_name: str) -> NetworkParams:
+    """``_rescale_neurons`` with one factor per neuron of hidden layer ``l``,
+    allowed only when that layer's activation has the ``Activation`` flag
+    ``flag`` (called ``flag_name`` in the error)."""
+    check_shapes(arch, params)
+    if not 1 <= l <= arch.depth:
+        raise DomainError(f"layer {l} out of range 1..{arch.depth}")
+    act = arch.activations[l - 1]
+    if not getattr(act, flag):
+        raise UnsupportedTransformError(
+            f"{act.name} is not {flag_name}, so the transform does not preserve the function"
+        )
+    factors = np.asarray(factors, dtype=float)
+    if factors.shape != (arch.hidden_widths[l - 1],):
+        raise ShapeError("one factor per neuron is required")
+    return _rescale_neurons(params, l, factors)
 
 
 def _rescale_neurons(params: NetworkParams, l: int, factors: np.ndarray) -> NetworkParams:

@@ -50,6 +50,15 @@ class TestBoundConfig:
         with pytest.raises(DomainError):
             cfg_of(epsilon=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field,error",
+        [("B", ConfigError), ("B_x", DomainError), ("epsilon", DomainError), ("rho", DomainError)],
+    )
+    def test_non_finite_value_rejected(self, field, error, value):
+        with pytest.raises(error):
+            cfg_of(**{field: (value,) if field == "rho" else value})
+
 
 class TestShallowBound:
     def test_frozen_example(self):

@@ -156,6 +156,10 @@ class TestSymmetryProfile:
         with pytest.raises(DomainError):
             symmetry_profile(net_1_3_1([1.0, 2.0, 3.0]), row_tolerance=-1.0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(DomainError):
+            symmetry_profile(net_1_3_1([1.0, 2.0, 3.0]), row_tolerance=float("nan"))
+
 
 class TestCountingConsistency:
     def test_distinct_rows_full_factorial(self):

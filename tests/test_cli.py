@@ -160,6 +160,16 @@ class TestTransform:
         assert code == 1
         assert "malformed transform spec" in err
 
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--bx", "nan"]], ids=["samples", "bx"])
+    def test_invalid_self_check_writes_no_output(self, tmp_path, small_net, capsys, flags):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "permutation", "perms": [[1, 0]]}))
+        out = tmp_path / "out.json"
+        argv = ["transform", "--network", str(small_net), "--transform", str(spec)]
+        code, stdout, err = run_cli([*argv, "--output", str(out), *flags], capsys)
+        assert code == 1, err
+        assert not out.exists() and stdout == ""
+
     def test_spec_that_is_not_an_object_exits_one(self, tmp_path, small_net, capsys):
         path = tmp_path / "spec.json"
         path.write_text("[1, 2]")
@@ -208,6 +218,39 @@ class TestCheckEquiv:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["verdict"]["kind"] == "structurally_equal_by_permutation"
+
+    @pytest.mark.parametrize(
+        "flag", ["--tolerance=nan", "--tolerance=-1", "--bx=nan", "--bx=inf", "--bx=0"]
+    )
+    def test_invalid_tolerance_or_radius_exits_one(self, tmp_path, small_net, capsys, flag):
+        # The pair is structurally equal, so the radius would go unused.
+        argv = ["check-equiv", "--first", str(small_net), "--second", str(small_net), flag]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and stdout == ""
+
+
+class TestNetworkFile:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("hidden", [2.9]),
+            ("hidden", [True, 1]),
+            ("hidden", ["2"]),
+            ("d0", 1.0),
+            ("out", True),
+            ("depth", 1),
+        ],
+    )
+    def test_non_integer_width_or_unknown_arch_key_exits_one(
+        self, tmp_path, small_net, capsys, field, value
+    ):
+        doc = json.loads(small_net.read_text())
+        doc["arch"][field] = value
+        small_net.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(["canonicalize", "--network", str(small_net)], capsys)
+        assert code == 1, err
+        assert "malformed architecture" in err and stdout == ""
 
 
 class TestBounds:
@@ -475,6 +518,23 @@ class TestBounds:
             outputs.append(json.loads(stdout)["rows"])
         assert outputs[0] == outputs[1]
         assert outputs[0][0]["rho"] == [2.0]
+
+    @pytest.mark.parametrize("hidden", [[2.9], [True], ["2"]])
+    def test_non_integer_hidden_sweep_axis_exits_one(self, tmp_path, bound_config, capsys, hidden):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"hidden": [[2], hidden]}))
+        argv = ["bounds", "--config", str(bound_config), "--sweep", str(sweep)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert "malformed architecture" in err and stdout == ""
+
+    def test_unknown_arch_key_in_config_exits_one(self, tmp_path, bound_config, capsys):
+        doc = json.loads(bound_config.read_text())
+        doc["arch"]["depth"] = 1
+        bound_config.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(["bounds", "--config", str(bound_config)], capsys)
+        assert code == 1, err
+        assert "unknown fields in arch" in err and stdout == ""
 
     def test_hidden_sweep_without_arch_is_invalid_configuration(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

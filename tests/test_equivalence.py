@@ -81,6 +81,11 @@ class TestBallPoints:
         with pytest.raises(DomainError, match="seed"):
             ball_points(2, 8, 1.0, seed=seed)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(DomainError, match="radius"):
+            ball_points(2, 8, radius)
+
     def test_cache_holds_a_bounded_number_of_sets(self):
         limit = equivalence._BALL_POINTS_CACHE_SIZE
         for seed in range(1000, 1000 + 3 * limit):
@@ -227,6 +232,15 @@ class TestDecideEquivalence:
         b = random_net(Architecture(2, (2,), (RELU,)), 15)
         with pytest.raises(ShapeError):
             decide_equivalence(a, b, 1.0)
+
+    @pytest.mark.parametrize(
+        "B_x,tolerance", [(1.0, np.nan), (1.0, -1e-9), (np.nan, 1e-7), (np.inf, 1e-7), (0.0, 1e-7)]
+    )
+    def test_invalid_tolerance_or_radius_rejected_on_both_routes(self, B_x, tolerance):
+        net, far = perturbed_pair()
+        for pair in [(net, net), (net, far)]:  # structural, then sampled
+            with pytest.raises(DomainError):
+                decide_equivalence(*pair, B_x, tolerance=tolerance)
 
     def test_verdict_serialization(self):
         arch = Architecture(1, (2,), (TANH,))

@@ -16,11 +16,11 @@ from fnequiv.nncore import (
     TANH,
     activation_from_tag,
     forward,
+    forward_batch,
     gradient,
     hidden_range_bound,
     leaky_relu,
     mse_gradient,
-    mse_loss,
     network_from_json_dict,
     network_to_json_dict,
     params_from_flat,
@@ -73,8 +73,6 @@ class TestArchitecture:
         # S = (3*4+4) + (4*5+5) + (5*1+1)
         assert arch.param_count == 16 + 25 + 6
         assert arch.hidden_unit_count == 9
-        assert arch.layer_param_count(1) == 16
-        assert arch.layer_param_count(3) == 6
 
     def test_invalid(self):
         with pytest.raises(ShapeError):
@@ -182,7 +180,8 @@ class TestGradient:
         X = rng.uniform(-1, 1, (4, 1))
         Y = rng.uniform(-1, 1, (4, 1))
         value, g = mse_gradient(arch, params, X, Y)
-        assert value == pytest.approx(mse_loss(arch, params, X, Y))
+        resid = forward_batch(arch, params, X) - Y
+        assert value == pytest.approx(np.mean(np.sum(resid * resid, axis=1)))
         per_point = [gradient(arch, params, SQUARED_LOSS, x, y).flat() for x, y in zip(X, Y)]
         assert np.abs(g.flat() - np.mean(per_point, axis=0)).max() < 1e-12
 
@@ -238,6 +237,23 @@ class TestSerialization:
     def test_malformed_document(self):
         with pytest.raises(ShapeError):
             network_from_json_dict({"arch": {"d0": 1}})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("hidden", [2.9]),
+            ("d0", True),
+            ("hidden", ["2"]),
+            ("d0", 1.0),
+            ("extra", 1),
+            ("activations", [1]),
+        ],
+    )
+    def test_malformed_arch_fields_rejected(self, field, value):
+        arch = {"d0": 1, "hidden": [2], "out": 1, "activations": ["tanh"], field: value}
+        layers = [{"W": [[1.0], [2.0]], "b": [0.0, 0.0]}, {"W": [[1.0, 1.0]], "b": [0.0]}]
+        with pytest.raises(ShapeError):
+            network_from_json_dict({"arch": arch, "layers": layers})
 
 
 class TestFlatRoundTrip:

@@ -6,6 +6,7 @@ from fnequiv.errors import DomainError, ShapeError, UnsupportedTransformError
 from fnequiv.nncore import (
     Architecture,
     EQUIV_ATOL,
+    IDENTITY,
     NetworkParams,
     RELU,
     SIGMOID,
@@ -191,6 +192,25 @@ class TestSignFlip:
         params = random_params(arch, rng, bound=0.9)
         out = apply_sign_flip(arch, params, 1, [-1.0, -1.0])
         assert out.within_box(0.9)
+
+
+# Identity is both positively homogeneous and odd, so each call below has
+# exactly one invalid input.
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda a, p: apply_scaling(a, p, uniform_scaling(2, 2.0, 2)), DomainError),
+        (lambda a, p: apply_scaling(a, p, uniform_scaling(1, 2.0, 3)), ShapeError),
+        (lambda a, p: apply_sign_flip(a, p, 0, [1.0, -1.0]), DomainError),
+        (lambda a, p: apply_sign_flip(a, p, 1, [1.0, -1.0, 1.0]), ShapeError),
+        (lambda a, p: apply_sign_flip(a, p, 1, [1.0, 0.5]), DomainError),
+    ],
+    ids=["scaling_layer", "scaling_width", "flip_layer", "flip_width", "flip_sign"],
+)
+def test_singly_invalid_rescale_keeps_its_error_type(call, error):
+    arch = Architecture(1, (2,), (IDENTITY,))
+    with pytest.raises(error):
+        call(arch, random_params(arch, np.random.default_rng(16)))
 
 
 class TestPooling:
