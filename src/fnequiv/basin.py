@@ -22,7 +22,7 @@ from .canonical import (
     SymmetryProfile,
     _canonical_layers,
 )
-from .errors import DomainError
+from .errors import DomainError, check_range
 from .nncore import (
     Architecture,
     DIVERGENCE_THRESHOLD,
@@ -68,12 +68,12 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in ("uniform", "normal", "xavier", "he"):
             raise DomainError(f"unknown init scheme {self.kind!r}")
-        if not all(map(math.isfinite, (self.low, self.high, self.mu, self.sigma))):
-            raise DomainError("init parameters must be finite")
+        for name in ("low", "high", "mu", "sigma"):
+            check_range(f"init {name}", getattr(self, name), -math.inf, low_open=True)
         if self.kind == "uniform" and not self.low <= self.high:
             raise DomainError("uniform init needs low <= high")
-        if self.kind == "normal" and not self.sigma >= 0:
-            raise DomainError("normal init needs sigma >= 0")
+        if self.kind == "normal":
+            check_range("normal init sigma", self.sigma, 0)
 
 
 def _layer_draw(scheme: InitScheme, rng, n, fan_out, fan_in):
@@ -92,8 +92,7 @@ def _layer_draw(scheme: InitScheme, rng, n, fan_out, fan_in):
 
 def initialize_batch(arch: Architecture, scheme: InitScheme, n: int) -> np.ndarray:
     """Draw ``n`` flat parameter vectors (layer by layer, weights then biases)."""
-    if n < 1:
-        raise DomainError("need n >= 1 draws")
+    check_range("draw count n", n, 1)
     return _draw(arch, scheme, np.random.default_rng(scheme.seed), n)
 
 
@@ -125,6 +124,8 @@ def teacher_dataset(
     arch: Architecture, teacher: NetworkParams, n_points: int, B_x: float, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inputs in the B_x ball labelled by a fixed teacher network."""
+    check_range("n_points", n_points, 1)
+    check_range("B_x", B_x, 0, low_open=True)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-B_x, B_x, size=(n_points, arch.input_dim))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -143,10 +144,9 @@ class OptimizerConfig:
     grad_threshold: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.step_size < math.inf:
-            raise DomainError("step size must be finite and positive")
-        if self.max_iters < 0:
-            raise DomainError("max_iters must be nonnegative")
+        check_range("step size", self.step_size, 0, low_open=True)
+        check_range("max_iters", self.max_iters, 0)
+        check_range("grad_threshold", self.grad_threshold, 0, high_open=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,11 +251,6 @@ def _train_runs(arch, seeds, starts, trained, cluster_ids) -> tuple[TrainRun, ..
 # Orbit membership and clustering
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not tolerance >= 0:  # also rejects NaN
-        raise DomainError("tolerance must be nonnegative")
-
-
 def orbit_membership(theta: NetworkParams, theta_star: NetworkParams, tolerance: float) -> bool:
     """True when the canonical forms agree entrywise within tolerance.
 
@@ -263,7 +258,7 @@ def orbit_membership(theta: NetworkParams, theta_star: NetworkParams, tolerance:
     matches being within tolerance of some permutation image of it.
     """
     check_same_shapes(theta, theta_star)
-    _check_tolerance(tolerance)
+    check_range("tolerance", tolerance, 0, high_open=False)
     a = canonicalize(theta).params.flat()
     b = canonicalize(theta_star).params.flat()
     return bool(np.abs(a - b).max() <= tolerance)
@@ -327,12 +322,10 @@ def basin_experiment(
     picks the largest cluster and the final tolerance is a quarter of its
     representative's minimal row gap.
     """
-    if n_runs < 1:
-        raise DomainError("need at least one run")
-    if n_jobs < 1:
-        raise DomainError("need at least one worker")
-    if cluster_tolerance is not None and not 0 <= cluster_tolerance < math.inf:
-        raise DomainError("cluster tolerance must be finite and nonnegative")
+    check_range("n_runs", n_runs, 1)
+    check_range("n_jobs", n_jobs, 1)
+    if cluster_tolerance is not None:
+        check_range("cluster tolerance", cluster_tolerance, 0)
     children = np.random.SeedSequence(scheme.seed).spawn(n_runs)
     starts = np.concatenate([_draw(arch, scheme, np.random.default_rng(c), 1) for c in children])
     trained = _train_lockstep(arch, starts, dataset, config)
@@ -413,8 +406,7 @@ def amplification_check(
     ``n_draws``; within one block they equal ``initialize_batch``'s.
     """
     check_shapes(arch, theta_star)
-    if n_draws < 1:
-        raise DomainError("need at least one draw")
+    check_range("n_draws", n_draws, 1)
     if not np.isfinite(theta_star.flat()).all():
         raise DomainError("theta_star must be finite")
     profile = symmetry_profile(theta_star)
@@ -424,7 +416,7 @@ def amplification_check(
                 "theta_star has no distinct rows; pass an explicit tolerance"
             )
         tolerance = profile.delta_min / 2.0
-    _check_tolerance(tolerance)
+    check_range("tolerance", tolerance, 0, high_open=False)
     images = distinct_permutation_images(theta_star)
     image_mat = np.stack([img.flat() for img in images])
     star_idx = int(np.argmin(_chebyshev(theta_star.flat()[None], image_mat)))

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IntegrationFailureError
+from .errors import ConfigError, DomainError, IntegrationFailureError, check_range
 from .nncore import MAX_LOG_LINEAR, Architecture, default_lipschitz_constants, linear_or_none
 
 DUDLEY_ABS_TOL = 1e-6
@@ -45,20 +45,17 @@ class BoundConfig:
     rho: tuple[float, ...] = None
 
     def __post_init__(self):
-        if not 1 <= self.B < math.inf:  # also rejects NaN
-            raise ConfigError("the parameter box assumes a finite B >= 1")
-        if not 0 < self.B_x < math.inf:
-            raise DomainError("B_x must be finite and positive")
-        if not 0 < self.epsilon < math.inf:
-            raise DomainError("covering radius epsilon must be finite and positive")
+        check_range("parameter box B", self.B, 1, error=ConfigError)
+        check_range("B_x", self.B_x, 0, low_open=True)
+        check_range("covering radius epsilon", self.epsilon, 0, low_open=True)
         if self.rho is None:
             rho = default_lipschitz_constants(self.arch, self.B, self.B_x)
         else:
             rho = tuple(float(r) for r in self.rho)
         if len(rho) != self.arch.depth:
             raise ConfigError(f"need {self.arch.depth} Lipschitz constants")
-        if not all(0 < r < math.inf for r in rho):
-            raise DomainError("Lipschitz constants must be finite and positive")
+        for r in rho:
+            check_range("Lipschitz constant", r, 0, low_open=True)
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -151,8 +148,7 @@ def stirling_bracket(d: int) -> StirlingBracket:
     d! once it has more digits than the interpreter converts to a string
     (``sys.get_int_max_str_digits``; from d = 1559 at the default 4300).
     """
-    if d < 1:
-        raise DomainError("the bracket requires d >= 1")
+    check_range("Stirling bracket d", d, 1)
     log_core = 0.5 * math.log(2.0 * math.pi * d) + d * (math.log(d) - 1.0)
     lower, upper = (linear_or_none(log_core + 1.0 / k) for k in (12 * d + 1, 12 * d))
     factorial = math.factorial(d)
@@ -232,10 +228,8 @@ def dudley_rademacher_bound(
     diverge; that raises IntegrationFailureError carrying the value over a
     truncated range.
     """
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
-    if upper_limit <= 0:
-        raise DomainError("integration limit must be positive")
+    check_range("sample size", n, 1)
+    check_range("integration limit", upper_limit, 0, low_open=True)
     probe = [upper_limit * t for t in (1e-9, 1e-4, 0.3, 1.0)]
     vals = [float(entropy_fn(p)) for p in probe]
     if any(v < 0 for v in vals):
@@ -288,12 +282,9 @@ def dudley_rademacher_bound(
 
 def volume_covering_bound(d: int, volume: float, epsilon: float) -> float:
     """V * (2/eps)^d, the volume bound on covering/packing of a d-dim set."""
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
-    if volume <= 0:
-        raise DomainError("volume must be positive")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    check_range("dimension", d, 1)
+    check_range("volume", volume, 0, low_open=True)
+    check_range("epsilon", epsilon, 0, low_open=True)
     return volume * (2.0 / epsilon) ** d
 
 
@@ -312,10 +303,10 @@ def pdim_uniform_covering_bound(
     are small; otherwise the (e n B / (eps d))^d closed form, which dominates
     the sum for n >= d.
     """
-    if d < 1 or n < 1:
-        raise DomainError("pseudo-dimension and sample size must be >= 1")
-    if B_range <= 0 or epsilon <= 0:
-        raise DomainError("range bound and epsilon must be positive")
+    check_range("pseudo-dimension", d, 1)
+    check_range("sample size", n, 1)
+    check_range("range bound", B_range, 0, low_open=True)
+    check_range("epsilon", epsilon, 0, low_open=True)
     if d <= PDIM_EXACT_MAX_D and n <= PDIM_EXACT_MAX_N:
         ratio = Fraction(B_range) / Fraction(epsilon)
         total = Fraction(0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, check_range
 from .nncore import Architecture, NetworkParams, _flatten, linear_or_none, stack_block
 from .transforms import PermutationSpec, _permute_neurons
 
@@ -116,8 +116,7 @@ def symmetry_profile(params: NetworkParams, row_tolerance: float = 0.0) -> Symme
     groups nearly identical rows instead (useful after training, where exact
     ties never occur).
     """
-    if not row_tolerance >= 0:  # also rejects NaN
-        raise DomainError("row tolerance must be nonnegative")
+    check_range("row tolerance", row_tolerance, 0, high_open=False)
     counts = []
     delta = math.inf
     for l in range(1, params.n_layers):
@@ -149,8 +148,7 @@ class EffectiveVolume:
 
 def effective_volume(arch: Architecture, B: float) -> EffectiveVolume:
     """Volume of [-B, B]^S and of its canonical slice (divide by prod d_l!)."""
-    if B <= 0:
-        raise DomainError("B must be positive")
+    check_range("B", B, 0, low_open=True)
     log_total = arch.param_count * math.log(2.0 * B)
     log_effective = log_total - arch.log_permutation_count
     return EffectiveVolume(

@@ -8,9 +8,10 @@ with the --epsilon/--B/--bx overrides folded into base/resolved, and without
 basin's --jobs or, for an xor run, its teacher-only fields.  A bounds sweep
 axis must be a non-empty list, B, B_x and epsilon must be JSON numbers (not
 booleans or strings) and rho a list of them, and a d! too long to print as a
-decimal string is an empty cell (null in JSON).  A basin --cluster-tolerance
-must be finite and nonnegative.  Exit codes: 0 success, 1 domain/validation
-error, 2 internal invariant violation.
+decimal string is an empty cell (null in JSON).  Every number is
+range-checked before any work: NaN never passes a bound, and +inf is accepted
+only by check-equiv's --tolerance and basin's --grad-threshold.  Exit codes:
+0 success, 1 domain/validation error, 2 internal invariant violation.
 
 Relative --output paths are resolved against $FNEQUIV_OUTPUT_DIR when set.
 """
@@ -35,7 +36,7 @@ from .basin import (
 )
 from .canonical import canonicalize, effective_volume
 from .equivalence import decide_equivalence, sampled_sup_distance
-from .errors import ConfigError, FnequivError, DomainError
+from .errors import ConfigError, FnequivError, DomainError, check_range
 from .nncore import (
     Architecture,
     Network,
@@ -387,8 +388,8 @@ def cmd_covering_sweep(args) -> int:
         epsilons = [float(e) for e in args.epsilons.split(",")]
     except ValueError as exc:
         raise DomainError(f"bad --epsilons: {exc}") from exc
-    if not all(0 < e < math.inf for e in epsilons):
-        raise DomainError("epsilons must be finite and positive")
+    for eps in epsilons:
+        check_range("epsilon", eps, 0, low_open=True)
     space = empirical.grid_sample(args.dim, args.points_per_axis, args.half_width)
     volume = (2.0 * args.half_width) ** args.dim
     rows = [

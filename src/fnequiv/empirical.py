@@ -14,7 +14,7 @@ import numpy as np
 
 from .canonical import _canonical_layers, group_rows
 from .equivalence import ball_points
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, check_range
 from .nncore import Architecture, _chebyshev, _flatten, _forward_checked, _unflatten, forward_block
 
 METRIC_PARAMS = "linf_params"
@@ -50,8 +50,9 @@ class MetricSpaceSample:
 
 def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> MetricSpaceSample:
     """Uniform grid on [-half_width, half_width]^dim."""
-    if dim < 1 or points_per_axis < 2:
-        raise DomainError("need dim >= 1 and at least two points per axis")
+    check_range("dim", dim, 1)
+    check_range("points per axis", points_per_axis, 2)
+    check_range("half_width", half_width, 0, low_open=True)
     axis = np.linspace(-half_width, half_width, points_per_axis)
     mesh = np.meshgrid(*[axis] * dim, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -63,8 +64,7 @@ def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> Metr
 
 
 def _check_oracle_args(space: MetricSpaceSample, epsilon: float) -> None:
-    if not epsilon > 0:  # also rejects NaN
-        raise DomainError("epsilon must be positive")
+    check_range("epsilon", epsilon, 0, low_open=True, high_open=False)
     if len(space) == 0:
         raise DomainError("empty point set")
 
@@ -179,19 +179,12 @@ def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     return count
 
 
-def _check_exact_size(n: int) -> None:
-    if n > EXACT_ORACLE_MAX_POINTS:
-        raise DomainError(
-            f"exact oracles are limited to {EXACT_ORACLE_MAX_POINTS} points (got {n})"
-        )
-
-
 def exact_covering_number(space: MetricSpaceSample, epsilon: float) -> int:
     """Minimum number of eps-balls centered at sample points covering the
     sample, via integer programming (branch and bound)."""
     _check_oracle_args(space, epsilon)
     n = len(space)
-    _check_exact_size(n)
+    check_range("exact oracle point count", n, 1, EXACT_ORACLE_MAX_POINTS, high_open=False)
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     covers = (space.distance_matrix() <= epsilon).astype(float)
@@ -211,7 +204,7 @@ def exact_packing_number(space: MetricSpaceSample, epsilon: float) -> int:
     via integer programming on the conflict pairs."""
     _check_oracle_args(space, epsilon)
     n = len(space)
-    _check_exact_size(n)
+    check_range("exact oracle point count", n, 1, EXACT_ORACLE_MAX_POINTS, high_open=False)
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
@@ -259,12 +252,10 @@ def function_class_sample(
     provenance.  Deduplication never changes the set of value vectors, since
     members of one canonical class implement the same function.
     """
-    if B <= 0 or B_x <= 0:
-        raise DomainError("B and B_x must be positive")
-    if grid_resolution < 2:
-        raise DomainError("grid resolution must be at least 2")
-    if n_eval_points < 1:
-        raise DomainError("need at least one evaluation point")
+    check_range("B", B, 0, low_open=True)
+    check_range("B_x", B_x, 0, low_open=True)
+    check_range("grid resolution", grid_resolution, 2)
+    check_range("evaluation point count", n_eval_points, 1)
     S = arch.param_count
     total = grid_resolution**S
     if total > budget:

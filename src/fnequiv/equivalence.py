@@ -11,14 +11,13 @@ equivalence.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canonical import canonicalize
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_range
 from .nncore import Network, forward_batch, params_identical
 from .transforms import PermutationSpec, compose, inverse
 
@@ -63,10 +62,8 @@ def ball_points(dim: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
     recently used dropped first.  The seed must be an integer, so a cached
     set always equals a fresh one.
     """
-    if n < 1:
-        raise DomainError("need at least one sample point")
-    if not 0 < radius < math.inf:  # also rejects NaN
-        raise DomainError("radius must be finite and positive")
+    check_range("sample point count n", n, 1)
+    check_range("radius", radius, 0, low_open=True)
     try:
         seed = operator.index(seed)
     except TypeError:
@@ -135,14 +132,14 @@ def decide_equivalence(
     The structural proof is found for every permuted pair whose sort keys
     within each hidden layer are pairwise distinct; tied keys with different
     outgoing columns can leave a permuted pair to the sampled verdict.
-    ``tolerance`` must be nonnegative and ``B_x`` finite and positive.
+    ``tolerance`` must be nonnegative, ``B_x`` finite and positive and
+    ``n_samples`` at least 1, whichever route decides.
     """
     if f1.arch != f2.arch:
         raise ShapeError("architectures differ")
-    if not tolerance >= 0:  # also rejects NaN
-        raise DomainError("tolerance must be nonnegative")
-    if not 0 < B_x < math.inf:
-        raise DomainError("B_x must be finite and positive")
+    check_range("tolerance", tolerance, 0, high_open=False)
+    check_range("B_x", B_x, 0, low_open=True)
+    check_range("n_samples", n_samples, 1)
     c1 = canonicalize(f1.params)
     c2 = canonicalize(f2.params)
     if params_identical(c1.params, c2.params):

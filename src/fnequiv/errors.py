@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``check_range``, the one
+range check that every bounded scalar argument goes through.
 
 The CLI maps these to exit code 1 (user/domain errors); anything else that
 escapes is treated as an internal error (exit code 2).
 """
+
+import math
 
 
 class FnequivError(Exception):
@@ -55,3 +58,18 @@ class IntegrationFailureError(FnequivError):
     def __init__(self, message, partial_value=None):
         super().__init__(message)
         self.partial_value = partial_value
+
+
+def check_range(name, value, low, high=math.inf, *, low_open=False, high_open=True, error=DomainError):
+    """Raise ``error`` unless ``value`` lies between ``low`` and ``high``.
+
+    ``low_open`` and ``high_open`` exclude an end; by default the upper end,
+    +inf, is excluded, so the value must be finite.  Every comparison with
+    NaN is false, so NaN fails every bound.  The message names the argument,
+    the interval and the value.
+    """
+    above = low < value if low_open else low <= value
+    below = value < high if high_open else value <= high
+    if not (above and below):
+        left, right = "(" if low_open else "[", ")" if high_open else "]"
+        raise error(f"{name} must be in {left}{low}, {high}{right}, got {value}")

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError, check_range
 
 # Absolute tolerance used by sampled function-equality checks throughout the
 # package (double precision, desk-scale nets).
@@ -108,8 +108,7 @@ class Activation:
         The interval always contains 0, where tanh' and sigmoid' peak, so the
         constants are interval-independent for the supported activations.
         """
-        if half_width < 0:
-            raise DomainError("interval half-width must be nonnegative")
+        check_range("interval half-width", half_width, 0, high_open=False)
         if self.name in ("relu", "identity", "tanh"):
             return 1.0
         if self.name == "leaky_relu":
@@ -131,8 +130,7 @@ IDENTITY = Activation("identity", is_positive_homogeneous=True, is_odd=True)
 
 
 def leaky_relu(negative_slope: float) -> Activation:
-    if not (negative_slope > 0 and math.isfinite(negative_slope)):
-        raise DomainError("leaky_relu slope must be a finite positive number")
+    check_range("leaky_relu slope", negative_slope, 0, low_open=True)
     return Activation(
         "leaky_relu",
         is_positive_homogeneous=True,
@@ -523,10 +521,9 @@ def hidden_range_bound(
     [-B, B] and inputs of L2 norm at most B_x with B >= max(1, B_x); it is the
     deliberately conservative constant the covering bounds are stated with.
     """
-    if not 1 <= i <= arch.depth:
-        raise DomainError(f"hidden layer index {i} out of range 1..{arch.depth}")
-    if B <= 0 or B_x <= 0:
-        raise DomainError("B and B_x must be positive")
+    check_range("hidden layer index", i, 1, arch.depth, high_open=False)
+    check_range("B", B, 0, low_open=True)
+    check_range("B_x", B_x, 0, low_open=True)
     if rho is None:
         rho = default_lipschitz_constants(arch, B, B_x)
     bound = 2.0 * B

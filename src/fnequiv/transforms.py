@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, UnsupportedTransformError
+from .errors import DomainError, ShapeError, UnsupportedTransformError, check_range
 from .nncore import Architecture, NetworkParams, check_shapes
 
 RESIDUAL_CHECK_TOL = 1e-6
@@ -116,8 +116,8 @@ class ScalingSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if any(not (a > 0 and math.isfinite(a)) for a in self.alpha):
-            raise DomainError("scaling factors must be finite and strictly positive")
+        for a in self.alpha:
+            check_range("scaling factor", a, 0, low_open=True)
 
 
 def uniform_scaling(layer: int, alpha: float, width: int) -> ScalingSpec:
@@ -154,8 +154,7 @@ def _gated_rescale(arch, params, l: int, factors, flag: str, flag_name: str) -> 
     allowed only when that layer's activation has the ``Activation`` flag
     ``flag`` (called ``flag_name`` in the error)."""
     check_shapes(arch, params)
-    if not 1 <= l <= arch.depth:
-        raise DomainError(f"layer {l} out of range 1..{arch.depth}")
+    check_range("layer", l, 1, arch.depth, high_open=False)
     act = arch.activations[l - 1]
     if not getattr(act, flag):
         raise UnsupportedTransformError(

@@ -229,6 +229,14 @@ class TestCheckEquiv:
         assert code == 1, err
         assert err.startswith("error:") and stdout == ""
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_invalid_sample_count_exits_one(self, small_net, capsys, samples):
+        # Checked before the structural route, which draws no samples.
+        argv = ["check-equiv", "--first", str(small_net), "--second", str(small_net)]
+        code, stdout, err = run_cli([*argv, f"--samples={samples}"], capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and "n_samples" in err and stdout == ""
+
 
 class TestNetworkFile:
     @pytest.mark.parametrize(
@@ -589,6 +597,13 @@ class TestCoveringSweep:
             assert int(gc) >= int(ec)
             assert int(gp) <= int(ep)
 
+    @pytest.mark.parametrize("half_width", ["-1", "0", "nan"])
+    def test_invalid_half_width_exits_one(self, capsys, half_width):
+        argv = ["covering-sweep", "--dim", "2", "--points-per-axis", "3", "--epsilons", "0.5"]
+        code, stdout, err = run_cli([*argv, f"--half-width={half_width}"], capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and "half_width" in err and stdout == ""
+
 
 class TestBasinCommand:
     def test_writes_summary_and_runs(self, tmp_path, capsys):
@@ -675,6 +690,32 @@ class TestBasinCommand:
         assert err.startswith("error:") and "cluster tolerance" in err
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--grad-threshold=nan"],
+            ["--grad-threshold=-1"],
+            ["--dataset", "teacher", "--bx=-1"],
+            ["--dataset", "teacher", "--bx=0"],
+            ["--dataset", "teacher", "--bx=nan"],
+        ],
+    )
+    def test_invalid_training_or_teacher_input_exits_one(self, tmp_path, capsys, flags):
+        teacher = tmp_path / "teacher.json"
+        arch = Architecture(2, (2,), (TANH,))
+        save_network(Network(arch, random_params(arch, np.random.default_rng(5))), teacher)
+        code, stdout, err = run_cli(
+            [
+                "basin", "--arch", "2-2-1", "--n-runs", "3", "--iters", "20",
+                "--teacher-network", str(teacher), "--output-prefix", str(tmp_path / "exp"),
+                *flags,
+            ],
+            capsys,
+        )  # fmt: skip
+        assert code == 1, err
+        assert err.startswith("error:") and stdout == ""
+        assert list(tmp_path.iterdir()) == [teacher]
 
 
 class TestVerify:

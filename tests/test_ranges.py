@@ -1,0 +1,129 @@
+"""The one range check every scalar argument goes through, and the
+arguments it guards."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fnequiv.basin import (
+    InitScheme,
+    OptimizerConfig,
+    amplification_check,
+    orbit_membership,
+    teacher_dataset,
+)
+from fnequiv.bounds import (
+    dudley_rademacher_bound,
+    pdim_uniform_covering_bound,
+    volume_covering_bound,
+)
+from fnequiv.canonical import effective_volume, symmetry_profile
+from fnequiv.empirical import (
+    exact_covering_number,
+    function_class_sample,
+    greedy_covering_estimate,
+    grid_sample,
+)
+from fnequiv.equivalence import decide_equivalence
+from fnequiv.errors import ConfigError, DomainError, check_range
+from fnequiv.nncore import (
+    TANH,
+    Architecture,
+    Network,
+    hidden_range_bound,
+    random_params,
+)
+
+NAN, INF = math.nan, math.inf
+ARCH = Architecture(2, (3,), (TANH,))
+TINY = Architecture(1, (1,), (TANH,))
+PARAMS = random_params(ARCH, np.random.default_rng(0))
+NET = Network(ARCH, PARAMS)
+
+
+class TestCheckRange:
+    @pytest.mark.parametrize("low_open", [False, True])
+    @pytest.mark.parametrize("high_open", [False, True])
+    def test_nan_fails_every_bound(self, low_open, high_open):
+        with pytest.raises(DomainError):
+            check_range("x", NAN, -INF, INF, low_open=low_open, high_open=high_open)
+
+    @pytest.mark.parametrize(
+        "value,low,high,low_open,high_open,ok",
+        [
+            (0.0, 0, INF, False, True, True),
+            (0.0, 0, INF, True, True, False),
+            (INF, 0, INF, False, True, False),
+            (INF, 0, INF, False, False, True),
+            (3, 1, 3, False, False, True),
+            (3, 1, 3, False, True, False),
+            (-INF, -INF, INF, True, True, False),
+        ],
+    )
+    def test_ends_open_or_closed(self, value, low, high, low_open, high_open, ok):
+        if ok:
+            check_range("x", value, low, high, low_open=low_open, high_open=high_open)
+        else:
+            with pytest.raises(DomainError):
+                check_range("x", value, low, high, low_open=low_open, high_open=high_open)
+
+    def test_message_names_argument_interval_and_value(self):
+        with pytest.raises(DomainError, match=r"^step size must be in \(0, inf\), got -1\.5$"):
+            check_range("step size", -1.5, 0, low_open=True)
+        with pytest.raises(ConfigError, match=r"^B must be in \[1, inf\), got nan$"):
+            check_range("B", NAN, 1, error=ConfigError)
+
+
+# One row per hole: a library call that, before the range check was
+# shared, returned a value or raised something other than DomainError.
+HOLES = [
+    ("hidden_range_bound B", lambda v: hidden_range_bound(ARCH, v, 1.0, 1), NAN),
+    ("hidden_range_bound B", lambda v: hidden_range_bound(ARCH, v, 1.0, 1), INF),
+    ("effective_volume B", lambda v: effective_volume(ARCH, v), NAN),
+    ("effective_volume B", lambda v: effective_volume(ARCH, v), INF),
+    ("volume bound epsilon", lambda v: volume_covering_bound(2, 4.0, v), NAN),
+    ("volume bound epsilon", lambda v: volume_covering_bound(2, 4.0, v), INF),
+    ("volume bound volume", lambda v: volume_covering_bound(2, v, 0.5), INF),
+    ("dudley limit", lambda v: dudley_rademacher_bound(lambda e: 1.0, 10, v), NAN),
+    ("pdim range", lambda v: pdim_uniform_covering_bound(3, 10, v, 0.5), NAN),
+    ("pdim epsilon", lambda v: pdim_uniform_covering_bound(3, 10, 1.0, v), INF),
+    ("function_class_sample B", lambda v: function_class_sample(TINY, v, 2, 1.0, 3), NAN),
+    ("function_class_sample B", lambda v: function_class_sample(TINY, v, 2, 1.0, 3), INF),
+    ("lipschitz_on half-width", TANH.lipschitz_on, NAN),
+    ("decide_equivalence n_samples", lambda v: decide_equivalence(NET, NET, 1.0, n_samples=v), 0),
+    ("decide_equivalence n_samples", lambda v: decide_equivalence(NET, NET, 1.0, n_samples=v), -5),
+    ("OptimizerConfig grad_threshold", lambda v: OptimizerConfig(0.1, 10, v), NAN),
+    ("OptimizerConfig grad_threshold", lambda v: OptimizerConfig(0.1, 10, v), -1.0),
+    ("teacher_dataset B_x", lambda v: teacher_dataset(ARCH, PARAMS, 8, v), -1.0),
+    ("teacher_dataset B_x", lambda v: teacher_dataset(ARCH, PARAMS, 8, v), 0.0),
+    ("teacher_dataset B_x", lambda v: teacher_dataset(ARCH, PARAMS, 8, v), NAN),
+    ("teacher_dataset n_points", lambda v: teacher_dataset(ARCH, PARAMS, v, 1.0), 0),
+    ("grid_sample half_width", lambda v: grid_sample(2, 3, v), -1.0),
+    ("grid_sample half_width", lambda v: grid_sample(2, 3, v), 0.0),
+]
+
+
+@pytest.mark.parametrize("name,call,value", HOLES, ids=[f"{h[0]}={h[2]}" for h in HOLES])
+def test_out_of_range_argument_raises_domain_error(name, call, value):
+    with pytest.raises(DomainError):
+        call(value)
+
+
+# +inf stays a valid tolerance, oracle radius and gradient threshold.
+INF_ACCEPTED = [
+    lambda: decide_equivalence(NET, NET, 1.0, tolerance=INF),
+    lambda: orbit_membership(PARAMS, PARAMS, INF),
+    lambda: amplification_check(ARCH, InitScheme("uniform"), PARAMS, 10, tolerance=INF),
+    lambda: symmetry_profile(PARAMS, INF),
+    lambda: greedy_covering_estimate(grid_sample(1, 3), INF),
+    lambda: exact_covering_number(grid_sample(1, 3), INF),
+    lambda: OptimizerConfig(0.1, 10, INF),
+    lambda: TANH.lipschitz_on(INF),
+]
+
+
+@pytest.mark.parametrize("call", INF_ACCEPTED)
+def test_infinite_tolerance_still_accepted(call):
+    call()
+
