@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import (
-    canonicalize,
     distinct_permutation_images,
     group_rows,
     symmetry_profile,
     SymmetryProfile,
     _canonical_layers,
+    _canonical_pair,
 )
 from .errors import DomainError, check_range
 from .nncore import (
@@ -259,8 +259,7 @@ def orbit_membership(theta: NetworkParams, theta_star: NetworkParams, tolerance:
     """
     check_same_shapes(theta, theta_star)
     check_range("tolerance", tolerance, 0, high_open=False)
-    a = canonicalize(theta).params.flat()
-    b = canonicalize(theta_star).params.flat()
+    (a, b), _ = _canonical_pair(theta, theta_star)
     return bool(np.abs(a - b).max() <= tolerance)
 
 
@@ -430,9 +429,10 @@ def amplification_check(
     block = stack_block(16 * (arch.param_count + len(images)))
     for start in range(0, n_draws, block):
         chunk = _draw(arch, scheme, rng, min(block, n_draws - start))
-        hit = _chebyshev(chunk, image_mat) <= tolerance
-        single_hits += int(hit[:, star_idx].sum())
-        orbit_hits += int(hit.any(axis=1).sum())
+        # Images by draws, so that each draw's hits reduce along axis 0.
+        hit = _chebyshev(image_mat, chunk) <= tolerance
+        single_hits += int(np.count_nonzero(hit[star_idx]))
+        orbit_hits += int(np.count_nonzero(hit.any(axis=0)))
 
     p_single = single_hits / n_draws
     p_orbit = orbit_hits / n_draws

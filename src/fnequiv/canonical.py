@@ -58,6 +58,21 @@ def _canonical_layers(layers) -> tuple[list, list[np.ndarray]]:
     return layers, orders
 
 
+def _canonical_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, PermutationSpec]:
+    """Canonicalize two same-shaped parameterizations in one stacked pass.
+
+    Returns their canonical flat rows, shape (2, S), each bit for bit that of
+    ``canonicalize``, and the permutation that canonicalizes ``a`` and then
+    undoes ``b``'s canonicalization: ``compose(inverse(wb), wa)`` for the
+    witnesses ``wa``, ``wb``, which maps ``a`` onto ``b`` when the rows are
+    identical.
+    """
+    stacked = [tuple(map(np.stack, zip(la, lb))) for la, lb in zip(a.layers, b.layers)]
+    layers, orders = _canonical_layers(stacked)
+    witness = PermutationSpec(tuple(o[0][np.argsort(o[1])] for o in orders))
+    return _flatten(layers), witness
+
+
 @dataclass(frozen=True)
 class SymmetryProfile:
     """Distinct row-ordering counts per hidden layer and the minimal row gap.

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import canonicalize
+from .canonical import _canonical_pair
 from .errors import DomainError, ShapeError, check_range
-from .nncore import Network, forward_batch, params_identical
-from .transforms import PermutationSpec, compose, inverse
+from .nncore import Network, check_same_shapes, forward_batch
+from .transforms import PermutationSpec
 
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_N_SAMPLES = 4096
@@ -140,10 +140,10 @@ def decide_equivalence(
     check_range("tolerance", tolerance, 0, high_open=False)
     check_range("B_x", B_x, 0, low_open=True)
     check_range("n_samples", n_samples, 1)
-    c1 = canonicalize(f1.params)
-    c2 = canonicalize(f2.params)
-    if params_identical(c1.params, c2.params):
-        witness = compose(inverse(c2.witness), c1.witness)
+    check_same_shapes(f1.params, f2.params)
+    flats, witness = _canonical_pair(f1.params, f2.params)
+    # Bytes, not values, so -0.0 and 0.0 differ.
+    if flats[0].tobytes() == flats[1].tobytes():
         return EquivalenceVerdict(STRUCTURALLY_EQUAL, 0.0, witness=witness)
     dist, worst_x = _max_gap(f1, f2, B_x, n_samples, seed)
     if dist <= tolerance:

@@ -45,7 +45,8 @@ def stack_block(bytes_per_item: int) -> int:
 
 def forward_block(arch: Architecture, n_inputs: int) -> int:
     """Networks per block in a stacked forward pass over ``n_inputs`` inputs,
-    each holding the float64 pre-activations and activations of every layer."""
+    sized for the training trace, which holds the float64 pre-activations
+    and activations of every layer (the checked forward holds less)."""
     return stack_block(16 * n_inputs * sum(arch.widths[1:]))
 
 
@@ -68,17 +69,23 @@ class Activation:
     param: float | None = None
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        return self._apply(np.asarray(x, dtype=float), None)
+
+    def _apply(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """The activation of the float array ``x``: written over ``x`` when
+        ``out`` is ``x``, else into a new array (a scalar for most 0-d ``x``)."""
         if self.name == "relu":
-            return np.maximum(x, 0.0)
+            return np.maximum(x, 0.0, out=out)
         if self.name == "leaky_relu":
-            return np.where(x >= 0.0, x, self.param * x)
+            if out is None:
+                return np.where(x >= 0.0, x, self.param * x)
+            return np.multiply(x, self.param, out=out, where=x < 0.0)
         if self.name == "tanh":
-            return np.tanh(x)
+            return np.tanh(x, out=out)
         if self.name == "sigmoid":
             from scipy.special import expit
 
-            return expit(x)
+            return expit(x, out=out)
         if self.name == "identity":
             return x
         raise DomainError(f"unknown activation {self.name!r}")
@@ -380,35 +387,46 @@ def forward_batch(arch: Architecture, params: NetworkParams, X) -> np.ndarray:
 
 
 def _forward_checked(arch, layers, X) -> np.ndarray:
-    """Network outputs over plain or stacked layers (see ``_forward_trace``);
-    raises ``NumericError`` naming the first (1-based) layer with a
-    non-finite pre-activation."""
-    pre, post = _forward_trace(arch, layers, X)
-    for l, z in enumerate(pre, start=1):
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite pre-activation at layer {l}", layer=l)
-    return post[-1]
+    """Network outputs over plain or stacked layers (see ``_forward_trace``),
+    holding one layer's activations at a time; raises ``NumericError`` naming
+    the first (1-based) layer with a non-finite pre-activation."""
+    return _forward_loop(arch, layers, X, None)
 
 
 def _forward_trace(arch, layers, X):
-    """The forward layer loop, keeping pre-activations and activations.
+    """The forward pass keeping every pre-activation and activation, for the
+    backward sweep.
 
     ``layers`` holds (W, b) pairs, either plain (W of shape (d_out, d_in)) or
     stacked over R networks (W of shape (R, d_out, d_in), b of shape
     (R, d_out)); the stacked case gives one (R, n, d) activation per layer
     and computes each network exactly as the plain case does.  Overflow is
-    left as non-finite values: ``_forward_checked`` raises on them, while
-    training records them as divergence.
+    left as non-finite values, which training records as divergence.
     """
     pre, post = [], [X]
+    _forward_loop(arch, layers, X, (pre, post))
+    return pre, post
+
+
+def _forward_loop(arch, layers, X, trace):
+    """The one forward layer loop.  With ``trace`` None, each layer's
+    pre-activation is checked and the activation overwrites it, so only the
+    live array is held; else ``trace`` is a (pre, post) pair of lists that
+    receive every pre-activation and out-of-place activation, unchecked."""
     h = X
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (W, b) in enumerate(layers, start=1):
-            z = h @ np.swapaxes(W, -1, -2) + b[..., None, :]
-            pre.append(z)
-            h = arch.activations[l - 1](z) if l <= arch.depth else z
-            post.append(h)
-    return pre, post
+            z = h @ np.swapaxes(W, -1, -2)
+            z += b[..., None, :]
+            if trace is None:
+                if not np.isfinite(z).all():
+                    raise NumericError(f"non-finite pre-activation at layer {l}", layer=l)
+                h = arch.activations[l - 1]._apply(z, z) if l <= arch.depth else z
+            else:
+                trace[0].append(z)
+                h = arch.activations[l - 1](z) if l <= arch.depth else z
+                trace[1].append(h)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,32 @@ def scalar_forward(arch, params, x):
     return np.array(h)
 
 
+def forward_trace_reference(activations, layers, X):
+    """The trace-keeping forward layer loop over plain or stacked (W, b)
+    layers, with out-of-place activations: every pre-activation and
+    activation is kept, and overflow is left as non-finite values.
+    ``activations`` holds each hidden layer's ``Activation``.  Returns
+    (pre, post)."""
+    pre, post = [], [X]
+    h = X
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (W, b) in enumerate(layers):
+            z = h @ np.swapaxes(W, -1, -2) + b[..., None, :]
+            pre.append(z)
+            h = _ref_act(activations[l], z) if l < len(activations) else z
+            post.append(h)
+    return pre, post
+
+
+def first_non_finite_layer(pre):
+    """1-based index of the first pre-activation with a non-finite entry,
+    or None."""
+    for l, z in enumerate(pre, start=1):
+        if not np.isfinite(z).all():
+            return l
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference gradients
 
@@ -282,6 +308,16 @@ def permutation_images_reference(layers):
     return images
 
 
+def amplification_counts_reference(draws, images, star_idx, tolerance):
+    """Single-image and orbit hit counts of the draws (one per row) against
+    the flat images, from the Chebyshev distance of every draw to every
+    image."""
+    from scipy.spatial.distance import cdist
+
+    hit = cdist(draws, images, metric="chebyshev") <= tolerance
+    return int(hit[:, star_idx].sum()), int(hit.any(axis=1).sum())
+
+
 # ---------------------------------------------------------------------------
 # Canonical neuron order and the function-class grid, one network at a time
 
@@ -372,28 +408,37 @@ def ball_points_reference(dim, n, radius, seed=0):
 # Full-batch gradient descent for one network, plain 2-D arrays
 
 
-def _ref_act(name, z):
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
+def _ref_act(act, z):
+    """Out-of-place value of the ``Activation`` ``act`` at ``z``."""
+    if act.name == "relu":
         return np.maximum(z, 0.0)
-    raise ValueError(name)
+    if act.name == "leaky_relu":
+        return np.where(z >= 0.0, z, act.param * z)
+    if act.name == "tanh":
+        return np.tanh(z)
+    if act.name == "sigmoid":
+        from scipy.special import expit
+
+        return expit(z)
+    if act.name == "identity":
+        return z
+    raise ValueError(act.name)
 
 
-def _ref_act_deriv(name, z):
-    if name == "tanh":
+def _ref_act_deriv(act, z):
+    if act.name == "tanh":
         t = np.tanh(z)
         return 1.0 - t * t
-    if name == "relu":
+    if act.name == "relu":
         return (z > 0.0).astype(float)
-    raise ValueError(name)
+    raise ValueError(act.name)
 
 
 def gd_reference(layers, activations, X, Y, step_size, max_iters, grad_threshold):
     """Full-batch gradient descent on the mean squared error of one net.
 
     ``layers`` is a list of (W, b) arrays with W of shape (d_out, d_in),
-    ``activations`` names each hidden layer's activation ("tanh" or "relu")
+    ``activations`` holds each hidden layer's ``Activation`` (tanh or relu)
     and ``Y`` has one row per input.  Each iteration evaluates the loss and
     its gradient, then stops with ``diverged`` when the loss is non-finite or
     above 1e12, else with ``converged`` when every partial has magnitude at
@@ -405,11 +450,7 @@ def gd_reference(layers, activations, X, Y, step_size, max_iters, grad_threshold
     n = X.shape[0]
     for it in range(max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            zs, hs = [], [X]
-            for l, (W, b) in enumerate(layers):
-                z = hs[-1] @ W.T + b
-                zs.append(z)
-                hs.append(_ref_act(activations[l], z) if l < len(activations) else z)
+            zs, hs = forward_trace_reference(activations, layers, X)
             resid = hs[-1] - Y
             loss = float(np.mean(np.sum(resid * resid, axis=1)))
             G = (2.0 / n) * resid

@@ -16,7 +16,7 @@ from fnequiv.basin import (
     train,
     xor_dataset,
 )
-from fnequiv.canonical import canonicalize, symmetry_profile
+from fnequiv.canonical import canonicalize, distinct_permutation_images, symmetry_profile
 from fnequiv.errors import DomainError
 from fnequiv.nncore import (
     Architecture,
@@ -28,7 +28,7 @@ from fnequiv.nncore import (
     random_params,
 )
 from fnequiv.transforms import PermutationSpec, apply_permutation, random_spec
-from oracles import basin_summary_reference, gd_reference
+from oracles import amplification_counts_reference, basin_summary_reference, gd_reference
 
 
 def two_distinct_rows_params():
@@ -359,10 +359,9 @@ class TestLockstepTraining:
         arch, scheme, (X, Y), cfg, outcomes = LOCKSTEP_CASES[name]
         summary = basin_experiment(arch, scheme, (X, Y), 16, cfg)
         assert {_outcome(r) for r in summary.runs} == outcomes
-        acts = [a.name for a in arch.activations]
         for run in summary.runs:
             layers, loss, iterations, converged, diverged = gd_reference(
-                run.init_params.layers, acts, X, Y,
+                run.init_params.layers, arch.activations, X, Y,
                 cfg.step_size, cfg.max_iters, cfg.grad_threshold,
             )  # fmt: skip
             assert (run.iterations, run.converged, run.diverged) == (
@@ -533,6 +532,78 @@ class TestAmplification:
         hit = np.stack([np.abs(draws - img).max(axis=1) <= 0.5 for img in images])
         assert result.p_single == hit[0].sum() / 30_000
         assert result.p_orbit == hit.any(axis=0).sum() / 30_000
+
+    @pytest.mark.parametrize(
+        "theta_star, scheme, tolerance",
+        [
+            # Hidden rows that differ in every entry.
+            (
+                NetworkParams(
+                    (
+                        (np.array([[-0.5], [0.5], [-0.25]]), np.array([-0.5, 0.25, 0.5])),
+                        (np.array([[0.1, -0.2, 0.3]]), np.array([0.0])),
+                    )
+                ),
+                InitScheme("uniform", seed=5),
+                0.75,
+            ),
+            # Equal incoming and outgoing weights: the images differ only in
+            # the hidden biases.
+            (
+                NetworkParams(
+                    (
+                        (np.array([[0.5], [0.5], [0.5]]), np.array([-0.5, 0.5, -0.5])),
+                        (np.array([[0.25, 0.25, 0.25]]), np.array([0.25])),
+                    )
+                ),
+                InitScheme("uniform", seed=6),
+                0.75,
+            ),
+            # Every draw is exactly 0.5, at distance exactly 0.5 from the
+            # output bias 0.0 and within 0.5 of every other entry.
+            (
+                NetworkParams(
+                    (
+                        (np.array([[0.25], [0.75], [1.0]]), np.array([0.0, 0.5, 1.0])),
+                        (np.array([[0.5, 0.25, 0.75]]), np.array([0.0])),
+                    )
+                ),
+                InitScheme("normal", seed=7, mu=0.5, sigma=0.0),
+                0.5,
+            ),
+            # The output bias lies 4 beyond the init range, so no draw hits.
+            (
+                NetworkParams(
+                    (
+                        (np.array([[-0.5], [0.5], [-0.5]]), np.array([-0.5, -0.5, 0.5])),
+                        (np.array([[0.1, -0.2, 0.3]]), np.array([5.0])),
+                    )
+                ),
+                InitScheme("uniform", seed=8),
+                0.5,
+            ),
+        ],
+        ids=["distinct-rows", "shared-weights", "exact-boundary", "no-hit"],
+    )
+    def test_counts_equal_every_row_reference(self, theta_star, scheme, tolerance):
+        arch = Architecture(1, (3,), (RELU,))
+        n = 50_000
+        result = amplification_check(arch, scheme, theta_star, n, tolerance)
+        images = np.stack([img.flat() for img in distinct_permutation_images(theta_star)])
+        star = int(np.flatnonzero((images == theta_star.flat()).all(axis=1))[0])
+        # n is below one block, so the draws are initialize_batch's.
+        single, orbit = amplification_counts_reference(
+            initialize_batch(arch, scheme, n), images, star, tolerance
+        )
+        assert (result.p_single, result.p_orbit) == (single / n, orbit / n)
+        # Plain floats, so the result's repr is that of the reference count.
+        assert type(result.p_single) is type(result.p_orbit) is float
+        if scheme.kind == "normal":
+            assert orbit == n
+        elif theta_star.layers[-1][1][0] > 1.0:
+            assert orbit == 0
+        else:
+            assert single > 0
 
     def test_memory_bounded_by_block(self):
         import fnequiv.nncore as nncore_mod

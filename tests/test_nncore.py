@@ -1,8 +1,11 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fnequiv.equivalence import ball_points
 from fnequiv.errors import DomainError, NumericError, ShapeError
 from fnequiv.nncore import (
     Architecture,
@@ -27,9 +30,12 @@ from fnequiv.nncore import (
     params_identical,
     params_max_diff,
     random_params,
+    _forward_checked,
 )
 
-from oracles import fd_gradient, scalar_forward
+from oracles import fd_gradient, first_non_finite_layer, forward_trace_reference, scalar_forward
+
+ALL_ACTIVATIONS = (RELU, TANH, SIGMOID, IDENTITY, leaky_relu(0.1))
 
 
 def tiny_identity_net():
@@ -55,6 +61,22 @@ class TestActivations:
         ys = rng.uniform(-M, M, 500)
         quot = np.abs(act(xs) - act(ys)) / np.abs(xs - ys)
         assert np.nanmax(quot) <= rho + 1e-12
+
+    @pytest.mark.parametrize("act", [RELU, TANH, SIGMOID], ids=lambda a: a.name)
+    def test_scalar_call_returns_a_float(self, act):
+        for x in (-2.0, 0.0, 1.5):
+            y = act(x)
+            assert isinstance(y, float)
+            assert json.dumps(y) == json.dumps(float(act(np.array([x]))[0]))
+
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS, ids=lambda a: a.name)
+    def test_call_leaves_its_input_unchanged(self, act):
+        z = np.array([[-1.5, 0.0], [2.0, -0.25]])
+        before = z.tobytes()
+        out = act(z)
+        assert z.tobytes() == before
+        # identity hands back its float input, as it always has.
+        assert (out is z) == (act.name == "identity")
 
     def test_tag_round_trip(self):
         for act in (RELU, TANH, SIGMOID, IDENTITY, leaky_relu(0.05)):
@@ -126,6 +148,79 @@ class TestForward:
         before = params.flat().copy()
         forward(arch, params, [1.0])
         assert np.array_equal(params.flat(), before)
+
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS, ids=lambda a: a.name)
+    def test_read_only_points_and_params_never_written(self, act):
+        # Writing into either read-only array would raise.
+        arch = Architecture(4, (8, 5), (act, act))
+        params = random_params(arch, np.random.default_rng(3))
+        X = ball_points(4, 64, 1.0)
+        assert not X.flags.writeable
+        assert not any(a.flags.writeable for layer in params.layers for a in layer)
+        X_before, flat_before = X.tobytes(), params.flat().tobytes()
+        out = forward_batch(arch, params, X)
+        _, post = forward_trace_reference(arch.activations, params.layers, X)
+        assert out.tobytes() == post[-1].tobytes()
+        assert X.tobytes() == X_before
+        assert params.flat().tobytes() == flat_before
+
+    def test_checked_forward_holds_about_one_layer(self):
+        # A 4-64-16-1 net at 4105 points: keeping every layer's
+        # pre-activation and activation peaks at about 2.6 times the widest
+        # layer's bytes.
+        arch = Architecture(4, (64, 16), (TANH, RELU))
+        params = random_params(arch, np.random.default_rng(0))
+        X = ball_points(4, 4096, 1.0)
+        forward_batch(arch, params, X)
+        tracemalloc.start()
+        try:
+            forward_batch(arch, params, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * X.shape[0] * max(arch.widths) * 8
+
+
+def overflow_layers(act, layer, rng):
+    """(W, b) layers of a 2-3-3-3-1 net with ``act`` in every hidden layer.
+    Positive weights in [0.5, 1] and biases of 2 keep every activation
+    finite and at least tanh(2 - sqrt(2) / 2) > 0.8 on the unit ball, so
+    all-1e308 weights and bias at ``layer`` overflow there first."""
+    dims = (2, 3, 3, 3, 1)
+    layers = []
+    for l, (d_in, d_out) in enumerate(zip(dims, dims[1:]), start=1):
+        if l == layer:
+            layers.append((np.full((d_out, d_in), 1e308), np.full(d_out, 1e308)))
+        else:
+            layers.append((rng.uniform(0.5, 1.0, (d_out, d_in)), np.full(d_out, 2.0)))
+    return Architecture(2, (3, 3, 3), (act,) * 3), layers
+
+
+class TestOverflowLayer:
+    @pytest.mark.parametrize("layer", [1, 2, 4])
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS, ids=lambda a: a.name)
+    def test_plain_layer_matches_reference(self, act, layer):
+        arch, layers = overflow_layers(act, layer, np.random.default_rng(layer))
+        X = ball_points(2, 64, 1.0)
+        pre, _ = forward_trace_reference(arch.activations, layers, X)
+        assert first_non_finite_layer(pre) == layer
+        with pytest.raises(NumericError) as exc:
+            forward_batch(arch, NetworkParams(tuple(layers)), X)
+        assert exc.value.layer == layer
+
+    @pytest.mark.parametrize("layer", [1, 2, 4])
+    def test_stacked_layer_matches_reference(self, layer):
+        # Only the second of three stacked networks overflows.
+        rng = np.random.default_rng(layer)
+        arch, bad = overflow_layers(TANH, layer, rng)
+        nets = [overflow_layers(TANH, None, rng)[1], bad, overflow_layers(TANH, None, rng)[1]]
+        stacked = [tuple(map(np.stack, zip(*per_net))) for per_net in zip(*nets)]
+        X = ball_points(2, 64, 1.0)
+        pre, _ = forward_trace_reference(arch.activations, stacked, X)
+        assert first_non_finite_layer(pre) == layer
+        with pytest.raises(NumericError) as exc:
+            _forward_checked(arch, stacked, X)
+        assert exc.value.layer == layer
 
 
 class TestGradient:

@@ -1,24 +1,49 @@
 """Property-based tests: permutation group laws, canonical-form invariance,
-the stacked canonical sort, the first-fit row grouper and the greedy
-covering and packing oracles against brute-force references."""
+the stacked canonical sort, the pair canonicalization, the checked forward
+pass, the first-fit row grouper and the greedy covering and packing oracles
+against brute-force references."""
+
+import json
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fnequiv.canonical import _canonical_layers, canonicalize, group_rows
+from fnequiv.basin import orbit_membership
+from fnequiv.canonical import _canonical_layers, _canonical_pair, canonicalize, group_rows
 from fnequiv.empirical import (
     MetricSpaceSample,
     _greedy_cover_centers,
     greedy_covering_estimate,
     greedy_packing_estimate,
 )
-from fnequiv.nncore import NetworkParams, params_identical
+from fnequiv.equivalence import (
+    DISTINGUISHED,
+    NUMERICALLY_EQUIVALENT,
+    STRUCTURALLY_EQUAL,
+    decide_equivalence,
+    sampled_sup_distance,
+)
+from fnequiv.nncore import (
+    IDENTITY,
+    RELU,
+    SIGMOID,
+    TANH,
+    Architecture,
+    Network,
+    NetworkParams,
+    _forward_checked,
+    _forward_trace,
+    forward_batch,
+    leaky_relu,
+    params_identical,
+)
 from fnequiv.transforms import PermutationSpec, apply_permutation, compose, inverse
 
 from oracles import (
     canonical_sort,
     first_fit_row_groups,
+    forward_trace_reference,
     greedy_cover_centers_reference,
     greedy_cover_reference,
     greedy_pack_reference,
@@ -158,6 +183,123 @@ class TestStackedCanonicalize:
             ):
                 assert W[r].tobytes() == W_ref.tobytes() == W_one.tobytes()
                 assert b[r].tobytes() == b_ref.tobytes() == b_one.tobytes()
+
+
+@st.composite
+def pairs(draw):
+    """Two same-shaped networks: a permuted copy, a permuted copy with the
+    sign of some zero entries flipped, or an independent draw.  Entries come
+    from ``VALUES``, so sort keys tie and signed zeros are common."""
+    widths = draw(hidden_widths)
+    params = draw(networks(widths))
+    kind = draw(st.sampled_from(["permuted", "signed_zeros", "independent"]))
+    if kind == "independent":
+        other = [
+            tuple(draw(hnp.arrays(float, a.shape, elements=VALUES)) for a in layer)
+            for layer in params.layers
+        ]
+        return params, NetworkParams(tuple(other))
+    copy = apply_permutation(params, draw(perm_specs(widths)))
+    if kind == "signed_zeros":
+        flips = [
+            tuple(draw(hnp.arrays(bool, a.shape)) & (a == 0.0) for a in layer)
+            for layer in copy.layers
+        ]
+        copy = NetworkParams(
+            tuple(
+                tuple(np.where(flip, -a, a) for a, flip in zip(layer, layer_flips))
+                for layer, layer_flips in zip(copy.layers, flips)
+            )
+        )
+    return params, copy
+
+
+def two_call_verdict(f1, f2, B_x, n_samples):
+    """``decide_equivalence``'s verdict by the route of one ``canonicalize``
+    call per network, bit-exact comparison and a composed witness."""
+    c1, c2 = canonicalize(f1.params), canonicalize(f2.params)
+    if params_identical(c1.params, c2.params):
+        return STRUCTURALLY_EQUAL, 0.0, compose(inverse(c2.witness), c1.witness).to_json_list()
+    dist = sampled_sup_distance(f1, f2, B_x, n_samples)
+    return (NUMERICALLY_EQUIVALENT if dist <= 1e-7 else DISTINGUISHED), dist, None
+
+
+class TestPairCanonicalization:
+    @PROPERTY
+    @given(pairs())
+    def test_matches_two_canonicalize_calls(self, pair):
+        a, b = pair
+        flats, witness = _canonical_pair(a, b)
+        c1, c2 = canonicalize(a), canonicalize(b)
+        assert flats[0].tobytes() == c1.params.flat().tobytes()
+        assert flats[1].tobytes() == c2.params.flat().tobytes()
+        assert witness == compose(inverse(c2.witness), c1.witness)
+        for tol in (0.0, 0.5):
+            expected = np.abs(c1.params.flat() - c2.params.flat()).max() <= tol
+            assert orbit_membership(a, b, tol) == expected
+
+    @PROPERTY
+    @given(pairs())
+    def test_verdict_matches_two_call_route(self, pair):
+        a, b = pair
+        *hidden, d_out = [W.shape[0] for W, _ in a.layers]
+        arch = Architecture(a.layers[0][0].shape[1], hidden, (TANH,) * len(hidden), d_out)
+        f1, f2 = Network(arch, a), Network(arch, b)
+        verdict = decide_equivalence(f1, f2, 1.0, n_samples=8)
+        kind, dist, witness = two_call_verdict(f1, f2, 1.0, 8)
+        assert verdict.kind == kind
+        assert verdict.sup_distance_estimate == dist
+        assert json.dumps(verdict.to_json_dict()["witness"]) == json.dumps(witness)
+
+
+ACTIVATIONS = st.sampled_from([RELU, TANH, SIGMOID, IDENTITY, leaky_relu(0.1), leaky_relu(3.0)])
+
+
+@st.composite
+def forward_cases(draw):
+    """An architecture with 1-3 hidden layers and any of the five
+    activations, R >= 1 stacked parameterizations of it, and inputs."""
+    widths = draw(hidden_widths)
+    dims = (draw(st.integers(1, 3)), *widths, draw(st.integers(1, 2)))
+    acts = tuple(draw(ACTIVATIONS) for _ in widths)
+    arch = Architecture(dims[0], widths, acts, dims[-1])
+    R = draw(st.integers(1, 4))
+    layers = [
+        (
+            draw(hnp.arrays(float, (R, d_out, d_in), elements=VALUES)),
+            draw(hnp.arrays(float, (R, d_out), elements=VALUES)),
+        )
+        for d_in, d_out in zip(dims, dims[1:])
+    ]
+    X = draw(hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(dims[0])), elements=VALUES))
+    return arch, layers, X
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestForwardMatchesTraceReference:
+    @PROPERTY
+    @given(forward_cases())
+    def test_checked_plain_and_stacked(self, case):
+        arch, layers, X = case
+        _, post = forward_trace_reference(arch.activations, layers, X)
+        assert same_bits(_forward_checked(arch, layers, X), post[-1])
+        for r in range(layers[0][0].shape[0]):
+            net = NetworkParams(tuple((W[r], b[r]) for W, b in layers))
+            _, post_r = forward_trace_reference(arch.activations, net.layers, X)
+            assert same_bits(forward_batch(arch, net, X), post_r[-1])
+            assert same_bits(post_r[-1], post[-1][r])
+
+    @PROPERTY
+    @given(forward_cases())
+    def test_training_trace(self, case):
+        arch, layers, X = case
+        trace = _forward_trace(arch, layers, X)
+        for got, want in zip(trace, forward_trace_reference(arch.activations, layers, X)):
+            assert len(got) == len(want)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 def assert_matches_oracle(rows, tolerance):
