@@ -104,13 +104,17 @@ def group_rows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, list[int
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     if tolerance == 0.0:
-        # np.unique numbers the distinct rows in sorted order; renumber them
-        # by first occurrence, which is first fit for an equivalence relation.
-        _, first, inverse = np.unique(
-            rows.view(np.uint64), axis=0, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        return np.argsort(order)[inverse.reshape(-1)], first[order].tolist()
+        # Sorting the bit patterns, ties by row index, puts equal rows next
+        # to each other, each run led by its first occurrence; numbering the
+        # runs by that row is first fit for an equivalence relation.
+        bits = rows.view(np.uint64)
+        order = np.lexsort([np.arange(len(rows)), *bits.T[::-1]])
+        lead = np.ones(len(rows), dtype=bool)
+        lead[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+        rank = np.argsort(np.argsort(order[lead]))
+        assignment = np.empty(len(rows), dtype=np.int64)
+        assignment[order] = rank[np.cumsum(lead) - 1]
+        return assignment, np.sort(order[lead]).tolist()
     assignment = np.empty(len(rows), dtype=np.int64)
     reps: list[int] = []
     for i, row in enumerate(rows):

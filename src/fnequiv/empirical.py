@@ -115,7 +115,7 @@ def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> np.ndarra
     pts = space.points
     n = len(pts)
     covered = n  # owner of covered points: a spare slot that is never live
-    min_dist = _chebyshev(pts, pts[:1])[:, 0]
+    min_dist = _chebyshev(pts[:1], pts)[0]
     owner = np.where(min_dist > epsilon, 0, covered)
     gmax = np.full(n + 1, -np.inf)
     garg = np.zeros(n + 1, dtype=np.intp)
@@ -132,12 +132,12 @@ def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> np.ndarra
         c = int(garg[live[top == R]].min())
         centers[k] = c
         center = pts[c : c + 1]
-        reach = _chebyshev(pts[centers[live]], center)[:, 0]
+        reach = _chebyshev(center, pts[centers[live]])[0]
         near = live[reach < 2.0 * R * (1.0 + PRUNE_MARGIN)]
         scan[near] = True
         sel = np.flatnonzero(scan[owner])
         scan[near] = False
-        dist = _chebyshev(pts[sel], center)[:, 0]
+        dist = _chebyshev(center, pts[sel])[0]
         sel_dist, sel_owner = min_dist[sel], owner[sel]
         closer = dist < sel_dist
         sel_dist[closer] = dist[closer]
@@ -175,7 +175,7 @@ def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     while len(pts):
         count += 1
         rest = pts[1:]
-        pts = rest[_chebyshev(rest, pts[:1])[:, 0] > threshold]
+        pts = rest[_chebyshev(pts[:1], rest)[0] > threshold]
     return count
 
 
@@ -200,33 +200,57 @@ def exact_covering_number(space: MetricSpaceSample, epsilon: float) -> int:
 
 
 def exact_packing_number(space: MetricSpaceSample, epsilon: float) -> int:
-    """Maximum number of sample points with pairwise distances > 2*eps,
-    via integer programming on the conflict pairs."""
+    """Maximum number of sample points with pairwise distances > 2*eps, via
+    integer programming with one ``sum x <= 1`` row per clique of an edge
+    clique cover of the conflict graph (pairs within 2*eps).  Each pair lies
+    in a clique row, so a 0/1 vector meets the rows exactly when it takes at
+    most one point of every pair: the optimum is that of one row per pair."""
     _check_oracle_args(space, epsilon)
     n = len(space)
     check_range("exact oracle point count", n, 1, EXACT_ORACLE_MAX_POINTS, high_open=False)
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
-    D = space.distance_matrix()
-    ii, jj = np.where(np.triu(D <= 2.0 * epsilon, k=1))
-    if ii.size == 0:
-        return n
-    # One row per conflict pair with ones at columns i < j, stored sparse:
-    # dense, the pairs of a 144-point grid at eps=0.75 take 12 MB.
-    A = csr_array(
-        (np.ones(2 * ii.size), np.column_stack([ii, jj]).ravel(), np.arange(0, 2 * ii.size + 1, 2)),
-        shape=(ii.size, n),
-    )
+    conflict = space.distance_matrix() <= 2.0 * epsilon
+    np.fill_diagonal(conflict, False)
+    cliques = _edge_clique_cover(conflict)
+    # Sparse: a graph with few triangles needs about one row per pair.
+    A = csr_array(cliques, dtype=float)
     res = milp(
         c=-np.ones(n),
-        constraints=LinearConstraint(A, lb=np.zeros(ii.size), ub=np.ones(ii.size)),
+        constraints=LinearConstraint(A, lb=np.zeros(len(cliques)), ub=np.ones(len(cliques))),
         integrality=np.ones(n),
         bounds=Bounds(0, 1),
     )
     if not res.success:
         raise DomainError(f"packing solve failed: {res.message}")
     return int(round(-res.fun))
+
+
+def _edge_clique_cover(conflict: np.ndarray) -> np.ndarray:
+    """Boolean membership rows of cliques covering every edge of the graph
+    with symmetric adjacency ``conflict`` (no self-loops): for each vertex i
+    and each higher neighbour j whose pair no row holds yet, the clique
+    {i, j} grows by its members' lowest common neighbour until none is left.
+    Vertex sets are bitsets in Python ints."""
+    n, nbytes = len(conflict), -(-len(conflict) // 8)
+    packed = np.packbits(conflict, axis=1, bitorder="little")
+    adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    todo = [a >> (i + 1) << (i + 1) for i, a in enumerate(adj)]  # pairs (i, j > i) left
+    cliques = []
+    for i in range(n):
+        while todo[i]:
+            j = (todo[i] & -todo[i]).bit_length() - 1
+            members, cand, idx = 1 << i | 1 << j, adj[i] & adj[j], [i, j]
+            while cand:
+                k = (cand & -cand).bit_length() - 1
+                members, cand = members | 1 << k, cand & adj[k]
+                idx.append(k)
+            for k in idx:
+                todo[k] &= ~members
+            cliques.append(members.to_bytes(nbytes, "little"))
+    bits = np.frombuffer(b"".join(cliques), np.uint8).reshape(len(cliques), nbytes)
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(bool)
 
 
 def function_class_sample(

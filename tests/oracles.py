@@ -181,6 +181,31 @@ def exhaustive_max_packing(D, eps):
     return best
 
 
+def edge_packing_number(D, eps):
+    """Largest subset with pairwise distances > 2*eps, from the pair
+    formulation of the MILP: one ``x_i + x_j <= 1`` row per pair within
+    2*eps, given sparse with two nonzeros a row."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    n = D.shape[0]
+    ii, jj = np.where(np.triu(D <= 2.0 * eps, k=1))
+    if ii.size == 0:
+        return n
+    A = csr_array(
+        (np.ones(2 * ii.size), np.column_stack([ii, jj]).ravel(), np.arange(0, 2 * ii.size + 1, 2)),
+        shape=(ii.size, n),
+    )
+    res = milp(
+        c=-np.ones(n),
+        constraints=LinearConstraint(A, lb=np.zeros(ii.size), ub=np.ones(ii.size)),
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+    )
+    assert res.success, res.message
+    return int(round(-res.fun))
+
+
 def greedy_cover_centers_reference(pts, epsilon):
     """Farthest-point greedy eps-cover over all points at every step, as the
     list of center indices: the first center is row 0, each next one the

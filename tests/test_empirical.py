@@ -8,6 +8,7 @@ from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_
 from fnequiv.empirical import (
     METRIC_FUNCTION,
     MetricSpaceSample,
+    _edge_clique_cover,
     _greedy_cover_centers,
     exact_covering_number,
     exact_packing_number,
@@ -21,6 +22,7 @@ from fnequiv.errors import BudgetExceededError, DomainError
 from fnequiv.nncore import Architecture, IDENTITY, RELU, TANH
 
 from oracles import (
+    edge_packing_number,
     exhaustive_max_packing,
     exhaustive_min_cover,
     function_class_reference,
@@ -169,6 +171,96 @@ class TestExactOracles:
         space = MetricSpaceSample(np.random.default_rng(3).uniform(0, 1, (300, 1)))
         with pytest.raises(DomainError):
             exact_covering_number(space, 0.1)
+
+
+def assert_edge_clique_cover(conflict, cliques):
+    """Every row is a clique of at least two vertices, and every edge lies
+    in some row."""
+    n = len(conflict)
+    assert cliques.dtype == bool and cliques.shape == (len(cliques), n)
+    covered = np.zeros((n, n), dtype=bool)
+    for row in cliques:
+        idx = np.flatnonzero(row)
+        assert len(idx) >= 2
+        inside = conflict[np.ix_(idx, idx)]
+        assert inside[~np.eye(len(idx), dtype=bool)].all()
+        covered[np.ix_(idx, idx)] = True
+    assert not (conflict & ~covered).any()
+
+
+def random_graph(rng, n, density):
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    return upper | upper.T
+
+
+class TestEdgeCliqueCover:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 60, 200])
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.7, 0.95, 1.0])
+    def test_random_graphs(self, n, density):
+        rng = np.random.default_rng(1000 * n + int(100 * density))
+        for _ in range(3):
+            conflict = random_graph(rng, n, density)
+            assert_edge_clique_cover(conflict, _edge_clique_cover(conflict))
+
+    @pytest.mark.parametrize("eps", [0.1875, 0.375, 0.75])
+    def test_grid_conflict_graphs(self, eps):
+        conflict = grid_sample(2, 12).distance_matrix() <= 2.0 * eps
+        np.fill_diagonal(conflict, False)
+        assert_edge_clique_cover(conflict, _edge_clique_cover(conflict))
+
+    def test_solver_gets_fewer_rows_than_pairs(self, monkeypatch):
+        # 12x12 grid at eps = 0.75: the pair formulation has 8640 rows.
+        import scipy.optimize
+
+        space = grid_sample(2, 12)
+        n_pairs = int(np.triu(space.distance_matrix() <= 1.5, k=1).sum())
+        real_milp, rows = scipy.optimize.milp, []
+
+        def milp(*args, constraints, **kwargs):
+            rows.append(constraints.A.shape[0])
+            return real_milp(*args, constraints=constraints, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", milp)
+        assert exact_packing_number(space, 0.75) == 4
+        assert n_pairs == 8640 and rows and rows[0] < n_pairs
+
+
+class TestCliquePackingMatchesPairFormulation:
+    @pytest.mark.parametrize("eps", [0.1875, 0.375, 0.75])
+    def test_workload_grid(self, eps):
+        space = grid_sample(2, 12)
+        D = space.distance_matrix()
+        assert exact_packing_number(space, eps) == edge_packing_number(D, eps)
+
+    @pytest.mark.parametrize("per_axis", [5, 12])
+    def test_two_eps_equal_to_a_grid_distance(self, per_axis):
+        space = grid_sample(2, per_axis)
+        D = space.distance_matrix()
+        for d in np.unique(D)[1:7]:
+            eps = d / 2.0
+            assert (D == 2.0 * eps).any()
+            assert exact_packing_number(space, eps) == edge_packing_number(D, eps), d
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sets_with_duplicated_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        pool = rng.uniform(-1, 1, (int(rng.integers(1, 120)), dim))
+        if seed % 2:
+            pool = np.round(pool * 4) / 4  # a 0.25 grid: exact ties at 2 eps
+        pts = pool[rng.integers(0, len(pool), int(rng.integers(1, 201)))]
+        space = MetricSpaceSample(pts)
+        D = space.distance_matrix()
+        i, j = rng.integers(0, len(pts), 2)
+        # A duplicated pair is at distance 0, which is no radius: use 0.125.
+        for eps in (float(rng.uniform(0.05, 0.6)), D[i, j] / 2.0 or 0.125, 0.25):
+            assert exact_packing_number(space, eps) == edge_packing_number(D, eps), eps
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_infinite_epsilon(self, n):
+        space = MetricSpaceSample(np.random.default_rng(n).uniform(-1, 1, (n, 2)))
+        assert exact_packing_number(space, math.inf) == 1
+        assert edge_packing_number(space.distance_matrix(), math.inf) == 1
 
 
 class TestSandwichAndVolume:

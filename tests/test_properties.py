@@ -1,7 +1,7 @@
 """Property-based tests: permutation group laws, canonical-form invariance,
 the stacked canonical sort, the pair canonicalization, the checked forward
-pass, the first-fit row grouper and the greedy covering and packing oracles
-against brute-force references."""
+pass, the first-fit row grouper, the distance kernel, the greedy covering and
+packing oracles and the exact packing oracle against brute-force references."""
 
 import json
 
@@ -14,6 +14,7 @@ from fnequiv.canonical import _canonical_layers, _canonical_pair, canonicalize, 
 from fnequiv.empirical import (
     MetricSpaceSample,
     _greedy_cover_centers,
+    exact_packing_number,
     greedy_covering_estimate,
     greedy_packing_estimate,
 )
@@ -32,6 +33,7 @@ from fnequiv.nncore import (
     Architecture,
     Network,
     NetworkParams,
+    _chebyshev,
     _forward_checked,
     _forward_trace,
     forward_batch,
@@ -42,6 +44,7 @@ from fnequiv.transforms import PermutationSpec, apply_permutation, compose, inve
 
 from oracles import (
     canonical_sort,
+    exhaustive_max_packing,
     first_fit_row_groups,
     forward_trace_reference,
     greedy_cover_centers_reference,
@@ -332,6 +335,18 @@ class TestGroupRows:
         rows = base + data.draw(hnp.arrays(float, shape, elements=st.sampled_from(near)))
         assert_matches_oracle(rows, tol)
 
+    @PROPERTY
+    @given(
+        hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 64), st.integers(1, 4)),
+            elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf]),
+        )
+    )
+    def test_bit_identity_with_non_finite_entries(self, rows):
+        # -np.nan carries the sign bit, so it is a second NaN bit pattern.
+        assert_matches_oracle(rows, 0.0)
+
     def test_bit_identity_many_rows(self):
         rng = np.random.default_rng(0)
         values = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
@@ -340,13 +355,13 @@ class TestGroupRows:
 
 
 @st.composite
-def grid_point_sets(draw):
+def grid_point_sets(draw, max_size=16):
     """Rows with coordinates on a 0.25 grid, some of them repeated, so that
     distances are exact and often equal to eps or 2 * eps."""
     dim = draw(st.integers(1, 3))
     grid = st.integers(-4, 4).map(lambda k: 0.25 * k)
     base = draw(hnp.arrays(float, st.tuples(st.integers(1, 8), st.just(dim)), elements=grid))
-    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=16))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=max_size))
     return base[picks]
 
 
@@ -357,6 +372,32 @@ class TestGreedyOracles:
         space = MetricSpaceSample(pts)
         assert greedy_covering_estimate(space, eps) == greedy_cover_reference(pts, eps)
         assert greedy_packing_estimate(space, eps) == greedy_pack_reference(pts, eps)
+
+
+class TestExactPacking:
+    @PROPERTY
+    @given(grid_point_sets(max_size=9), st.sampled_from([0.1, 0.125, 0.25, 0.5, 0.75]))
+    def test_matches_exhaustive_search(self, pts, eps):
+        space = MetricSpaceSample(pts)
+        assert exact_packing_number(space, eps) == exhaustive_max_packing(
+            space.distance_matrix(), eps
+        )
+
+
+class TestChebyshevKernel:
+    @PROPERTY
+    @given(st.data())
+    def test_one_row_first_matches_plain_numpy(self, data):
+        # Coordinates of very different scales, signed zeros and
+        # subnormals, so that |a - b| rounds in every way it can.
+        coord = st.one_of(VALUES, st.floats(-1e300, 1e300), st.sampled_from([5e-324, -5e-324]))
+        dim = data.draw(st.integers(1, 6))
+        shape = st.tuples(st.integers(1, 40), st.just(dim))
+        rows = data.draw(hnp.arrays(float, shape, elements=coord))
+        center = data.draw(hnp.arrays(float, (1, dim), elements=coord))
+        fast = _chebyshev(center, rows)[0]
+        assert fast.tobytes() == np.abs(rows - center).max(axis=1).tobytes()
+        assert fast.tobytes() == _chebyshev(rows, center)[:, 0].tobytes()
 
 
 @st.composite
