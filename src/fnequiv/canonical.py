@@ -117,12 +117,14 @@ def group_rows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, list[int
         return assignment, np.sort(order[lead]).tolist()
     assignment = np.empty(len(rows), dtype=np.int64)
     reps: list[int] = []
+    rep_rows = np.empty_like(rows)  # the first len(reps) rows are rows[reps]
     for i, row in enumerate(rows):
-        near = np.flatnonzero(np.abs(rows[reps] - row).max(axis=1) <= tolerance)
+        near = np.flatnonzero(np.abs(rep_rows[: len(reps)] - row).max(axis=1) <= tolerance)
         if near.size:
             assignment[i] = near[0]
         else:
             assignment[i] = len(reps)
+            rep_rows[len(reps)] = row
             reps.append(i)
     return assignment, reps
 

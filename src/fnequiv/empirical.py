@@ -31,9 +31,10 @@ class MetricSpaceSample:
     points: np.ndarray
     metric: str = METRIC_PARAMS
     provenance: dict = field(default_factory=dict)
+    _cover_record: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.atleast_2d(np.array(self.points, dtype=float))  # a private copy
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.metric not in (METRIC_PARAMS, METRIC_FUNCTION):
@@ -80,13 +81,28 @@ def greedy_covering_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     the lowest index.  Each new center costs one distance pass over the
     points of the centers within 2R of it, R being its own distance to the
     centers before it (see ``_greedy_cover_centers``).
+
+    The center order does not depend on eps: a pass at eps0 picks center
+    k >= 1 at R_k > eps0, the largest distance of a live point to the
+    centers before it, and every dropped point lies within eps0, so R_k is
+    the largest distance over all points.  A pass at eps >= eps0 thus picks
+    the same centers, ties alike, and stops at the first R_k <= eps: its
+    size is 1 + #{k >= 1 : R_k > eps}.  The sample records eps0 and the R_k
+    of its last pass and answers any eps >= eps0 from them; a smaller eps
+    runs a new pass, which replaces the record.
     """
-    return len(_greedy_cover_centers(space, epsilon))
+    _check_oracle_args(space, epsilon)
+    record = space._cover_record
+    if record is None or epsilon < record[0]:
+        record = (epsilon, _greedy_cover_centers(space, epsilon)[1])
+        object.__setattr__(space, "_cover_record", record)
+    return 1 + int(np.count_nonzero(record[1] > epsilon))
 
 
-def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> np.ndarray:
+def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> tuple:
     """Row indices of the farthest-point greedy eps-cover's centers, in the
-    order they are chosen.
+    order they are chosen, and the R at which each center after the first
+    was picked.
 
     Every uncovered point (distance to its nearest center above eps) has an
     owner, the center nearest to it; each center keeps the largest distance
@@ -111,7 +127,6 @@ def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> np.ndarra
     rounds a few ulps worse, and only adds the rare center that lies beyond
     2R but within 2R (1 + 1e-9).
     """
-    _check_oracle_args(space, epsilon)
     pts = space.points
     n = len(pts)
     covered = n  # owner of covered points: a spare slot that is never live
@@ -121,16 +136,17 @@ def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> np.ndarra
     garg = np.zeros(n + 1, dtype=np.intp)
     scan = np.zeros(n + 1, dtype=bool)
     centers = np.zeros(n, dtype=np.intp)
+    radii = np.empty(n)
     _regroup(gmax, garg, np.arange(n), owner, min_dist)
     k = 1
     while True:
         live = np.flatnonzero(gmax[:k] > -np.inf)
         if len(live) == 0:
-            return centers[:k]
+            return centers[:k], radii[1:k].copy()
         top = gmax[live]
         R = top.max()
         c = int(garg[live[top == R]].min())
-        centers[k] = c
+        centers[k], radii[k] = c, R
         center = pts[c : c + 1]
         reach = _chebyshev(center, pts[centers[live]])[0]
         near = live[reach < 2.0 * R * (1.0 + PRUNE_MARGIN)]

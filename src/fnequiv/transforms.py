@@ -101,10 +101,12 @@ def _permute_neurons(layers: list, l: int, p: np.ndarray) -> None:
     """Gather the rows of hidden layer ``l`` (1-based) and the columns of
     layer l+1 by ``p``, in place in the list ``layers``: plain (W, b) pairs
     with ``p`` of shape (d,), or stacked ones (see ``nncore._forward_trace``)
-    with one permutation per network, ``p`` of shape (R, d)."""
+    with one permutation per network, ``p`` of shape (R, d).  The columns
+    are gathered as rows of the transpose and copied back to C order."""
     (W, b), (W_next, b_next) = layers[l - 1], layers[l]
-    layers[l - 1] = (np.take_along_axis(W, p[..., None], -2), np.take_along_axis(b, p, -1))
-    layers[l] = (np.take_along_axis(W_next, p[..., None, :], -1), b_next)
+    idx = (p,) if p.ndim == 1 else (np.arange(len(p))[:, None], p)
+    layers[l - 1] = (W[idx], b[idx])
+    layers[l] = (np.ascontiguousarray(W_next.swapaxes(-1, -2)[idx].swapaxes(-1, -2)), b_next)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fnequiv import empirical
 from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_bound
 from fnequiv.empirical import (
     METRIC_FUNCTION,
@@ -56,9 +57,8 @@ class TestGreedyEstimates:
         assert greedy_packing_estimate(line([0.3]), 0.1) == 1
 
     def test_two_points_cover(self):
-        space = line([0.0, 1.0])
-        assert greedy_covering_estimate(space, 0.4) == 2
-        assert greedy_covering_estimate(space, 1.1) == 1
+        assert greedy_covering_estimate(line([0.0, 1.0]), 0.4) == 2
+        assert greedy_covering_estimate(line([0.0, 1.0]), 1.1) == 1
 
     def test_three_point_packing(self):
         space = line([0.0, 1.0, 2.0])
@@ -87,18 +87,21 @@ class TestGreedyEstimates:
             oracle(grid_sample(2, 5), eps)
 
     def test_deterministic_reruns(self):
-        rng = np.random.default_rng(0)
-        space = MetricSpaceSample(rng.uniform(-1, 1, (60, 2)))
-        a = [greedy_covering_estimate(space, 0.3) for _ in range(3)]
+        # A fresh sample per cover call, so each call runs its own pass.
+        pts = np.random.default_rng(0).uniform(-1, 1, (60, 2))
+        space = MetricSpaceSample(pts)
+        a = [greedy_covering_estimate(MetricSpaceSample(pts), 0.3) for _ in range(3)]
         b = [greedy_packing_estimate(space, 0.15) for _ in range(3)]
         assert len(set(a)) == 1 and len(set(b)) == 1
 
 
     def test_function_class_sample_matches_reference(self, fclass_sample):
         for eps in (0.2, 0.4):
-            centers = _greedy_cover_centers(fclass_sample, eps)
+            centers, _ = _greedy_cover_centers(fclass_sample, eps)
             assert centers.tolist() == greedy_cover_centers_reference(fclass_sample.points, eps)
-            assert greedy_covering_estimate(fclass_sample, eps) == len(centers)
+            assert greedy_covering_estimate(MetricSpaceSample(fclass_sample.points), eps) == len(
+                centers
+            )
             assert greedy_packing_estimate(fclass_sample, eps) == greedy_pack_reference(
                 fclass_sample.points, eps
             )
@@ -106,13 +109,74 @@ class TestGreedyEstimates:
     @pytest.mark.parametrize("eps", [0.2, 0.4])
     def test_cover_memory_bounded_by_the_points(self, fclass_sample, eps):
         greedy_covering_estimate(line([0.0, 1.0]), 0.5)  # loads the distance kernel
+        space = MetricSpaceSample(fclass_sample.points)  # no record: the call runs a pass
         tracemalloc.start()
         try:
-            greedy_covering_estimate(fclass_sample, eps)
+            greedy_covering_estimate(space, eps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * fclass_sample.points.nbytes
+
+
+class TestGreedyCoverRecord:
+    """One farthest-first pass answers every eps at or above its own."""
+
+    def test_samples_of_the_same_points_keep_their_own_record(self):
+        pts = np.array([[0.0], [1.0], [3.0]])
+        a, b = MetricSpaceSample(pts), MetricSpaceSample(pts)
+        assert greedy_covering_estimate(a, 1.5) == 2
+        assert b._cover_record is None
+        assert greedy_covering_estimate(b, 0.5) == 3
+        assert a._cover_record[0] == 1.5 and b._cover_record[0] == 0.5
+        assert "_cover_record" not in repr(a)
+
+    def test_smaller_eps_runs_a_new_pass(self, monkeypatch):
+        passes = []
+
+        def counted(space, eps):
+            passes.append(eps)
+            return _greedy_cover_centers(space, eps)
+
+        monkeypatch.setattr(empirical, "_greedy_cover_centers", counted)
+        pts = np.random.default_rng(4).uniform(-1, 1, (80, 2))
+        space = MetricSpaceSample(pts)
+        for eps in (0.4, 0.4, 0.8, 0.2, 0.3, 0.2, 0.05):
+            assert greedy_covering_estimate(space, eps) == len(
+                greedy_cover_centers_reference(pts, eps)
+            )
+        assert passes == [0.4, 0.2, 0.05]
+
+    def test_radius_equal_to_eps_is_covered(self):
+        # Centers 0, 3, 2, 1 are picked at radii 3, 1, 1: eps equal to a
+        # radius stops the cover before the center picked at that radius.
+        space = line([0.0, 2.0, 1.0, 3.0])
+        for eps, size in ((0.5, 4), (1.0, 2), (3.0, 1)):
+            assert greedy_covering_estimate(space, eps) == size  # from the 0.5 record
+            assert greedy_covering_estimate(line([0.0, 2.0, 1.0, 3.0]), eps) == size
+
+    def test_infinite_eps(self):
+        # Every radius is finite, so eps = inf keeps only the first center,
+        # whether it runs the pass or reads a finite pass's record.
+        space = line([0.0, 2.0, 1.0, 3.0])
+        assert greedy_covering_estimate(space, 0.5) == 4
+        assert [greedy_covering_estimate(space, math.inf) for _ in range(2)] == [1, 1]
+        fresh = line([0.0, 2.0, 1.0, 3.0])
+        assert [greedy_covering_estimate(fresh, math.inf) for _ in range(2)] == [1, 1]
+        assert greedy_covering_estimate(fresh, 0.5) == 4
+
+    def test_writes_to_the_callers_array_do_not_reach_the_sample(self):
+        # Each sample holds its own copy, so a record of the old points stays
+        # true to the sample's points, and the caller's array stays writable.
+        a = np.array([[0.0], [1.0], [3.0]])
+        spaces = (MetricSpaceSample(a), MetricSpaceSample(a[:]))
+        assert [greedy_covering_estimate(space, 0.5) for space in spaces] == [3, 3]
+        a[2] = 0.5
+        for space in spaces:
+            assert space.points[:, 0].tolist() == [0.0, 1.0, 3.0]
+            assert greedy_covering_estimate(space, 0.6) == 3
+            assert greedy_covering_estimate(MetricSpaceSample(space.points), 0.6) == 3
+        assert greedy_covering_estimate(MetricSpaceSample(a), 0.6) == 2
 
 
 class TestGreedyCoverPruning:
@@ -124,7 +188,7 @@ class TestGreedyCoverPruning:
         # row 3 is 1 from a and 1 from c, so c leaves it live and it is last.
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
         assert greedy_cover_centers_reference(pts, 0.5) == [0, 1, 2, 3]
-        assert _greedy_cover_centers(MetricSpaceSample(pts), 0.5).tolist() == [0, 1, 2, 3]
+        assert _greedy_cover_centers(MetricSpaceSample(pts), 0.5)[0].tolist() == [0, 1, 2, 3]
 
     def test_distance_rounded_to_exactly_2r(self):
         # Row 2, c = (2 - 2**-52, 0), has R = 1.5 (to row 1), and its true
@@ -136,7 +200,7 @@ class TestGreedyCoverPruning:
         eps = 1.5 - 2.0**-52
         assert np.abs(pts[2] - pts[0]).max() == 3.0
         assert greedy_cover_centers_reference(pts, eps) == [0, 1, 2]
-        assert _greedy_cover_centers(MetricSpaceSample(pts), eps).tolist() == [0, 1, 2]
+        assert _greedy_cover_centers(MetricSpaceSample(pts), eps)[0].tolist() == [0, 1, 2]
 
 
 class TestExactOracles:

@@ -4,6 +4,7 @@ pass, the first-fit row grouper, the distance kernel, the greedy covering and
 packing oracles and the exact packing oracle against brute-force references."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -374,6 +375,22 @@ class TestGreedyOracles:
         assert greedy_packing_estimate(space, eps) == greedy_pack_reference(pts, eps)
 
 
+class TestGreedyCoverRecord:
+    @PROPERTY
+    @given(
+        grid_point_sets(max_size=40),
+        st.lists(
+            st.sampled_from([0.1, 0.125, 0.25, 0.3, 0.5, 0.75, 1.0, 1.5, math.inf]), min_size=1
+        ),
+    )
+    def test_any_order_of_eps_matches_reference(self, pts, epsilons):
+        # Grid distances are multiples of 0.25, so most of these eps equal
+        # a radius the cover attains; one sample answers every call.
+        space = MetricSpaceSample(pts)
+        for eps in epsilons:
+            assert greedy_covering_estimate(space, eps) == greedy_cover_reference(pts, eps)
+
+
 class TestExactPacking:
     @PROPERTY
     @given(grid_point_sets(max_size=9), st.sampled_from([0.1, 0.125, 0.25, 0.5, 0.75]))
@@ -424,5 +441,5 @@ class TestGreedyCoverCenters:
     @PROPERTY
     @given(cover_point_sets(), st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.3, 0.5]))
     def test_match_reference(self, pts, eps):
-        centers = _greedy_cover_centers(MetricSpaceSample(pts), eps)
+        centers, _ = _greedy_cover_centers(MetricSpaceSample(pts), eps)
         assert centers.tolist() == greedy_cover_centers_reference(pts, eps)

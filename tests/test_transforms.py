@@ -20,6 +20,7 @@ from fnequiv.transforms import (
     PermutationSpec,
     PoolingPartition,
     ScalingSpec,
+    _permute_neurons,
     apply_permutation,
     apply_pooling_permutation,
     apply_scaling,
@@ -77,6 +78,22 @@ class TestPermutation:
         seq = apply_permutation(apply_permutation(params, pi1), pi2)
         combined = apply_permutation(params, compose(pi2, pi1))
         assert params_identical(seq, combined)
+
+    def test_stacked_gather_matches_plain_in_c_order(self):
+        # One permutation per stacked network gives each network's plain
+        # result, and every gathered array stays C-contiguous.
+        rng = np.random.default_rng(3)
+        arch = Architecture(3, (5, 4), (TANH, RELU), 2)
+        nets = [random_params(arch, rng) for _ in range(3)]
+        specs = [random_spec(arch, rng) for _ in nets]
+        stacked = [tuple(map(np.stack, zip(*wbs))) for wbs in zip(*(n.layers for n in nets))]
+        for l in (1, 2):
+            _permute_neurons(stacked, l, np.stack([s.perms[l - 1] for s in specs]))
+        for i, (net, spec) in enumerate(zip(nets, specs)):
+            plain = apply_permutation(net, spec)
+            assert params_identical(plain, NetworkParams(tuple((W[i], b[i]) for W, b in stacked)))
+            assert all(a.flags.c_contiguous for wb in plain.layers for a in wb)
+        assert all(a.flags.c_contiguous for wb in stacked for a in wb)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
