@@ -309,20 +309,17 @@ def basin_experiment(
     n_runs: int,
     config: OptimizerConfig,
     cluster_tolerance: float | None = None,
-    n_jobs: int = 1,
 ) -> BasinSummary:
     """Train from ``n_runs`` independent seeded initializations and cluster
     the converged solutions by canonical form.
 
     Per-run seeds are spawned from the scheme's seed, so the experiment is
     reproducible and runs are independent; all runs are trained in lockstep
-    in one process.  ``n_jobs`` is accepted for compatibility and ignored
-    (it must still be >= 1).  When no tolerance is given, a provisional pass
-    picks the largest cluster and the final tolerance is a quarter of its
+    in one process.  When no tolerance is given, a provisional pass picks
+    the largest cluster and the final tolerance is a quarter of its
     representative's minimal row gap.
     """
     check_range("n_runs", n_runs, 1)
-    check_range("n_jobs", n_jobs, 1)
     if cluster_tolerance is not None:
         check_range("cluster tolerance", cluster_tolerance, 0)
     children = np.random.SeedSequence(scheme.seed).spawn(n_runs)
@@ -400,9 +397,10 @@ def amplification_check(
 
     The default tolerance is half the minimal row gap of ``theta_star``, the
     radius at which the image neighborhoods are disjoint; the standard error
-    of the ratio comes from the multinomial delta method.  Draws are made
-    one ``nncore.stack_block`` at a time, so memory does not grow with
-    ``n_draws``; within one block they equal ``initialize_batch``'s.
+    of the ratio comes from the multinomial delta method.  ``theta_star``
+    is image row 0, since ``distinct_permutation_images`` lists it first.
+    Draws are made one ``nncore.stack_block`` at a time, so memory does not
+    grow with ``n_draws``; within one block they equal ``initialize_batch``'s.
     """
     check_shapes(arch, theta_star)
     check_range("n_draws", n_draws, 1)
@@ -418,7 +416,6 @@ def amplification_check(
     check_range("tolerance", tolerance, 0, high_open=False)
     images = distinct_permutation_images(theta_star)
     image_mat = np.stack([img.flat() for img in images])
-    star_idx = int(np.argmin(_chebyshev(theta_star.flat()[None], image_mat)))
 
     single_hits = 0
     orbit_hits = 0
@@ -431,7 +428,7 @@ def amplification_check(
         chunk = _draw(arch, scheme, rng, min(block, n_draws - start))
         # Images by draws, so that each draw's hits reduce along axis 0.
         hit = _chebyshev(image_mat, chunk) <= tolerance
-        single_hits += int(np.count_nonzero(hit[star_idx]))
+        single_hits += int(np.count_nonzero(hit[0]))
         orbit_hits += int(np.count_nonzero(hit.any(axis=0)))
 
     p_single = single_hits / n_draws

@@ -34,8 +34,8 @@ class BoundConfig:
     """Inputs shared by every bound formula.
 
     ``rho`` defaults to per-layer Lipschitz constants of the activations on
-    the nested hidden-range intervals (1 for ReLU/LeakyReLU with slope <= 1,
-    1 for tanh, 1/4 for sigmoid); pass explicit values to override.
+    the whole line (1 for ReLU, identity and tanh, max(1, slope) for
+    LeakyReLU, 1/4 for sigmoid); pass explicit values to override.
     """
 
     arch: Architecture
@@ -49,7 +49,7 @@ class BoundConfig:
         check_range("B_x", self.B_x, 0, low_open=True)
         check_range("covering radius epsilon", self.epsilon, 0, low_open=True)
         if self.rho is None:
-            rho = default_lipschitz_constants(self.arch, self.B, self.B_x)
+            rho = default_lipschitz_constants(self.arch)
         else:
             rho = tuple(float(r) for r in self.rho)
         if len(rho) != self.arch.depth:
@@ -218,7 +218,6 @@ def dudley_rademacher_bound(
     entropy_fn: Callable[[float], float],
     n: int,
     upper_limit: float,
-    abs_tol: float = DUDLEY_ABS_TOL,
 ) -> float:
     """12 * integral_0^limit sqrt(entropy_fn(eps) / n) d(eps).
 
@@ -269,7 +268,7 @@ def dudley_rademacher_bound(
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            total, _ = integrate.quad(integrand, 0.0, split, epsabs=abs_tol, limit=200)
+            total, _ = integrate.quad(integrand, 0.0, split, epsabs=DUDLEY_ABS_TOL, limit=200)
         except integrate.IntegrationWarning as exc:
             cutoff = upper_limit * 1e-6
             partial, _ = integrate.quad(integrand, cutoff, split, limit=200)

@@ -186,7 +186,8 @@ def distinct_permutation_images(
     duplicated rows are duplicated as entire neurons (incoming row and
     outgoing column together); layers whose duplicated rows feed distinct
     outgoing columns can produce strictly more images.  Images come in order
-    of first occurrence; permutations are taken in blocks of
+    of first occurrence, so the first is ``params`` itself, bit for bit (the
+    identity permutation comes first); permutations are taken in blocks of
     ``nncore.stack_block`` size, so memory holds the distinct images plus
     one block.
     """

@@ -44,7 +44,10 @@ from .nncore import (
     arch_from_json_dict,
     load_network,
     network_to_json_dict,
+    _json_float,
+    _json_floats,
     _json_int,
+    _require_keys,
 )
 from .transforms import (
     PermutationSpec,
@@ -93,33 +96,6 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _json_float(value) -> float:
-    """A finite JSON number as a float; booleans, strings and the NaN and
-    Infinity literals are rejected."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the double range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
-def _json_floats(value) -> tuple[float, ...]:
-    """A JSON list of numbers as a tuple of floats."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(map(_json_float, value))
-
-
-def _require_keys(doc: dict, allowed: set[str], what: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise DomainError(f"unknown fields in {what}: {sorted(unknown)}")
-
-
 def _parse_arch(widths_spec: str, activations_spec: str) -> Architecture:
     try:
         widths = [int(w) for w in widths_spec.split("-")]
@@ -158,16 +134,16 @@ def cmd_transform(args) -> int:
     kind = spec_doc.get("kind")
     if kind not in _TRANSFORM_KEYS:
         raise DomainError(f"unknown transform kind {kind!r}")
-    _require_keys(spec_doc, {"kind", *_TRANSFORM_KEYS[kind]}, "transform spec")
+    _require_keys(spec_doc, {"kind", *_TRANSFORM_KEYS[kind]}, "transform spec", DomainError)
     try:
         if kind == "permutation":
             perms = PermutationSpec.from_json_list(spec_doc["perms"])
         elif kind == "scaling":
-            scaling = ScalingSpec(_json_int(spec_doc["layer"]), tuple(spec_doc["alpha"]))
+            scaling = ScalingSpec(_json_int(spec_doc["layer"]), _json_floats(spec_doc["alpha"]))
         else:
             layer = _json_int(spec_doc["layer"])
-            signs = [float(s) for s in spec_doc["signs"]]
-    except (KeyError, TypeError, ValueError) as exc:
+            signs = _json_floats(spec_doc["signs"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed transform spec: {exc!r}") from exc
     if kind == "permutation":
         transformed = apply_permutation(net.params, perms)
@@ -228,7 +204,7 @@ _OVERRIDE_FLAGS = ("epsilon", "B", "bx")
 
 
 def _config_from_doc(doc: dict) -> bounds_mod.BoundConfig:
-    _require_keys(doc, _BOUND_CONFIG_KEYS, "bound config")
+    _require_keys(doc, _BOUND_CONFIG_KEYS, "bound config", DomainError)
     try:
         return bounds_mod.BoundConfig(
             arch=arch_from_json_dict(doc["arch"]),
@@ -248,7 +224,7 @@ def _override(doc: dict, **values) -> dict:
 
 
 def _sweep_configs(base_doc: dict, sweep_doc: dict):
-    _require_keys(sweep_doc, set(_SWEEP_KEYS), "sweep spec")
+    _require_keys(sweep_doc, set(_SWEEP_KEYS), "sweep spec", DomainError)
     axes = [[None] if sweep_doc.get(k) is None else sweep_doc[k] for k in _SWEEP_KEYS]
     for name, axis in zip(_SWEEP_KEYS, axes):
         if not isinstance(axis, list):
@@ -425,6 +401,7 @@ _RUNS_COLUMNS = [
 
 
 def cmd_basin(args) -> int:
+    check_range("--jobs", args.jobs, 1)
     arch = _parse_arch(args.arch, args.activations)
     scheme = InitScheme(
         args.scheme,
@@ -453,7 +430,6 @@ def cmd_basin(args) -> int:
         args.n_runs,
         opt,
         cluster_tolerance=args.cluster_tolerance,
-        n_jobs=args.jobs,
     )
     teacher_only = () if args.dataset == "teacher" else _TEACHER_ONLY
     config = _echo(args, drop=("jobs", *teacher_only))
@@ -559,7 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--grad-threshold", type=float, default=1e-5)
     p.add_argument("--cluster-tolerance", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="ignored; runs train in lockstep")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="ignored (runs train in lockstep), but must be >= 1"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix", default="basin")
     p.set_defaults(func=cmd_basin)

@@ -45,8 +45,9 @@ def stack_block(bytes_per_item: int) -> int:
 
 def forward_block(arch: Architecture, n_inputs: int) -> int:
     """Networks per block in a stacked forward pass over ``n_inputs`` inputs,
-    sized for the training trace, which holds the float64 pre-activations
-    and activations of every layer (the checked forward holds less)."""
+    sized at 16 bytes per unit and input: the training trace's float64
+    activations of every layer, plus the backward sweep's same-sized
+    gradients (the checked forward holds less)."""
     return stack_block(16 * n_inputs * sum(arch.widths[1:]))
 
 
@@ -92,21 +93,20 @@ class Activation:
 
     def deriv(self, x):
         """Pointwise derivative; the ReLU subgradient at 0 is fixed to 0."""
-        x = np.asarray(x, dtype=float)
-        if self.name == "relu":
-            return (x > 0.0).astype(float)
-        if self.name == "leaky_relu":
-            return np.where(x > 0.0, 1.0, self.param)
-        if self.name == "tanh":
-            t = np.tanh(x)
-            return 1.0 - t * t
-        if self.name == "sigmoid":
-            from scipy.special import expit
+        with np.errstate(over="ignore"):  # a leaky slope above 1 may overflow sigma(x)
+            return self._slope(self(x))
 
-            s = expit(x)
-            return s * (1.0 - s)
+    def _slope(self, y):
+        """The derivative at x read off y = sigma(x): the ReLUs have
+        y > 0 exactly when x > 0, tanh' = 1 - y^2 and sigmoid' = y (1 - y)."""
+        if self.name in ("relu", "leaky_relu"):
+            return np.where(y > 0.0, 1.0, self.param or 0.0)
+        if self.name == "tanh":
+            return 1.0 - y * y
+        if self.name == "sigmoid":
+            return y * (1.0 - y)
         if self.name == "identity":
-            return np.ones_like(x)
+            return np.ones_like(y)
         raise DomainError(f"unknown activation {self.name!r}")
 
     def lipschitz_on(self, half_width: float) -> float:
@@ -390,16 +390,9 @@ def forward_batch(arch: Architecture, params: NetworkParams, X) -> np.ndarray:
     return _forward_checked(arch, params.layers, X)
 
 
-def _forward_checked(arch, layers, X) -> np.ndarray:
-    """Network outputs over plain or stacked layers (see ``_forward_trace``),
-    holding one layer's activations at a time; raises ``NumericError`` naming
-    the first (1-based) layer with a non-finite pre-activation."""
-    return _forward_loop(arch, layers, X, None)
-
-
-def _forward_trace(arch, layers, X):
-    """The forward pass keeping every pre-activation and activation, for the
-    backward sweep.
+def _forward_trace(arch, layers, X) -> list:
+    """The forward pass keeping every activation, [X, h_1, ..., h_{L+1}],
+    for the backward sweep.
 
     ``layers`` holds (W, b) pairs, either plain (W of shape (d_out, d_in)) or
     stacked over R networks (W of shape (R, d_out, d_in), b of shape
@@ -407,29 +400,28 @@ def _forward_trace(arch, layers, X):
     and computes each network exactly as the plain case does.  Overflow is
     left as non-finite values, which training records as divergence.
     """
-    pre, post = [], [X]
-    _forward_loop(arch, layers, X, (pre, post))
-    return pre, post
+    trace = [X]
+    _forward_checked(arch, layers, X, trace)
+    return trace
 
 
-def _forward_loop(arch, layers, X, trace):
-    """The one forward layer loop.  With ``trace`` None, each layer's
-    pre-activation is checked and the activation overwrites it, so only the
-    live array is held; else ``trace`` is a (pre, post) pair of lists that
-    receive every pre-activation and out-of-place activation, unchecked."""
+def _forward_checked(arch, layers, X, trace=None) -> np.ndarray:
+    """Network outputs over plain or stacked layers (see ``_forward_trace``):
+    the one forward layer loop, where each activation overwrites its
+    pre-activation.  With ``trace`` None, one layer's array is held at a
+    time, and ``NumericError`` names the first (1-based) layer with a
+    non-finite pre-activation; else every activation is appended to the list
+    ``trace``, unchecked."""
     h = X
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (W, b) in enumerate(layers, start=1):
             z = h @ np.swapaxes(W, -1, -2)
             z += b[..., None, :]
-            if trace is None:
-                if not np.isfinite(z).all():
-                    raise NumericError(f"non-finite pre-activation at layer {l}", layer=l)
-                h = arch.activations[l - 1]._apply(z, z) if l <= arch.depth else z
-            else:
-                trace[0].append(z)
-                h = arch.activations[l - 1](z) if l <= arch.depth else z
-                trace[1].append(h)
+            if trace is None and not np.isfinite(z).all():
+                raise NumericError(f"non-finite pre-activation at layer {l}", layer=l)
+            h = arch.activations[l - 1]._apply(z, z) if l <= arch.depth else z
+            if trace is not None:
+                trace.append(h)
     return h
 
 
@@ -479,9 +471,9 @@ def gradient(
     x = np.asarray(x, dtype=float)
     if x.shape != (arch.input_dim,):
         raise ShapeError(f"input must have shape ({arch.input_dim},), got {x.shape}")
-    pre, post = _forward_trace(arch, params.layers, x[None, :])
+    post = _forward_trace(arch, params.layers, x[None, :])
     g = np.asarray(loss.grad(post[-1][0], target), dtype=float)[None, :]
-    return NetworkParams(_backprop(arch, params.layers, pre, post, g))
+    return NetworkParams(_backprop(arch, params.layers, post, g))
 
 
 def _targets(X, Y) -> np.ndarray:
@@ -504,23 +496,25 @@ def _mse_value_and_grad(arch, layers, X, Y):
     """Full-batch MSE and its (W, b) partials over plain or stacked layers
     (see ``_forward_trace``); stacked layers give one value per network."""
     X = np.asarray(X, dtype=float)
-    pre, post = _forward_trace(arch, layers, X)
+    post = _forward_trace(arch, layers, X)
     resid = post[-1] - _targets(X, Y)
     value = np.mean(np.sum(resid * resid, axis=-1), axis=-1)
-    return value, _backprop(arch, layers, pre, post, (2.0 / X.shape[0]) * resid)
+    return value, _backprop(arch, layers, post, (2.0 / X.shape[0]) * resid)
 
 
-def _backprop(arch, layers, pre, post, G):
-    """Reverse sweep over a ``_forward_trace``; ``G`` holds the loss gradient
-    w.r.t. the network output, one row per input (with the same leading stack
-    axis as ``layers``, if any), and the parameter partials are summed over
-    the rows.  Returns the partials as (W, b) pairs shaped like ``layers``."""
+def _backprop(arch, layers, post, G):
+    """Reverse sweep over the activations ``post`` of a ``_forward_trace``,
+    taking each hidden layer's slope from its activation (``_slope``).
+    ``G`` holds the loss gradient w.r.t. the network output, one row per
+    input (with the same leading stack axis as ``layers``, if any), and the
+    parameter partials are summed over the rows.  Returns the partials as
+    (W, b) pairs shaped like ``layers``."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
     for l in range(len(layers), 0, -1):
         W, _ = layers[l - 1]
         grads[l - 1] = (np.swapaxes(G, -1, -2) @ post[l - 1], G.sum(axis=-2))
         if l > 1:
-            G = (G @ W) * arch.activations[l - 2].deriv(pre[l - 2])
+            G = (G @ W) * arch.activations[l - 2]._slope(post[l - 1])
     return tuple(grads)
 
 
@@ -538,30 +532,25 @@ def hidden_range_bound(
     """Upper bound on pre-activation magnitudes entering hidden layer ``i``.
 
     Returns (2B)^i * prod_{j<i} rho_j * d_j, where rho_j is the Lipschitz
-    constant of activation j on the interval produced by this same bound one
-    layer earlier (or a user-supplied override).  Valid for parameters in
-    [-B, B] and inputs of L2 norm at most B_x with B >= max(1, B_x); it is the
-    deliberately conservative constant the covering bounds are stated with.
+    constant of activation j on the whole line (or a user-supplied
+    override).  Valid for parameters in [-B, B] and inputs of L2 norm at most
+    B_x with B >= max(1, B_x); it is the deliberately conservative constant
+    the covering bounds are stated with.
     """
     check_range("hidden layer index", i, 1, arch.depth, high_open=False)
     check_range("B", B, 0, low_open=True)
     check_range("B_x", B_x, 0, low_open=True)
     if rho is None:
-        rho = default_lipschitz_constants(arch, B, B_x)
+        rho = default_lipschitz_constants(arch)
     bound = 2.0 * B
     for j in range(1, i):
         bound *= 2.0 * B * rho[j - 1] * arch.hidden_widths[j - 1]
     return bound
 
 
-def default_lipschitz_constants(arch: Architecture, B: float, B_x: float) -> tuple[float, ...]:
-    """Per-layer Lipschitz constants on the nested hidden-range intervals."""
-    rhos: list[float] = []
-    bound = 2.0 * B
-    for j in range(1, arch.depth + 1):
-        rhos.append(arch.activations[j - 1].lipschitz_on(bound))
-        bound *= 2.0 * B * rhos[-1] * arch.hidden_widths[j - 1]
-    return tuple(rhos)
+def default_lipschitz_constants(arch: Architecture) -> tuple[float, ...]:
+    """Per-layer Lipschitz constants of the activations on the whole line."""
+    return tuple(act.lipschitz_on(math.inf) for act in arch.activations)
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +573,38 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_float(value) -> float:
+    """A finite JSON number as a float; booleans, strings and the NaN and
+    Infinity literals are rejected."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _json_floats(value) -> tuple[float, ...]:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(map(_json_float, value))
+
+
+def _require_keys(doc: dict, allowed: set[str], what: str, error=ValueError) -> None:
+    unknown = set(doc) - allowed
+    if unknown:
+        raise error(f"unknown fields in {what}: {sorted(unknown)}")
+
+
 def arch_from_json_dict(a: dict) -> Architecture:
     """Decode ``arch_to_json_dict``'s document: every width must be a JSON
     integer, and keys other than its four are rejected."""
     try:
-        unknown = set(a) - {"d0", "hidden", "out", "activations"}
-        if unknown:
-            raise ValueError(f"unknown fields in arch: {sorted(unknown)}")
+        _require_keys(a, {"d0", "hidden", "out", "activations"}, "arch")
         return Architecture(
             input_dim=_json_int(a["d0"]),
             hidden_widths=tuple(map(_json_int, a["hidden"])),
@@ -612,11 +626,17 @@ def network_to_json_dict(net: Network) -> dict:
 
 
 def network_from_json_dict(doc: dict) -> Network:
+    """Decode ``network_to_json_dict``'s document (and the ``config`` that
+    ``transform`` adds): W and b must hold finite JSON numbers, and unknown
+    fields are rejected."""
     try:
+        _require_keys(doc, {"arch", "layers", "config"}, "network")
         arch = arch_from_json_dict(doc["arch"])
-        params = NetworkParams(
-            tuple((np.array(l["W"], dtype=float), np.array(l["b"], dtype=float)) for l in doc["layers"])
-        )
+        layers = []
+        for l in doc["layers"]:
+            _require_keys(l, {"W", "b"}, "layer")
+            layers.append((list(map(_json_floats, l["W"])), _json_floats(l["b"])))
+        params = NetworkParams(tuple(layers))
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed network document: {exc}") from exc
     check_shapes(arch, params)

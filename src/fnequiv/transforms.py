@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedTransformError, check_range
-from .nncore import Architecture, NetworkParams, check_shapes
+from .nncore import Architecture, NetworkParams, check_shapes, _json_int
 
 RESIDUAL_CHECK_TOL = 1e-6
 
@@ -57,7 +57,8 @@ class PermutationSpec:
 
     @classmethod
     def from_json_list(cls, doc) -> "PermutationSpec":
-        return cls(tuple(np.asarray(p, dtype=np.int64) for p in doc))
+        """Inverse of ``to_json_list``; every index must be a JSON integer."""
+        return cls(tuple(np.array([_json_int(i) for i in p], dtype=np.int64) for p in doc))
 
 
 def identity_spec_for(arch: Architecture) -> PermutationSpec:

@@ -451,11 +451,22 @@ def _ref_act(act, z):
 
 
 def _ref_act_deriv(act, z):
+    """The derivative of ``act`` at the pre-activation ``z``, computed from
+    ``z`` itself; the ReLU subgradient at 0 is 0."""
+    if act.name == "relu":
+        return (z > 0.0).astype(float)
+    if act.name == "leaky_relu":
+        return np.where(z > 0.0, 1.0, act.param)
     if act.name == "tanh":
         t = np.tanh(z)
         return 1.0 - t * t
-    if act.name == "relu":
-        return (z > 0.0).astype(float)
+    if act.name == "sigmoid":
+        from scipy.special import expit
+
+        s = expit(z)
+        return s * (1.0 - s)
+    if act.name == "identity":
+        return np.ones_like(z)
     raise ValueError(act.name)
 
 

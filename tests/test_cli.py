@@ -129,6 +129,11 @@ class TestTransform:
             {"kind": "sign_flip", "layer": 1},
             {"kind": "sign_flip", "layer": [1], "signs": [1.0, -1.0]},
             {"kind": "scaling", "layer": "first", "alpha": [2.0, 2.0]},
+            {"kind": "permutation", "perms": [[1.5, 0]]},
+            {"kind": "permutation", "perms": [[True, 0]]},
+            {"kind": "permutation", "perms": [[2**70, 0]]},
+            {"kind": "sign_flip", "layer": 1, "signs": ["1", True]},
+            {"kind": "scaling", "layer": 1, "alpha": ["2", True]},
         ],
         ids=[
             "permutation_without_perms",
@@ -138,6 +143,11 @@ class TestTransform:
             "sign_flip_without_signs",
             "list_layer",
             "string_layer",
+            "float_perm_index",
+            "bool_perm_index",
+            "int64_overflow_perm_index",
+            "string_and_bool_signs",
+            "string_and_bool_alpha",
         ],
     )
     def test_missing_or_ill_typed_spec_field_exits_one(self, tmp_path, small_net, capsys, spec):
@@ -259,6 +269,15 @@ class TestNetworkFile:
         code, stdout, err = run_cli(["canonicalize", "--network", str(small_net)], capsys)
         assert code == 1, err
         assert "malformed architecture" in err and stdout == ""
+
+    def test_nan_weight_exits_one(self, small_net, capsys):
+        doc = json.loads(small_net.read_text())
+        doc["layers"][0]["W"][0][0] = math.nan
+        small_net.write_text(json.dumps(doc))
+        argv = ["check-equiv", "--first", str(small_net), "--second", str(small_net)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert "malformed network document" in err and stdout == ""
 
 
 class TestBounds:
@@ -807,8 +826,16 @@ class TestErrorsAndDeterminism:
             ["covering-sweep", "--dim", "1", "--points-per-axis", "3", "--epsilons", "nan"],
             ["basin", "--arch", "2-2-1", "--activations", "leaky_relu:abc", "--n-runs", "1"],
             ["basin", "--arch", "2-2-1", "--step-size", "nan", "--n-runs", "1"],
+            ["basin", "--arch", "2-2-1", "--jobs", "0", "--n-runs", "1"],
         ],
-        ids=["epsilons_abc", "epsilons_inf", "epsilons_nan", "leaky_relu_abc", "step_size_nan"],
+        ids=[
+            "epsilons_abc",
+            "epsilons_inf",
+            "epsilons_nan",
+            "leaky_relu_abc",
+            "step_size_nan",
+            "jobs_zero",
+        ],
     )
     def test_malformed_number_exits_one(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)  # basin writes to the working directory

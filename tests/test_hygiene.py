@@ -3,6 +3,7 @@
 import ast
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,35 @@ def test_failing_property_reports_its_example(tmp_path):
     assert run.returncode == 1
     assert "Falsifying example" in run.stdout
     assert "INTERNALERROR" not in run.stdout + run.stderr
+
+
+# Every public name of the package.  A name may only be dropped on purpose:
+# edit this list with it.
+PUBLIC_NAMES = [
+    "Activation", "AmplificationCheck", "Architecture", "BasinSummary", "BoundConfig",
+    "CanonicalForm", "EntropyComparison", "EquivalenceVerdict", "IDENTITY", "InitScheme",
+    "MetricSpaceSample", "Network", "NetworkParams", "OptimizerConfig", "PermutationSpec",
+    "PoolingPartition", "RELU", "SIGMOID", "ScalingSpec", "SymmetryProfile", "TANH", "TrainRun",
+    "activation_from_tag", "amplification_check", "apply_permutation",
+    "apply_pooling_permutation", "apply_scaling", "apply_sign_flip", "attention_forward",
+    "attention_permutation_equivalent", "basin_experiment", "canonicalize", "compose",
+    "decide_equivalence", "deep_covering_bound", "dudley_rademacher_bound", "effective_volume",
+    "entropy_comparison", "exact_covering_number", "exact_packing_number", "forward",
+    "forward_batch", "function_class_sample", "gradient", "greedy_covering_estimate",
+    "greedy_packing_estimate", "grid_sample", "hidden_range_bound", "identity_spec_for",
+    "initialize", "inverse", "leaky_relu", "load_network", "orbit_membership",
+    "pdim_uniform_covering_bound", "residual_equivalence_check", "sampled_sup_distance",
+    "save_network", "shallow_covering_bound", "stirling_bracket", "symmetry_profile", "train",
+    "volume_covering_bound",
+]
+
+
+def test_public_names_pinned():
+    # Submodules are attributes too, but which ones are depends on what was
+    # imported first, so they are left out.
+    exported = sorted(
+        name
+        for name, value in vars(fnequiv).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PUBLIC_NAMES

@@ -350,6 +350,48 @@ class TestSerialization:
         with pytest.raises(ShapeError):
             network_from_json_dict({"arch": arch, "layers": layers})
 
+    @pytest.mark.parametrize(
+        "layer,field,value",
+        [
+            (0, "W", [["0.5"], [2.0]]),
+            (0, "W", [[True], [2.0]]),
+            (0, "W", [[math.nan], [2.0]]),
+            (0, "W", [[math.inf], [2.0]]),
+            (0, "W", [1.0, 2.0]),
+            (1, "b", ["0.5"]),
+            (1, "b", [False]),
+            (1, "b", [math.nan]),
+            (1, "b", 0.0),
+            (1, "extra", 1),
+        ],
+        ids=[
+            "string_weight",
+            "bool_weight",
+            "nan_weight",
+            "inf_weight",
+            "flat_weight",
+            "string_bias",
+            "bool_bias",
+            "nan_bias",
+            "scalar_bias",
+            "unknown_layer_field",
+        ],
+    )
+    def test_malformed_layer_fields_rejected(self, layer, field, value):
+        arch = {"d0": 1, "hidden": [2], "out": 1, "activations": ["tanh"]}
+        layers = [{"W": [[1.0], [2.0]], "b": [0.0, 0.0]}, {"W": [[1.0, 1.0]], "b": [0.0]}]
+        layers[layer][field] = value
+        with pytest.raises(ShapeError):
+            network_from_json_dict({"arch": arch, "layers": layers})
+
+    def test_unknown_top_level_field_rejected(self):
+        arch = {"d0": 1, "hidden": [1], "out": 1, "activations": ["tanh"]}
+        layers = [{"W": [[1.0]], "b": [0.0]}, {"W": [[1.0]], "b": [0.0]}]
+        net = network_from_json_dict({"arch": arch, "layers": layers, "config": {}})
+        assert net.arch.depth == 1
+        with pytest.raises(ShapeError):
+            network_from_json_dict({"arch": arch, "layers": layers, "extra": 1})
+
 
 class TestFlatRoundTrip:
     def test_flat_and_back(self):

@@ -1,7 +1,9 @@
 """Property-based tests: permutation group laws, canonical-form invariance,
-the stacked canonical sort, the pair canonicalization, the checked forward
-pass, the first-fit row grouper, the distance kernel, the greedy covering and
-packing oracles and the exact packing oracle against brute-force references."""
+the first permutation image, the stacked canonical sort, the pair
+canonicalization, the checked forward pass and training trace, the
+activation slopes, the first-fit row grouper, the distance kernel, the
+greedy covering and packing oracles and the exact packing oracle against
+brute-force references."""
 
 import json
 import math
@@ -11,7 +13,13 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fnequiv.basin import orbit_membership
-from fnequiv.canonical import _canonical_layers, _canonical_pair, canonicalize, group_rows
+from fnequiv.canonical import (
+    _canonical_layers,
+    _canonical_pair,
+    canonicalize,
+    distinct_permutation_images,
+    group_rows,
+)
 from fnequiv.empirical import (
     MetricSpaceSample,
     _greedy_cover_centers,
@@ -44,6 +52,7 @@ from fnequiv.nncore import (
 from fnequiv.transforms import PermutationSpec, apply_permutation, compose, inverse
 
 from oracles import (
+    _ref_act_deriv,
     canonical_sort,
     exhaustive_max_packing,
     first_fit_row_groups,
@@ -152,6 +161,31 @@ class TestCanonicalize:
             assume(len(set(map(tuple, keys))) == len(keys))
         permuted = apply_permutation(params, spec)
         assert params_identical(canonicalize(permuted).params, canonicalize(params).params)
+
+
+@st.composite
+def tied_networks(draw):
+    """A net with 1-2 hidden layers of width 1-4 whose entries come from a
+    set with both signed zeros, and whose first two neurons of each hidden
+    layer share their incoming row and bias."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple))
+    dims = (draw(st.integers(1, 2)), *widths, 1)
+    tie = st.sampled_from([-0.0, 0.0, 0.5])
+    layers = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        W = draw(hnp.arrays(float, (d_out, d_in), elements=tie))
+        b = draw(hnp.arrays(float, (d_out,), elements=tie))
+        if len(layers) < len(widths) and d_out > 1:
+            W[1], b[1] = W[0], b[0]
+        layers.append((W, b))
+    return NetworkParams(tuple(layers))
+
+
+class TestPermutationImages:
+    @PROPERTY
+    @given(tied_networks())
+    def test_first_image_is_the_net_itself(self, params):
+        assert params_identical(distinct_permutation_images(params)[0], params)
 
 
 @st.composite
@@ -301,9 +335,29 @@ class TestForwardMatchesTraceReference:
     def test_training_trace(self, case):
         arch, layers, X = case
         trace = _forward_trace(arch, layers, X)
-        for got, want in zip(trace, forward_trace_reference(arch.activations, layers, X)):
-            assert len(got) == len(want)
-            assert all(same_bits(g, w) for g, w in zip(got, want))
+        _, post = forward_trace_reference(arch.activations, layers, X)
+        assert len(trace) == len(post)
+        assert all(same_bits(g, w) for g, w in zip(trace, post))
+
+
+# Every float class: signed zeros, subnormals, the overflow edges of tanh and
+# expit, infinities and NaN, besides generic values.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 710.0, -710.0, 1e308, -1e308]
+SPECIAL_FLOATS += [math.inf, -math.inf, math.nan]
+
+
+class TestActivationSlope:
+    @PROPERTY
+    @given(
+        ACTIVATIONS,
+        hnp.arrays(
+            float,
+            hnp.array_shapes(min_dims=0, max_dims=2, max_side=6),
+            elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+        ),
+    )
+    def test_deriv_matches_input_formula(self, act, x):
+        assert same_bits(np.asarray(act.deriv(x)), np.asarray(_ref_act_deriv(act, x)))
 
 
 def assert_matches_oracle(rows, tolerance):
