@@ -393,14 +393,20 @@ def amplification_check(
     tolerance: float | None = None,
 ) -> AmplificationCheck:
     """Estimate P(init within tol of theta_star) and P(init within tol of any
-    distinct permutation image), and compare their ratio with the image count.
+    distinct permutation image), and compare their ratio with
+    ``symmetry_profile``'s ``total_multiplicity`` (``predicted_ratio``).
 
-    The default tolerance is half the minimal row gap of ``theta_star``, the
-    radius at which the image neighborhoods are disjoint; the standard error
-    of the ratio comes from the multinomial delta method.  ``theta_star``
-    is image row 0, since ``distinct_permutation_images`` lists it first.
-    Draws are made one ``nncore.stack_block`` at a time, so memory does not
-    grow with ``n_draws``; within one block they equal ``initialize_batch``'s.
+    Both the prediction and the default tolerance, half the profile's
+    ``delta_min``, come from the hidden neurons' (incoming | bias) rows
+    alone.  They are the orbit size and half the image separation only when
+    tied rows are whole-neuron duplicates: rows tied there but feeding
+    different outgoing weights give more images than predicted, and images
+    closer than ``delta_min``, whose neighborhoods at that radius overlap.
+    The standard error of the ratio comes from the multinomial delta method.
+    ``theta_star`` is image row 0, since ``distinct_permutation_images``
+    lists it first.  Draws are made one ``nncore.stack_block`` at a time, so
+    memory does not grow with ``n_draws``; within one block they equal
+    ``initialize_batch``'s.
     """
     check_shapes(arch, theta_star)
     check_range("n_draws", n_draws, 1)

@@ -133,9 +133,13 @@ def symmetry_profile(params: NetworkParams, row_tolerance: float = 0.0) -> Symme
     """Count distinct row orderings per hidden layer and the minimal L-inf gap
     between distinct rows.
 
-    Row identity is exact bit equality by default; a positive tolerance
-    groups nearly identical rows instead (useful after training, where exact
-    ties never occur).
+    A row is a hidden neuron's (incoming | bias) only; its outgoing weights
+    are not compared.  So the counts are the orbit size and the gap the
+    image separation only when tied rows are whole-neuron duplicates (equal
+    outgoing columns too); otherwise the orbit can be larger and two images
+    closer than ``delta_min``.  Row identity is exact bit equality by
+    default; a positive tolerance groups nearly identical rows instead
+    (useful after training, where exact ties never occur).
     """
     check_range("row tolerance", row_tolerance, 0, high_open=False)
     counts = []

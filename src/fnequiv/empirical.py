@@ -70,8 +70,8 @@ def _check_oracle_args(space: MetricSpaceSample, epsilon: float) -> None:
         raise DomainError("empty point set")
 
 
-# Relative slack on the greedy cover's pruning test; see _greedy_cover_centers.
-PRUNE_MARGIN = 1e-9
+# Relative slack on the greedy cover's slab half-width; see _greedy_cover_centers.
+MARGIN = 1e-9
 
 
 def greedy_covering_estimate(space: MetricSpaceSample, epsilon: float) -> int:
@@ -79,17 +79,17 @@ def greedy_covering_estimate(space: MetricSpaceSample, epsilon: float) -> int:
 
     Deterministic given point order: starts at index 0 and breaks ties toward
     the lowest index.  Each new center costs one distance pass over the
-    points of the centers within 2R of it, R being its own distance to the
-    centers before it (see ``_greedy_cover_centers``).
+    points whose coordinate on one sorted column lies within about R of its
+    own, R being its distance to the centers before it (see
+    ``_greedy_cover_centers``).
 
     The center order does not depend on eps: a pass at eps0 picks center
-    k >= 1 at R_k > eps0, the largest distance of a live point to the
-    centers before it, and every dropped point lies within eps0, so R_k is
-    the largest distance over all points.  A pass at eps >= eps0 thus picks
-    the same centers, ties alike, and stops at the first R_k <= eps: its
-    size is 1 + #{k >= 1 : R_k > eps}.  The sample records eps0 and the R_k
-    of its last pass and answers any eps >= eps0 from them; a smaller eps
-    runs a new pass, which replaces the record.
+    k >= 1 at R_k > eps0, the largest distance of a point to the centers
+    before it.  A pass at eps >= eps0 thus picks the same centers, ties
+    alike, and stops at the first R_k <= eps: its size is
+    1 + #{k >= 1 : R_k > eps}.  The sample records eps0 and the R_k of its
+    last pass and answers any eps >= eps0 from them; a smaller eps runs a
+    new pass, which replaces the record.
     """
     _check_oracle_args(space, epsilon)
     record = space._cover_record
@@ -104,76 +104,49 @@ def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> tuple:
     order they are chosen, and the R at which each center after the first
     was picked.
 
-    Every uncovered point (distance to its nearest center above eps) has an
-    owner, the center nearest to it; each center keeps the largest distance
-    among its points (``gmax``, -inf when it has none) and the lowest index
-    attaining it (``garg``).  The next center ``c`` is the lowest ``garg``
-    among the centers with the largest ``gmax``, R.  R bounds every point's
-    distance, so for a point p of center a with d(a, c) >= 2R the triangle
-    inequality gives d(p, c) >= d(a, c) - d(p, a) >= R >= d(p, a): c cannot
-    take p.  One pass from the live centers to c finds the centers with
-    d(a, c) < 2R, one pass over their points updates those points, and only
-    those centers are regrouped.
+    The points are sorted on their widest column (the first on a tie), and
+    ``md`` holds each point's distance to the centers so far.  The next
+    center is the point with the largest ``md``, R, the lowest row index on
+    a tie; the pass stops once R <= eps.  Covered points stay in ``md`` but
+    cannot be the largest while R > eps.  One coordinate bounds the
+    L-infinity distance from below, so the new center c can only lower
+    ``md`` at the points p whose key lies in the slab [c - h, c + h) with
+    h = R + (|c| + R) MARGIN, one ``searchsorted`` range; only those are
+    rescanned.
 
-    Each computed distance is the true one correctly rounded (the kernel
-    takes a max of once-rounded |x_i - y_i|, and rounding is monotone), so
-    the computed triangle inequality can fail by an ulp: in the tests, a
-    computed d(a, c) of exactly 2R hides a point that c does take.  A
-    computed d(a, c) above 2R cannot, since the true d(a, c) then exceeds 2R
-    by half an ulp of 2R and the true d(p, a) exceeds R by at most half an
-    ulp of R, which leaves the true d(p, c) at least R.  So it is enough to
-    scan every center at a computed distance up to 2R; the test
-    d(a, c) < 2R (1 + PRUNE_MARGIN) does that with room for a kernel that
-    rounds a few ulps worse, and only adds the rare center that lies beyond
-    2R but within 2R (1 + 1e-9).
+    The slab is exact: outside it the skipped update is min(md, d(p, c)) =
+    md.  Every ``md`` is at most R, and the computed d(p, c) is at least the
+    computed |p_col - c_col|, which is at least R whenever the true gap is
+    (R is a float and rounding is monotone).  So it is enough that the
+    computed bounds fl(c - h) and fl(c + h) lie at least R from c, which
+    also keeps c's own row in the slab.  Each is off from c -/+ h by at most
+    half an ulp of |c| + h, and by nothing when the result is subnormal,
+    while h exceeds R by about (|c| + R) 1e-9, some 1e7 times that.  Without
+    the margin a large |c| lets fl(c + R) round below c + R and hide a point
+    the center takes.
     """
     pts = space.points
-    n = len(pts)
-    covered = n  # owner of covered points: a spare slot that is never live
-    min_dist = _chebyshev(pts[:1], pts)[0]
-    owner = np.where(min_dist > epsilon, 0, covered)
-    gmax = np.full(n + 1, -np.inf)
-    garg = np.zeros(n + 1, dtype=np.intp)
-    scan = np.zeros(n + 1, dtype=bool)
-    centers = np.zeros(n, dtype=np.intp)
-    radii = np.empty(n)
-    _regroup(gmax, garg, np.arange(n), owner, min_dist)
-    k = 1
+    if not pts.shape[1]:  # no coordinates: every point is row 0
+        return np.zeros(1, dtype=np.intp), np.empty(0)
+    col = int(np.argmax(np.ptp(pts, axis=0)))
+    order = np.argsort(pts[:, col], kind="stable")
+    P = pts[order]
+    key = P[:, col]
+    md = _chebyshev(pts[:1], P)[0]
+    centers, radii = [0], []
     while True:
-        live = np.flatnonzero(gmax[:k] > -np.inf)
-        if len(live) == 0:
-            return centers[:k], radii[1:k].copy()
-        top = gmax[live]
-        R = top.max()
-        c = int(garg[live[top == R]].min())
-        centers[k], radii[k] = c, R
-        center = pts[c : c + 1]
-        reach = _chebyshev(center, pts[centers[live]])[0]
-        near = live[reach < 2.0 * R * (1.0 + PRUNE_MARGIN)]
-        scan[near] = True
-        sel = np.flatnonzero(scan[owner])
-        scan[near] = False
-        dist = _chebyshev(center, pts[sel])[0]
-        sel_dist, sel_owner = min_dist[sel], owner[sel]
-        closer = dist < sel_dist
-        sel_dist[closer] = dist[closer]
-        sel_owner[closer] = k
-        sel_owner[sel_dist <= epsilon] = covered
-        min_dist[sel], owner[sel] = sel_dist, sel_owner
-        gmax[near] = -np.inf
-        _regroup(gmax, garg, sel, sel_owner, sel_dist)
-        k += 1
-
-
-def _regroup(gmax, garg, idx, owner, dist) -> None:
-    """Fold the points ``idx`` (ascending) into their owners' largest
-    distance and its lowest index; the spare last slot collects the covered
-    points and is reset."""
-    np.maximum.at(gmax, owner, dist)
-    top = dist == gmax[owner]
-    garg[owner[top]] = len(garg)
-    np.minimum.at(garg, owner[top], idx[top])
-    gmax[-1] = -np.inf
+        j = int(np.argmax(md))
+        R = md[j]
+        if R <= epsilon:
+            return np.array(centers, dtype=np.intp), np.array(radii, dtype=float)
+        ties = np.flatnonzero(md == R)
+        j = int(ties[np.argmin(order[ties])])
+        c = key[j]
+        h = R + (abs(c) + R) * MARGIN
+        lo, hi = np.searchsorted(key, (c - h, c + h))
+        np.minimum(md[lo:hi], _chebyshev(P[j : j + 1], P[lo:hi])[0], out=md[lo:hi])
+        centers.append(int(order[j]))
+        radii.append(R)
 
 
 def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:

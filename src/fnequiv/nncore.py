@@ -529,22 +529,27 @@ def hidden_range_bound(
     i: int,
     rho: Sequence[float] | None = None,
 ) -> float:
-    """Upper bound on pre-activation magnitudes entering hidden layer ``i``.
+    """Upper bound on pre-activation magnitudes entering hidden layer ``i``,
+    for parameters in [-B, B] and inputs of L2 norm at most B_x.
 
-    Returns (2B)^i * prod_{j<i} rho_j * d_j, where rho_j is the Lipschitz
+    Layer 1 gets r_1 = B (sqrt(d_0) B_x + 1), since a weight row has L2 norm
+    at most sqrt(d_0) B.  A unit of layer j outputs at most
+    m_j = |sigma_j(0)| + rho_j r_j in magnitude, rho_j being the Lipschitz
     constant of activation j on the whole line (or a user-supplied
-    override).  Valid for parameters in [-B, B] and inputs of L2 norm at most
-    B_x with B >= max(1, B_x); it is the deliberately conservative constant
-    the covering bounds are stated with.
+    override), so layer j + 1 gets B d_j m_j + B <= 2B d_j max(1, m_j).
+    Where sigma_j(0) = 0 and rho_j r_j >= 1 (every activation but sigmoid,
+    once B >= 1), that step is r_{j+1} = 2B rho_j d_j r_j, the deliberately
+    conservative factor the covering bounds are stated with.
     """
     check_range("hidden layer index", i, 1, arch.depth, high_open=False)
     check_range("B", B, 0, low_open=True)
     check_range("B_x", B_x, 0, low_open=True)
     if rho is None:
         rho = default_lipschitz_constants(arch)
-    bound = 2.0 * B
+    bound = B * (math.sqrt(arch.input_dim) * B_x + 1.0)
     for j in range(1, i):
-        bound *= 2.0 * B * rho[j - 1] * arch.hidden_widths[j - 1]
+        out = abs(float(arch.activations[j - 1](0.0))) + rho[j - 1] * bound
+        bound = 2.0 * B * arch.hidden_widths[j - 1] * max(1.0, out)
     return bound
 
 

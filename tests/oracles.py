@@ -208,24 +208,26 @@ def edge_packing_number(D, eps):
 
 def greedy_cover_centers_reference(pts, epsilon):
     """Farthest-point greedy eps-cover over all points at every step, as the
-    list of center indices: the first center is row 0, each next one the
+    list of center indices and the list of distances at which each center
+    after the first was picked: the first center is row 0, each next one the
     first row farthest from the centers so far among those farther than
     eps, until none is left."""
     min_dist = np.abs(pts - pts[0]).max(axis=1)
-    centers = [0]
+    centers, radii = [0], []
     while True:
         uncovered = min_dist > epsilon
         if not uncovered.any():
-            return centers
+            return centers, radii
         candidate = np.where(uncovered, min_dist, -np.inf)
         idx = int(np.argmax(candidate))  # argmax returns the first maximizer
         centers.append(idx)
+        radii.append(float(min_dist[idx]))
         min_dist = np.minimum(min_dist, np.abs(pts - pts[idx]).max(axis=1))
 
 
 def greedy_cover_reference(pts, epsilon):
     """Size of the farthest-point greedy eps-cover."""
-    return len(greedy_cover_centers_reference(pts, epsilon))
+    return len(greedy_cover_centers_reference(pts, epsilon)[0])
 
 
 def greedy_pack_reference(pts, epsilon):

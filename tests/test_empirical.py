@@ -97,8 +97,10 @@ class TestGreedyEstimates:
 
     def test_function_class_sample_matches_reference(self, fclass_sample):
         for eps in (0.2, 0.4):
-            centers, _ = _greedy_cover_centers(fclass_sample, eps)
-            assert centers.tolist() == greedy_cover_centers_reference(fclass_sample.points, eps)
+            centers, radii = _greedy_cover_centers(fclass_sample, eps)
+            ref_centers, ref_radii = greedy_cover_centers_reference(fclass_sample.points, eps)
+            assert centers.tolist() == ref_centers
+            assert radii.tobytes() == np.array(ref_radii).tobytes()
             assert greedy_covering_estimate(MetricSpaceSample(fclass_sample.points), eps) == len(
                 centers
             )
@@ -143,7 +145,7 @@ class TestGreedyCoverRecord:
         space = MetricSpaceSample(pts)
         for eps in (0.4, 0.4, 0.8, 0.2, 0.3, 0.2, 0.05):
             assert greedy_covering_estimate(space, eps) == len(
-                greedy_cover_centers_reference(pts, eps)
+                greedy_cover_centers_reference(pts, eps)[0]
             )
         assert passes == [0.4, 0.2, 0.05]
 
@@ -180,14 +182,16 @@ class TestGreedyCoverRecord:
 
 
 class TestGreedyCoverPruning:
-    """Hand-built boundaries of the test that lets a new center c skip the
-    points of a center a with d(a, c) >= 2R, R being c's own distance."""
+    """Hand-built boundaries of distance pruning, where a skipped point must
+    be one the new center c cannot take: distances equal to R or 2R, R being
+    c's own distance, and a slab edge fl(c + R) that rounds below c + R.
+    Each cover must match a full rescan."""
 
     def test_point_as_far_from_new_center_as_from_its_own(self):
         # a = row 0, then row 1; c = row 2 has R = 1 and d(a, c) = 2 = 2R;
         # row 3 is 1 from a and 1 from c, so c leaves it live and it is last.
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
-        assert greedy_cover_centers_reference(pts, 0.5) == [0, 1, 2, 3]
+        assert greedy_cover_centers_reference(pts, 0.5)[0] == [0, 1, 2, 3]
         assert _greedy_cover_centers(MetricSpaceSample(pts), 0.5)[0].tolist() == [0, 1, 2, 3]
 
     def test_distance_rounded_to_exactly_2r(self):
@@ -199,8 +203,48 @@ class TestGreedyCoverPruning:
         pts = np.array([[-1.0, 0.0], [x, 1.5], [x, 0.0], [0.5, 0.0]])
         eps = 1.5 - 2.0**-52
         assert np.abs(pts[2] - pts[0]).max() == 3.0
-        assert greedy_cover_centers_reference(pts, eps) == [0, 1, 2]
+        assert greedy_cover_centers_reference(pts, eps)[0] == [0, 1, 2]
         assert _greedy_cover_centers(MetricSpaceSample(pts), eps)[0].tolist() == [0, 1, 2]
+
+    def test_points_at_the_slab_edges_and_one_inside(self):
+        # Center 2 = (5, 5) is picked at R = 5; rows 0 and 1 lie exactly R
+        # from it on the sorted first column and keep their distance 0.
+        # Row 3 lies 3.5 from it, more than R/2 on that column, and moves
+        # from 4.5 to 3.5, so it is picked at 3.5, or not at all at eps 4.
+        pts = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 5.0], [1.5, 4.5]])
+        for eps, size in ((1.0, 4), (4.0, 3)):
+            centers, radii = _greedy_cover_centers(MetricSpaceSample(pts), eps)
+            assert (centers.tolist(), radii.tolist()) == greedy_cover_centers_reference(pts, eps)
+            assert centers.tolist() == [0, 1, 2, 3][:size]
+            assert radii.tolist() == [10.0, 5.0, 3.5][: size - 1]
+
+    @pytest.mark.parametrize("offset", [1.0, 2.0**20, -(2.0**20)])
+    def test_slab_edge_rounded_below_c_plus_r(self, offset):
+        # Row 2 is picked at R = 1.25 ulp(offset) (a tie with row 3, which
+        # has the higher index).  fl(c + R) rounds down to c + ulp, the key
+        # of row 3, which row 2 moves to distance ulp: a slab of half-width
+        # R would end at row 3 and leave it to be picked as a fourth center.
+        # A negative offset mirrors the key column: the lower edge fl(c - R)
+        # then rounds up onto row 3's key, which the slab's closed lower end
+        # keeps.
+        u = np.spacing(abs(offset)) * np.sign(offset)
+        y = 1.25 * abs(u)
+        pts = np.array([[offset, 0.0], [offset - 8 * u, 0.0], [offset, y], [offset + u, y]])
+        assert offset + 1.25 * u == offset + u
+        eps = abs(u)
+        centers, radii = _greedy_cover_centers(MetricSpaceSample(pts), eps)
+        assert (centers.tolist(), radii.tolist()) == greedy_cover_centers_reference(pts, eps)
+        assert centers.tolist() == [0, 1, 2]
+        assert radii.tolist() == [8 * abs(u), y]
+
+    @pytest.mark.parametrize("points", [np.zeros((3, 0)), np.array([]), np.array([[0.5, -2.0]])])
+    def test_samples_of_one_distinct_point(self, points):
+        # Rows with no coordinates are all at distance 0 from each other.
+        for eps in (0.1, math.inf):
+            assert greedy_covering_estimate(MetricSpaceSample(points), eps) == 1
+            assert greedy_packing_estimate(MetricSpaceSample(points), eps) == 1
+        centers, radii = _greedy_cover_centers(MetricSpaceSample(points), 0.1)
+        assert centers.tolist() == [0] and radii.size == 0
 
 
 class TestExactOracles:

@@ -1,9 +1,9 @@
 """Property-based tests: permutation group laws, canonical-form invariance,
 the first permutation image, the stacked canonical sort, the pair
 canonicalization, the checked forward pass and training trace, the
-activation slopes, the first-fit row grouper, the distance kernel, the
-greedy covering and packing oracles and the exact packing oracle against
-brute-force references."""
+activation slopes, the hidden-layer range bound, the first-fit row grouper,
+the distance kernel, the greedy covering and packing oracles and the exact
+packing oracle against brute-force references."""
 
 import json
 import math
@@ -46,6 +46,7 @@ from fnequiv.nncore import (
     _forward_checked,
     _forward_trace,
     forward_batch,
+    hidden_range_bound,
     leaky_relu,
     params_identical,
 )
@@ -360,6 +361,42 @@ class TestActivationSlope:
         assert same_bits(np.asarray(act.deriv(x)), np.asarray(_ref_act_deriv(act, x)))
 
 
+@st.composite
+def range_bound_cases(draw):
+    """A d0-(hidden)-1 architecture with d0 in 1..4 and any of the five
+    activations, B >= max(1, B_x), and a seed for the Monte Carlo draws."""
+    widths = draw(hidden_widths)
+    arch = Architecture(draw(st.integers(1, 4)), widths, tuple(draw(ACTIVATIONS) for _ in widths))
+    B = draw(st.floats(1.0, 4.0))
+    return arch, B, B * draw(st.floats(0.1, 1.0)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestHiddenRangeBound:
+    @PROPERTY
+    @given(range_bound_cases())
+    def test_monte_carlo_pre_activations_within_bound(self, case):
+        # 64 nets with each entry at -B or B or uniform in between, each on
+        # 16 random inputs of norm B_x and on one input along each of its
+        # first-layer rows, where that layer's sup is reached.  The bound is
+        # a real-number sup that float sums may meet, hence the 1e-12.
+        arch, B, B_x, seed = case
+        rng = np.random.default_rng(seed)
+        dims = (arch.input_dim, *arch.hidden_widths)
+        layers = []
+        for d_in, d_out in zip(dims, dims[1:]):
+            entries = rng.uniform(-B, B, (64, d_out, d_in + 1))
+            corner = rng.random(entries.shape) < 0.5
+            entries[corner] = B * np.sign(entries[corner])
+            layers.append((entries[..., :-1], entries[..., -1]))
+        X = rng.normal(size=(64, 16, arch.input_dim))
+        X = np.concatenate([X, layers[0][0]], axis=1)
+        h = B_x * X / np.linalg.norm(X, axis=-1, keepdims=True)
+        for i, (W, b) in enumerate(layers, start=1):
+            z = h @ np.swapaxes(W, -1, -2) + b[:, None, :]
+            assert np.abs(z).max() <= hidden_range_bound(arch, B, B_x, i) * (1 + 1e-12)
+            h = arch.activations[i - 1](z)
+
+
 def assert_matches_oracle(rows, tolerance):
     assignment, reps = group_rows(rows, tolerance)
     groups = first_fit_row_groups(rows, tolerance)
@@ -474,9 +511,9 @@ class TestChebyshevKernel:
 @st.composite
 def cover_point_sets(draw):
     """1-400 rows picked from a pool of 1-400 rows with coordinates either
-    continuous or on a 0.25 grid: enough centers that most of them lie
-    beyond 2R of a new one, with repeated rows and (on the grid) exact
-    distances equal to eps or 2R."""
+    continuous or on a 0.25 grid: enough rows that most of them lie outside
+    a new center's slab, with repeated rows and (on the grid) exact
+    distances and key gaps equal to eps or R."""
     dim = draw(st.integers(1, 3))
     coords = draw(
         st.sampled_from(
@@ -491,9 +528,35 @@ def cover_point_sets(draw):
     return pool[picks]
 
 
+ULP_1E6 = float(np.spacing(1e6))
+
+
+@st.composite
+def offset_point_sets(draw):
+    """1-60 rows whose columns each sit at 0, 1e6 or -1e6 and spread over
+    +-8 ulps of 1e6: rows near 1e6 differ by a few ulps, while the rows near
+    0 carry the fine bits, so a center's key plus its radius often rounds."""
+    dim = draw(st.integers(1, 3))
+    offsets = draw(hnp.arrays(float, dim, elements=st.sampled_from([0.0, 1e6, -1e6])))
+    spread = st.floats(-8 * ULP_1E6, 8 * ULP_1E6)
+    shape = st.tuples(st.integers(1, 60), st.just(dim))
+    return offsets + draw(hnp.arrays(float, shape, elements=spread, fill=st.nothing()))
+
+
+def assert_cover_matches_reference(pts, eps):
+    centers, radii = _greedy_cover_centers(MetricSpaceSample(pts), eps)
+    ref_centers, ref_radii = greedy_cover_centers_reference(pts, eps)
+    assert centers.tolist() == ref_centers
+    assert radii.tobytes() == np.array(ref_radii, dtype=float).tobytes()
+
+
 class TestGreedyCoverCenters:
     @PROPERTY
     @given(cover_point_sets(), st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.3, 0.5]))
     def test_match_reference(self, pts, eps):
-        centers, _ = _greedy_cover_centers(MetricSpaceSample(pts), eps)
-        assert centers.tolist() == greedy_cover_centers_reference(pts, eps)
+        assert_cover_matches_reference(pts, eps)
+
+    @PROPERTY
+    @given(offset_point_sets(), st.sampled_from([0.25, 0.5, 1.0, 1.25, 2.5]))
+    def test_match_reference_near_large_offsets(self, pts, eps_ulps):
+        assert_cover_matches_reference(pts, eps_ulps * ULP_1E6)
