@@ -380,8 +380,6 @@ class AmplificationCheck:
     se_ratio: float
 
     def within(self, n_standard_errors: float = 3.0) -> bool:
-        if self.predicted_ratio == 1:
-            return self.ratio == 1.0
         return abs(self.ratio - self.predicted_ratio) <= n_standard_errors * self.se_ratio
 
 
@@ -393,35 +391,32 @@ def amplification_check(
     tolerance: float | None = None,
 ) -> AmplificationCheck:
     """Estimate P(init within tol of theta_star) and P(init within tol of any
-    distinct permutation image), and compare their ratio with
-    ``symmetry_profile``'s ``total_multiplicity`` (``predicted_ratio``).
+    distinct permutation image), and compare their ratio with the number of
+    images (``predicted_ratio``).
 
-    Both the prediction and the default tolerance, half the profile's
-    ``delta_min``, come from the hidden neurons' (incoming | bias) rows
-    alone.  They are the orbit size and half the image separation only when
-    tied rows are whole-neuron duplicates: rows tied there but feeding
-    different outgoing weights give more images than predicted, and images
-    closer than ``delta_min``, whose neighborhoods at that radius overlap.
-    The standard error of the ratio comes from the multinomial delta method.
-    ``theta_star`` is image row 0, since ``distinct_permutation_images``
-    lists it first.  Draws are made one ``nncore.stack_block`` at a time, so
-    memory does not grow with ``n_draws``; within one block they equal
-    ``initialize_batch``'s.
+    The images are enumerated by ``distinct_permutation_images``, which
+    lists ``theta_star`` first, bit for bit.  The default tolerance is half
+    the image separation: permutations are isometries of the max norm, so
+    the smallest distance between two images is the distance from
+    ``theta_star`` to its nearest other image, and neighborhoods of that
+    radius are disjoint.  The standard error of the ratio comes from the
+    multinomial delta method.  Draws are made one ``nncore.stack_block`` at
+    a time, so memory does not grow with ``n_draws``; within one block they
+    equal ``initialize_batch``'s.
     """
     check_shapes(arch, theta_star)
     check_range("n_draws", n_draws, 1)
     if not np.isfinite(theta_star.flat()).all():
         raise DomainError("theta_star must be finite")
-    profile = symmetry_profile(theta_star)
-    if tolerance is None:
-        if not math.isfinite(profile.delta_min):
-            raise DomainError(
-                "theta_star has no distinct rows; pass an explicit tolerance"
-            )
-        tolerance = profile.delta_min / 2.0
-    check_range("tolerance", tolerance, 0, high_open=False)
     images = distinct_permutation_images(theta_star)
     image_mat = np.stack([img.flat() for img in images])
+    if tolerance is None:
+        if len(images) == 1:
+            raise DomainError(
+                "theta_star is its only permutation image; pass an explicit tolerance"
+            )
+        tolerance = _chebyshev(image_mat[:1], image_mat[1:])[0].min() / 2.0
+    check_range("tolerance", tolerance, 0, high_open=False)
 
     single_hits = 0
     orbit_hits = 0
@@ -441,10 +436,8 @@ def amplification_check(
     p_orbit = orbit_hits / n_draws
     k = len(images)
     ratio = p_orbit / p_single if single_hits > 0 else math.inf
-    if k > 1 and single_hits > 0:
-        se = math.sqrt(k * (k - 1) / (n_draws * p_single))
-    else:
-        se = 0.0
+    # One image gives se 0, so ``within`` then asks for a ratio of exactly 1.
+    se = math.sqrt(k * (k - 1) / (n_draws * p_single)) if single_hits > 0 else 0.0
     return AmplificationCheck(
         n_draws=n_draws,
         tolerance=float(tolerance),
@@ -452,6 +445,6 @@ def amplification_check(
         p_single=p_single,
         p_orbit=p_orbit,
         ratio=ratio,
-        predicted_ratio=profile.total_multiplicity,
+        predicted_ratio=k,
         se_ratio=se,
     )

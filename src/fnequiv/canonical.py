@@ -181,9 +181,11 @@ def effective_volume(arch: Architecture, B: float) -> EffectiveVolume:
     )
 
 
-def distinct_permutation_images(
-    params: NetworkParams, limit: int = 100_000
-) -> list[NetworkParams]:
+# Most permutations ``distinct_permutation_images`` will enumerate.
+ORBIT_ENUMERATION_LIMIT = 100_000
+
+
+def distinct_permutation_images(params: NetworkParams) -> list[NetworkParams]:
     """Enumerate all hidden-layer permutations of ``params`` and deduplicate.
 
     The count equals the product of per-layer distinct-ordering counts when
@@ -193,13 +195,14 @@ def distinct_permutation_images(
     of first occurrence, so the first is ``params`` itself, bit for bit (the
     identity permutation comes first); permutations are taken in blocks of
     ``nncore.stack_block`` size, so memory holds the distinct images plus
-    one block.
+    one block.  More than ``ORBIT_ENUMERATION_LIMIT`` permutations raise
+    ``BudgetExceededError`` before any is taken.
     """
     sizes = [params.weight(l).shape[0] for l in range(1, params.n_layers)]
     total = math.prod(map(math.factorial, sizes))
-    if total > limit:
+    if total > ORBIT_ENUMERATION_LIMIT:
         raise BudgetExceededError(
-            f"orbit enumeration needs {total} permutations (limit {limit})",
+            f"orbit enumeration needs {total} permutations (limit {ORBIT_ENUMERATION_LIMIT})",
             required=total,
         )
     # Two float64 copies per permutation: the gathered layers and their rows.

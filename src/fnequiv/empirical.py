@@ -50,10 +50,17 @@ class MetricSpaceSample:
 
 
 def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> MetricSpaceSample:
-    """Uniform grid on [-half_width, half_width]^dim."""
+    """Uniform grid on [-half_width, half_width]^dim; one of more than
+    ``DEFAULT_GRID_BUDGET`` points raises before anything is allocated."""
     check_range("dim", dim, 1)
     check_range("points per axis", points_per_axis, 2)
     check_range("half_width", half_width, 0, low_open=True)
+    total = points_per_axis**dim
+    if total > DEFAULT_GRID_BUDGET:
+        raise BudgetExceededError(
+            f"grid has {points_per_axis}**{dim} points, budget is {DEFAULT_GRID_BUDGET}",
+            required=total,
+        )
     axis = np.linspace(-half_width, half_width, points_per_axis)
     mesh = np.meshgrid(*[axis] * dim, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -273,7 +280,7 @@ def function_class_sample(
     total = grid_resolution**S
     if total > budget:
         raise BudgetExceededError(
-            f"grid has {total} parameter vectors, budget is {budget}",
+            f"grid has {grid_resolution}**{S} parameter vectors, budget is {budget}",
             required=total,
         )
     axis = np.linspace(-B, B, grid_resolution)

@@ -57,17 +57,39 @@ def forward_block(arch: Architecture, n_inputs: int) -> int:
 
 @dataclass(frozen=True)
 class Activation:
-    """A pointwise activation with the structural flags the transforms need.
-
-    ``is_positive_homogeneous`` means sigma(lam*x) = lam*sigma(x) for lam > 0
-    (gates the scaling transform); ``is_odd`` means sigma(-x) = -sigma(x)
-    (gates the sign-flip transform).
+    """A pointwise activation: ``relu``, ``leaky_relu`` (whose negative
+    slope ``param`` must be > 0), ``tanh``, ``sigmoid`` or ``identity``.
+    The kind fixes the structural flags the transforms need.
     """
 
     name: str
-    is_positive_homogeneous: bool
-    is_odd: bool
     param: float | None = None
+
+    def __post_init__(self):
+        if self.name not in ("relu", "leaky_relu", "tanh", "sigmoid", "identity"):
+            raise DomainError(f"unknown activation {self.name!r}")
+        if (self.param is None) == (self.name == "leaky_relu"):
+            raise DomainError(f"only leaky_relu takes a slope, and it needs one: {self.tag()!r}")
+        if self.param is not None:
+            check_range("leaky_relu slope", self.param, 0, low_open=True)
+            object.__setattr__(self, "param", float(self.param))
+
+    @property
+    def is_positive_homogeneous(self) -> bool:
+        """sigma(lam*x) = lam*sigma(x) for lam > 0 (gates the scaling transform)."""
+        return self.name in ("relu", "leaky_relu", "identity")
+
+    @property
+    def is_odd(self) -> bool:
+        """sigma(-x) = -sigma(x) (gates the sign-flip transform)."""
+        return self.name in ("tanh", "identity")
+
+    @property
+    def lipschitz(self) -> float:
+        """Lipschitz constant on the whole line (tanh' and sigmoid' peak at 0)."""
+        if self.name == "leaky_relu":
+            return max(1.0, self.param)
+        return 0.25 if self.name == "sigmoid" else 1.0
 
     def __call__(self, x):
         return self._apply(np.asarray(x, dtype=float), None)
@@ -87,9 +109,7 @@ class Activation:
             from scipy.special import expit
 
             return expit(x, out=out)
-        if self.name == "identity":
-            return x
-        raise DomainError(f"unknown activation {self.name!r}")
+        return x  # identity
 
     def deriv(self, x):
         """Pointwise derivative; the ReLU subgradient at 0 is fixed to 0."""
@@ -105,24 +125,7 @@ class Activation:
             return 1.0 - y * y
         if self.name == "sigmoid":
             return y * (1.0 - y)
-        if self.name == "identity":
-            return np.ones_like(y)
-        raise DomainError(f"unknown activation {self.name!r}")
-
-    def lipschitz_on(self, half_width: float) -> float:
-        """Lipschitz constant on the interval [-half_width, half_width].
-
-        The interval always contains 0, where tanh' and sigmoid' peak, so the
-        constants are interval-independent for the supported activations.
-        """
-        check_range("interval half-width", half_width, 0, high_open=False)
-        if self.name in ("relu", "identity", "tanh"):
-            return 1.0
-        if self.name == "leaky_relu":
-            return max(1.0, self.param)
-        if self.name == "sigmoid":
-            return 0.25
-        raise DomainError(f"unknown activation {self.name!r}")
+        return np.ones_like(y)  # identity
 
     def tag(self) -> str:
         if self.param is not None:
@@ -130,43 +133,29 @@ class Activation:
         return self.name
 
 
-RELU = Activation("relu", is_positive_homogeneous=True, is_odd=False)
-TANH = Activation("tanh", is_positive_homogeneous=False, is_odd=True)
-SIGMOID = Activation("sigmoid", is_positive_homogeneous=False, is_odd=False)
-IDENTITY = Activation("identity", is_positive_homogeneous=True, is_odd=True)
+RELU = Activation("relu")
+TANH = Activation("tanh")
+SIGMOID = Activation("sigmoid")
+IDENTITY = Activation("identity")
 
 
 def leaky_relu(negative_slope: float) -> Activation:
-    check_range("leaky_relu slope", negative_slope, 0, low_open=True)
-    return Activation(
-        "leaky_relu",
-        is_positive_homogeneous=True,
-        is_odd=False,
-        param=float(negative_slope),
-    )
+    return Activation("leaky_relu", negative_slope)
 
 
 def activation_from_tag(tag: str) -> Activation:
-    """Parse tags like ``"relu"`` or ``"leaky_relu:0.1"``."""
+    """Parse tags like ``"relu"`` or ``"leaky_relu:0.1"`` (a bare
+    ``"leaky_relu"`` has slope 0.01)."""
     if not isinstance(tag, str):
         raise TypeError(f"activation tag must be a string, got {tag!r}")
     name, _, param = tag.partition(":")
-    simple = {
-        "relu": RELU,
-        "tanh": TANH,
-        "sigmoid": SIGMOID,
-        "identity": IDENTITY,
-    }
-    if name in simple:
-        if param:
-            raise DomainError(f"activation {name!r} takes no parameter")
-        return simple[name]
-    if name == "leaky_relu":
-        try:
-            return leaky_relu(float(param) if param else 0.01)
-        except ValueError as exc:
-            raise DomainError(f"bad leaky_relu slope {param!r}") from exc
-    raise DomainError(f"unknown activation tag {tag!r}")
+    if name == "leaky_relu" and not param:
+        param = "0.01"  # the bare tag's slope
+    try:
+        slope = float(param) if param else None
+    except ValueError as exc:
+        raise DomainError(f"bad activation parameter in {tag!r}") from exc
+    return Activation(name, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +544,7 @@ def hidden_range_bound(
 
 def default_lipschitz_constants(arch: Architecture) -> tuple[float, ...]:
     """Per-layer Lipschitz constants of the activations on the whole line."""
-    return tuple(act.lipschitz_on(math.inf) for act in arch.activations)
+    return tuple(act.lipschitz for act in arch.activations)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ SUITES = ("permutation", "sandwich", "amplification")
 
 _ACTIVATION_POOL = (RELU, leaky_relu(0.1), TANH, SIGMOID)
 
+# Random architectures, permutations per architecture and inputs per
+# forward comparison in the permutation suite; draws per amplification check.
+N_ARCHS, N_PERMS, N_INPUTS = 30, 3, 200
+N_DRAWS = 200_000
+
 
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
@@ -41,17 +46,17 @@ def _random_arch(rng) -> Architecture:
     return Architecture(d0, widths, acts)
 
 
-def suite_permutation(seed: int = 0, n_archs: int = 30, n_perms: int = 3, n_inputs: int = 200):
+def suite_permutation(seed: int = 0):
     """Function preservation, group structure, and box closure of the
     hidden-neuron permutation transform."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_archs):
+    for _ in range(N_ARCHS):
         arch = _random_arch(rng)
         params = random_params(arch, rng)
-        X = ball_points(arch.input_dim, n_inputs, 1.0, seed=int(rng.integers(2**31)))
+        X = ball_points(arch.input_dim, N_INPUTS, 1.0, seed=int(rng.integers(2**31)))
         base = forward_batch(arch, params, X)
-        for _ in range(n_perms):
+        for _ in range(N_PERMS):
             spec = transforms.random_spec(arch, rng)
             permuted = transforms.apply_permutation(params, spec)
             worst = max(
@@ -118,7 +123,7 @@ def suite_sandwich():
     return {"suite": "sandwich", "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def suite_amplification(seed: int = 0, n_draws: int = 200_000):
+def suite_amplification(seed: int = 0):
     """Orbit-hit probability equals image count times single-image probability
     for layer-symmetric initialization (no optimizer involved)."""
     arch = Architecture(1, (2,), (RELU,))
@@ -129,7 +134,7 @@ def suite_amplification(seed: int = 0, n_draws: int = 200_000):
         )
     )
     scheme = InitScheme("uniform", seed=seed, low=-1.0, high=1.0)
-    result = amplification_check(arch, scheme, theta_star, n_draws)
+    result = amplification_check(arch, scheme, theta_star, N_DRAWS)
     checks = [
         _check(
             "distinct_rows_ratio",
@@ -144,7 +149,7 @@ def suite_amplification(seed: int = 0, n_draws: int = 200_000):
             (np.array([[0.5, 0.5]]), np.array([0.0])),
         )
     )
-    dup = amplification_check(arch, scheme, theta_dup, n_draws // 4, tolerance=0.5)
+    dup = amplification_check(arch, scheme, theta_dup, N_DRAWS // 4, tolerance=0.5)
     checks.append(
         _check(
             "duplicated_rows_ratio",

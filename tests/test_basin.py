@@ -495,8 +495,37 @@ class TestAmplification:
         assert result.predicted_ratio == 2
         assert result.n_images == 2
         assert result.within(3.0)
-        # default tolerance is half the minimal row gap
+        # default tolerance is half the image separation
         assert result.tolerance == pytest.approx(0.5)
+
+    def test_tied_rows_feeding_different_weights_are_two_images(self):
+        # Both hidden rows are (0.5 | 0.2), but they feed 0.8 and -0.6, so
+        # the swap is a second image, 1.4 away.
+        theta_star = NetworkParams(
+            (
+                (np.array([[0.5], [0.5]]), np.array([0.2, 0.2])),
+                (np.array([[0.8, -0.6]]), np.array([0.0])),
+            )
+        )
+        arch = Architecture(1, (2,), (RELU,))
+        result = amplification_check(arch, InitScheme("uniform", seed=1), theta_star, 400_000)
+        assert result.n_images == result.predicted_ratio == 2
+        assert result.tolerance == 0.7
+        assert result.within(3.0)
+
+    def test_tolerance_is_half_the_nearest_image_distance(self):
+        # Rows 0 and 1 tie on (incoming | bias) and feed 0.30 and 0.31, so
+        # swapping them moves theta_star by 0.01 only.
+        theta_star = NetworkParams(
+            (
+                (np.array([[0.5], [0.5], [-0.5]]), np.array([0.2, 0.2, -0.3])),
+                (np.array([[0.30, 0.31, 0.4]]), np.array([0.0])),
+            )
+        )
+        arch = Architecture(1, (3,), (RELU,))
+        result = amplification_check(arch, InitScheme("uniform", seed=1), theta_star, 1)
+        assert result.predicted_ratio == 6
+        assert result.tolerance == 0.0050000000000000044
 
     def test_duplicated_rows_ratio_exactly_one(self):
         arch = Architecture(1, (2,), (RELU,))

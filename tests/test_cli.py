@@ -623,6 +623,12 @@ class TestCoveringSweep:
         assert code == 1, err
         assert err.startswith("error:") and "half_width" in err and stdout == ""
 
+    def test_oversized_grid_exits_one(self, capsys):
+        argv = ["covering-sweep", "--dim", "8", "--points-per-axis", "100", "--epsilons", "0.5"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error: grid has") and stdout == ""
+
 
 class TestBasinCommand:
     def test_writes_summary_and_runs(self, tmp_path, capsys):
@@ -744,6 +750,13 @@ class TestVerify:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("suite", ["sandwich", "amplification"])
+    def test_suite_passes_on_stdout(self, suite, capsys):
+        code, stdout, _ = run_cli(["verify", suite], capsys)
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["suite"] == suite and report["passed"] is True
 
     def test_unknown_suite_lists_options(self, capsys):
         code, _, err = run_cli(["verify", "nonexistent"], capsys)

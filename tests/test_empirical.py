@@ -7,6 +7,7 @@ import pytest
 from fnequiv import empirical
 from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_bound
 from fnequiv.empirical import (
+    DEFAULT_GRID_BUDGET,
     METRIC_FUNCTION,
     MetricSpaceSample,
     _edge_clique_cover,
@@ -371,6 +372,29 @@ class TestCliquePackingMatchesPairFormulation:
         assert edge_packing_number(space.distance_matrix(), math.inf) == 1
 
 
+class TestGridSample:
+    def test_budget_checked_before_allocation(self, monkeypatch):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("allocated an oversized grid")
+
+        monkeypatch.setattr(np, "meshgrid", no_mesh)
+        with pytest.raises(BudgetExceededError) as exc:
+            grid_sample(8, 100)
+        assert exc.value.required == 100**8
+
+    def test_count_past_the_int_print_limit(self):
+        # 3**10000 has 4772 digits; by default Python refuses to print an
+        # int of more than 4300.
+        with pytest.raises(BudgetExceededError, match=r"3\*\*10000 points"):
+            grid_sample(10_000, 3)
+
+    def test_budget_is_inclusive(self):
+        assert len(grid_sample(2, 1000)) == DEFAULT_GRID_BUDGET
+        with pytest.raises(BudgetExceededError) as exc:
+            grid_sample(2, 1001)
+        assert exc.value.required == 1001**2
+
+
 class TestSandwichAndVolume:
     @pytest.mark.parametrize("dim,per_axis", [(1, 9), (2, 9)])
     def test_sandwich_inequality(self, dim, per_axis):
@@ -425,6 +449,11 @@ class TestFunctionClassSample:
         with pytest.raises(BudgetExceededError) as exc:
             function_class_sample(arch, 1.0, 5, 1.0, 4, budget=10_000)
         assert exc.value.required == 5**13
+
+    def test_budget_guard_past_the_int_print_limit(self):
+        arch = Architecture(1, (3000,), (RELU,))  # 5**9001 has 6292 digits
+        with pytest.raises(BudgetExceededError, match=r"5\*\*9001 parameter vectors"):
+            function_class_sample(arch, 1.0, 5, 1.0, 4)
 
     def test_grid_values_hit_box_corners(self):
         arch = Architecture(1, (1,), (IDENTITY,))

@@ -64,6 +64,8 @@ CASES = {
         "covering-sweep", "--dim", "2", "--points-per-axis", "5", "--epsilons", "0.3,0.6",
         "--exact",
     ],
+    "verify_sandwich": ["verify", "sandwich"],
+    "verify_amplification": ["verify", "amplification"],
 }
 
 DIGESTS = {
@@ -79,6 +81,8 @@ DIGESTS = {
     "canonicalize": "0ef94f7fcc57342a5a588df161288d74592d154432555287c71ce45977be6536",
     "check_equiv": "4dfa74632e813b0c3295892a796f01ee3f7d23ea34f7fb557be69d6c66207ee0",
     "covering_sweep_exact": "947b36493bcbf828240189607a87d5346d629ed47b37912667429f65598cb8b3",
+    "verify_sandwich": "c932e2a1dae185fa8597e4af9e9d2897728d4a98c70ddeb8ac4002ca24ebccc4",
+    "verify_amplification": "1bf3463866b7fb3946a0a351d5f03a0fb860b6aa2eaed9c1ca9687b52eba693e",
 }
 
 BASIN = [

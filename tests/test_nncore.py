@@ -8,6 +8,7 @@ import pytest
 from fnequiv.equivalence import ball_points
 from fnequiv.errors import DomainError, NumericError, ShapeError
 from fnequiv.nncore import (
+    Activation,
     Architecture,
     ConstantLoss,
     IDENTITY,
@@ -56,7 +57,7 @@ class TestActivations:
     def test_lipschitz_constant_bounds_difference_quotients(self, act):
         rng = np.random.default_rng(7)
         M = 3.0
-        rho = act.lipschitz_on(M)
+        rho = act.lipschitz
         xs = rng.uniform(-M, M, 500)
         ys = rng.uniform(-M, M, 500)
         quot = np.abs(act(xs) - act(ys)) / np.abs(xs - ys)
@@ -79,14 +80,35 @@ class TestActivations:
         assert (out is z) == (act.name == "identity")
 
     def test_tag_round_trip(self):
-        for act in (RELU, TANH, SIGMOID, IDENTITY, leaky_relu(0.05)):
+        for act in (RELU, TANH, SIGMOID, IDENTITY, leaky_relu(0.05), leaky_relu(3.0)):
             assert activation_from_tag(act.tag()) == act
+        assert activation_from_tag("leaky_relu") == leaky_relu(0.01)
 
     def test_bad_tags(self):
-        with pytest.raises(DomainError):
-            activation_from_tag("swish")
+        bad = ("swish", "relu:0.1", "tanh:1", "leaky_relu:0", "leaky_relu:nan", "leaky_relu:abc")
+        for tag in bad:
+            with pytest.raises(DomainError):
+                activation_from_tag(tag)
         with pytest.raises(DomainError):
             leaky_relu(-1.0)
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("swish", None),
+            ("relu", 0.1),
+            ("tanh", 0.1),
+            ("sigmoid", 0.1),
+            ("identity", 0.1),
+            ("leaky_relu", None),
+            ("leaky_relu", 0.0),
+            ("leaky_relu", -1.0),
+            ("leaky_relu", math.nan),
+        ],
+    )
+    def test_kind_checked_at_construction(self, name, param):
+        with pytest.raises(DomainError):
+            Activation(name, param)
 
 
 class TestArchitecture:

@@ -1,5 +1,6 @@
 """Property-based tests: permutation group laws, canonical-form invariance,
-the first permutation image, the stacked canonical sort, the pair
+the first permutation image, the amplification check's image count and
+default tolerance, the stacked canonical sort, the pair
 canonicalization, the checked forward pass and training trace, the
 activation slopes, the hidden-layer range bound, the first-fit row grouper,
 the distance kernel, the greedy covering and packing oracles and the exact
@@ -9,10 +10,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fnequiv.basin import orbit_membership
+from fnequiv.basin import InitScheme, amplification_check, orbit_membership
 from fnequiv.canonical import (
     _canonical_layers,
     _canonical_pair,
@@ -34,6 +36,7 @@ from fnequiv.equivalence import (
     decide_equivalence,
     sampled_sup_distance,
 )
+from fnequiv.errors import DomainError
 from fnequiv.nncore import (
     IDENTITY,
     RELU,
@@ -61,6 +64,7 @@ from oracles import (
     greedy_cover_centers_reference,
     greedy_cover_reference,
     greedy_pack_reference,
+    permutation_images_reference,
 )
 
 # Derandomized so that the suite is reproducible; no deadline, because the
@@ -187,6 +191,43 @@ class TestPermutationImages:
     @given(tied_networks())
     def test_first_image_is_the_net_itself(self, params):
         assert params_identical(distinct_permutation_images(params)[0], params)
+
+
+@st.composite
+def one_hidden_layer_nets(draw):
+    """A 1-d-1 net, d <= 4, with entries in {-0.5, 0, 0.5}, so that hidden
+    rows tie often, with equal or different outgoing weights."""
+    d = draw(st.integers(1, 4))
+    tie = st.sampled_from([-0.5, 0.0, 0.5])
+    shapes = [((d, 1), (d,)), ((1, d), (1,))]
+    return NetworkParams(
+        tuple(
+            (draw(hnp.arrays(float, w, elements=tie)), draw(hnp.arrays(float, b, elements=tie)))
+            for w, b in shapes
+        )
+    )
+
+
+class TestAmplificationOrbit:
+    @PROPERTY
+    @given(one_hidden_layer_nets())
+    def test_prediction_and_tolerance_read_off_the_orbit(self, theta_star):
+        arch = Architecture(1, (theta_star.weight(1).shape[0],), (RELU,))
+        images = [
+            np.concatenate([a.ravel() for pair in img for a in pair])
+            for img in permutation_images_reference(list(theta_star.layers))
+        ]
+        scheme = InitScheme("uniform", seed=0)
+        if len(images) == 1:
+            with pytest.raises(DomainError):
+                amplification_check(arch, scheme, theta_star, 1)
+            return
+        result = amplification_check(arch, scheme, theta_star, 1)
+        assert result.predicted_ratio == result.n_images == len(images)
+        separation = min(
+            np.abs(a - b).max() for i, a in enumerate(images) for b in images[i + 1 :]
+        )
+        assert 2.0 * result.tolerance == separation
 
 
 @st.composite

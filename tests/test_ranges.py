@@ -90,7 +90,6 @@ HOLES = [
     ("pdim epsilon", lambda v: pdim_uniform_covering_bound(3, 10, 1.0, v), INF),
     ("function_class_sample B", lambda v: function_class_sample(TINY, v, 2, 1.0, 3), NAN),
     ("function_class_sample B", lambda v: function_class_sample(TINY, v, 2, 1.0, 3), INF),
-    ("lipschitz_on half-width", TANH.lipschitz_on, NAN),
     ("decide_equivalence n_samples", lambda v: decide_equivalence(NET, NET, 1.0, n_samples=v), 0),
     ("decide_equivalence n_samples", lambda v: decide_equivalence(NET, NET, 1.0, n_samples=v), -5),
     ("OptimizerConfig grad_threshold", lambda v: OptimizerConfig(0.1, 10, v), NAN),
@@ -119,7 +118,6 @@ INF_ACCEPTED = [
     lambda: greedy_covering_estimate(grid_sample(1, 3), INF),
     lambda: exact_covering_number(grid_sample(1, 3), INF),
     lambda: OptimizerConfig(0.1, 10, INF),
-    lambda: TANH.lipschitz_on(INF),
 ]
 
 
