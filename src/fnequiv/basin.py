@@ -55,7 +55,8 @@ class InitScheme:
     induced measure on parameters is invariant under hidden-neuron
     permutations.  Kinds: ``uniform(low, high)``, ``normal(mu, sigma)``,
     ``xavier`` (weights N(0, 2/(fan_in+fan_out)), zero biases), ``he``
-    (weights N(0, 2/fan_in), zero biases).
+    (weights N(0, 2/fan_in), zero biases).  An integer seed must be
+    nonnegative.
     """
 
     kind: str
@@ -68,6 +69,8 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in ("uniform", "normal", "xavier", "he"):
             raise DomainError(f"unknown init scheme {self.kind!r}")
+        if isinstance(self.seed, (int, np.integer)):  # a SeedSequence is left alone
+            check_range("init seed", self.seed, 0)
         for name in ("low", "high", "mu", "sigma"):
             check_range(f"init {name}", getattr(self, name), -math.inf, low_open=True)
         if self.kind == "uniform" and not self.low <= self.high:
@@ -77,17 +80,18 @@ class InitScheme:
 
 
 def _layer_draw(scheme: InitScheme, rng, n, fan_out, fan_in):
+    """The layer's (n, fan_out * fan_in) weight draw, then its (n, fan_out)
+    bias draw; a generator, so each is made only when asked for."""
     if scheme.kind == "uniform":
-        W = rng.uniform(scheme.low, scheme.high, size=(n, fan_out * fan_in))
-        b = rng.uniform(scheme.low, scheme.high, size=(n, fan_out))
+        yield rng.uniform(scheme.low, scheme.high, size=(n, fan_out * fan_in))
+        yield rng.uniform(scheme.low, scheme.high, size=(n, fan_out))
     elif scheme.kind == "normal":
-        W = rng.normal(scheme.mu, scheme.sigma, size=(n, fan_out * fan_in))
-        b = rng.normal(scheme.mu, scheme.sigma, size=(n, fan_out))
+        yield rng.normal(scheme.mu, scheme.sigma, size=(n, fan_out * fan_in))
+        yield rng.normal(scheme.mu, scheme.sigma, size=(n, fan_out))
     else:  # xavier or he: they differ only in the fan that sets the std
         fan = fan_in + fan_out if scheme.kind == "xavier" else fan_in
-        W = rng.normal(0.0, math.sqrt(2.0 / fan), size=(n, fan_out * fan_in))
-        b = np.zeros((n, fan_out))
-    return W, b
+        yield rng.normal(0.0, math.sqrt(2.0 / fan), size=(n, fan_out * fan_in))
+        yield np.zeros((n, fan_out))
 
 
 def initialize_batch(arch: Architecture, scheme: InitScheme, n: int) -> np.ndarray:
@@ -96,12 +100,22 @@ def initialize_batch(arch: Architecture, scheme: InitScheme, n: int) -> np.ndarr
     return _draw(arch, scheme, np.random.default_rng(scheme.seed), n)
 
 
-def _draw(arch: Architecture, scheme: InitScheme, rng, n: int) -> np.ndarray:
-    """``n`` flat parameter vectors from ``rng``, drawn layer by layer."""
-    blocks = []
+def _draw(arch: Architecture, scheme: InitScheme, rng, n: int, out=None) -> np.ndarray:
+    """``n`` flat parameter vectors from ``rng``, drawn layer by layer into
+    the (n, S) array ``out`` (a new one when None), which is returned.
+
+    Each weight or bias draw is copied into its columns and dropped before
+    the next is made, so at most one of them is alive at a time.
+    """
+    if out is None:
+        out = np.empty((n, arch.param_count))
+    col = 0
     for (fan_out, fan_in), _ in arch.layer_shapes():
-        blocks.extend(_layer_draw(scheme, rng, n, fan_out, fan_in))
-    return np.concatenate(blocks, axis=1)
+        for part in _layer_draw(scheme, rng, n, fan_out, fan_in):
+            out[:, col : col + part.shape[1]] = part
+            col += part.shape[1]
+            del part
+    return out
 
 
 def initialize(arch: Architecture, scheme: InitScheme) -> NetworkParams:
@@ -126,6 +140,7 @@ def teacher_dataset(
     """Inputs in the B_x ball labelled by a fixed teacher network."""
     check_range("n_points", n_points, 1)
     check_range("B_x", B_x, 0, low_open=True)
+    check_range("seed", seed, 0)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-B_x, B_x, size=(n_points, arch.input_dim))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -380,6 +395,9 @@ class AmplificationCheck:
     se_ratio: float
 
     def within(self, n_standard_errors: float = 3.0) -> bool:
+        """Whether the ratio lies within ``n_standard_errors`` (finite and
+        nonnegative) standard errors of the predicted one."""
+        check_range("n_standard_errors", n_standard_errors, 0)
         return abs(self.ratio - self.predicted_ratio) <= n_standard_errors * self.se_ratio
 
 
@@ -401,8 +419,8 @@ def amplification_check(
     ``theta_star`` to its nearest other image, and neighborhoods of that
     radius are disjoint.  The standard error of the ratio comes from the
     multinomial delta method.  Draws are made one ``nncore.stack_block`` at
-    a time, so memory does not grow with ``n_draws``; within one block they
-    equal ``initialize_batch``'s.
+    a time into buffers allocated once, so memory does not grow with
+    ``n_draws``; within one block they equal ``initialize_batch``'s.
     """
     check_shapes(arch, theta_star)
     check_range("n_draws", n_draws, 1)
@@ -421,20 +439,26 @@ def amplification_check(
     single_hits = 0
     orbit_hits = 0
     rng = np.random.default_rng(scheme.seed)
+    k, S = len(images), arch.param_count
     # Twice the float64 bytes of a draw's parameters and of its distances to
-    # every image.  Each block draws layer by layer, so the draw stream, and
-    # with it every count, depends on this block size.
-    block = stack_block(16 * (arch.param_count + len(images)))
+    # every image: the buffers below hold 8S + 9k bytes per draw, and one
+    # layer's fresh draw at most 8S more.  Each block draws layer by layer,
+    # so the draw stream, and with it every count, depends on this block size.
+    block = stack_block(16 * (S + k))
+    m = min(block, n_draws)
+    draws, dist, hit = np.empty((m, S)), np.empty(k * m), np.empty(k * m, dtype=bool)
     for start in range(0, n_draws, block):
-        chunk = _draw(arch, scheme, rng, min(block, n_draws - start))
-        # Images by draws, so that each draw's hits reduce along axis 0.
-        hit = _chebyshev(image_mat, chunk) <= tolerance
-        single_hits += int(np.count_nonzero(hit[0]))
-        orbit_hits += int(np.count_nonzero(hit.any(axis=0)))
+        m = min(block, n_draws - start)
+        chunk = _draw(arch, scheme, rng, m, out=draws[:m])
+        # Images by draws, so that each draw's hits reduce along axis 0; the
+        # flat buffers' heads reshape to C-contiguous (k, m) arrays.
+        d = _chebyshev(image_mat, chunk, out=dist[: k * m].reshape(k, m))
+        h = np.less_equal(d, tolerance, out=hit[: k * m].reshape(k, m))
+        single_hits += int(np.count_nonzero(h[0]))
+        orbit_hits += int(np.count_nonzero(h.any(axis=0)))
 
     p_single = single_hits / n_draws
     p_orbit = orbit_hits / n_draws
-    k = len(images)
     ratio = p_orbit / p_single if single_hits > 0 else math.inf
     # One image gives se 0, so ``within`` then asks for a ratio of exactly 1.
     se = math.sqrt(k * (k - 1) / (n_draws * p_single)) if single_hits > 0 else 0.0

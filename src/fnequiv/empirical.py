@@ -55,12 +55,7 @@ def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> Metr
     check_range("dim", dim, 1)
     check_range("points per axis", points_per_axis, 2)
     check_range("half_width", half_width, 0, low_open=True)
-    total = points_per_axis**dim
-    if total > DEFAULT_GRID_BUDGET:
-        raise BudgetExceededError(
-            f"grid has {points_per_axis}**{dim} points, budget is {DEFAULT_GRID_BUDGET}",
-            required=total,
-        )
+    _grid_count("points", points_per_axis, dim, DEFAULT_GRID_BUDGET)
     axis = np.linspace(-half_width, half_width, points_per_axis)
     mesh = np.meshgrid(*[axis] * dim, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -69,6 +64,21 @@ def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> Metr
         METRIC_PARAMS,
         {"kind": "grid", "dim": dim, "points_per_axis": points_per_axis, "half_width": half_width},
     )
+
+
+def _grid_count(what: str, per_axis: int, dim: int, budget: int) -> int:
+    """``per_axis ** dim``, the size of a grid of ``what``, or
+    ``BudgetExceededError`` when that exceeds ``budget``.  As per_axis >= 2,
+    every dim >= ``budget.bit_length()`` exceeds it; such a grid is refused
+    before the power, which can take seconds to form, with ``required``
+    None."""
+    message = f"grid has {per_axis}**{dim} {what}, budget is {budget}"
+    if dim >= budget.bit_length():
+        raise BudgetExceededError(message)
+    total = per_axis**dim
+    if total > budget:
+        raise BudgetExceededError(message, required=total)
+    return total
 
 
 def _check_oracle_args(space: MetricSpaceSample, epsilon: float) -> None:
@@ -277,12 +287,7 @@ def function_class_sample(
     check_range("grid resolution", grid_resolution, 2)
     check_range("evaluation point count", n_eval_points, 1)
     S = arch.param_count
-    total = grid_resolution**S
-    if total > budget:
-        raise BudgetExceededError(
-            f"grid has {grid_resolution}**{S} parameter vectors, budget is {budget}",
-            required=total,
-        )
+    total = _grid_count("parameter vectors", grid_resolution, S, budget)
     axis = np.linspace(-B, B, grid_resolution)
     digits = np.unravel_index(np.arange(total), (grid_resolution,) * S)
     thetas = np.stack([axis[d] for d in digits], axis=1)

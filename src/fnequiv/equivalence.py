@@ -11,6 +11,8 @@ equivalence.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -54,30 +56,35 @@ class EquivalenceVerdict:
 def ball_points(dim: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
     """Deterministic quasi-uniform points in the closed L2 ball.
 
-    A scrambled Halton sequence is mapped into the ball (Gaussian-inverse
-    directions, radial inverse-CDF), then the origin and the +-radius axis
-    points are appended so boundary behavior is always probed.  Each
-    ``(dim, n, radius, seed)`` set is computed once per process and returned
-    read-only; at most ``_BALL_POINTS_CACHE_SIZE`` (8) sets are held, least
-    recently used dropped first.  The seed must be an integer, so a cached
-    set always equals a fresh one.
+    A scrambled Halton sequence (``_halton``) is mapped into the ball
+    (Gaussian-inverse directions, radial inverse-CDF), then the origin and
+    the +-radius axis points are appended so boundary behavior is always
+    probed.  Each ``(dim, n, radius, seed)`` set is computed once per process
+    and returned read-only; at most ``_BALL_POINTS_CACHE_SIZE`` (8) sets are
+    held, least recently used dropped first.  The seed must be a nonnegative
+    integer, so a cached set always equals a fresh one.
     """
     check_range("sample point count n", n, 1)
     check_range("radius", radius, 0, low_open=True)
+    return _ball_points(dim, n, radius, _check_seed(seed))
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int; ``DomainError`` unless it is a nonnegative integer."""
     try:
         seed = operator.index(seed)
     except TypeError:
         raise DomainError(f"seed must be an integer, got {seed!r}") from None
-    return _ball_points(dim, n, radius, seed)
+    check_range("seed", seed, 0)
+    return seed
 
 
 @functools.lru_cache(maxsize=_BALL_POINTS_CACHE_SIZE)
 def _ball_points(dim: int, n: int, radius: float, seed: int) -> np.ndarray:
-    from scipy.stats import norm, qmc
+    from scipy.special import ndtri
 
-    sampler = qmc.Halton(d=dim + 1, scramble=True, seed=seed)
-    u = sampler.random(n)
-    z = norm.ppf(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))
+    u = _halton(dim + 1, n, seed)
+    z = ndtri(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     r = radius * u[:, dim:] ** (1.0 / dim)
@@ -86,6 +93,44 @@ def _ball_points(dim: int, n: int, radius: float, seed: int) -> np.ndarray:
     out = np.concatenate([pts, np.zeros((1, dim)), axes])
     out.setflags(write=False)
     return out
+
+
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first ``n`` points of the ``d``-dimensional scrambled Halton
+    sequence, bit for bit ``scipy.stats.qmc.Halton(d=d, scramble=True,
+    seed=seed).random(n)``, without loading ``scipy.stats``.
+
+    Column j is the radical inverse of the row index in the j-th prime base
+    b under Owen's random digit permutations (arXiv:1706.02808): one
+    permutation of ``range(b)`` per base-b digit that a double resolves,
+    ``ceil(54 / log2 b) - 1`` of them, shuffled in turn by one
+    ``default_rng(seed)``, column by column.  The digits are summed from
+    the lowest, each permuted digit times b^-(place).
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(n)
+    cols = []
+    for base in _primes(d):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        col, rest, scale = np.zeros(n), index.copy(), 1.0 / base
+        for perm in perms:
+            col += perm[rest % base] * scale
+            rest //= base
+            scale /= base
+        cols.append(col)
+    return np.stack(cols, axis=1)
+
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes, candidate = [], 2
+    while len(primes) < count:
+        if all(candidate % p for p in itertools.takewhile(lambda p: p * p <= candidate, primes)):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
 def sampled_sup_distance(
@@ -132,14 +177,16 @@ def decide_equivalence(
     The structural proof is found for every permuted pair whose sort keys
     within each hidden layer are pairwise distinct; tied keys with different
     outgoing columns can leave a permuted pair to the sampled verdict.
-    ``tolerance`` must be nonnegative, ``B_x`` finite and positive and
-    ``n_samples`` at least 1, whichever route decides.
+    ``tolerance`` must be nonnegative, ``B_x`` finite and positive,
+    ``n_samples`` at least 1 and ``seed`` a nonnegative integer, whichever
+    route decides.
     """
     if f1.arch != f2.arch:
         raise ShapeError("architectures differ")
     check_range("tolerance", tolerance, 0, high_open=False)
     check_range("B_x", B_x, 0, low_open=True)
     check_range("n_samples", n_samples, 1)
+    _check_seed(seed)
     check_same_shapes(f1.params, f2.params)
     flats, witness = _canonical_pair(f1.params, f2.params)
     # Bytes, not values, so -0.0 and 0.0 differ.

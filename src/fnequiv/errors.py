@@ -43,7 +43,9 @@ class UnsupportedTransformError(FnequivError):
 class BudgetExceededError(FnequivError):
     """An enumeration would exceed the configured budget.
 
-    ``required`` reports the size the request would have needed.
+    ``required`` reports the size the request would have needed, or None
+    when the request is refused before that size is formed (a grid whose
+    exponent alone shows it is over budget).
     """
 
     def __init__(self, message, required=None):

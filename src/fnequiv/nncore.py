@@ -303,7 +303,7 @@ def _flatten(layers) -> np.ndarray:
     return np.concatenate([a.reshape(*lead, -1) for W, b in layers for a in (W, b)], axis=-1)
 
 
-def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _chebyshev(points: np.ndarray, centers: np.ndarray, out=None) -> np.ndarray:
     """L-infinity distances from each row of ``points`` (axis 0) to each row
     of ``centers`` (axis 1), bit for bit those of ``np.abs(a - b).max()``:
     a max of once-rounded |a - b|, which is the true distance correctly
@@ -315,11 +315,13 @@ def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     Put the fewer rows first: ``_chebyshev(one_row, many)[0]`` gives the
     same bits as ``_chebyshev(many, one_row)[:, 0]``, 3-4x faster on
-    hundreds to thousands of rows.
+    hundreds to thousands of rows.  ``out``, when given, must be a
+    C-contiguous float64 array of the result's shape; it is filled and
+    returned.
     """
     from scipy.spatial.distance import cdist
 
-    return cdist(points, centers, metric="chebyshev")
+    return cdist(points, centers, metric="chebyshev", out=out)
 
 
 def params_identical(a: NetworkParams, b: NetworkParams) -> bool:

@@ -335,6 +335,24 @@ def permutation_images_reference(layers):
     return images
 
 
+def blocked_draws_reference(layer_shapes, kind, a, b, seed, n, block):
+    """``n`` flat parameter draws from one ``default_rng(seed)``, ``block``
+    rows at a time (the last block partial): within a block, each layer's
+    (m, fan_out * fan_in) weights, then its (m, fan_out) biases, each
+    ``rng.uniform(a, b)`` or ``rng.normal(a, b)`` as ``kind`` says, side by
+    side; the blocks stacked."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        parts = []
+        for fan_out, fan_in in layer_shapes:
+            parts.append(getattr(rng, kind)(a, b, size=(m, fan_out * fan_in)))
+            parts.append(getattr(rng, kind)(a, b, size=(m, fan_out)))
+        blocks.append(np.concatenate(parts, axis=1))
+    return np.concatenate(blocks)
+
+
 def amplification_counts_reference(draws, images, star_idx, tolerance):
     """Single-image and orbit hit counts of the draws (one per row) against
     the flat images, from the Chebyshev distance of every draw to every

@@ -28,7 +28,12 @@ from fnequiv.nncore import (
     random_params,
 )
 from fnequiv.transforms import PermutationSpec, apply_permutation, random_spec
-from oracles import amplification_counts_reference, basin_summary_reference, gd_reference
+from oracles import (
+    amplification_counts_reference,
+    basin_summary_reference,
+    blocked_draws_reference,
+    gd_reference,
+)
 
 
 def two_distinct_rows_params():
@@ -624,6 +629,33 @@ class TestAmplification:
         else:
             assert single > 0
 
+    @pytest.mark.parametrize(
+        "scheme", [InitScheme("uniform", seed=5), InitScheme("normal", seed=6, sigma=0.5)]
+    )
+    def test_counts_equal_blocked_reference_across_blocks(self, monkeypatch, scheme):
+        arch = Architecture(1, (3,), (RELU,))
+        theta_star = NetworkParams(
+            (
+                (np.array([[-0.5], [0.5], [-0.5]]), np.array([-0.5, -0.5, 0.5])),
+                (np.array([[0.1, -0.2, 0.3]]), np.array([0.0])),
+            )
+        )
+        images = np.stack([img.flat() for img in distinct_permutation_images(theta_star)])
+        # 16 (S + k) bytes per draw give 3000-draw blocks: three full blocks
+        # and a partial one of 1007 draws.
+        block, n, tolerance = 3000, 10_007, 0.8
+        monkeypatch.setattr(
+            "fnequiv.nncore.STACK_BLOCK_BYTES", 16 * (arch.param_count + len(images)) * block
+        )
+        result = amplification_check(arch, scheme, theta_star, n, tolerance)
+        a, b = (scheme.low, scheme.high) if scheme.kind == "uniform" else (scheme.mu, scheme.sigma)
+        draws = blocked_draws_reference(
+            [(3, 1), (1, 3)], scheme.kind, a, b, scheme.seed, n, block
+        )
+        single, orbit = amplification_counts_reference(draws, images, 0, tolerance)
+        assert 0 < single < orbit
+        assert (result.p_single, result.p_orbit) == (single / n, orbit / n)
+
     def test_memory_bounded_by_block(self):
         import fnequiv.nncore as nncore_mod
 
@@ -643,7 +675,7 @@ class TestAmplification:
         finally:
             tracemalloc.stop()
         assert result.n_images == 6
-        assert peak <= 2 * nncore_mod.STACK_BLOCK_BYTES
+        assert peak <= nncore_mod.STACK_BLOCK_BYTES
 
     def test_non_finite_theta_star_rejected(self):
         # The distance kernel skips NaN coordinates, so a NaN entry would

@@ -856,6 +856,25 @@ class TestErrorsAndDeterminism:
         assert code == 1, err
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("subcommand", ["transform", "check-equiv", "basin", "verify"])
+    def test_negative_seed_exits_one(self, tmp_path, small_net, capsys, subcommand):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "permutation", "perms": [[1, 0]]}))
+        other = tmp_path / "other.json"  # not a permuted copy: the sampled route
+        arch = Architecture(1, (2,), (TANH,))
+        save_network(Network(arch, random_params(arch, np.random.default_rng(3))), other)
+        argv = {
+            "transform": ["--network", str(small_net), "--transform", str(spec)],
+            "check-equiv": ["--first", str(small_net), "--second", str(other)],
+            "basin": ["--arch", "2-2-1", "--n-runs", "2", "--output-prefix", str(tmp_path / "e")],
+            "verify": ["permutation"],
+        }[subcommand]
+        written = set(tmp_path.iterdir())
+        code, stdout, err = run_cli([subcommand, *argv, "--seed", "-1"], capsys)
+        assert code == 1, err
+        assert err.startswith("error:") and "seed" in err and stdout == ""
+        assert set(tmp_path.iterdir()) == written
+
     def test_internal_error_exit_two(self, small_net, capsys, monkeypatch):
         import fnequiv.cli as cli_mod
 
@@ -958,6 +977,25 @@ def scipy_modules_after(code: str) -> str:
 def test_import_loads_no_scipy():
     # scipy loads on first use only (about 1 s of import time).
     assert scipy_modules_after("import sys, fnequiv, fnequiv.cli") == "[]"
+
+
+def test_sampled_points_load_no_scipy_stats(tmp_path):
+    # scipy.stats adds about 70 MB and a second of import time; the sampled
+    # points are built without it.
+    arch = Architecture(2, (3,), (TANH,))
+    nets = []
+    for seed in (1, 2):
+        nets.append(tmp_path / f"net{seed}.json")
+        save_network(Network(arch, random_params(arch, np.random.default_rng(seed))), nets[-1])
+    argv = ["check-equiv", "--first", str(nets[0]), "--second", str(nets[1]), "--samples", "64"]
+    argv += ["--output", str(tmp_path / "v.json")]
+    code = f"import sys; from fnequiv.cli import main; assert main({argv!r}) == 0"
+    assert "'scipy.stats'" not in scipy_modules_after(code)
+    assert json.loads((tmp_path / "v.json").read_text())["verdict"]["kind"] == "distinguished"
+    code = "import sys; from fnequiv import Architecture, RELU, function_class_sample; "
+    code += "function_class_sample(Architecture(1, (1,), (RELU,)), 1.0, 2, 1.0, 8)"
+    loaded = scipy_modules_after(code)
+    assert "'scipy.special'" in loaded and "'scipy.stats'" not in loaded
 
 
 def test_basin_run_loads_no_scipy(tmp_path):

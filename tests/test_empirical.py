@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -387,6 +388,29 @@ class TestGridSample:
         # int of more than 4300.
         with pytest.raises(BudgetExceededError, match=r"3\*\*10000 points"):
             grid_sample(10_000, 3)
+
+    def test_huge_exponent_refused_before_the_power(self):
+        # 3**10**7 alone takes seconds to form; any dim of at least the
+        # budget's bit length is over it whatever the base.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"3\*\*10000000 points") as exc:
+            grid_sample(10**7, 3)
+        assert exc.value.required is None
+        arch = Architecture(1, (10**7,), (RELU,))
+        with pytest.raises(BudgetExceededError, match="parameter vectors") as exc:
+            function_class_sample(arch, 1.0, 2, 1.0, 4)
+        assert exc.value.required is None
+        assert time.perf_counter() - start < 0.5
+
+    def test_early_refusal_starts_at_the_budget_bit_length(self, monkeypatch):
+        monkeypatch.setattr("fnequiv.empirical.DEFAULT_GRID_BUDGET", 7)  # bit length 3
+        assert len(grid_sample(2, 2)) == 4
+        with pytest.raises(BudgetExceededError) as exc:
+            grid_sample(2, 3)
+        assert exc.value.required == 9
+        with pytest.raises(BudgetExceededError) as exc:
+            grid_sample(3, 2)
+        assert exc.value.required is None
 
     def test_budget_is_inclusive(self):
         assert len(grid_sample(2, 1000)) == DEFAULT_GRID_BUDGET

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from fnequiv import equivalence
 from fnequiv.equivalence import (
@@ -66,6 +66,19 @@ class TestBallPoints:
             pts = ball_points(dim, n, radius, seed=seed)
             assert pts.dtype == expected.dtype
             assert pts.tobytes() == expected.tobytes()
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 5000),
+        st.integers(0, 2**63 - 1),
+        st.floats(0.0, 1e300, exclude_min=True),
+    )
+    def test_built_in_halton_matches_scipy_reference(self, dim, n, seed, radius):
+        # The reference draws scipy.stats.qmc.Halton; the package builds the
+        # same scrambled points itself.
+        expected = ball_points_reference(dim, n, radius, seed)
+        assert ball_points(dim, n, radius, seed=seed).tobytes() == expected.tobytes()
 
     def test_returned_points_are_read_only(self):
         pts = ball_points(2, 32, 1.0, seed=1)
@@ -156,13 +169,13 @@ class TestDecideEquivalence:
     def test_repeated_sampled_fallbacks_build_the_points_once(self, monkeypatch):
         net, other = perturbed_pair()
         built = []
-        halton = scipy.stats.qmc.Halton
+        halton = equivalence._halton
 
-        def counting_halton(*args, **kwargs):
-            built.append(kwargs)
-            return halton(*args, **kwargs)
+        def counting_halton(*args):
+            built.append(args)
+            return halton(*args)
 
-        monkeypatch.setattr(scipy.stats.qmc, "Halton", counting_halton)
+        monkeypatch.setattr(equivalence, "_halton", counting_halton)
         equivalence._ball_points.cache_clear()
         verdicts = [decide_equivalence(net, other, 1.0, n_samples=300, seed=11) for _ in range(10)]
         assert len(built) == 1

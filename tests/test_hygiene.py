@@ -40,6 +40,34 @@ def test_unused_import_detector():
     assert unused_imports(source) == ["math (line 2)", "os (line 3)"]
 
 
+def imported_modules(source: str) -> set[str]:
+    """Every module an import statement of ``source`` names, with each
+    ``from m import n`` also counted as ``m.n`` (n may be a submodule)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_stats_import(path):
+    # scipy.stats costs about 70 MB and a second to import; the package
+    # needs none of it.
+    stats = [m for m in imported_modules(path.read_text()) if m.startswith("scipy.stats")]
+    assert stats == []
+
+
+def test_imported_modules_detector():
+    source = "import scipy.stats.qmc\nfrom scipy import stats\nfrom scipy.stats import norm\n"
+    assert imported_modules(source) == {
+        "scipy.stats.qmc", "scipy", "scipy.stats", "scipy.stats.norm"
+    }
+
+
 def test_failing_property_reports_its_example(tmp_path):
     # A failing @given test under the repo's warning filters must print its
     # falsifying example rather than end in a pytest INTERNALERROR.

@@ -548,6 +548,16 @@ class TestChebyshevKernel:
         assert fast.tobytes() == np.abs(rows - center).max(axis=1).tobytes()
         assert fast.tobytes() == _chebyshev(rows, center)[:, 0].tobytes()
 
+    @PROPERTY
+    @given(st.data())
+    def test_out_buffer_gives_the_same_bits(self, data):
+        dim = data.draw(st.integers(1, 6))
+        a = data.draw(hnp.arrays(float, st.tuples(st.integers(1, 20), st.just(dim)), elements=VALUES))
+        b = data.draw(hnp.arrays(float, st.tuples(st.integers(1, 20), st.just(dim)), elements=VALUES))
+        buf = np.full((len(a), len(b)), np.nan)
+        assert _chebyshev(a, b, out=buf) is buf
+        assert buf.tobytes() == _chebyshev(a, b).tobytes()
+
 
 @st.composite
 def cover_point_sets(draw):

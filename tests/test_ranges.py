@@ -25,15 +25,18 @@ from fnequiv.empirical import (
     greedy_covering_estimate,
     grid_sample,
 )
-from fnequiv.equivalence import decide_equivalence
+from fnequiv.equivalence import ball_points, decide_equivalence
 from fnequiv.errors import ConfigError, DomainError, check_range
 from fnequiv.nncore import (
+    RELU,
     TANH,
     Architecture,
     Network,
+    NetworkParams,
     hidden_range_bound,
     random_params,
 )
+from fnequiv.verify import run_suite
 
 NAN, INF = math.nan, math.inf
 ARCH = Architecture(2, (3,), (TANH,))
@@ -100,6 +103,13 @@ HOLES = [
     ("teacher_dataset n_points", lambda v: teacher_dataset(ARCH, PARAMS, v, 1.0), 0),
     ("grid_sample half_width", lambda v: grid_sample(2, 3, v), -1.0),
     ("grid_sample half_width", lambda v: grid_sample(2, 3, v), 0.0),
+    ("ball_points seed", lambda v: ball_points(2, 8, 1.0, seed=v), -1),
+    ("ball_points seed", lambda v: ball_points(2, 8, 1.0, seed=v), np.int64(-2**40)),
+    ("InitScheme seed", lambda v: InitScheme("uniform", seed=v), -1),
+    ("InitScheme seed", lambda v: InitScheme("he", seed=v), np.int32(-7)),
+    ("teacher_dataset seed", lambda v: teacher_dataset(ARCH, PARAMS, 8, 1.0, seed=v), -1),
+    ("run_suite seed", lambda v: run_suite("permutation", seed=v), -1),
+    ("run_suite seed", lambda v: run_suite("sandwich", seed=v), -3),
 ]
 
 
@@ -125,3 +135,26 @@ INF_ACCEPTED = [
 def test_infinite_tolerance_still_accepted(call):
     call()
 
+
+def test_seed_sequence_init_seed_is_left_alone():
+    scheme = InitScheme("uniform", seed=np.random.SeedSequence(3))
+    assert amplification_check(ARCH, scheme, PARAMS, 10, tolerance=1.0).n_draws == 10
+
+
+# A one-image theta*: ratio 1 with standard error 0, where inf * 0 is NaN.
+ONE_IMAGE = NetworkParams(
+    (
+        (np.array([[0.5], [0.5]]), np.array([0.2, 0.2])),
+        (np.array([[0.3, 0.3]]), np.array([0.0])),
+    )
+)
+
+
+@pytest.mark.parametrize("n_standard_errors", [NAN, -1.0, -1e-300, INF, -INF])
+def test_within_checks_its_argument(n_standard_errors):
+    result = amplification_check(
+        Architecture(1, (2,), (RELU,)), InitScheme("uniform", seed=1), ONE_IMAGE, 2000, 0.5
+    )
+    assert result.n_images == 1 and result.within(0.0)
+    with pytest.raises(DomainError, match="n_standard_errors"):
+        result.within(n_standard_errors)
