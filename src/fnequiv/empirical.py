@@ -87,7 +87,7 @@ def _check_oracle_args(space: MetricSpaceSample, epsilon: float) -> None:
         raise DomainError("empty point set")
 
 
-# Relative slack on the greedy cover's slab half-width; see _greedy_cover_centers.
+# Relative slack on a slab's half-width; see _slab.
 MARGIN = 1e-9
 
 
@@ -116,37 +116,50 @@ def greedy_covering_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     return 1 + int(np.count_nonzero(record[1] > epsilon))
 
 
+def _widest_column_order(pts: np.ndarray) -> tuple:
+    """The column with the widest range (the first on a tie) and a stable
+    sort of the rows on it; the rows need at least one column."""
+    col = int(np.argmax(np.ptp(pts, axis=0)))
+    return col, np.argsort(pts[:, col], kind="stable")
+
+
+def _slab(key: np.ndarray, c: float, r: float) -> tuple:
+    """The range [lo, hi) of the sorted ``key`` outside which every row's
+    computed L-infinity distance to a row with key ``c`` exceeds ``r`` > 0:
+    the rows whose key lies in [c - h, c + h], h = r + (|c| + r) MARGIN.
+
+    One coordinate bounds the distance from below, and the computed
+    distance is at least the computed gap |key - c| on it (rounding is
+    monotone).  A key past either end lies more than h from c, less half an
+    ulp of |c| + h for the rounding of that end; h exceeds r by about
+    (|c| + r) 1e-9, millions of ulps of r, so the computed gap exceeds r.
+    Where the margin is under an ulp, c, r and the keys near them are
+    subnormal and their sums and gaps exact, so a key past a closed end is
+    more than r from c.  Without the margin a computed gap can round down
+    onto r past the end: c = -1 and key 1 + 2**-52 are a computed 2.0
+    apart, and fl(c + 2) = 1.
+    """
+    h = r + (abs(c) + r) * MARGIN
+    return key.searchsorted(c - h), key.searchsorted(c + h, side="right")
+
+
 def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> tuple:
     """Row indices of the farthest-point greedy eps-cover's centers, in the
     order they are chosen, and the R at which each center after the first
     was picked.
 
-    The points are sorted on their widest column (the first on a tie), and
-    ``md`` holds each point's distance to the centers so far.  The next
-    center is the point with the largest ``md``, R, the lowest row index on
-    a tie; the pass stops once R <= eps.  Covered points stay in ``md`` but
-    cannot be the largest while R > eps.  One coordinate bounds the
-    L-infinity distance from below, so the new center c can only lower
-    ``md`` at the points p whose key lies in the slab [c - h, c + h) with
-    h = R + (|c| + R) MARGIN, one ``searchsorted`` range; only those are
+    The points are sorted on their widest column, and ``md`` holds each
+    point's distance to the centers so far.  The next center is the point
+    with the largest ``md``, R, the lowest row index on a tie; the pass
+    stops once R <= eps.  Covered points stay in ``md`` but cannot be the
+    largest while R > eps.  Every ``md`` is at most R, so the new center can
+    only lower ``md`` inside its ``_slab`` of radius R; only that range is
     rescanned.
-
-    The slab is exact: outside it the skipped update is min(md, d(p, c)) =
-    md.  Every ``md`` is at most R, and the computed d(p, c) is at least the
-    computed |p_col - c_col|, which is at least R whenever the true gap is
-    (R is a float and rounding is monotone).  So it is enough that the
-    computed bounds fl(c - h) and fl(c + h) lie at least R from c, which
-    also keeps c's own row in the slab.  Each is off from c -/+ h by at most
-    half an ulp of |c| + h, and by nothing when the result is subnormal,
-    while h exceeds R by about (|c| + R) 1e-9, some 1e7 times that.  Without
-    the margin a large |c| lets fl(c + R) round below c + R and hide a point
-    the center takes.
     """
     pts = space.points
     if not pts.shape[1]:  # no coordinates: every point is row 0
         return np.zeros(1, dtype=np.intp), np.empty(0)
-    col = int(np.argmax(np.ptp(pts, axis=0)))
-    order = np.argsort(pts[:, col], kind="stable")
+    col, order = _widest_column_order(pts)
     P = pts[order]
     key = P[:, col]
     md = _chebyshev(pts[:1], P)[0]
@@ -158,9 +171,7 @@ def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> tuple:
             return np.array(centers, dtype=np.intp), np.array(radii, dtype=float)
         ties = np.flatnonzero(md == R)
         j = int(ties[np.argmin(order[ties])])
-        c = key[j]
-        h = R + (abs(c) + R) * MARGIN
-        lo, hi = np.searchsorted(key, (c - h, c + h))
+        lo, hi = _slab(key, key[j], R)
         np.minimum(md[lo:hi], _chebyshev(P[j : j + 1], P[lo:hi])[0], out=md[lo:hi])
         centers.append(int(order[j]))
         radii.append(R)
@@ -170,30 +181,132 @@ def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     """Size of a maximal greedy eps-packing (pairwise distances > 2*eps).
 
     First-fit in index order; maximal (no remaining point can be added) but
-    not necessarily maximum.  Keeps the first live point and drops every
-    later one within 2*eps of it, so there is one distance pass per kept
-    point over the points still live.
+    not necessarily maximum.  Each kept point costs one distance pass over
+    the points still live in its slab on one sorted column (see
+    ``_first_fit``).
     """
     _check_oracle_args(space, epsilon)
-    pts = space.points
-    threshold = 2.0 * epsilon
-    count = 0
-    while len(pts):
-        count += 1
-        rest = pts[1:]
-        pts = rest[_chebyshev(pts[:1], rest)[0] > threshold]
-    return count
+    return len(_first_fit(space.points, 2.0 * epsilon))
+
+
+def _first_fit(pts: np.ndarray, threshold: float) -> np.ndarray:
+    """Row indices, ascending, of the first-fit packing: a row is kept
+    unless it lies within ``threshold`` (> 0) of a row kept before it.
+
+    ``live`` marks the rows farther than ``threshold`` from every kept row;
+    the next kept row is the first live one, and a kept row c drops the
+    live rows within ``threshold`` of it.  Only those in c's ``_slab`` on
+    the widest sorted column can be, so each kept row costs one distance
+    pass over the live rows of its slab.
+    """
+    if not pts.shape[1]:  # no coordinates: every point is row 0
+        return np.zeros(1, dtype=np.intp)
+    col, order = _widest_column_order(pts)
+    key = pts[order, col]
+    live = np.ones(len(pts), dtype=bool)
+    kept, i = [], 0
+    while live[i]:
+        kept.append(i)
+        lo, hi = _slab(key, pts[i, col], threshold)
+        near = order[lo:hi]
+        near = near[live[near]]
+        live[near[_chebyshev(pts[i : i + 1], pts[near])[0] <= threshold]] = False
+        i = int(np.argmax(live))  # the first live row, or 0 when none is left
+    return np.array(kept, dtype=np.intp)
 
 
 def exact_covering_number(space: MetricSpaceSample, epsilon: float) -> int:
     """Minimum number of eps-balls centered at sample points covering the
-    sample, via integer programming (branch and bound)."""
+    sample.
+
+    Answered from a certificate when ``_certified_count`` finds one: a
+    first-fit 2*eps-separated set as large as a greedy set cover, with no
+    ball holding two of its points.  Otherwise integer programming (branch
+    and bound) solves the set cover.  Either way the count is the solver's
+    optimum on the same distance matrix.
+    """
+    return _exact_count(space, epsilon, _cover_milp)
+
+
+def exact_packing_number(space: MetricSpaceSample, epsilon: float) -> int:
+    """Maximum number of sample points with pairwise distances > 2*eps.
+
+    Answered from a certificate when ``_certified_count`` finds one: a
+    first-fit packing as large as a greedy set cover whose every ball is a
+    clique of the conflict graph (pairs within 2*eps), so no packing has
+    two points in one ball.  Otherwise integer programming solves it with
+    one ``sum x <= 1`` row per clique of an edge clique cover of the
+    conflict graph.  Each pair lies in a clique row, so a 0/1 vector meets
+    the rows exactly when it takes at most one point of every pair: the
+    optimum is that of one row per pair.
+    """
+    return _exact_count(space, epsilon, _packing_milp)
+
+
+def _exact_count(space: MetricSpaceSample, epsilon: float, solve) -> int:
+    """An exact oracle after its argument and size checks: the certified
+    count, or ``solve(D, epsilon)`` on the distance matrix D when the bracket
+    stays open."""
     _check_oracle_args(space, epsilon)
     n = len(space)
     check_range("exact oracle point count", n, 1, EXACT_ORACLE_MAX_POINTS, high_open=False)
+    D = space.distance_matrix()
+    count = _certified_count(space, D, epsilon)
+    return solve(D, epsilon) if count is None else count
+
+
+def _certified_count(space: MetricSpaceSample, D: np.ndarray, epsilon: float) -> int | None:
+    """The exact eps-covering and eps-packing number of ``space``, whose
+    distance matrix is ``D``, when a cheap bracket closes; None otherwise.
+
+    The lower end is the first-fit packing P (``_first_fit`` at 2*eps, on
+    the kernel that computed ``D``, so no pair of P is within 2*eps in
+    ``D``); the upper end is Chvatal's greedy set cover C over the columns
+    of ``covers`` = D <= eps.  When |P| = |C|, both numbers equal it if
+    - no column of ``covers[P]`` holds two trues: a cover needs a ball per
+      point of P, so N >= |P|; and
+    - the members of each ball of C are pairwise within 2*eps: each ball
+      then holds at most one point of a packing, so M <= |C|.
+    Both are checked on ``D`` itself.  They follow from the triangle
+    inequality, which computed distances can miss by an ulp, though not in
+    this form: with one rounding per coordinate, two distances <= eps from
+    one point put their ends within the exact 2*eps.  So the checks guard
+    the certificate against another distance kernel.
+    """
+    covers = D <= epsilon
+    kept = _first_fit(space.points, 2.0 * epsilon)
+    centers = _greedy_set_cover(covers)
+    if len(kept) != len(centers) or covers[kept].sum(axis=0).max() > 1:
+        return None
+    conflict = D <= 2.0 * epsilon
+    if all(conflict[np.ix_(ball, ball)].all() for ball in covers.T[centers]):
+        return len(kept)
+    return None
+
+
+def _greedy_set_cover(covers: np.ndarray) -> list:
+    """Columns of Chvatal's greedy cover of the rows of the boolean matrix
+    ``covers``, whose diagonal must be true: each step takes the column
+    covering the most uncovered rows, the lowest index on a tie."""
+    uncovered = np.ones(len(covers), dtype=bool)
+    gain = covers.sum(axis=0)
+    centers = []
+    while uncovered.any():
+        c = int(np.argmax(gain))
+        centers.append(c)
+        new = covers[:, c] & uncovered
+        uncovered &= ~new
+        gain -= covers[new].sum(axis=0)
+    return centers
+
+
+def _cover_milp(D: np.ndarray, epsilon: float) -> int:
+    """The eps-covering number of the points with distance matrix ``D``,
+    from a set-cover integer program."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    covers = (space.distance_matrix() <= epsilon).astype(float)
+    n = len(D)
+    covers = (D <= epsilon).astype(float)
     res = milp(
         c=np.ones(n),
         constraints=LinearConstraint(covers, lb=np.ones(n), ub=np.full(n, np.inf)),
@@ -205,19 +318,14 @@ def exact_covering_number(space: MetricSpaceSample, epsilon: float) -> int:
     return int(round(res.fun))
 
 
-def exact_packing_number(space: MetricSpaceSample, epsilon: float) -> int:
-    """Maximum number of sample points with pairwise distances > 2*eps, via
-    integer programming with one ``sum x <= 1`` row per clique of an edge
-    clique cover of the conflict graph (pairs within 2*eps).  Each pair lies
-    in a clique row, so a 0/1 vector meets the rows exactly when it takes at
-    most one point of every pair: the optimum is that of one row per pair."""
-    _check_oracle_args(space, epsilon)
-    n = len(space)
-    check_range("exact oracle point count", n, 1, EXACT_ORACLE_MAX_POINTS, high_open=False)
+def _packing_milp(D: np.ndarray, epsilon: float) -> int:
+    """The eps-packing number of the points with distance matrix ``D``, from
+    an integer program with one row per clique of ``_edge_clique_cover``."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
-    conflict = space.distance_matrix() <= 2.0 * epsilon
+    n = len(D)
+    conflict = D <= 2.0 * epsilon
     np.fill_diagonal(conflict, False)
     cliques = _edge_clique_cover(conflict)
     # Sparse: a graph with few triangles needs about one row per pair.

@@ -64,6 +64,7 @@ def ball_points(dim: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
     held, least recently used dropped first.  The seed must be a nonnegative
     integer, so a cached set always equals a fresh one.
     """
+    check_range("dim", dim, 1)
     check_range("sample point count n", n, 1)
     check_range("radius", radius, 0, low_open=True)
     return _ball_points(dim, n, radius, _check_seed(seed))

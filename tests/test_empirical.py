@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fnequiv import empirical
 from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_bound
@@ -11,8 +12,13 @@ from fnequiv.empirical import (
     DEFAULT_GRID_BUDGET,
     METRIC_FUNCTION,
     MetricSpaceSample,
+    _certified_count,
+    _cover_milp,
     _edge_clique_cover,
+    _first_fit,
     _greedy_cover_centers,
+    _greedy_set_cover,
+    _packing_milp,
     exact_covering_number,
     exact_packing_number,
     function_class_sample,
@@ -87,6 +93,23 @@ class TestGreedyEstimates:
         # NaN fails every comparison, so "epsilon <= 0" alone would let it in.
         with pytest.raises(DomainError, match="epsilon"):
             oracle(grid_sample(2, 5), eps)
+
+    @pytest.mark.parametrize(
+        "rows, eps, count",
+        [
+            # 1 + 2**-52 - (-1) rounds to 2.0 = 2 eps, so row 1 is dropped,
+            # though its key lies past fl(-1 + 2 eps); and the mirror image.
+            ([-1.0, 1.0 + 2.0**-52], 1.0, 1),
+            ([1.0, -1.0 - 2.0**-52], 1.0, 1),
+            # Subnormal: the margin vanishes and row 1 sits exactly on the
+            # slab's upper end, 2 eps from row 0.
+            ([0.0, 4 * 5e-324, 9 * 5e-324], 2 * 5e-324, 2),
+        ],
+    )
+    def test_packing_drops_rows_on_and_past_the_slab_ends(self, rows, eps, count):
+        pts = np.array(rows).reshape(-1, 1)
+        assert greedy_pack_reference(pts, eps) == count
+        assert greedy_packing_estimate(MetricSpaceSample(pts), eps) == count
 
     def test_deterministic_reruns(self):
         # A fresh sample per cover call, so each call runs its own pass.
@@ -319,11 +342,13 @@ class TestEdgeCliqueCover:
         assert_edge_clique_cover(conflict, _edge_clique_cover(conflict))
 
     def test_solver_gets_fewer_rows_than_pairs(self, monkeypatch):
-        # 12x12 grid at eps = 0.75: the pair formulation has 8640 rows.
+        # 12x12 grid at eps = 0.75: the pair formulation has 8640 rows.  The
+        # oracle answers this grid from its certificate, so the solver step
+        # is called directly.
         import scipy.optimize
 
-        space = grid_sample(2, 12)
-        n_pairs = int(np.triu(space.distance_matrix() <= 1.5, k=1).sum())
+        D = grid_sample(2, 12).distance_matrix()
+        n_pairs = int(np.triu(D <= 1.5, k=1).sum())
         real_milp, rows = scipy.optimize.milp, []
 
         def milp(*args, constraints, **kwargs):
@@ -331,7 +356,7 @@ class TestEdgeCliqueCover:
             return real_milp(*args, constraints=constraints, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "milp", milp)
-        assert exact_packing_number(space, 0.75) == 4
+        assert _packing_milp(D, 0.75) == 4
         assert n_pairs == 8640 and rows and rows[0] < n_pairs
 
 
@@ -371,6 +396,132 @@ class TestCliquePackingMatchesPairFormulation:
         space = MetricSpaceSample(np.random.default_rng(n).uniform(-1, 1, (n, 2)))
         assert exact_packing_number(space, math.inf) == 1
         assert edge_packing_number(space.distance_matrix(), math.inf) == 1
+
+
+@st.composite
+def bracket_cases(draw):
+    """At most 40 points and a radius: a small grid, or a pool on a 0.25
+    grid drawn with repeats, so rows are duplicated and pair distances fall
+    exactly on eps or 2 eps."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 2))
+        pts = grid_sample(dim, draw(st.integers(2, 40 if dim == 1 else 6))).points
+    else:
+        dim = draw(st.integers(1, 3))
+        row = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)
+        pool = np.array(draw(st.lists(row, min_size=1, max_size=15)), dtype=float) / 4
+        pts = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))]
+    gaps = [float(g) for g in np.unique(MetricSpaceSample(pts).distance_matrix()) if g > 0]
+    radii = [g / 2 for g in gaps] + gaps
+    eps = draw(st.sampled_from(radii) | st.floats(0.01, 2.5) if radii else st.floats(0.01, 2.5))
+    return pts, eps
+
+
+def spy_milp(monkeypatch):
+    """The list that each ``scipy.optimize.milp`` call appends to."""
+    import scipy.optimize
+
+    real_milp, calls = scipy.optimize.milp, []
+
+    def milp(*args, **kwargs):
+        calls.append(1)
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
+    return calls
+
+
+def table_kernel(table):
+    """A distance kernel reading the distance of rows i / 1000 and j / 1000
+    off ``table``: a semi-metric free to miss the triangle inequality.  Its
+    distances are at least the coordinate gaps, as the slabs assume."""
+
+    def kernel(a, b):
+        row = lambda pts: np.rint(pts[:, 0] * 1000).astype(int)
+        return table[np.ix_(row(a), row(b))]
+
+    return kernel
+
+
+def semi_metric(n, pairs):
+    """Distances 3 between n points, except ``pairs``: {(i, j): distance}."""
+    table = np.full((n, n), 3.0)
+    np.fill_diagonal(table, 0.0)
+    for (i, j), d in pairs.items():
+        table[i, j] = table[j, i] = d
+    return table
+
+
+# At eps = 1.  Ball 0 holds points 1 and 2, which are 3 apart: the greedy
+# cover {0} is as small as the first-fit packing {0}, yet {1, 2} packs.
+BALL_NOT_A_CLIQUE = semi_metric(3, {(0, 1): 1.0, (0, 2): 1.0})
+# At eps = 1.  First-fit keeps {0, 1, 2} and the greedy cover takes balls
+# 0, 2 and 1, each a clique at 2 eps; but ball 3 holds points 0 and 1 of
+# the packing, and balls 3 and 4 cover everything.
+BALL_HOLDS_TWO_PACKED = semi_metric(
+    7,
+    {
+        **dict.fromkeys([(0, 3), (1, 3), (2, 4), (4, 5), (4, 6), (0, 5), (0, 6), (5, 6)], 1.0),
+        **dict.fromkeys([(3, 5), (3, 6)], 1.5),
+    },
+)
+
+
+class TestCertifiedBracket:
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(bracket_cases())
+    def test_bounds_bracket_the_solver(self, case):
+        pts, eps = case
+        space = MetricSpaceSample(pts)
+        D = space.distance_matrix()
+        lower = len(_first_fit(pts, 2.0 * eps))
+        upper = len(_greedy_set_cover(D <= eps))
+        n_opt, m_opt = _cover_milp(D, eps), _packing_milp(D, eps)
+        assert lower <= m_opt <= n_opt <= upper
+        count = _certified_count(space, D, eps)
+        if count is not None:
+            assert count == n_opt == m_opt == edge_packing_number(D, eps)
+            if len(pts) <= 10:
+                assert count == exhaustive_min_cover(D, eps)
+        assert exact_covering_number(space, eps) == n_opt
+        assert exact_packing_number(space, eps) == m_opt
+
+    @pytest.mark.parametrize(
+        "per_axis, eps, count",
+        # The 5x5 grid has spacing 0.5: pairs lie exactly at eps.
+        [(12, 0.1875, 16), (12, 0.375, 9), (12, 0.75, 4), (5, 0.5, 4), (5, 1.0, 1)],
+    )
+    def test_closed_bracket_runs_no_solver(self, monkeypatch, per_axis, eps, count):
+        calls = spy_milp(monkeypatch)
+        space = grid_sample(2, per_axis)
+        assert exact_covering_number(space, eps) == count
+        assert exact_packing_number(space, eps) == count
+        assert not calls
+
+    def test_open_bracket_runs_the_solver(self, monkeypatch):
+        calls = spy_milp(monkeypatch)
+        space = MetricSpaceSample(np.random.default_rng(0).uniform(-1, 1, (40, 2)))
+        D = space.distance_matrix()
+        assert len(_first_fit(space.points, 0.5)) == 9
+        assert len(_greedy_set_cover(D <= 0.25)) == 17
+        assert exact_covering_number(space, 0.25) == 15
+        assert exact_packing_number(space, 0.25) == 10
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "table, cover, pack", [(BALL_NOT_A_CLIQUE, 1, 2), (BALL_HOLDS_TWO_PACKED, 2, 3)]
+    )
+    def test_checks_refuse_a_kernel_that_misses_the_triangle_inequality(
+        self, monkeypatch, table, cover, pack
+    ):
+        monkeypatch.setattr(empirical, "_chebyshev", table_kernel(table))
+        space = MetricSpaceSample(np.arange(len(table))[:, None] / 1000)
+        D = space.distance_matrix()
+        assert (D == table).all()
+        assert len(_first_fit(space.points, 2.0)) == len(_greedy_set_cover(D <= 1.0))
+        assert _certified_count(space, D, 1.0) is None
+        assert exact_covering_number(space, 1.0) == _cover_milp(D, 1.0) == cover
+        assert exact_packing_number(space, 1.0) == _packing_milp(D, 1.0) == pack
 
 
 class TestGridSample:

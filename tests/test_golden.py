@@ -12,6 +12,7 @@ import json
 import pytest
 
 from fnequiv.cli import OUTPUT_DIR_ENV, main
+from test_cli import scipy_modules_after
 
 BOUND_CONFIG = {
     "arch": {"d0": 2, "hidden": [3], "out": 1, "activations": ["relu"]},
@@ -64,6 +65,11 @@ CASES = {
         "covering-sweep", "--dim", "2", "--points-per-axis", "5", "--epsilons", "0.3,0.6",
         "--exact",
     ],
+    # The grid of the fclass-cover benchmark workload.
+    "covering_sweep_exact_grid12": [
+        "covering-sweep", "--dim", "2", "--points-per-axis", "12", "--epsilons",
+        "0.1875,0.375,0.75", "--exact",
+    ],
     "verify_sandwich": ["verify", "sandwich"],
     "verify_amplification": ["verify", "amplification"],
 }
@@ -81,6 +87,7 @@ DIGESTS = {
     "canonicalize": "0ef94f7fcc57342a5a588df161288d74592d154432555287c71ce45977be6536",
     "check_equiv": "4dfa74632e813b0c3295892a796f01ee3f7d23ea34f7fb557be69d6c66207ee0",
     "covering_sweep_exact": "947b36493bcbf828240189607a87d5346d629ed47b37912667429f65598cb8b3",
+    "covering_sweep_exact_grid12": "ac194a3ac1d80c16674fbf076ce9d8401b428fea012fd67a18ade9ba7eead5e8",
     "verify_sandwich": "c932e2a1dae185fa8597e4af9e9d2897728d4a98c70ddeb8ac4002ca24ebccc4",
     "verify_amplification": "1bf3463866b7fb3946a0a351d5f03a0fb860b6aa2eaed9c1ca9687b52eba693e",
 }
@@ -147,3 +154,15 @@ def test_basin_output_files_pinned(case, tmp_path, monkeypatch, capsys):
     for suffix in (".summary.json", ".runs.csv"):
         digest.update((tmp_path / (prefix + suffix)).read_bytes())
     assert digest.hexdigest() == BASIN_DIGESTS[case]
+
+
+def test_certified_sweep_loads_no_milp_solver():
+    # Every exact count of this sweep is certified without the solver, so a
+    # fresh process never imports scipy.optimize (about 11 MB).
+    case = "covering_sweep_exact_grid12"
+    code = "import contextlib, hashlib, io, sys; from fnequiv.cli import main\n"
+    code += "out = io.StringIO()\nwith contextlib.redirect_stdout(out):\n"
+    code += f"    assert main({CASES[case]!r}) == 0\n"
+    code += f"assert hashlib.sha256(out.getvalue().encode()).hexdigest() == {DIGESTS[case]!r}\n"
+    code += "assert 'scipy.optimize' not in sys.modules"
+    assert "'scipy.spatial'" in scipy_modules_after(code)

@@ -103,6 +103,8 @@ HOLES = [
     ("teacher_dataset n_points", lambda v: teacher_dataset(ARCH, PARAMS, v, 1.0), 0),
     ("grid_sample half_width", lambda v: grid_sample(2, 3, v), -1.0),
     ("grid_sample half_width", lambda v: grid_sample(2, 3, v), 0.0),
+    ("ball_points dim", lambda v: ball_points(v, 4, 1.0), 0),
+    ("ball_points dim", lambda v: ball_points(v, 4, 1.0), -1),
     ("ball_points seed", lambda v: ball_points(2, 8, 1.0, seed=v), -1),
     ("ball_points seed", lambda v: ball_points(2, 8, 1.0, seed=v), np.int64(-2**40)),
     ("InitScheme seed", lambda v: InitScheme("uniform", seed=v), -1),
