@@ -43,7 +43,6 @@ from .transforms import (
     compose,
     identity_spec_for,
     inverse,
-    residual_equivalence_check,
 )
 from .canonical import (
     CanonicalForm,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, check_range
+from .errors import BudgetExceededError, DomainError, check_range
 from .nncore import Architecture, NetworkParams, _flatten, linear_or_none, stack_block
 from .transforms import PermutationSpec, _permute_neurons
 
@@ -99,9 +99,12 @@ def group_rows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, list[int
     Each row joins the first group, in order of creation, whose
     representative (its first row) lies within ``tolerance`` of it in the
     max norm, and otherwise starts a new group.  At tolerance 0 rows group
-    only when bit-identical, so 0.0 and -0.0 differ.  Returns each row's
-    group index and the row index of each group's representative.
+    only when bit-identical, so 0.0 and -0.0 differ.  A positive tolerance
+    runs ``_first_fit`` and needs finite rows: a NaN or infinite entry
+    raises ``DomainError``.  Returns each row's group index and the row
+    index of each group's representative.
     """
+    check_range("tolerance", tolerance, 0, high_open=False)
     rows = np.ascontiguousarray(rows, dtype=float)
     if tolerance == 0.0:
         # Sorting the bit patterns, ties by row index, puts equal rows next
@@ -115,18 +118,74 @@ def group_rows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, list[int
         assignment = np.empty(len(rows), dtype=np.int64)
         assignment[order] = rank[np.cumsum(lead) - 1]
         return assignment, np.sort(order[lead]).tolist()
-    assignment = np.empty(len(rows), dtype=np.int64)
-    reps: list[int] = []
-    rep_rows = np.empty_like(rows)  # the first len(reps) rows are rows[reps]
-    for i, row in enumerate(rows):
-        near = np.flatnonzero(np.abs(rep_rows[: len(reps)] - row).max(axis=1) <= tolerance)
-        if near.size:
-            assignment[i] = near[0]
-        else:
-            assignment[i] = len(reps)
-            rep_rows[len(reps)] = row
-            reps.append(i)
-    return assignment, reps
+    if not np.isfinite(rows).all():
+        raise DomainError("rows must be finite (no NaN or infinity) at a positive tolerance")
+    kept, assignment = _first_fit(rows, tolerance, lambda row, near: np.abs(near - row).max(axis=1))
+    return assignment, kept.tolist()
+
+
+# Relative slack on a slab's half-width; see _slab.
+MARGIN = 1e-9
+
+
+def _widest_column_order(pts: np.ndarray) -> tuple:
+    """The column with the widest range (the first on a tie) and a stable
+    sort of the rows on it; the rows need at least one column."""
+    col = int(np.argmax(np.ptp(pts, axis=0)))
+    return col, np.argsort(pts[:, col], kind="stable")
+
+
+def _slab(key: np.ndarray, c: float, r: float) -> tuple:
+    """The range [lo, hi) of the sorted ``key`` outside which every row's
+    computed L-infinity distance to a row with key ``c`` exceeds ``r`` > 0:
+    the rows whose key lies in [c - h, c + h], h = r + (|c| + r) MARGIN.
+
+    One coordinate bounds the distance from below, and the computed
+    distance is at least the computed gap |key - c| on it (rounding is
+    monotone).  A key past either end lies more than h from c, less half an
+    ulp of |c| + h for the rounding of that end; h exceeds r by about
+    (|c| + r) 1e-9, millions of ulps of r, so the computed gap exceeds r.
+    Where the margin is under an ulp, c, r and the keys near them are
+    subnormal and their sums and gaps exact, so a key past a closed end is
+    more than r from c.  Without the margin a computed gap can round down
+    onto r past the end: c = -1 and key 1 + 2**-52 are a computed 2.0
+    apart, and fl(c + 2) = 1.
+    """
+    h = r + (abs(c) + r) * MARGIN
+    return key.searchsorted(c - h), key.searchsorted(c + h, side="right")
+
+
+def _first_fit(pts: np.ndarray, threshold: float, distances) -> tuple:
+    """First-fit grouping of the finite rows ``pts``: a row joins the first
+    kept row within ``threshold`` (> 0) of it, and is kept otherwise.
+    Returns the kept rows' indices, ascending, and each row's group: the
+    position of its kept row among them.
+
+    ``distances(row, rows)`` gives the L-infinity distances from one row
+    to each of ``rows``, bit for bit ``np.abs(rows - row).max(axis=1)``.
+    ``live`` marks the rows farther than ``threshold`` from every kept row;
+    the next kept row is the first live one, and a kept row c takes the
+    live rows within ``threshold`` of it, itself included, into its group.
+    Only those in c's ``_slab`` on the widest sorted column can be, so each
+    kept row costs one distance pass over the live rows of its slab.
+    """
+    assignment = np.zeros(len(pts), dtype=np.int64)
+    if not pts.size:  # no rows, or no coordinates: every row is row 0
+        return np.arange(min(len(pts), 1)), assignment
+    col, order = _widest_column_order(pts)
+    key = pts[order, col]
+    live = np.ones(len(pts), dtype=bool)
+    kept, i = [], 0
+    while live[i]:
+        lo, hi = _slab(key, pts[i, col], threshold)
+        near = order[lo:hi]
+        near = near[live[near]]
+        near = near[distances(pts[i], pts[near]) <= threshold]
+        live[near] = False
+        assignment[near] = len(kept)
+        kept.append(i)
+        i = int(np.argmax(live))  # the first live row, or 0 when none is left
+    return np.array(kept, dtype=np.intp), assignment
 
 
 def symmetry_profile(params: NetworkParams, row_tolerance: float = 0.0) -> SymmetryProfile:
@@ -139,7 +198,8 @@ def symmetry_profile(params: NetworkParams, row_tolerance: float = 0.0) -> Symme
     outgoing columns too); otherwise the orbit can be larger and two images
     closer than ``delta_min``.  Row identity is exact bit equality by
     default; a positive tolerance groups nearly identical rows instead
-    (useful after training, where exact ties never occur).
+    (useful after training, where exact ties never occur), and then a NaN
+    or infinite weight or bias raises ``DomainError`` (see ``group_rows``).
     """
     check_range("row tolerance", row_tolerance, 0, high_open=False)
     counts = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import _canonical_layers, group_rows
+from .canonical import _canonical_layers, _first_fit, _slab, _widest_column_order, group_rows
 from .equivalence import ball_points
 from .errors import BudgetExceededError, DomainError, check_range
 from .nncore import Architecture, _chebyshev, _flatten, _forward_checked, _unflatten, forward_block
@@ -87,10 +87,6 @@ def _check_oracle_args(space: MetricSpaceSample, epsilon: float) -> None:
         raise DomainError("empty point set")
 
 
-# Relative slack on a slab's half-width; see _slab.
-MARGIN = 1e-9
-
-
 def greedy_covering_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     """Size of a farthest-point greedy eps-cover; upper-bounds the exact one.
 
@@ -114,33 +110,6 @@ def greedy_covering_estimate(space: MetricSpaceSample, epsilon: float) -> int:
         record = (epsilon, _greedy_cover_centers(space, epsilon)[1])
         object.__setattr__(space, "_cover_record", record)
     return 1 + int(np.count_nonzero(record[1] > epsilon))
-
-
-def _widest_column_order(pts: np.ndarray) -> tuple:
-    """The column with the widest range (the first on a tie) and a stable
-    sort of the rows on it; the rows need at least one column."""
-    col = int(np.argmax(np.ptp(pts, axis=0)))
-    return col, np.argsort(pts[:, col], kind="stable")
-
-
-def _slab(key: np.ndarray, c: float, r: float) -> tuple:
-    """The range [lo, hi) of the sorted ``key`` outside which every row's
-    computed L-infinity distance to a row with key ``c`` exceeds ``r`` > 0:
-    the rows whose key lies in [c - h, c + h], h = r + (|c| + r) MARGIN.
-
-    One coordinate bounds the distance from below, and the computed
-    distance is at least the computed gap |key - c| on it (rounding is
-    monotone).  A key past either end lies more than h from c, less half an
-    ulp of |c| + h for the rounding of that end; h exceeds r by about
-    (|c| + r) 1e-9, millions of ulps of r, so the computed gap exceeds r.
-    Where the margin is under an ulp, c, r and the keys near them are
-    subnormal and their sums and gaps exact, so a key past a closed end is
-    more than r from c.  Without the margin a computed gap can round down
-    onto r past the end: c = -1 and key 1 + 2**-52 are a computed 2.0
-    apart, and fl(c + 2) = 1.
-    """
-    h = r + (abs(c) + r) * MARGIN
-    return key.searchsorted(c - h), key.searchsorted(c + h, side="right")
 
 
 def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> tuple:
@@ -183,36 +152,17 @@ def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     First-fit in index order; maximal (no remaining point can be added) but
     not necessarily maximum.  Each kept point costs one distance pass over
     the points still live in its slab on one sorted column (see
-    ``_first_fit``).
+    ``canonical._first_fit``).
     """
     _check_oracle_args(space, epsilon)
-    return len(_first_fit(space.points, 2.0 * epsilon))
+    return len(_first_fit(space.points, 2.0 * epsilon, _distances_to)[0])
 
 
-def _first_fit(pts: np.ndarray, threshold: float) -> np.ndarray:
-    """Row indices, ascending, of the first-fit packing: a row is kept
-    unless it lies within ``threshold`` (> 0) of a row kept before it.
-
-    ``live`` marks the rows farther than ``threshold`` from every kept row;
-    the next kept row is the first live one, and a kept row c drops the
-    live rows within ``threshold`` of it.  Only those in c's ``_slab`` on
-    the widest sorted column can be, so each kept row costs one distance
-    pass over the live rows of its slab.
-    """
-    if not pts.shape[1]:  # no coordinates: every point is row 0
-        return np.zeros(1, dtype=np.intp)
-    col, order = _widest_column_order(pts)
-    key = pts[order, col]
-    live = np.ones(len(pts), dtype=bool)
-    kept, i = [], 0
-    while live[i]:
-        kept.append(i)
-        lo, hi = _slab(key, pts[i, col], threshold)
-        near = order[lo:hi]
-        near = near[live[near]]
-        live[near[_chebyshev(pts[i : i + 1], pts[near])[0] <= threshold]] = False
-        i = int(np.argmax(live))  # the first live row, or 0 when none is left
-    return np.array(kept, dtype=np.intp)
+def _distances_to(row: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_first_fit``'s distance kernel for the greedy and certified
+    packings: ``_chebyshev`` from ``row`` to each of ``rows``, looked up in
+    this module at each call."""
+    return _chebyshev(row[None], rows)[0]
 
 
 def exact_covering_number(space: MetricSpaceSample, epsilon: float) -> int:
@@ -274,7 +224,7 @@ def _certified_count(space: MetricSpaceSample, D: np.ndarray, epsilon: float) ->
     the certificate against another distance kernel.
     """
     covers = D <= epsilon
-    kept = _first_fit(space.points, 2.0 * epsilon)
+    kept = _first_fit(space.points, 2.0 * epsilon, _distances_to)[0]
     centers = _greedy_set_cover(covers)
     if len(kept) != len(centers) or covers[kept].sum(axis=0).max() > 1:
         return None

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedTransformError, check_range
 from .nncore import Architecture, NetworkParams, check_shapes, _json_int
-
-RESIDUAL_CHECK_TOL = 1e-6
 
 
 def _as_perm(p) -> np.ndarray:
@@ -280,30 +277,3 @@ def attention_permutation_equivalent(W_Q, W_K, W_V, perm):
     if p.size != W_Q.shape[1]:
         raise DomainError("permutation size must match the projection width")
     return W_Q[:, p], W_K[:, p], W_V
-
-
-# ---------------------------------------------------------------------------
-# Residual layers
-
-
-def residual_equivalence_check(
-    inner1: Callable[[np.ndarray], np.ndarray],
-    inner2: Callable[[np.ndarray], np.ndarray],
-    samples,
-    tolerance: float = RESIDUAL_CHECK_TOL,
-) -> bool:
-    """Compare x + F1(x) against x + F2(x) on a sample set.
-
-    The skip connections cancel identically, so this decides equivalence of
-    the inner maps at sample resolution; it cannot certify equivalence on
-    inputs outside the sample.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    worst = 0.0
-    for x in samples:
-        r1 = np.asarray(inner1(x), dtype=float)
-        r2 = np.asarray(inner2(x), dtype=float)
-        if r1.shape != x.shape or r2.shape != x.shape:
-            raise ShapeError("residual inner maps must preserve the input dimension")
-        worst = max(worst, float(np.abs((x + r1) - (x + r2)).max()))
-    return worst <= tolerance

@@ -160,6 +160,13 @@ class TestSymmetryProfile:
         with pytest.raises(DomainError):
             symmetry_profile(net_1_3_1([1.0, 2.0, 3.0]), row_tolerance=float("nan"))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected_at_positive_tolerance(self, bad):
+        params = net_1_3_1([1.0, 2.0, 3.0], W1=[[1.0], [bad], [3.0]])
+        with pytest.raises(DomainError, match="finite"):
+            symmetry_profile(params, row_tolerance=0.1)
+        assert symmetry_profile(params).distinct_perm_counts == (6,)
+
 
 class TestCountingConsistency:
     def test_distinct_rows_full_factorial(self):

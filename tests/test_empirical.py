@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from fnequiv import empirical
 from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_bound
+from fnequiv.canonical import _first_fit
 from fnequiv.empirical import (
     DEFAULT_GRID_BUDGET,
     METRIC_FUNCTION,
     MetricSpaceSample,
     _certified_count,
     _cover_milp,
+    _distances_to,
     _edge_clique_cover,
-    _first_fit,
     _greedy_cover_centers,
     _greedy_set_cover,
     _packing_milp,
@@ -474,7 +475,7 @@ class TestCertifiedBracket:
         pts, eps = case
         space = MetricSpaceSample(pts)
         D = space.distance_matrix()
-        lower = len(_first_fit(pts, 2.0 * eps))
+        lower = len(_first_fit(pts, 2.0 * eps, _distances_to)[0])
         upper = len(_greedy_set_cover(D <= eps))
         n_opt, m_opt = _cover_milp(D, eps), _packing_milp(D, eps)
         assert lower <= m_opt <= n_opt <= upper
@@ -502,7 +503,7 @@ class TestCertifiedBracket:
         calls = spy_milp(monkeypatch)
         space = MetricSpaceSample(np.random.default_rng(0).uniform(-1, 1, (40, 2)))
         D = space.distance_matrix()
-        assert len(_first_fit(space.points, 0.5)) == 9
+        assert len(_first_fit(space.points, 0.5, _distances_to)[0]) == 9
         assert len(_greedy_set_cover(D <= 0.25)) == 17
         assert exact_covering_number(space, 0.25) == 15
         assert exact_packing_number(space, 0.25) == 10
@@ -518,7 +519,8 @@ class TestCertifiedBracket:
         space = MetricSpaceSample(np.arange(len(table))[:, None] / 1000)
         D = space.distance_matrix()
         assert (D == table).all()
-        assert len(_first_fit(space.points, 2.0)) == len(_greedy_set_cover(D <= 1.0))
+        kept = _first_fit(space.points, 2.0, _distances_to)[0]
+        assert len(kept) == len(_greedy_set_cover(D <= 1.0))
         assert _certified_count(space, D, 1.0) is None
         assert exact_covering_number(space, 1.0) == _cover_milp(D, 1.0) == cover
         assert exact_packing_number(space, 1.0) == _packing_milp(D, 1.0) == pack

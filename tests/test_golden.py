@@ -4,6 +4,10 @@ Each case runs the CLI from a fixed working directory with relative input
 and output paths, so the echoed configuration holds no temporary path.  The
 sha256 of everything written to stdout is pinned; for ``basin``, so are the
 files it writes under its relative ``--output-prefix``.
+
+The pins hold for floating-point kernels with fused multiply-add (FMA).
+Under ``OPENBLAS_CORETYPE=Prescott``, which has none, 4 of them fail, with
+changes only in the last digits of floats.
 """
 
 import hashlib

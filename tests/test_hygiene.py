@@ -101,8 +101,8 @@ PUBLIC_NAMES = [
     "forward_batch", "function_class_sample", "gradient", "greedy_covering_estimate",
     "greedy_packing_estimate", "grid_sample", "hidden_range_bound", "identity_spec_for",
     "initialize", "inverse", "leaky_relu", "load_network", "orbit_membership",
-    "pdim_uniform_covering_bound", "residual_equivalence_check", "sampled_sup_distance",
-    "save_network", "shallow_covering_bound", "stirling_bracket", "symmetry_profile", "train",
+    "pdim_uniform_covering_bound", "sampled_sup_distance", "save_network",
+    "shallow_covering_bound", "stirling_bracket", "symmetry_profile", "train",
     "volume_covering_bound",
 ]
 

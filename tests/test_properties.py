@@ -486,6 +486,49 @@ class TestGroupRows:
         rows = values[rng.integers(0, values.size, size=(5000, 3))]
         assert_matches_oracle(rows, 0.0)
 
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(st.data())
+    def test_first_fit_many_rows(self, data):
+        # Enough rows, spread over [-1, 1], that each kept row's slab leaves
+        # most rows out.  Clusters on a 1/8 grid plus offsets at, just
+        # inside and just outside the tolerance give exact ties; half the
+        # rows get a continuous jitter on top, so rows lie near several
+        # kept rows.
+        tol = data.draw(st.sampled_from([1e-3, 0.125, 0.25]))
+        n, d, k = (data.draw(st.integers(*r)) for r in ((1, 300), (1, 5), (1, 20)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        near = np.array(
+            [0.0, -0.0, tol, -tol, 2 * tol, np.nextafter(tol, 1.0), np.nextafter(tol, 0.0)]
+        )
+        centers = rng.integers(-8, 9, (k, d)) / 8.0
+        rows = centers[rng.integers(0, k, n)] + near[rng.integers(0, near.size, (n, d))]
+        rows += rng.uniform(-tol, tol, (n, d)) * (rng.random((n, 1)) < 0.5)
+        assert_matches_oracle(rows, tol)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 0.1])
+    def test_rows_without_columns_form_one_group(self, tolerance):
+        assignment, reps = group_rows(np.zeros((3, 0)), tolerance)
+        assert assignment.tolist() == [0, 0, 0] and reps == [0]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    @pytest.mark.parametrize("tolerance", [0.0, 0.1])
+    def test_no_rows_no_groups(self, shape, tolerance):
+        assignment, reps = group_rows(np.zeros(shape), tolerance)
+        assert assignment.tolist() == [] and reps == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected_at_positive_tolerance(self, bad):
+        rows = np.array([[0.0, 1.0], [bad, 0.0], [0.5, 1.0]])
+        with pytest.raises(DomainError, match="finite"):
+            group_rows(rows, 0.1)
+        # Bit identity needs no arithmetic on the entries.
+        assert group_rows(rows, 0.0)[1] == [0, 1, 2]
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
+    def test_tolerance_out_of_range_rejected(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance"):
+            group_rows(np.zeros((2, 1)), tolerance)
+
 
 @st.composite
 def grid_point_sets(draw, max_size=16):

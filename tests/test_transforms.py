@@ -32,7 +32,6 @@ from fnequiv.transforms import (
     inverse,
     pooled_forward,
     random_spec,
-    residual_equivalence_check,
     uniform_scaling,
 )
 
@@ -321,32 +320,15 @@ class TestAttention:
 
 
 class TestResidual:
-    def test_equal_maps(self):
-        f = lambda x: np.tanh(x)
-        xs = np.random.default_rng(23).uniform(-1, 1, (50, 3))
-        assert residual_equivalence_check(f, f, xs)
-
     def test_permuted_inner_network(self):
+        # x + f(x) is unchanged when f's hidden neurons are permuted.
         rng = np.random.default_rng(24)
         arch = Architecture(3, (4,), (TANH,), output_dim=3)
         params = random_params(arch, rng)
         permuted = apply_permutation(params, random_spec(arch, rng))
-        f1 = lambda x: forward_batch(arch, params, x[None, :])[0]
-        f2 = lambda x: forward_batch(arch, permuted, x[None, :])[0]
-        xs = rng.uniform(-1, 1, (100, 3))
-        assert residual_equivalence_check(f1, f2, xs)
-
-    def test_constant_offset_detected(self):
-        f1 = lambda x: np.tanh(x)
-        f2 = lambda x: np.tanh(x) + 0.1
-        xs = np.random.default_rng(25).uniform(-1, 1, (20, 2))
-        assert not residual_equivalence_check(f1, f2, xs, tolerance=1e-6)
-
-    def test_dimension_mismatch(self):
-        f1 = lambda x: x
-        f2 = lambda x: x[:1]
-        with pytest.raises(ShapeError):
-            residual_equivalence_check(f1, f2, np.zeros((3, 2)))
+        X = rng.uniform(-1, 1, (100, 3))
+        gap = (X + forward_batch(arch, params, X)) - (X + forward_batch(arch, permuted, X))
+        assert np.abs(gap).max() <= EQUIV_ATOL
 
 
 class TestFunctionPreservationSweep:
