@@ -43,6 +43,7 @@ from .transforms import (
     compose,
     identity_spec_for,
     inverse,
+    pooled_forward,
 )
 from .canonical import (
     CanonicalForm,

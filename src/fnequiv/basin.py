@@ -22,7 +22,7 @@ from .canonical import (
     _canonical_layers,
     _canonical_pair,
 )
-from .errors import DomainError, check_range
+from .errors import DomainError, check_range, check_seed
 from .nncore import (
     Architecture,
     DIVERGENCE_THRESHOLD,
@@ -55,8 +55,8 @@ class InitScheme:
     induced measure on parameters is invariant under hidden-neuron
     permutations.  Kinds: ``uniform(low, high)``, ``normal(mu, sigma)``,
     ``xavier`` (weights N(0, 2/(fan_in+fan_out)), zero biases), ``he``
-    (weights N(0, 2/fan_in), zero biases).  An integer seed must be
-    nonnegative.
+    (weights N(0, 2/fan_in), zero biases).  The seed is a nonnegative
+    integer or a ``SeedSequence``.
     """
 
     kind: str
@@ -69,8 +69,8 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in ("uniform", "normal", "xavier", "he"):
             raise DomainError(f"unknown init scheme {self.kind!r}")
-        if isinstance(self.seed, (int, np.integer)):  # a SeedSequence is left alone
-            check_range("init seed", self.seed, 0)
+        if not isinstance(self.seed, np.random.SeedSequence):
+            check_seed(self.seed)
         for name in ("low", "high", "mu", "sigma"):
             check_range(f"init {name}", getattr(self, name), -math.inf, low_open=True)
         if self.kind == "uniform" and not self.low <= self.high:
@@ -140,8 +140,7 @@ def teacher_dataset(
     """Inputs in the B_x ball labelled by a fixed teacher network."""
     check_range("n_points", n_points, 1)
     check_range("B_x", B_x, 0, low_open=True)
-    check_range("seed", seed, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     X = rng.uniform(-B_x, B_x, size=(n_points, arch.input_dim))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     X = np.where(norms > B_x, X * (B_x / norms), X)

@@ -13,13 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canonical import _canonical_pair
-from .errors import DomainError, ShapeError, check_range
+from .errors import ShapeError, check_range, check_seed
 from .nncore import Network, check_same_shapes, forward_batch
 from .transforms import PermutationSpec
 
@@ -67,17 +66,7 @@ def ball_points(dim: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
     check_range("dim", dim, 1)
     check_range("sample point count n", n, 1)
     check_range("radius", radius, 0, low_open=True)
-    return _ball_points(dim, n, radius, _check_seed(seed))
-
-
-def _check_seed(seed) -> int:
-    """``seed`` as an int; ``DomainError`` unless it is a nonnegative integer."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise DomainError(f"seed must be an integer, got {seed!r}") from None
-    check_range("seed", seed, 0)
-    return seed
+    return _ball_points(dim, n, radius, check_seed(seed))
 
 
 @functools.lru_cache(maxsize=_BALL_POINTS_CACHE_SIZE)
@@ -187,7 +176,7 @@ def decide_equivalence(
     check_range("tolerance", tolerance, 0, high_open=False)
     check_range("B_x", B_x, 0, low_open=True)
     check_range("n_samples", n_samples, 1)
-    _check_seed(seed)
+    check_seed(seed)
     check_same_shapes(f1.params, f2.params)
     flats, witness = _canonical_pair(f1.params, f2.params)
     # Bytes, not values, so -0.0 and 0.0 differ.

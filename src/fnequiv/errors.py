@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and ``check_range``, the one
-range check that every bounded scalar argument goes through.
+"""Exception types shared across the package; ``check_range``, the one
+range check that every bounded scalar argument goes through; and
+``check_seed``, the one check of an integer seed.
 
 The CLI maps these to exit code 1 (user/domain errors); anything else that
 escapes is treated as an internal error (exit code 2).
 """
 
 import math
+import operator
 
 
 class FnequivError(Exception):
@@ -75,3 +77,13 @@ def check_range(name, value, low, high=math.inf, *, low_open=False, high_open=Tr
     if not (above and below):
         left, right = "(" if low_open else "[", ")" if high_open else "]"
         raise error(f"{name} must be in {left}{low}, {high}{right}, got {value}")
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; ``DomainError`` unless it is a nonnegative integer."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    check_range("seed", seed, 0)
+    return seed

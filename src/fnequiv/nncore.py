@@ -330,13 +330,6 @@ def params_identical(a: NetworkParams, b: NetworkParams) -> bool:
     return shapes(a) == shapes(b) and a.flat().tobytes() == b.flat().tobytes()
 
 
-def params_max_diff(a: NetworkParams, b: NetworkParams) -> float:
-    """Entrywise L-infinity distance between two same-shaped
-    parameterizations; NaN when either has a NaN entry."""
-    check_same_shapes(a, b)
-    return float(np.abs(a.flat() - b.flat()).max())
-
-
 def check_shapes(arch: Architecture, params: NetworkParams) -> None:
     expected = arch.layer_shapes()
     if params.n_layers != len(expected):
@@ -417,54 +410,19 @@ def _forward_checked(arch, layers, X, trace=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Losses and gradients
+# Gradients
 
 
-class SquaredLoss:
-    """L(y, t) = sum_k (y_k - t_k)^2."""
-
-    def value(self, y, target) -> float:
-        d = np.asarray(y, dtype=float) - np.asarray(target, dtype=float)
-        return float(np.sum(d * d))
-
-    def grad(self, y, target) -> np.ndarray:
-        return 2.0 * (np.asarray(y, dtype=float) - np.asarray(target, dtype=float))
-
-
-class ConstantLoss:
-    """A loss that ignores the prediction; its gradient is identically zero."""
-
-    def __init__(self, value: float = 0.0):
-        self._value = float(value)
-
-    def value(self, y, target) -> float:
-        return self._value
-
-    def grad(self, y, target) -> np.ndarray:
-        return np.zeros_like(np.asarray(y, dtype=float))
-
-
-SQUARED_LOSS = SquaredLoss()
-
-
-def gradient(
-    arch: Architecture,
-    params: NetworkParams,
-    loss,
-    x,
-    target,
-) -> NetworkParams:
-    """Reverse-mode gradient of ``loss(f(x), target)`` w.r.t. every parameter.
+def gradient(arch: Architecture, params: NetworkParams, x, target) -> NetworkParams:
+    """Reverse-mode gradient of the squared error sum_k (f(x)_k - t_k)^2
+    w.r.t. every parameter: ``mse_gradient`` at the one input ``x``.
 
     Returns a NetworkParams-shaped container of partial derivatives.
     """
-    check_shapes(arch, params)
     x = np.asarray(x, dtype=float)
     if x.shape != (arch.input_dim,):
         raise ShapeError(f"input must have shape ({arch.input_dim},), got {x.shape}")
-    post = _forward_trace(arch, params.layers, x[None, :])
-    g = np.asarray(loss.grad(post[-1][0], target), dtype=float)[None, :]
-    return NetworkParams(_backprop(arch, params.layers, post, g))
+    return mse_gradient(arch, params, x[None, :], target)[1]
 
 
 def _targets(X, Y) -> np.ndarray:

@@ -120,10 +120,6 @@ class ScalingSpec:
             check_range("scaling factor", a, 0, low_open=True)
 
 
-def uniform_scaling(layer: int, alpha: float, width: int) -> ScalingSpec:
-    return ScalingSpec(layer, (float(alpha),) * width)
-
-
 def apply_scaling(
     arch: Architecture, params: NetworkParams, spec: ScalingSpec
 ) -> NetworkParams:

@@ -11,7 +11,7 @@ import numpy as np
 from . import bounds, empirical, transforms
 from .basin import InitScheme, amplification_check
 from .equivalence import ball_points
-from .errors import check_range
+from .errors import check_seed
 from .nncore import (
     Architecture,
     EQUIV_ATOL,
@@ -166,7 +166,7 @@ def suite_amplification(seed: int = 0):
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
-    check_range("seed", seed, 0)
+    check_seed(seed)
     if name == "permutation":
         return suite_permutation(seed=seed)
     if name == "sandwich":

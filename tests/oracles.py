@@ -84,9 +84,14 @@ def first_non_finite_layer(pre):
 # Finite-difference gradients
 
 
-def fd_gradient(arch, params, loss, x, target, h=1e-5):
-    """Central finite differences on the flat parameter vector."""
+def fd_gradient(arch, params, x, target, h=1e-5):
+    """Central finite differences on the flat parameter vector of the
+    squared error sum_k (f(x)_k - t_k)^2."""
     from fnequiv.nncore import forward, params_from_flat
+
+    def squared_error(flat):
+        d = forward(arch, params_from_flat(arch, flat), x) - np.asarray(target, dtype=float)
+        return float(np.sum(d * d))
 
     flat = params.flat()
     grad = np.zeros_like(flat)
@@ -95,10 +100,17 @@ def fd_gradient(arch, params, loss, x, target, h=1e-5):
         up[i] += h
         down = flat.copy()
         down[i] -= h
-        f_up = loss.value(forward(arch, params_from_flat(arch, up), x), target)
-        f_down = loss.value(forward(arch, params_from_flat(arch, down), x), target)
-        grad[i] = (f_up - f_down) / (2.0 * h)
+        grad[i] = (squared_error(up) - squared_error(down)) / (2.0 * h)
     return grad
+
+
+def params_max_diff(a, b) -> float:
+    """Entrywise L-infinity distance between two same-shaped
+    parameterizations; NaN when either has a NaN entry."""
+    from fnequiv.nncore import check_same_shapes
+
+    check_same_shapes(a, b)
+    return float(np.abs(a.flat() - b.flat()).max())
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +558,6 @@ def basin_summary_reference(runs, cluster_tolerance):
     library's one-network functions, never basin's stacked path.
     """
     from fnequiv.canonical import canonicalize, symmetry_profile
-    from fnequiv.nncore import params_max_diff
 
     conv = [i for i, r in enumerate(runs) if r.converged]
     tol = 1e-3 if cluster_tolerance is None else cluster_tolerance

@@ -50,19 +50,18 @@ from fnequiv.nncore import (
     forward_batch,
     leaky_relu,
     params_identical,
-    params_max_diff,
     random_params,
     save_network,
 )
 from fnequiv.transforms import (
+    ScalingSpec,
     apply_permutation,
     apply_scaling,
     apply_sign_flip,
     random_spec,
-    uniform_scaling,
 )
 
-from oracles import mp_deep_log, mp_shallow_log
+from oracles import mp_deep_log, mp_shallow_log, params_max_diff
 
 TABLE_ACTIVATIONS = (RELU, leaky_relu(0.1), TANH, SIGMOID)
 
@@ -112,7 +111,7 @@ def test_criterion_02_activation_gating_matrix():
                 width = int(rng.integers(1, 6))
                 arch = Architecture(int(rng.integers(1, 4)), (width,), (act,))
                 params = random_params(arch, rng)
-                alpha = uniform_scaling(1, float(rng.uniform(0.5, 2.0)), width)
+                alpha = ScalingSpec(1, (float(rng.uniform(0.5, 2.0)),) * width)
                 if act.name in scaling_ok:
                     scaled = apply_scaling(arch, params, alpha)
                     X = ball_points(arch.input_dim, 200, 1.0, seed=trial)

@@ -24,7 +24,6 @@ from fnequiv.nncore import (
     RELU,
     TANH,
     mse_gradient,
-    params_max_diff,
     random_params,
 )
 from fnequiv.transforms import PermutationSpec, apply_permutation, random_spec
@@ -33,6 +32,7 @@ from oracles import (
     basin_summary_reference,
     blocked_draws_reference,
     gd_reference,
+    params_max_diff,
 )
 
 

@@ -7,14 +7,22 @@ files it writes under its relative ``--output-prefix``.
 
 The pins hold for floating-point kernels with fused multiply-add (FMA).
 Under ``OPENBLAS_CORETYPE=Prescott``, which has none, 4 of them fail, with
-changes only in the last digits of floats.
+changes only in the last digits of floats.  ``test_kernel_changes_no_decision``
+reruns those 4 cases under such kernels and checks that every decision
+stays the same and every float within a stated bound.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fnequiv
 from fnequiv.cli import OUTPUT_DIR_ENV, main
 from test_cli import scipy_modules_after
 
@@ -170,3 +178,87 @@ def test_certified_sweep_loads_no_milp_solver():
     code += f"assert hashlib.sha256(out.getvalue().encode()).hexdigest() == {DIGESTS[case]!r}\n"
     code += "assert 'scipy.optimize' not in sys.modules"
     assert "'scipy.spatial'" in scipy_modules_after(code)
+
+
+# Numeric environments with other floating-point kernels: OpenBLAS without
+# FMA, and numpy with its AVX2/FMA and AVX-512 loops switched off.
+KERNEL_ENVS = {
+    "openblas_prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy_no_avx2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+}
+# The pinned cases whose bytes depend on the kernel.
+KERNEL_CASES = ("transform_permutation", "basin_xor", "basin_teacher", "basin_xor_tolerance")
+# The transform's self-check is a rounding residue (2.2e-16 to 3.3e-16
+# measured); the basin's final losses, cluster tolerance and delta_min move
+# by at most 3.5e-12 relative.
+SELF_CHECK_MAX = 1e-14
+BASIN_FLOAT_RTOL = 1e-9
+SELF_CHECK = "self-check: sampled sup distance to original = "
+
+RUN_CASES = """import contextlib, io, json, sys
+from fnequiv.cli import main
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    results[name] = [status, out.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def kernel_case_outputs(directory, extra_env) -> tuple[dict, dict]:
+    """Run ``KERNEL_CASES`` in ``directory``, in a fresh interpreter whose
+    environment adds ``extra_env``, and split each case's outputs into its
+    decisions, to compare exactly, and its floats that the kernel may move:
+    the transform's self-check distance, and the basin's cluster
+    tolerance, delta_min and final losses."""
+    directory.mkdir()
+    write_inputs(directory)
+    argvs = {c: CASES[c] if c in CASES else BASIN_CASES[c][0] for c in KERNEL_CASES}
+    paths = [str(Path(fnequiv.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra_env}
+    env.pop(OUTPUT_DIR_ENV, None)
+    run = subprocess.run(
+        [sys.executable, "-c", RUN_CASES, json.dumps(argvs)],
+        cwd=directory, env=env, capture_output=True, text=True, check=True,
+    )
+    decisions, floats = {}, {}
+    for case, (status, out) in json.loads(run.stdout).items():
+        if case not in BASIN_CASES:
+            document, _, residue = out.rpartition(SELF_CHECK)
+            decisions[case] = (status, document)
+            floats[case] = [float(residue)]
+            continue
+        prefix = BASIN_CASES[case][1]
+        doc = json.loads((directory / f"{prefix}.summary.json").read_text())
+        summary = doc["summary"]
+        floats[case] = [summary.pop("cluster_tolerance")]
+        if summary["reference_profile"] is not None:
+            floats[case].append(summary["reference_profile"].pop("delta_min"))
+        lines = (directory / f"{prefix}.runs.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        loss = rows[0].index("final_loss")
+        floats[case] += [float(row.pop(loss)) for row in rows[1:]]
+        decisions[case] = (status, out, doc, rows)
+    return decisions, floats
+
+
+@pytest.fixture(scope="module")
+def default_kernel_outputs(tmp_path_factory):
+    return kernel_case_outputs(tmp_path_factory.mktemp("kernels") / "default", {})
+
+
+@pytest.mark.parametrize("env_name", sorted(KERNEL_ENVS))
+def test_kernel_changes_no_decision(env_name, default_kernel_outputs, tmp_path):
+    # Exit codes, the transformed network, iteration counts,
+    # converged/diverged flags, cluster ids and sizes are equal; only
+    # floats may move, within the bounds above.
+    want_decisions, want_floats = default_kernel_outputs
+    decisions, floats = kernel_case_outputs(tmp_path / env_name, KERNEL_ENVS[env_name])
+    assert decisions == want_decisions
+    for case in KERNEL_CASES:
+        if case in BASIN_CASES:
+            np.testing.assert_allclose(floats[case], want_floats[case], rtol=BASIN_FLOAT_RTOL, atol=0)
+        else:
+            assert max(floats[case] + want_floats[case]) <= SELF_CHECK_MAX

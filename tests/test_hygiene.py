@@ -101,7 +101,7 @@ PUBLIC_NAMES = [
     "forward_batch", "function_class_sample", "gradient", "greedy_covering_estimate",
     "greedy_packing_estimate", "grid_sample", "hidden_range_bound", "identity_spec_for",
     "initialize", "inverse", "leaky_relu", "load_network", "orbit_membership",
-    "pdim_uniform_covering_bound", "sampled_sup_distance", "save_network",
+    "pdim_uniform_covering_bound", "pooled_forward", "sampled_sup_distance", "save_network",
     "shallow_covering_bound", "stirling_bracket", "symmetry_profile", "train",
     "volume_covering_bound",
 ]
@@ -116,3 +116,64 @@ def test_public_names_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+def module_level_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The names a module's own top-level statements define (functions,
+    classes and assigned names; imports and dunders aside), each with the
+    statement that defines it."""
+    defined = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[stmt.name] = stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        defined[node.id] = stmt
+    return {name: stmt for name, stmt in defined.items() if not name.startswith("__")}
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names ``node`` reads as a variable or an attribute, or imports;
+    strings and docstrings that mention a name do not count."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unreferenced_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names of the ``sources`` (file name -> text) that no
+    statement of the package reads or imports, other than the one that
+    defines them."""
+    defined, used = {}, set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        own = module_level_names(tree)
+        defined.update(own)
+        for stmt in tree.body:
+            used |= referenced_names(stmt) - {n for n, s in own.items() if s is stmt}
+    return sorted(set(defined) - used)
+
+
+def test_unreferenced_name_detector():
+    sources = {
+        "a.py": '"""Mentions dead."""\nX = 1\nY = X\n\n\ndef dead():\n    return dead()\n',
+        "b.py": "from .a import Y\nimport a\n\n\nclass C:\n    z = a.live\n\n\ndef live():\n    pass\n",
+    }
+    assert unreferenced_names(sources) == ["C", "dead"]
+
+
+def test_no_test_only_library_code():
+    # Library code that only tests call belongs in the tests; a name stays
+    # when the package reads it or exports it.
+    package = Path(fnequiv.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert [n for n in unreferenced_names(sources) if n not in PUBLIC_NAMES] == []

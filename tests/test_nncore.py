@@ -10,13 +10,11 @@ from fnequiv.errors import DomainError, NumericError, ShapeError
 from fnequiv.nncore import (
     Activation,
     Architecture,
-    ConstantLoss,
     IDENTITY,
     Network,
     NetworkParams,
     RELU,
     SIGMOID,
-    SQUARED_LOSS,
     TANH,
     activation_from_tag,
     forward,
@@ -29,12 +27,17 @@ from fnequiv.nncore import (
     network_to_json_dict,
     params_from_flat,
     params_identical,
-    params_max_diff,
     random_params,
     _forward_checked,
 )
 
-from oracles import fd_gradient, first_non_finite_layer, forward_trace_reference, scalar_forward
+from oracles import (
+    fd_gradient,
+    first_non_finite_layer,
+    forward_trace_reference,
+    params_max_diff,
+    scalar_forward,
+)
 
 ALL_ACTIVATIONS = (RELU, TANH, SIGMOID, IDENTITY, leaky_relu(0.1))
 
@@ -248,19 +251,22 @@ class TestOverflowLayer:
 class TestGradient:
     def test_hand_chain_rule(self):
         arch, params = tiny_identity_net()
-        g = gradient(arch, params, SQUARED_LOSS, [1.0], [0.0])
+        g = gradient(arch, params, [1.0], [0.0])
         # f = w2*(w1*x+b1)+b2 = 1; dL/dw1 = 2*f*w2*x = 2
         assert g.weight(1)[0, 0] == pytest.approx(2.0)
         assert g.weight(2)[0, 0] == pytest.approx(2.0)
         assert g.bias(1)[0] == pytest.approx(2.0)
         assert g.bias(2)[0] == pytest.approx(2.0)
 
-    def test_constant_loss_zero_gradient(self):
+    def test_zero_at_own_output(self):
+        # The residual f(x) - f(x) is exactly 0, so every partial is +-0.
         rng = np.random.default_rng(3)
-        arch = Architecture(2, (3,), (TANH,))
-        params = random_params(arch, rng)
-        g = gradient(arch, params, ConstantLoss(5.0), [0.3, -0.2], [0.0])
-        assert g.max_abs() == 0.0
+        x = np.array([0.3, -0.2])
+        for act in ALL_ACTIVATIONS:
+            arch = Architecture(2, (3, 2), (act, act), output_dim=2)
+            params = random_params(arch, rng)
+            g = gradient(arch, params, x, forward(arch, params, x))
+            assert g.max_abs() == 0.0, act.tag()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -269,8 +275,8 @@ class TestGradient:
             params = random_params(arch, rng)
             x = rng.uniform(-1, 1, 2)
             target = rng.uniform(-1, 1, 1)
-            got = gradient(arch, params, SQUARED_LOSS, x, target).flat()
-            want = fd_gradient(arch, params, SQUARED_LOSS, x, target)
+            got = gradient(arch, params, x, target).flat()
+            want = fd_gradient(arch, params, x, target)
             denom = np.maximum(np.abs(want), 1e-3)
             assert (np.abs(got - want) / denom).max() < 1e-6
 
@@ -284,8 +290,8 @@ class TestGradient:
             params = random_params(arch, rng)
             x = rng.uniform(-1, 1, arch.input_dim)
             target = rng.uniform(-1, 1, 1)
-            got = gradient(arch, params, SQUARED_LOSS, x, target).flat()
-            want = fd_gradient(arch, params, SQUARED_LOSS, x, target)
+            got = gradient(arch, params, x, target).flat()
+            want = fd_gradient(arch, params, x, target)
             denom = np.maximum(np.abs(want), 1e-2)
             worst = max(worst, float((np.abs(got - want) / denom).max()))
         assert worst <= 1e-5
@@ -299,7 +305,7 @@ class TestGradient:
         value, g = mse_gradient(arch, params, X, Y)
         resid = forward_batch(arch, params, X) - Y
         assert value == pytest.approx(np.mean(np.sum(resid * resid, axis=1)))
-        per_point = [gradient(arch, params, SQUARED_LOSS, x, y).flat() for x, y in zip(X, Y)]
+        per_point = [gradient(arch, params, x, y).flat() for x, y in zip(X, Y)]
         assert np.abs(g.flat() - np.mean(per_point, axis=0)).max() < 1e-12
 
 

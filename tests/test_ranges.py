@@ -109,9 +109,12 @@ HOLES = [
     ("ball_points seed", lambda v: ball_points(2, 8, 1.0, seed=v), np.int64(-2**40)),
     ("InitScheme seed", lambda v: InitScheme("uniform", seed=v), -1),
     ("InitScheme seed", lambda v: InitScheme("he", seed=v), np.int32(-7)),
+    ("InitScheme seed", lambda v: InitScheme("uniform", seed=v), 1.5),
     ("teacher_dataset seed", lambda v: teacher_dataset(ARCH, PARAMS, 8, 1.0, seed=v), -1),
+    ("teacher_dataset seed", lambda v: teacher_dataset(ARCH, PARAMS, 8, 1.0, seed=v), 1.5),
     ("run_suite seed", lambda v: run_suite("permutation", seed=v), -1),
     ("run_suite seed", lambda v: run_suite("sandwich", seed=v), -3),
+    ("run_suite seed", lambda v: run_suite("permutation", seed=v), 1.5),
 ]
 
 

@@ -32,7 +32,6 @@ from fnequiv.transforms import (
     inverse,
     pooled_forward,
     random_spec,
-    uniform_scaling,
 )
 
 from oracles import attention_oracle
@@ -131,14 +130,14 @@ class TestScaling:
         rng = np.random.default_rng(6)
         arch = Architecture(1, (3,), (RELU,))
         params = random_params(arch, rng)
-        out = apply_scaling(arch, params, uniform_scaling(1, 1.0, 3))
+        out = apply_scaling(arch, params, ScalingSpec(1, (1.0,) * 3))
         assert params_identical(out, params)
 
     def test_uniform_doubling(self):
         rng = np.random.default_rng(7)
         arch = Architecture(2, (3,), (RELU,))
         params = random_params(arch, rng)
-        out = apply_scaling(arch, params, uniform_scaling(1, 2.0, 3))
+        out = apply_scaling(arch, params, ScalingSpec(1, (2.0,) * 3))
         assert np.array_equal(out.weight(1), 2.0 * params.weight(1))
         assert np.array_equal(out.bias(1), 2.0 * params.bias(1))
         assert np.array_equal(out.weight(2), params.weight(2) / 2.0)
@@ -156,14 +155,14 @@ class TestScaling:
         arch = Architecture(1, (2,), (TANH,))
         params = random_params(arch, rng)
         with pytest.raises(UnsupportedTransformError):
-            apply_scaling(arch, params, uniform_scaling(1, 2.0, 2))
+            apply_scaling(arch, params, ScalingSpec(1, (2.0,) * 2))
 
     def test_sigmoid_rejected(self):
         rng = np.random.default_rng(10)
         arch = Architecture(1, (2,), (SIGMOID,))
         params = random_params(arch, rng)
         with pytest.raises(UnsupportedTransformError):
-            apply_scaling(arch, params, uniform_scaling(1, 2.0, 2))
+            apply_scaling(arch, params, ScalingSpec(1, (2.0,) * 2))
 
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(DomainError):
@@ -215,8 +214,8 @@ class TestSignFlip:
 @pytest.mark.parametrize(
     "call,error",
     [
-        (lambda a, p: apply_scaling(a, p, uniform_scaling(2, 2.0, 2)), DomainError),
-        (lambda a, p: apply_scaling(a, p, uniform_scaling(1, 2.0, 3)), ShapeError),
+        (lambda a, p: apply_scaling(a, p, ScalingSpec(2, (2.0,) * 2)), DomainError),
+        (lambda a, p: apply_scaling(a, p, ScalingSpec(1, (2.0,) * 3)), ShapeError),
         (lambda a, p: apply_sign_flip(a, p, 0, [1.0, -1.0]), DomainError),
         (lambda a, p: apply_sign_flip(a, p, 1, [1.0, -1.0, 1.0]), ShapeError),
         (lambda a, p: apply_sign_flip(a, p, 1, [1.0, 0.5]), DomainError),
