@@ -33,7 +33,6 @@ from .nncore import (
     forward_block,
     params_from_flat,
     stack_block,
-    _chebyshev,
     _flatten,
     _mse_value_and_grad,
     _unflatten,
@@ -100,15 +99,14 @@ def initialize_batch(arch: Architecture, scheme: InitScheme, n: int) -> np.ndarr
     return _draw(arch, scheme, np.random.default_rng(scheme.seed), n)
 
 
-def _draw(arch: Architecture, scheme: InitScheme, rng, n: int, out=None) -> np.ndarray:
+def _draw(arch: Architecture, scheme: InitScheme, rng, n: int) -> np.ndarray:
     """``n`` flat parameter vectors from ``rng``, drawn layer by layer into
-    the (n, S) array ``out`` (a new one when None), which is returned.
+    one (n, S) array.
 
     Each weight or bias draw is copied into its columns and dropped before
     the next is made, so at most one of them is alive at a time.
     """
-    if out is None:
-        out = np.empty((n, arch.param_count))
+    out = np.empty((n, arch.param_count))
     col = 0
     for (fan_out, fan_in), _ in arch.layer_shapes():
         for part in _layer_draw(scheme, rng, n, fan_out, fan_in):
@@ -417,9 +415,15 @@ def amplification_check(
     the smallest distance between two images is the distance from
     ``theta_star`` to its nearest other image, and neighborhoods of that
     radius are disjoint.  The standard error of the ratio comes from the
-    multinomial delta method.  Draws are made one ``nncore.stack_block`` at
-    a time into buffers allocated once, so memory does not grow with
-    ``n_draws``; within one block they equal ``initialize_batch``'s.
+    multinomial delta method.
+
+    Draws are made one ``nncore.stack_block`` at a time, layer by layer;
+    within one block they equal ``initialize_batch``'s.  A draw is within
+    tol of an image when every coordinate's |x - v| is, so each column of
+    each drawn part is tested once against each distinct value the images
+    hold there, and the tests are ANDed into a (k images x block) hit mask.
+    Memory is that mask, the column's per-value masks and one drawn part,
+    so it does not grow with ``n_draws``.
     """
     check_shapes(arch, theta_star)
     check_range("n_draws", n_draws, 1)
@@ -432,29 +436,35 @@ def amplification_check(
             raise DomainError(
                 "theta_star is its only permutation image; pass an explicit tolerance"
             )
-        tolerance = _chebyshev(image_mat[:1], image_mat[1:])[0].min() / 2.0
+        tolerance = np.abs(image_mat[1:] - image_mat[0]).max(axis=1).min() / 2.0
     check_range("tolerance", tolerance, 0, high_open=False)
 
     single_hits = 0
     orbit_hits = 0
     rng = np.random.default_rng(scheme.seed)
     k, S = len(images), arch.param_count
-    # Twice the float64 bytes of a draw's parameters and of its distances to
-    # every image: the buffers below hold 8S + 9k bytes per draw, and one
-    # layer's fresh draw at most 8S more.  Each block draws layer by layer,
-    # so the draw stream, and with it every count, depends on this block size.
+    # Each column's distinct image values, and which of them each image holds.
+    columns = [np.unique(col, return_inverse=True) for col in image_mat.T]
+    # The draw stream fixes this block size, not the buffers below: each block
+    # draws layer by layer, so the stream, and with it every count, depends
+    # on it.  The hit mask, one column's per-value masks and one drawn part
+    # hold less than these 16 (S + k) bytes per draw.
     block = stack_block(16 * (S + k))
-    m = min(block, n_draws)
-    draws, dist, hit = np.empty((m, S)), np.empty(k * m), np.empty(k * m, dtype=bool)
     for start in range(0, n_draws, block):
         m = min(block, n_draws - start)
-        chunk = _draw(arch, scheme, rng, m, out=draws[:m])
-        # Images by draws, so that each draw's hits reduce along axis 0; the
-        # flat buffers' heads reshape to C-contiguous (k, m) arrays.
-        d = _chebyshev(image_mat, chunk, out=dist[: k * m].reshape(k, m))
-        h = np.less_equal(d, tolerance, out=hit[: k * m].reshape(k, m))
-        single_hits += int(np.count_nonzero(h[0]))
-        orbit_hits += int(np.count_nonzero(h.any(axis=0)))
+        hit = np.ones((k, m), dtype=bool)
+        c = 0
+        for (fan_out, fan_in), _ in arch.layer_shapes():
+            for part in _layer_draw(scheme, rng, m, fan_out, fan_in):
+                for x in part.T:
+                    values, which = columns[c]
+                    near = np.empty((len(values), m), dtype=bool)
+                    for v, row in zip(values, near):
+                        np.less_equal(np.abs(x - v), tolerance, out=row)
+                    hit &= near[which]
+                    c += 1
+        single_hits += int(np.count_nonzero(hit[0]))
+        orbit_hits += int(np.count_nonzero(hit.any(axis=0)))
 
     p_single = single_hits / n_draws
     p_orbit = orbit_hits / n_draws

@@ -155,7 +155,7 @@ def _slab(key: np.ndarray, c: float, r: float) -> tuple:
     return key.searchsorted(c - h), key.searchsorted(c + h, side="right")
 
 
-def _first_fit(pts: np.ndarray, threshold: float, distances) -> tuple:
+def _first_fit(pts: np.ndarray, threshold: float, distances, sort=None) -> tuple:
     """First-fit grouping of the finite rows ``pts``: a row joins the first
     kept row within ``threshold`` (> 0) of it, and is kept otherwise.
     Returns the kept rows' indices, ascending, and each row's group: the
@@ -168,11 +168,12 @@ def _first_fit(pts: np.ndarray, threshold: float, distances) -> tuple:
     live rows within ``threshold`` of it, itself included, into its group.
     Only those in c's ``_slab`` on the widest sorted column can be, so each
     kept row costs one distance pass over the live rows of its slab.
+    ``sort``, when given, is ``_widest_column_order(pts)`` made before.
     """
     assignment = np.zeros(len(pts), dtype=np.int64)
     if not pts.size:  # no rows, or no coordinates: every row is row 0
         return np.arange(min(len(pts), 1)), assignment
-    col, order = _widest_column_order(pts)
+    col, order = _widest_column_order(pts) if sort is None else sort
     key = pts[order, col]
     live = np.ones(len(pts), dtype=bool)
     kept, i = [], 0

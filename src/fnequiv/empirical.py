@@ -32,6 +32,7 @@ class MetricSpaceSample:
     metric: str = METRIC_PARAMS
     provenance: dict = field(default_factory=dict)
     _cover_record: tuple | None = field(default=None, init=False, repr=False)
+    _sort_record: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.array(self.points, dtype=float))  # a private copy
@@ -47,6 +48,14 @@ class MetricSpaceSample:
 
     def distance_matrix(self) -> np.ndarray:
         return _chebyshev(self.points, self.points)
+
+    def _sort(self) -> tuple | None:
+        """``_widest_column_order`` of the points, made on first use and kept
+        for every later first-fit or cover pass; None when there are no
+        rows or no coordinates."""
+        if self._sort_record is None and self.points.size:
+            object.__setattr__(self, "_sort_record", _widest_column_order(self.points))
+        return self._sort_record
 
 
 def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> MetricSpaceSample:
@@ -128,7 +137,7 @@ def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> tuple:
     pts = space.points
     if not pts.shape[1]:  # no coordinates: every point is row 0
         return np.zeros(1, dtype=np.intp), np.empty(0)
-    col, order = _widest_column_order(pts)
+    col, order = space._sort()
     P = pts[order]
     key = P[:, col]
     md = _chebyshev(pts[:1], P)[0]
@@ -155,7 +164,7 @@ def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     ``canonical._first_fit``).
     """
     _check_oracle_args(space, epsilon)
-    return len(_first_fit(space.points, 2.0 * epsilon, _distances_to)[0])
+    return len(_first_fit(space.points, 2.0 * epsilon, _distances_to, space._sort())[0])
 
 
 def _distances_to(row: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -224,7 +233,7 @@ def _certified_count(space: MetricSpaceSample, D: np.ndarray, epsilon: float) ->
     the certificate against another distance kernel.
     """
     covers = D <= epsilon
-    kept = _first_fit(space.points, 2.0 * epsilon, _distances_to)[0]
+    kept = _first_fit(space.points, 2.0 * epsilon, _distances_to, space._sort())[0]
     centers = _greedy_set_cover(covers)
     if len(kept) != len(centers) or covers[kept].sum(axis=0).max() > 1:
         return None

@@ -375,6 +375,14 @@ def amplification_counts_reference(draws, images, star_idx, tolerance):
     return int(hit[:, star_idx].sum()), int(hit.any(axis=1).sum())
 
 
+def orbit_hits_reference(draws, images, tolerance):
+    """Draws (one per row) within ``tolerance`` of the first image, and of
+    any image (rows of ``images``), in the max norm: every draw against
+    every image at once, by brute force."""
+    hit = np.abs(draws[:, None] - images).max(-1) <= tolerance
+    return int(hit[:, 0].sum()), int(hit.any(axis=1).sum())
+
+
 # ---------------------------------------------------------------------------
 # Canonical neuron order and the function-class grid, one network at a time
 

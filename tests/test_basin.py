@@ -477,11 +477,16 @@ class TestToleranceChecked:
         def no_draws(*args):
             raise AssertionError("drew for an invalid tolerance")
 
-        monkeypatch.setattr("fnequiv.basin._draw", no_draws)
+        monkeypatch.setattr("fnequiv.basin._layer_draw", no_draws)
         arch = Architecture(1, (2,), (RELU,))
         with pytest.raises(DomainError, match="tolerance"):
             amplification_check(
                 arch, InitScheme("uniform", seed=7), two_distinct_rows_params(), 100, tolerance
+            )
+        # The patch is on the check's draw path: a valid tolerance reaches it.
+        with pytest.raises(AssertionError, match="drew"):
+            amplification_check(
+                arch, InitScheme("uniform", seed=7), two_distinct_rows_params(), 100, 0.5
             )
 
     @pytest.mark.parametrize("tolerance", [-1.0, math.nan, -math.inf])

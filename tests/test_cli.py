@@ -979,9 +979,9 @@ def test_import_loads_no_scipy():
     assert scipy_modules_after("import sys, fnequiv, fnequiv.cli") == "[]"
 
 
-def test_sampled_points_load_no_scipy_stats(tmp_path):
-    # scipy.stats adds about 70 MB and a second of import time; the sampled
-    # points are built without it.
+def test_sampled_points_load_no_scipy(tmp_path):
+    # scipy.special alone adds about 25 MB, and scipy.stats about 70 MB and
+    # a second of import time; the sampled points are built without either.
     arch = Architecture(2, (3,), (TANH,))
     nets = []
     for seed in (1, 2):
@@ -990,12 +990,11 @@ def test_sampled_points_load_no_scipy_stats(tmp_path):
     argv = ["check-equiv", "--first", str(nets[0]), "--second", str(nets[1]), "--samples", "64"]
     argv += ["--output", str(tmp_path / "v.json")]
     code = f"import sys; from fnequiv.cli import main; assert main({argv!r}) == 0"
-    assert "'scipy.stats'" not in scipy_modules_after(code)
+    assert scipy_modules_after(code) == "[]"
     assert json.loads((tmp_path / "v.json").read_text())["verdict"]["kind"] == "distinguished"
     code = "import sys; from fnequiv import Architecture, RELU, function_class_sample; "
     code += "function_class_sample(Architecture(1, (1,), (RELU,)), 1.0, 2, 1.0, 8)"
-    loaded = scipy_modules_after(code)
-    assert "'scipy.special'" in loaded and "'scipy.stats'" not in loaded
+    assert scipy_modules_after(code) == "[]"
 
 
 def test_basin_run_loads_no_scipy(tmp_path):

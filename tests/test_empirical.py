@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fnequiv import empirical
+from fnequiv import canonical, empirical
 from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_bound
 from fnequiv.canonical import _first_fit
 from fnequiv.empirical import (
@@ -205,6 +205,36 @@ class TestGreedyCoverRecord:
             assert greedy_covering_estimate(space, 0.6) == 3
             assert greedy_covering_estimate(MetricSpaceSample(space.points), 0.6) == 3
         assert greedy_covering_estimate(MetricSpaceSample(a), 0.6) == 2
+
+
+class TestSortRecord:
+    """A sample sorts its points on their widest column once, for every
+    greedy cover and pack and first-fit certificate that follows."""
+
+    def test_one_sort_serves_every_pass(self, monkeypatch):
+        sorts = []
+
+        def counted(pts):
+            sorts.append(len(pts))
+            return canonical._widest_column_order(pts)
+
+        monkeypatch.setattr(empirical, "_widest_column_order", counted)
+        pts = np.random.default_rng(5).uniform(-1, 1, (60, 3))
+        space = MetricSpaceSample(pts)
+        for eps in (0.4, 0.1, 0.8):
+            assert greedy_packing_estimate(space, eps) == greedy_pack_reference(pts, eps)
+            assert greedy_covering_estimate(space, eps) == len(
+                greedy_cover_centers_reference(pts, eps)[0]
+            )
+        exact_covering_number(space, 0.8)
+        assert sorts == [60]
+        assert space._sort_record[0] == int(np.argmax(np.ptp(pts, axis=0)))
+        assert "_sort_record" not in repr(space)
+
+    def test_no_coordinates_records_nothing(self):
+        space = MetricSpaceSample(np.zeros((3, 0)))
+        assert greedy_packing_estimate(space, 0.5) == greedy_covering_estimate(space, 0.5) == 1
+        assert space._sort_record is None
 
 
 class TestGreedyCoverPruning:

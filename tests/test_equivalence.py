@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,40 @@ class TestBallPoints:
             ball_points(2, 8, 1.0, seed=seed)
             assert equivalence._ball_points.cache_info().currsize <= limit
         assert equivalence._ball_points.cache_info().currsize == limit
+
+
+def ndtri_probes():
+    """Over 1M probabilities for the normal quantile: clipped uniforms as
+    ``ball_points`` makes them, log-spaced tails down to 1e-300 on each
+    side, and the neighbours of e^-2 and 1 - e^-2 (the central branch's
+    ends), of e^-32 (where the tail switches polynomials at x = 8) and of
+    the clip ends 1e-12 and 1 - 1e-12."""
+    rng = np.random.default_rng(2024)
+    e2 = 0.13533528323661269189
+    ends = np.array([e2, 1.0 - e2, math.exp(-32.0), 1e-12, 1.0 - 1e-12, 0.5])
+    around = [ends + np.spacing(ends) * step for step in range(-64, 65)]
+    return np.concatenate(
+        [
+            np.clip(rng.random(1_000_000), 1e-12, 1 - 1e-12),
+            10.0 ** -rng.uniform(0.0, 300.0, 100_000),
+            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 100_000),
+            math.exp(-32.0) * (1.0 + rng.uniform(-1e-3, 1e-3, 50_000)),
+            *around,
+        ]
+    )
+
+
+class TestNdtri:
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.special import ndtri
+
+        p = ndtri_probes()
+        assert p.size >= 1_000_000 and ((p > 0.0) & (p < 1.0)).all()
+        # Both tail polynomials are reached: x = sqrt(-2 log y) on each side of 8.
+        y = np.minimum(p, 1.0 - p)
+        x = np.sqrt(-2.0 * np.log(y[y <= 0.13533528323661269189]))
+        assert (x < 8.0).any() and (x >= 8.0).any()
+        assert equivalence._ndtri(p).tobytes() == ndtri(p).tobytes()
 
 
 class TestSampledSupDistance:

@@ -68,6 +68,56 @@ def test_imported_modules_detector():
     }
 
 
+def scipy_import_sites(source: str) -> list[str]:
+    """Where ``source`` imports from scipy: the name of the function whose
+    own body holds the import statement, or ``<module>`` when no function
+    does (module level, or a class body)."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                sites.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+# The only functions that may load scipy, each for one kernel: the distance
+# kernel, the two MILP oracles, the sigmoid and the Dudley quadrature.  The
+# equivalence decisions, the sample points and the amplification check load
+# none of it.
+SCIPY_IMPORT_SITES = {
+    ("nncore.py", "_chebyshev"), ("nncore.py", "_apply"), ("empirical.py", "_cover_milp"),
+    ("empirical.py", "_packing_milp"), ("bounds.py", "dudley_rademacher_bound"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_imports_are_function_local_and_allowed(path):
+    sites = {(path.name, owner) for owner in scipy_import_sites(path.read_text())}
+    assert sites <= SCIPY_IMPORT_SITES
+
+
+def test_scipy_import_site_detector():
+    source = "import scipy\n\n\ndef f():\n    from scipy.special import expit\n\n"
+    source += "    def g():\n        import scipy.optimize as opt\n\n"
+    source += "    if True:\n        from scipy import integrate\n\n\n"
+    source += "class C:\n    from scipy.spatial import distance\n\n    def h(self):\n"
+    source += "        import numpy\n        from .scipy import x\n"
+    assert scipy_import_sites(source) == ["<module>", "f", "g", "f", "<module>"]
+
+
 def test_failing_property_reports_its_example(tmp_path):
     # A failing @given test under the repo's warning filters must print its
     # falsifying example rather than end in a pytest INTERNALERROR.

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fnequiv.basin import InitScheme, amplification_check, orbit_membership
+from fnequiv.basin import InitScheme, amplification_check, initialize_batch, orbit_membership
 from fnequiv.canonical import (
     _canonical_layers,
     _canonical_pair,
@@ -64,6 +64,7 @@ from oracles import (
     greedy_cover_centers_reference,
     greedy_cover_reference,
     greedy_pack_reference,
+    orbit_hits_reference,
     permutation_images_reference,
 )
 
@@ -228,6 +229,55 @@ class TestAmplificationOrbit:
             np.abs(a - b).max() for i, a in enumerate(images) for b in images[i + 1 :]
         )
         assert 2.0 * result.tolerance == separation
+
+
+@st.composite
+def amplification_cases(draw):
+    """An amplification check's arguments on a small net whose entries come
+    from at most three values, so rows tie and images share values: a
+    layer-symmetric init that can draw those values exactly (a zero-width
+    uniform, a zero sigma, or the zero biases of xavier and he), a draw
+    count within one block, and a tolerance that is 0, one of the gaps
+    between the values, or any in [0, 2]."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple))
+    arch = Architecture(draw(st.integers(1, 2)), widths, (RELU,) * len(widths))
+    grid = [-0.5, 0.0, 0.5]
+    tie = st.sampled_from(draw(st.lists(st.sampled_from(grid), min_size=1, unique=True)))
+    theta_star = NetworkParams(
+        tuple(
+            (draw(hnp.arrays(float, w, elements=tie)), draw(hnp.arrays(float, b, elements=tie)))
+            for w, b in arch.layer_shapes()
+        )
+    )
+    kind = draw(st.sampled_from(["uniform", "normal", "xavier", "he"]))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "uniform":
+        low, high = sorted(draw(st.lists(st.sampled_from([*grid, 1.0]), min_size=2, max_size=2)))
+        scheme = InitScheme(kind, seed, low=low, high=high)
+    else:
+        scheme = InitScheme(
+            kind, seed, mu=draw(st.sampled_from(grid)), sigma=draw(st.sampled_from([0.0, 0.5]))
+        )
+    tolerance = draw(st.one_of(st.sampled_from([0.5, 0.25, 1.0, 0.0]), st.floats(0.0, 2.0)))
+    return arch, theta_star, scheme, draw(st.integers(1, 2000)), tolerance
+
+
+class TestAmplificationCounts:
+    @PROPERTY
+    @given(amplification_cases())
+    def test_counts_equal_brute_force_reference(self, case):
+        arch, theta_star, scheme, n, tolerance = case
+        images = np.stack(
+            [
+                np.concatenate([a.ravel() for pair in img for a in pair])
+                for img in permutation_images_reference(list(theta_star.layers))
+            ]
+        )
+        result = amplification_check(arch, scheme, theta_star, n, tolerance)
+        # n is within one block, so the check's draws are initialize_batch's.
+        single, orbit = orbit_hits_reference(initialize_batch(arch, scheme, n), images, tolerance)
+        assert (result.p_single, result.p_orbit) == (single / n, orbit / n)
+        assert result.n_images == len(images)
 
 
 @st.composite
