@@ -31,9 +31,8 @@ from .nncore import (
     save_network,
 )
 from .transforms import (
-    PermutationSpec,
+    NeuronSymmetry,
     PoolingPartition,
-    ScalingSpec,
     apply_permutation,
     apply_pooling_permutation,
     apply_scaling,
@@ -41,7 +40,6 @@ from .transforms import (
     attention_forward,
     attention_permutation_equivalent,
     compose,
-    identity_spec_for,
     inverse,
     pooled_forward,
 )

@@ -2,7 +2,8 @@
 
 All covering bounds are computed and returned in natural-log space; their
 linear values overflow doubles at modest widths.  Metric entropies
-(log covering numbers) are plain nonnegative floats.
+(log covering numbers) are nonnegative floats, or None beyond a double.  A
+step out of the double range falls back on logs (``nncore.monomial``).
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConfigError, DomainError, IntegrationFailureError, check_range
-from .nncore import MAX_LOG_LINEAR, Architecture, default_lipschitz_constants, linear_or_none
+from .nncore import MAX_LOG_LINEAR, Architecture, linear_or_none, lipschitz_constants
+from .nncore import log_monomial, monomial
 
 DUDLEY_ABS_TOL = 1e-6
 DUDLEY_CONSTANT = 12.0
@@ -48,19 +48,15 @@ class BoundConfig:
         check_range("parameter box B", self.B, 1, error=ConfigError)
         check_range("B_x", self.B_x, 0, low_open=True)
         check_range("covering radius epsilon", self.epsilon, 0, low_open=True)
-        if self.rho is None:
-            rho = default_lipschitz_constants(self.arch)
-        else:
-            rho = tuple(float(r) for r in self.rho)
-        if len(rho) != self.arch.depth:
-            raise ConfigError(f"need {self.arch.depth} Lipschitz constants")
-        for r in rho:
-            check_range("Lipschitz constant", r, 0, low_open=True)
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", lipschitz_constants(self.arch, self.rho))
 
     @property
     def rho_bar(self) -> float:
-        return float(np.prod(self.rho))
+        return math.prod(self.rho)
+
+    @property
+    def log_rho_bar(self) -> float:
+        return log_monomial(*((r, 1) for r in self.rho))
 
     @property
     def spectral_proxies(self) -> tuple[float, ...]:
@@ -72,7 +68,11 @@ class BoundConfig:
 
     @property
     def log_s_bar(self) -> float:
-        return sum(math.log(s) for s in self.spectral_proxies)
+        w = self.arch.widths
+        return sum(
+            log_monomial((self.B, 1), (math.sqrt(w[i] * w[i - 1]), 1))
+            for i in range(1, self.arch.depth + 1)
+        )
 
     @property
     def max_hidden_width(self) -> int:
@@ -93,9 +93,9 @@ def shallow_covering_bound(cfg: BoundConfig) -> float:
     d0, d1 = arch.input_dim, arch.hidden_widths[0]
     S = arch.param_count
     S_h = d0 * d1 + d1
-    log_base = math.log(16.0 * cfg.B**2 * (cfg.B_x + 1.0) * math.sqrt(d0) * d1) - math.log(
-        cfg.epsilon
-    )
+    log_base = log_monomial(
+        (16.0, 1), (cfg.B, 2), (cfg.B_x + 1.0, 1), (math.sqrt(d0), 1), (d1, 1)
+    ) - math.log(cfg.epsilon)
     return S * log_base + S_h * math.log(cfg.rho[0]) + permutation_discount(arch)
 
 
@@ -121,9 +121,9 @@ def deep_covering_bound(cfg: BoundConfig, discount: bool = True) -> float:
     S = arch.param_count
     log_widths = sum(math.log(d) for d in (arch.input_dim, *arch.hidden_widths))
     log_base = (
-        math.log(4.0 * (L + 1) * (cfg.B_x + 1.0))
-        + (L + 2) * math.log(2.0 * cfg.B)
-        + math.log(cfg.rho_bar)
+        log_monomial((4.0, 1), (L + 1, 1), (cfg.B_x + 1.0, 1))
+        + (L + 2) * log_monomial((2.0, 1), (cfg.B, 1))
+        + cfg.log_rho_bar
         + log_widths
         - math.log(cfg.epsilon)
     )
@@ -164,12 +164,13 @@ class EntropyComparison:
 
     Values are natural-log covering numbers, floored at 0 (entropies are
     nonnegative); ``floored`` lists the rows whose raw expression went
-    negative, and ``raw`` keeps the unfloored values.
+    negative, and ``raw`` keeps the unfloored values.  The first three are
+    None where they exceed a double.
     """
 
-    spectral_2017: float
-    pacbayes_2017: float
-    lin_2019: float
+    spectral_2017: float | None
+    pacbayes_2017: float | None
+    lin_2019: float | None
     pdim_2019: float
     permutation_aware: float
     floored: tuple[str, ...]
@@ -198,19 +199,23 @@ def entropy_comparison(cfg: BoundConfig) -> EntropyComparison:
     U = arch.hidden_unit_count
     W = cfg.max_hidden_width
     eps = cfg.epsilon
-    log_rs = math.log(cfg.rho_bar) + cfg.log_s_bar
+    log_rs = cfg.log_rho_bar + cfg.log_s_bar
     rs = math.exp(log_rs) if log_rs <= MAX_LOG_LINEAR else math.inf
+    bx = cfg.B_x
+    # Each monomial's factors in the order of the formula above.
     raw = {
-        "spectral_2017": cfg.B_x**2 * rs**2 * U * math.log(W) / eps**2,
-        "pacbayes_2017": cfg.B_x**2 * rs**2 * S * L**2 * math.log(W * L) / eps**2,
-        "lin_2019": cfg.B_x * rs * S**2 * L / eps,
-        "pdim_2019": L * S * math.log(S) * math.log(cfg.B_x / eps),
+        "spectral_2017": monomial((bx, 2), (rs, 2, log_rs), (U, 1), (math.log(W), 1), (eps, -2)),
+        "pacbayes_2017": monomial(
+            (bx, 2), (rs, 2, log_rs), (S, 1), (L, 2), (math.log(W * L), 1), (eps, -2)
+        ),
+        "lin_2019": monomial((bx, 1), (rs, 1, log_rs), (S, 2), (L, 1), (eps, -1)),
+        "pdim_2019": L * S * math.log(S) * log_monomial((bx, 1), (eps, -1)),
         "permutation_aware": L
         * S
         * (log_rs + (math.log(cfg.B_x) + permutation_discount(arch) - math.log(eps)) / L),
     }
-    floored = tuple(name for name, v in raw.items() if v < 0.0)
-    vals = {name: max(v, 0.0) for name, v in raw.items()}
+    floored = tuple(name for name, v in raw.items() if v is not None and v < 0.0)
+    vals = {name: None if v is None else max(v, 0.0) for name, v in raw.items()}
     return EntropyComparison(floored=floored, raw=raw, **vals)
 
 
@@ -280,11 +285,22 @@ def dudley_rademacher_bound(
 
 
 def volume_covering_bound(d: int, volume: float, epsilon: float) -> float:
-    """V * (2/eps)^d, the volume bound on covering/packing of a d-dim set."""
+    """V * (2/eps)^d, the volume bound on covering/packing of a d-dim set;
+    +inf beyond the double range."""
+    value = monomial(*_volume_factors(d, volume, epsilon))
+    return math.inf if value is None else value
+
+
+def log_volume_covering_bound(d: int, volume: float, epsilon: float) -> float:
+    """log(V * (2/eps)^d), finite for every admissible input."""
+    return log_monomial(*_volume_factors(d, volume, epsilon))
+
+
+def _volume_factors(d: int, volume: float, epsilon: float) -> tuple:
     check_range("dimension", d, 1)
     check_range("volume", volume, 0, low_open=True)
     check_range("epsilon", epsilon, 0, low_open=True)
-    return volume * (2.0 / epsilon) ** d
+    return (volume, 1), (2.0 / epsilon, d, math.log(2.0) - math.log(epsilon))
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, check_range
-from .nncore import Architecture, NetworkParams, _flatten, linear_or_none, stack_block
-from .transforms import PermutationSpec, _permute_neurons
+from .nncore import Architecture, NetworkParams, _flatten, linear_or_none, log_monomial
+from .nncore import stack_block
+from .transforms import NeuronSymmetry, _permute_neurons
 
 
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
-    """A canonical parameterization plus the permutation that produces it."""
+    """A canonical parameterization plus the pure permutation producing it."""
 
     params: NetworkParams
-    witness: PermutationSpec
+    witness: NeuronSymmetry
 
 
 def canonicalize(params: NetworkParams) -> CanonicalForm:
@@ -37,7 +38,7 @@ def canonicalize(params: NetworkParams) -> CanonicalForm:
     within a layer are pairwise distinct (ties keep their relative order).
     """
     layers, orders = _canonical_layers(params.layers)
-    return CanonicalForm(NetworkParams(tuple(layers)), PermutationSpec(tuple(orders)))
+    return CanonicalForm(NetworkParams(tuple(layers)), NeuronSymmetry(tuple(orders)))
 
 
 def _canonical_layers(layers) -> tuple[list, list[np.ndarray]]:
@@ -58,7 +59,7 @@ def _canonical_layers(layers) -> tuple[list, list[np.ndarray]]:
     return layers, orders
 
 
-def _canonical_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, PermutationSpec]:
+def _canonical_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, NeuronSymmetry]:
     """Canonicalize two same-shaped parameterizations in one stacked pass.
 
     Returns their canonical flat rows, shape (2, S), each bit for bit that of
@@ -69,7 +70,7 @@ def _canonical_pair(a: NetworkParams, b: NetworkParams) -> tuple[np.ndarray, Per
     """
     stacked = [tuple(map(np.stack, zip(la, lb))) for la, lb in zip(a.layers, b.layers)]
     layers, orders = _canonical_layers(stacked)
-    witness = PermutationSpec(tuple(o[0][np.argsort(o[1])] for o in orders))
+    witness = NeuronSymmetry(tuple(o[0][np.argsort(o[1])] for o in orders))
     return _flatten(layers), witness
 
 
@@ -235,7 +236,7 @@ class EffectiveVolume:
 def effective_volume(arch: Architecture, B: float) -> EffectiveVolume:
     """Volume of [-B, B]^S and of its canonical slice (divide by prod d_l!)."""
     check_range("B", B, 0, low_open=True)
-    log_total = arch.param_count * math.log(2.0 * B)
+    log_total = arch.param_count * log_monomial((2.0, 1), (B, 1))
     log_effective = log_total - arch.log_permutation_count
     return EffectiveVolume(
         log_total, log_effective, linear_or_none(log_total), linear_or_none(log_effective)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 
@@ -49,13 +48,7 @@ from .nncore import (
     _json_int,
     _require_keys,
 )
-from .transforms import (
-    PermutationSpec,
-    ScalingSpec,
-    apply_permutation,
-    apply_scaling,
-    apply_sign_flip,
-)
+from .transforms import NeuronSymmetry
 
 OUTPUT_DIR_ENV = "FNEQUIV_OUTPUT_DIR"
 
@@ -121,10 +114,12 @@ def _parse_arch(widths_spec: str, activations_spec: str) -> Architecture:
 # transform
 
 
+# Each kind's fields.  A one-layer kind is named after its ``NeuronSymmetry``
+# constructor, and its last field holds the per-neuron values.
 _TRANSFORM_KEYS = {
-    "permutation": {"perms"},
-    "scaling": {"layer", "alpha"},
-    "sign_flip": {"layer", "signs"},
+    "permutation": ("perms",),
+    "scaling": ("layer", "alpha"),
+    "sign_flip": ("layer", "signs"),
 }
 
 
@@ -137,21 +132,15 @@ def cmd_transform(args) -> int:
     _require_keys(spec_doc, {"kind", *_TRANSFORM_KEYS[kind]}, "transform spec", DomainError)
     try:
         if kind == "permutation":
-            perms = PermutationSpec.from_json_list(spec_doc["perms"])
-        elif kind == "scaling":
-            scaling = ScalingSpec(_json_int(spec_doc["layer"]), _json_floats(spec_doc["alpha"]))
+            element = NeuronSymmetry.from_json_list(spec_doc["perms"])
         else:
             layer = _json_int(spec_doc["layer"])
-            signs = _json_floats(spec_doc["signs"])
+            values = _json_floats(spec_doc[_TRANSFORM_KEYS[kind][-1]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed transform spec: {exc!r}") from exc
-    if kind == "permutation":
-        transformed = apply_permutation(net.params, perms)
-    elif kind == "scaling":
-        transformed = apply_scaling(net.arch, net.params, scaling)
-    else:
-        transformed = apply_sign_flip(net.arch, net.params, layer, signs)
-    out_net = Network(net.arch, transformed)
+    if kind != "permutation":
+        element = getattr(NeuronSymmetry, kind)(net.arch, layer, values)
+    out_net = Network(net.arch, element.apply(net.params, net.arch))
     # Measured before anything is written, so an invalid --samples or --bx
     # leaves no output file.
     dist = sampled_sup_distance(net, out_net, args.bx, args.samples, seed=args.seed)
@@ -375,7 +364,7 @@ def cmd_covering_sweep(args) -> int:
             "greedy_pack": empirical.greedy_packing_estimate(space, eps),
             "exact_cover": empirical.exact_covering_number(space, eps) if args.exact else None,
             "exact_pack": empirical.exact_packing_number(space, eps) if args.exact else None,
-            "theory_bound_log": math.log(bounds_mod.volume_covering_bound(args.dim, volume, eps)),
+            "theory_bound_log": bounds_mod.log_volume_covering_bound(args.dim, volume, eps),
         }
         for eps in epsilons
     ]

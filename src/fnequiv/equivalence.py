@@ -20,7 +20,7 @@ import numpy as np
 from .canonical import _canonical_pair
 from .errors import ShapeError, check_range, check_seed
 from .nncore import Network, check_same_shapes, forward_batch
-from .transforms import PermutationSpec
+from .transforms import NeuronSymmetry
 
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_N_SAMPLES = 4096
@@ -36,7 +36,7 @@ DISTINGUISHED = "distinguished"
 class EquivalenceVerdict:
     kind: str
     sup_distance_estimate: float
-    witness: PermutationSpec | None = None
+    witness: NeuronSymmetry | None = None
     distinguishing_input: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError, check_range
+from .errors import ConfigError, DomainError, NumericError, ShapeError, check_range
 
 # Absolute tolerance used by sampled function-equality checks throughout the
 # package (double precision, desk-scale nets).
@@ -31,6 +32,38 @@ MAX_LOG_LINEAR = math.log(np.finfo(float).max)
 def linear_or_none(log_value: float) -> float | None:
     """exp(log_value), or None when that does not fit in a double."""
     return math.exp(log_value) if log_value <= MAX_LOG_LINEAR else None
+
+
+def monomial(*factors) -> float | None:
+    """prod(x ** k) over ``(x, k)`` factors, x >= 0, or ``(x, k, log_x)`` ones
+    whose x may itself have left the double range.  It is evaluated left to
+    right in doubles, so an in-range product keeps the bits of the formula
+    written in that order; where a step overflows, underflows or divides by
+    zero, it is exp(sum(k log x)) instead, None beyond a double."""
+    value, log_value = _monomial(factors)
+    return linear_or_none(log_value) if value is None else value
+
+
+def log_monomial(*factors) -> float:
+    """The natural log of ``monomial``; finite when every x is positive."""
+    value, log_value = _monomial(factors)
+    return log_value if value is None else math.log(value)
+
+
+def _monomial(factors) -> tuple[float | None, float]:
+    """The double product when every step stayed normal (its log within 1e-9
+    of the sum of logs), else None; and the sum of logs."""
+    if any(len(f) == 2 and f[0] == 0 for f in factors):
+        return None, -math.inf
+    log_value = sum(f[1] * (f[2] if len(f) == 3 else math.log(f[0])) for f in factors)
+    value = 1.0
+    try:
+        for x, k, *_ in factors:
+            value = value * x**k if k > 0 else value / x**-k
+    except (OverflowError, ZeroDivisionError):
+        return None, log_value
+    normal = sys.float_info.min <= value < math.inf
+    return (value if normal and abs(math.log(value) - log_value) <= 1e-9 else None), log_value
 
 
 # Working-set bytes a computation over stacked networks or draws may hold at
@@ -484,17 +517,17 @@ def hidden_range_bound(
     Layer 1 gets r_1 = B (sqrt(d_0) B_x + 1), since a weight row has L2 norm
     at most sqrt(d_0) B.  A unit of layer j outputs at most
     m_j = |sigma_j(0)| + rho_j r_j in magnitude, rho_j being the Lipschitz
-    constant of activation j on the whole line (or a user-supplied
-    override), so layer j + 1 gets B d_j m_j + B <= 2B d_j max(1, m_j).
-    Where sigma_j(0) = 0 and rho_j r_j >= 1 (every activation but sigmoid,
-    once B >= 1), that step is r_{j+1} = 2B rho_j d_j r_j, the deliberately
-    conservative factor the covering bounds are stated with.
+    constant of activation j on the whole line (or ``rho[j - 1]``; ``rho``
+    holds one per hidden layer, see ``lipschitz_constants``), so layer j + 1
+    gets B d_j m_j + B <= 2B d_j max(1, m_j).  Where sigma_j(0) = 0 and
+    rho_j r_j >= 1 (every activation but sigmoid, once B >= 1), that step
+    is r_{j+1} = 2B rho_j d_j r_j, the deliberately conservative factor the
+    covering bounds are stated with.
     """
     check_range("hidden layer index", i, 1, arch.depth, high_open=False)
     check_range("B", B, 0, low_open=True)
     check_range("B_x", B_x, 0, low_open=True)
-    if rho is None:
-        rho = default_lipschitz_constants(arch)
+    rho = lipschitz_constants(arch, rho)
     bound = B * (math.sqrt(arch.input_dim) * B_x + 1.0)
     for j in range(1, i):
         out = abs(float(arch.activations[j - 1](0.0))) + rho[j - 1] * bound
@@ -502,9 +535,17 @@ def hidden_range_bound(
     return bound
 
 
-def default_lipschitz_constants(arch: Architecture) -> tuple[float, ...]:
-    """Per-layer Lipschitz constants of the activations on the whole line."""
-    return tuple(act.lipschitz for act in arch.activations)
+def lipschitz_constants(arch: Architecture, rho=None) -> tuple[float, ...]:
+    """``rho`` as floats, checked: one per hidden layer, each finite and > 0.
+    None stands for the activations' own constants on the whole line."""
+    if rho is None:
+        return tuple(act.lipschitz for act in arch.activations)
+    rho = tuple(float(r) for r in rho)
+    if len(rho) != arch.depth:
+        raise ConfigError(f"need {arch.depth} Lipschitz constants")
+    for r in rho:
+        check_range("Lipschitz constant", r, 0, low_open=True)
+    return rho
 
 
 # ---------------------------------------------------------------------------

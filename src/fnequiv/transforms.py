@@ -3,7 +3,7 @@
 Permutations are stored as index arrays in gather convention: applying ``p``
 to a vector v yields ``v[p]``, i.e. new position i receives old entry p[i].
 The matrix forms P and P-transpose correspond to gathering rows by ``p`` and
-gathering columns by ``p`` respectively.
+gathering columns by ``p`` respectively.  ``NeuronSymmetry`` adds sign flips and scalings.
 """
 
 from __future__ import annotations
@@ -26,73 +26,138 @@ def _as_perm(p) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PermutationSpec:
-    """One hidden-neuron permutation per hidden layer."""
+class NeuronSymmetry:
+    """One element of the hidden-neuron symmetry group: per hidden layer, a
+    permutation and finite, nonzero factors (all ones by default).  Applied,
+    new neuron i of layer l is ``factors[l][i]`` times old neuron
+    ``perms[l][i]``: incoming row and bias gathered and multiplied, outgoing
+    column gathered and divided.  A negative factor needs an odd activation,
+    one of magnitude other than 1 a positively homogeneous one (Chen, Lu &
+    Hecht-Nielsen 1993; Phuong & Lampert 2020)."""
 
     perms: tuple[np.ndarray, ...]
+    factors: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "perms", tuple(_as_perm(p) for p in self.perms))
+        perms = tuple(_as_perm(p) for p in self.perms)
+        factors = [np.ones(p.size) for p in perms] if self.factors is None else self.factors
+        factors = tuple(np.array(f, dtype=float) for f in factors)
+        if [f.shape for f in factors] != [p.shape for p in perms]:
+            raise ShapeError("one factor per permuted neuron is required")
+        if not all(np.isfinite(f).all() and f.all() for f in factors):
+            raise DomainError("factors must be finite and nonzero")
+        for f in factors:
+            f.setflags(write=False)
+        object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "factors", factors)
+
+    @classmethod
+    def scaling(cls, arch: Architecture, layer: int, alpha) -> "NeuronSymmetry":
+        """Scale hidden layer ``layer`` by ``alpha`` > 0; its activation must be
+        positively homogeneous, even where every factor is 1."""
+        for a in alpha:
+            check_range("scaling factor", float(a), 0, low_open=True)
+        return cls._on_layer(arch, layer, alpha, "is_positive_homogeneous")
+
+    @classmethod
+    def sign_flip(cls, arch: Architecture, layer: int, signs) -> "NeuronSymmetry":
+        """Negate hidden layer ``layer``'s neurons where ``signs`` is -1; its
+        activation must be odd, even where every sign is +1."""
+        if not np.all(np.abs(np.asarray(signs, dtype=float)) == 1.0):
+            raise DomainError("signs must be +1 or -1")
+        return cls._on_layer(arch, layer, signs, "is_odd")
+
+    @classmethod
+    def _on_layer(cls, arch, l: int, factors, flag: str) -> "NeuronSymmetry":
+        """``factors`` on hidden layer ``l``, whose activation must have ``flag``."""
+        check_range("layer", l, 1, arch.depth, high_open=False)
+        _gate(arch, l, flag)
+        factors = np.asarray(factors, dtype=float)
+        if factors.shape != (arch.hidden_widths[l - 1],):
+            raise ShapeError("one factor per neuron is required")
+        units = [np.ones(d) for d in arch.hidden_widths]
+        units[l - 1] = factors
+        return cls(tuple(np.arange(d) for d in arch.hidden_widths), tuple(units))
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(p.size for p in self.perms)
 
     def is_identity(self) -> bool:
-        return all(np.array_equal(p, np.arange(p.size)) for p in self.perms)
+        return self == NeuronSymmetry(tuple(np.arange(d) for d in self.sizes))
 
     def __eq__(self, other):
         return (
-            isinstance(other, PermutationSpec)
+            isinstance(other, NeuronSymmetry)
             and self.sizes == other.sizes
-            and all(np.array_equal(a, b) for a, b in zip(self.perms, other.perms))
+            and all(map(np.array_equal, self.perms + self.factors, other.perms + other.factors))
         )
 
+    def apply(self, params: NetworkParams, arch: Architecture | None = None) -> NetworkParams:
+        """Gather each hidden layer by its permutation, then rescale it where a factor
+        is not 1, gated on ``arch``'s activation; a pure permutation is bit-exact."""
+        if arch is not None:
+            check_shapes(arch, params)
+        widths = tuple(W.shape[0] for W, _ in params.layers[:-1])
+        if self.sizes != widths:
+            raise ShapeError(f"element acts on hidden widths {self.sizes}, network has {widths}")
+        layers = list(params.layers)
+        for l, (p, f) in enumerate(zip(self.perms, self.factors), start=1):
+            _permute_neurons(layers, l, p)
+            if (f != 1.0).any():
+                for flag, needed in (("is_odd", f < 0), ("is_positive_homogeneous", abs(f) != 1)):
+                    if needed.any():
+                        _gate(arch, l, flag)
+                (W, b), (W_next, b_next) = layers[l - 1], layers[l]
+                layers[l - 1] = (W * f[:, None], b * f)
+                layers[l] = (W_next / f, b_next)
+        return NetworkParams(tuple(layers))
+
     def to_json_list(self) -> list[list[int]]:
-        """0-based index arrays, one per hidden layer."""
+        """0-based index arrays, one per hidden layer, of a pure permutation."""
+        if not all((f == 1.0).all() for f in self.factors):
+            raise DomainError("only a pure permutation has a JSON form")
         return [[int(i) for i in p] for p in self.perms]
 
     @classmethod
-    def from_json_list(cls, doc) -> "PermutationSpec":
+    def from_json_list(cls, doc) -> "NeuronSymmetry":
         """Inverse of ``to_json_list``; every index must be a JSON integer."""
         return cls(tuple(np.array([_json_int(i) for i in p], dtype=np.int64) for p in doc))
 
 
-def identity_spec_for(arch: Architecture) -> PermutationSpec:
-    return PermutationSpec(tuple(np.arange(d) for d in arch.hidden_widths))
-
-
-def random_spec(arch: Architecture, rng: np.random.Generator) -> PermutationSpec:
-    return PermutationSpec(tuple(rng.permutation(d) for d in arch.hidden_widths))
-
-
-def inverse(spec: PermutationSpec) -> PermutationSpec:
-    return PermutationSpec(tuple(np.argsort(p) for p in spec.perms))
-
-
-def compose(second: PermutationSpec, first: PermutationSpec) -> PermutationSpec:
-    """Permutation equal to applying ``first`` and then ``second``."""
-    if second.sizes != first.sizes:
-        raise ShapeError("permutation specs act on different layer sizes")
-    return PermutationSpec(tuple(f[s] for s, f in zip(second.perms, first.perms)))
-
-
-def apply_permutation(params: NetworkParams, spec: PermutationSpec) -> NetworkParams:
-    """Re-index hidden neurons, co-permuting adjacent weight rows/columns.
-
-    Entries are gathered, never recomputed, so the result is bit-exact.
-    """
-    n_hidden = params.n_layers - 1
-    if len(spec.perms) != n_hidden:
-        raise ShapeError(
-            f"spec has {len(spec.perms)} layer permutations, network has {n_hidden}"
+def _gate(arch: Architecture | None, l: int, flag: str) -> None:
+    """Refuse unless the activation of hidden layer ``l`` has ``flag``."""
+    if arch is None:
+        raise UnsupportedTransformError("factors other than 1 need the architecture")
+    act, name = arch.activations[l - 1], "odd" if flag == "is_odd" else "positively homogeneous"
+    if not getattr(act, flag):
+        raise UnsupportedTransformError(
+            f"{act.name} is not {name}, so the transform does not preserve the function"
         )
-    layers = list(params.layers)
-    for l, p in enumerate(spec.perms, start=1):
-        if p.size != params.weight(l).shape[0]:
-            raise ShapeError(f"layer {l}: permutation size {p.size} != width")
-        _permute_neurons(layers, l, p)
-    return NetworkParams(tuple(layers))
+
+
+def random_spec(arch: Architecture, rng: np.random.Generator) -> NeuronSymmetry:
+    return NeuronSymmetry(tuple(rng.permutation(d) for d in arch.hidden_widths))
+
+
+def inverse(g: NeuronSymmetry) -> NeuronSymmetry:
+    qs = tuple(np.argsort(p) for p in g.perms)
+    return NeuronSymmetry(qs, tuple(1.0 / f[q] for f, q in zip(g.factors, qs)))
+
+
+def compose(second: NeuronSymmetry, first: NeuronSymmetry) -> NeuronSymmetry:
+    """The element equal to applying ``first`` and then ``second``."""
+    if second.sizes != first.sizes:
+        raise ShapeError("the elements act on different layer sizes")
+    return NeuronSymmetry(
+        tuple(p1[p2] for p1, p2 in zip(first.perms, second.perms)),
+        tuple(f1[p2] * f2 for f1, p2, f2 in zip(first.factors, second.perms, second.factors)),
+    )
+
+
+def apply_permutation(params: NetworkParams, g: NeuronSymmetry) -> NetworkParams:
+    """``g.apply(params)``: re-index the hidden neurons; every factor must be 1."""
+    return g.apply(params)
 
 
 def _permute_neurons(layers: list, l: int, p: np.ndarray) -> None:
@@ -107,70 +172,14 @@ def _permute_neurons(layers: list, l: int, p: np.ndarray) -> None:
     layers[l] = (np.ascontiguousarray(W_next.swapaxes(-1, -2)[idx].swapaxes(-1, -2)), b_next)
 
 
-@dataclass(frozen=True)
-class ScalingSpec:
-    """Per-neuron positive factors for one hidden layer (1-based index)."""
-
-    layer: int
-    alpha: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        for a in self.alpha:
-            check_range("scaling factor", a, 0, low_open=True)
+def apply_scaling(arch: Architecture, params: NetworkParams, layer: int, alpha) -> NetworkParams:
+    """Apply ``NeuronSymmetry.scaling(arch, layer, alpha)`` to ``params``."""
+    return NeuronSymmetry.scaling(arch, layer, alpha).apply(params, arch)
 
 
-def apply_scaling(
-    arch: Architecture, params: NetworkParams, spec: ScalingSpec
-) -> NetworkParams:
-    """Scale hidden rows by alpha and divide the outgoing columns by alpha.
-
-    Requires the activation at the targeted layer to be positively
-    homogeneous (ReLU, LeakyReLU, identity).
-    """
-    return _gated_rescale(
-        arch, params, spec.layer, spec.alpha, "is_positive_homogeneous", "positively homogeneous"
-    )
-
-
-def apply_sign_flip(
-    arch: Architecture, params: NetworkParams, layer: int, signs
-) -> NetworkParams:
-    """Negate selected hidden rows and their outgoing columns.
-
-    Requires an odd activation at the targeted layer (tanh, identity).
-    """
-    if not np.all(np.abs(np.asarray(signs, dtype=float)) == 1.0):
-        raise DomainError("signs must be +1 or -1")
-    return _gated_rescale(arch, params, layer, signs, "is_odd", "odd")
-
-
-def _gated_rescale(arch, params, l: int, factors, flag: str, flag_name: str) -> NetworkParams:
-    """``_rescale_neurons`` with one factor per neuron of hidden layer ``l``,
-    allowed only when that layer's activation has the ``Activation`` flag
-    ``flag`` (called ``flag_name`` in the error)."""
-    check_shapes(arch, params)
-    check_range("layer", l, 1, arch.depth, high_open=False)
-    act = arch.activations[l - 1]
-    if not getattr(act, flag):
-        raise UnsupportedTransformError(
-            f"{act.name} is not {flag_name}, so the transform does not preserve the function"
-        )
-    factors = np.asarray(factors, dtype=float)
-    if factors.shape != (arch.hidden_widths[l - 1],):
-        raise ShapeError("one factor per neuron is required")
-    return _rescale_neurons(params, l, factors)
-
-
-def _rescale_neurons(params: NetworkParams, l: int, factors: np.ndarray) -> NetworkParams:
-    """Multiply the rows of hidden layer ``l`` (1-based) by ``factors`` and
-    divide its outgoing columns by them; exact when the factors are +-1."""
-    layers = list(params.layers)
-    W, b = layers[l - 1]
-    layers[l - 1] = (W * factors[:, None], b * factors)
-    W_next, b_next = layers[l]
-    layers[l] = (W_next / factors, b_next)
-    return NetworkParams(tuple(layers))
+def apply_sign_flip(arch: Architecture, params: NetworkParams, layer: int, signs) -> NetworkParams:
+    """Apply ``NeuronSymmetry.sign_flip(arch, layer, signs)`` to ``params``."""
+    return NeuronSymmetry.sign_flip(arch, layer, signs).apply(params, arch)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +194,7 @@ class PoolingPartition:
     kind: str = "max"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "regions", tuple(tuple(int(i) for i in r) for r in self.regions)
-        )
+        object.__setattr__(self, "regions", tuple(tuple(map(int, r)) for r in self.regions))
         if self.kind not in ("max", "min", "avg"):
             raise DomainError(f"unknown pooling kind {self.kind!r}")
         seen: set[int] = set()
@@ -208,8 +215,7 @@ class PoolingPartition:
 
 def apply_pooling_permutation(W, b, partition: PoolingPartition, perm):
     """Permute rows of (W, b) without letting any row leave its pooling region."""
-    W = np.asarray(W, dtype=float)
-    b = np.asarray(b, dtype=float)
+    W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
     if W.ndim != 2 or b.shape != (W.shape[0],):
         raise ShapeError("W must be 2-D with one bias per row")
     partition.validate_against(W.shape[0])
@@ -225,8 +231,7 @@ def apply_pooling_permutation(W, b, partition: PoolingPartition, perm):
 
 def pooled_forward(W, b, partition: PoolingPartition, x) -> np.ndarray:
     """Linear map followed by per-region pooling; one output per region."""
-    W = np.asarray(W, dtype=float)
-    b = np.asarray(b, dtype=float)
+    W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
     partition.validate_against(W.shape[0])
     z = W @ np.asarray(x, dtype=float) + b
     reduce = {"max": np.max, "min": np.min, "avg": np.mean}[partition.kind]
@@ -238,17 +243,13 @@ def pooled_forward(W, b, partition: PoolingPartition, x) -> np.ndarray:
 
 
 def _softmax_rows(A: np.ndarray) -> np.ndarray:
-    shifted = A - A.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(A - A.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
 def attention_forward(X, W_Q, W_K, W_V) -> np.ndarray:
     """Single-head self-attention: softmax(X Wq (X Wk)^T / sqrt(dk)) X Wv."""
-    X = np.asarray(X, dtype=float)
-    W_Q = np.asarray(W_Q, dtype=float)
-    W_K = np.asarray(W_K, dtype=float)
-    W_V = np.asarray(W_V, dtype=float)
+    X, W_Q, W_K, W_V = (np.asarray(a, dtype=float) for a in (X, W_Q, W_K, W_V))
     if W_Q.shape[1] != W_K.shape[1]:
         raise ShapeError("query and key matrices must share the projection width")
     if not (X.shape[1] == W_Q.shape[0] == W_K.shape[0] == W_V.shape[0]):
@@ -264,9 +265,7 @@ def attention_permutation_equivalent(W_Q, W_K, W_V, perm):
     The Gram product Wq Wk^T is invariant under any shared column
     re-indexing, so the attention output is unchanged; Wv is returned as-is.
     """
-    W_Q = np.asarray(W_Q, dtype=float)
-    W_K = np.asarray(W_K, dtype=float)
-    W_V = np.asarray(W_V, dtype=float)
+    W_Q, W_K, W_V = (np.asarray(a, dtype=float) for a in (W_Q, W_K, W_V))
     p = _as_perm(perm)
     if W_Q.shape[1] != W_K.shape[1]:
         raise ShapeError("query and key matrices must share the projection width")

@@ -347,6 +347,27 @@ def permutation_images_reference(layers):
     return images
 
 
+def neuron_symmetry_reference(layers, perms, factors):
+    """A neuron-symmetry element applied one neuron at a time.
+
+    New neuron i of hidden layer l takes old neuron ``perms[l][i]``'s
+    incoming row and bias times ``factors[l][i]``, and its outgoing column
+    divided by that factor, one Python float operation per entry.  Returns
+    the image as a list of (W, b) arrays.
+    """
+    image = [(np.array(W, dtype=float), np.array(b, dtype=float)) for W, b in layers]
+    for l, (p, f) in enumerate(zip(perms, factors)):
+        (W, b), (W_next, b_next) = image[l], image[l + 1]
+        W_new, b_new, W_next_new = np.empty_like(W), np.empty_like(b), np.empty_like(W_next)
+        for i, (j, s) in enumerate(zip(p, f)):
+            j, s = int(j), float(s)
+            W_new[i] = [float(w) * s for w in W[j]]
+            b_new[i] = float(b[j]) * s
+            W_next_new[:, i] = [float(w) / s for w in W_next[:, j]]
+        image[l], image[l + 1] = (W_new, b_new), (W_next_new, b_next)
+    return image
+
+
 def blocked_draws_reference(layer_shapes, kind, a, b, seed, n, block):
     """``n`` flat parameter draws from one ``default_rng(seed)``, ``block``
     rows at a time (the last block partial): within a block, each layer's

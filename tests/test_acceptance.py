@@ -54,7 +54,6 @@ from fnequiv.nncore import (
     save_network,
 )
 from fnequiv.transforms import (
-    ScalingSpec,
     apply_permutation,
     apply_scaling,
     apply_sign_flip,
@@ -111,9 +110,9 @@ def test_criterion_02_activation_gating_matrix():
                 width = int(rng.integers(1, 6))
                 arch = Architecture(int(rng.integers(1, 4)), (width,), (act,))
                 params = random_params(arch, rng)
-                alpha = ScalingSpec(1, (float(rng.uniform(0.5, 2.0)),) * width)
+                alpha = (float(rng.uniform(0.5, 2.0)),) * width
                 if act.name in scaling_ok:
-                    scaled = apply_scaling(arch, params, alpha)
+                    scaled = apply_scaling(arch, params, 1, alpha)
                     X = ball_points(arch.input_dim, 200, 1.0, seed=trial)
                     gap = np.abs(
                         forward_batch(arch, scaled, X) - forward_batch(arch, params, X)
@@ -121,7 +120,7 @@ def test_criterion_02_activation_gating_matrix():
                     assert gap <= 1e-9
                 else:
                     with pytest.raises(UnsupportedTransformError):
-                        apply_scaling(arch, params, alpha)
+                        apply_scaling(arch, params, 1, alpha)
                 signs = rng.choice([-1.0, 1.0], width)
                 if act.name in flip_ok:
                     flipped = apply_sign_flip(arch, params, 1, signs)

@@ -26,7 +26,7 @@ from fnequiv.nncore import (
     mse_gradient,
     random_params,
 )
-from fnequiv.transforms import PermutationSpec, apply_permutation, random_spec
+from fnequiv.transforms import NeuronSymmetry, apply_permutation, random_spec
 from oracles import (
     amplification_counts_reference,
     basin_summary_reference,
@@ -556,7 +556,7 @@ class TestAmplification:
         theta_star = two_distinct_rows_params()
         result = amplification_check(arch, scheme, theta_star, 30_000)
         draws = initialize_batch(arch, scheme, 30_000)
-        swapped = apply_permutation(theta_star, PermutationSpec(([1, 0],)))
+        swapped = apply_permutation(theta_star, NeuronSymmetry(([1, 0],)))
         images = [theta_star.flat(), swapped.flat()]
         hit = np.stack([np.abs(draws - img).max(axis=1) <= 0.5 for img in images])
         assert result.p_single == hit[0].sum() / 30_000

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from fnequiv.bounds import (
     deep_covering_bound,
     dudley_rademacher_bound,
     entropy_comparison,
+    log_volume_covering_bound,
     pdim_uniform_covering_bound,
     permutation_discount,
     shallow_covering_bound,
@@ -264,6 +266,40 @@ class TestEntropyComparison:
         comp = entropy_comparison(cfg_of(d0=1, hidden=(1,)))
         assert comp.spectral_2017 == 0.0
         assert "spectral_2017" not in comp.floored
+
+
+class TestBeyondDoubleRange:
+    def test_entropies_from_logs_match_mpmath(self):
+        # rs^2 overflows and B_x^2 underflows on the way to in-range
+        # results, which come from the logs of their factors.
+        cfg = cfg_of(d0=2, hidden=(4, 4), B=1e100, B_x=1e-200, epsilon=1e-100)
+        comp = entropy_comparison(cfg)
+        S, L = cfg.arch.param_count, 2
+        with mpmath.workdps(40):
+            rs = mpmath.mpf(cfg.B) ** 2 * mpmath.sqrt(2 * 4) * mpmath.sqrt(4 * 4)
+            bx_eps = mpmath.mpf(cfg.B_x) / mpmath.mpf(cfg.epsilon)
+            lin = float(bx_eps * rs * S**2 * L)
+            spectral = float(bx_eps**2 * rs**2 * 8 * mpmath.log(4))
+            pdim = L * S * math.log(S) * float(mpmath.log(bx_eps))
+        assert comp.lin_2019 == pytest.approx(lin, rel=1e-12)
+        assert comp.spectral_2017 == pytest.approx(spectral, rel=1e-12)
+        assert comp.raw["pdim_2019"] == pytest.approx(pdim, rel=1e-12)
+
+    def test_rho_product_beyond_a_double(self):
+        cfg = cfg_of(d0=1, hidden=(2, 2), rho=(1e300, 1e300))
+        assert cfg.rho_bar == math.inf
+        assert cfg.log_rho_bar == pytest.approx(2 * math.log(1e300), rel=1e-15)
+        assert math.isfinite(deep_covering_bound(cfg))
+        assert entropy_comparison(cfg).lin_2019 is None
+
+    def test_volume_bound_steps_out_of_range(self):
+        assert volume_covering_bound(2, 1e308, 1e-10) == math.inf
+        assert volume_covering_bound(2, 4.0, 1e-200) == math.inf
+        # (2 / eps)^2 underflows to 0 though the bound is a normal double.
+        assert volume_covering_bound(2, 1e300, 1e300) == pytest.approx(4e-300, rel=1e-12)
+        assert log_volume_covering_bound(2, 4.0, 1e-200) == pytest.approx(
+            math.log(4.0) + 2 * math.log(2e200), rel=1e-15
+        )
 
 
 class TestDudley:

@@ -590,6 +590,66 @@ class TestEntropyCompare:
         }
 
 
+def strict_json(text):
+    """``json.loads`` that refuses the NaN and Infinity literals."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# A 2-4-4-1 relu config whose overrides below push a formula step out of the
+# double range; each once ended in exit 2 or printed Infinity.
+DEEP_RELU = {"d0": 2, "hidden": [4, 4], "out": 1, "activations": ["relu", "relu"]}
+
+
+class TestBeyondDoubleRange:
+    @pytest.mark.parametrize(
+        "flags,beyond",
+        [
+            (["--B", "1e80"], {"spectral_2017", "pacbayes_2017"}),
+            (["--B", "1", "--epsilon", "1e-200"], {"spectral_2017", "pacbayes_2017"}),
+            (["--B", "1e200"], {"spectral_2017", "pacbayes_2017", "lin_2019"}),
+        ],
+        ids=["B_1e80", "epsilon_1e-200", "B_1e200"],
+    )
+    def test_entropy_beyond_a_double_is_null(self, tmp_path, capsys, flags, beyond):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"arch": DEEP_RELU, "B": 1.5, "B_x": 1.0, "epsilon": 0.5}))
+        code, stdout, err = run_cli(["entropy-compare", "--config", str(cfg), *flags], capsys)
+        assert code == 0, err
+        entropies = strict_json(stdout)["entropies"]
+        assert {name for name, v in entropies.items() if v is None} == beyond
+        assert all(math.isfinite(v) for v in entropies.values() if v is not None)
+        code, stdout, err = run_cli(
+            ["bounds", "--config", str(cfg), *flags, "--format", "csv"], capsys
+        )
+        assert code == 0, err
+        header, row = stdout.splitlines()[1:]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert {name for name in entropies if cells[name] == ""} == beyond
+
+    @pytest.mark.parametrize("B", ["1e200", "1.7976931348623157e308"])
+    def test_bounds_at_the_top_of_the_double_range(self, tmp_path, capsys, B):
+        cfg = tmp_path / "cfg.json"
+        arch = {"d0": 2, "hidden": [3], "out": 1, "activations": ["relu"]}
+        cfg.write_text(json.dumps({"arch": arch, "B": 1.5, "B_x": 1e308, "epsilon": 5e-324}))
+        code, stdout, err = run_cli(
+            ["bounds", "--config", str(cfg), "--B", B, "--format", "json"], capsys
+        )
+        assert code == 0, err
+        (row,) = strict_json(stdout)["rows"]
+        for key in ("shallow_log_bound", "deep_log_bound", "log_total_volume"):
+            assert math.isfinite(row[key])
+
+    def test_covering_sweep_theory_log_stays_finite(self, capsys):
+        argv = ["covering-sweep", "--dim", "2", "--points-per-axis", "2", "--epsilons", "1e-200"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0, err
+        theory = float(stdout.splitlines()[-1].split(",")[-1])
+        assert theory == pytest.approx(math.log(4.0) + 2 * math.log(2e200), rel=1e-15)
+
+
 class TestCoveringSweep:
     def test_csv_columns_and_sandwich(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

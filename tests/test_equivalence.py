@@ -24,7 +24,7 @@ from fnequiv.nncore import (
     params_identical,
     random_params,
 )
-from fnequiv.transforms import ScalingSpec, apply_permutation, apply_scaling, random_spec
+from fnequiv.transforms import apply_permutation, apply_scaling, random_spec
 
 from oracles import ball_points_reference
 
@@ -184,7 +184,7 @@ class TestDecideEquivalence:
     def test_scaled_relu_numerically_equivalent(self):
         arch = Architecture(1, (3,), (RELU,))
         net = random_net(arch, 8)
-        scaled = Network(arch, apply_scaling(arch, net.params, ScalingSpec(1, (2.0,) * 3)))
+        scaled = Network(arch, apply_scaling(arch, net.params, 1, (2.0,) * 3))
         verdict = decide_equivalence(net, scaled, 1.0)
         assert verdict.kind == NUMERICALLY_EQUIVALENT
         assert verdict.sup_distance_estimate <= 1e-9

@@ -84,6 +84,7 @@ CASES = {
     ],
     "verify_sandwich": ["verify", "sandwich"],
     "verify_amplification": ["verify", "amplification"],
+    "verify_permutation": ["verify", "permutation"],
 }
 
 DIGESTS = {
@@ -102,6 +103,7 @@ DIGESTS = {
     "covering_sweep_exact_grid12": "ac194a3ac1d80c16674fbf076ce9d8401b428fea012fd67a18ade9ba7eead5e8",
     "verify_sandwich": "c932e2a1dae185fa8597e4af9e9d2897728d4a98c70ddeb8ac4002ca24ebccc4",
     "verify_amplification": "1bf3463866b7fb3946a0a351d5f03a0fb860b6aa2eaed9c1ca9687b52eba693e",
+    "verify_permutation": "0a6ce24df1df6b576001d7ac655ed948c14ffc1f76df56a1a626d4aa0dd31aec",
 }
 
 BASIN = [

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import importlib
 import subprocess
 import sys
 import types
@@ -11,6 +12,7 @@ import pytest
 import fnequiv
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SPANS = PYPROJECT.parent / "perfbench" / "spans.py"
 SOURCES = sorted(p for p in Path(fnequiv.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
@@ -141,15 +143,15 @@ def test_failing_property_reports_its_example(tmp_path):
 PUBLIC_NAMES = [
     "Activation", "AmplificationCheck", "Architecture", "BasinSummary", "BoundConfig",
     "CanonicalForm", "EntropyComparison", "EquivalenceVerdict", "IDENTITY", "InitScheme",
-    "MetricSpaceSample", "Network", "NetworkParams", "OptimizerConfig", "PermutationSpec",
-    "PoolingPartition", "RELU", "SIGMOID", "ScalingSpec", "SymmetryProfile", "TANH", "TrainRun",
+    "MetricSpaceSample", "Network", "NetworkParams", "NeuronSymmetry", "OptimizerConfig",
+    "PoolingPartition", "RELU", "SIGMOID", "SymmetryProfile", "TANH", "TrainRun",
     "activation_from_tag", "amplification_check", "apply_permutation",
     "apply_pooling_permutation", "apply_scaling", "apply_sign_flip", "attention_forward",
     "attention_permutation_equivalent", "basin_experiment", "canonicalize", "compose",
     "decide_equivalence", "deep_covering_bound", "dudley_rademacher_bound", "effective_volume",
     "entropy_comparison", "exact_covering_number", "exact_packing_number", "forward",
     "forward_batch", "function_class_sample", "gradient", "greedy_covering_estimate",
-    "greedy_packing_estimate", "grid_sample", "hidden_range_bound", "identity_spec_for",
+    "greedy_packing_estimate", "grid_sample", "hidden_range_bound",
     "initialize", "inverse", "leaky_relu", "load_network", "orbit_membership",
     "pdim_uniform_covering_bound", "pooled_forward", "sampled_sup_distance", "save_network",
     "shallow_covering_bound", "stirling_bracket", "symmetry_profile", "train",
@@ -227,3 +229,21 @@ def test_no_test_only_library_code():
     package = Path(fnequiv.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert [n for n in unreferenced_names(sources) if n not in PUBLIC_NAMES] == []
+
+
+def traced_functions() -> list[tuple[str, str]]:
+    """The benchmark's ``TRACED`` (module, function) pairs, read from its
+    source without importing it."""
+    for stmt in ast.parse(SPANS.read_text()).body:
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets] == ["TRACED"]:
+            return list(ast.literal_eval(stmt.value))
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+@pytest.mark.parametrize(
+    "module,name", [pytest.param(*pair, id=".".join(pair)) for pair in traced_functions()]
+)
+def test_traced_function_exists(module, name):
+    # The traced benchmark run wraps each of these by name; a rename would
+    # otherwise break only that run.
+    assert callable(getattr(importlib.import_module(f"fnequiv.{module}"), name, None))

@@ -318,7 +318,7 @@ class TestHiddenRangeBound:
         arch = Architecture(1, (3, 2), (RELU, RELU))
         # (2B)^2 * rho_1 * d_1 with rho_1 = 1, d_1 = 3
         assert hidden_range_bound(arch, 1.0, 1.0, 2) == 12.0
-        assert hidden_range_bound(arch, 1.0, 1.0, 2, rho=(1.0,)) == 12.0
+        assert hidden_range_bound(arch, 1.0, 1.0, 2, rho=(1.0, 1.0)) == 12.0
 
     def test_index_out_of_range(self):
         arch = Architecture(1, (2,), (RELU,))

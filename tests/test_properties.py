@@ -1,7 +1,7 @@
-"""Property-based tests: permutation group laws, canonical-form invariance,
-the first permutation image, the amplification check's image count and
-default tolerance, the stacked canonical sort, the pair
-canonicalization, the checked forward pass and training trace, the
+"""Property-based tests: the neuron-symmetry group laws and action,
+canonical-form invariance, the first permutation image, the amplification
+check's image count and default tolerance, the stacked canonical sort, the
+pair canonicalization, the checked forward pass and training trace, the
 activation slopes, the hidden-layer range bound, the first-fit row grouper,
 the distance kernel, the greedy covering and packing oracles and the exact
 packing oracle against brute-force references."""
@@ -36,7 +36,7 @@ from fnequiv.equivalence import (
     decide_equivalence,
     sampled_sup_distance,
 )
-from fnequiv.errors import DomainError
+from fnequiv.errors import DomainError, UnsupportedTransformError
 from fnequiv.nncore import (
     IDENTITY,
     RELU,
@@ -53,7 +53,7 @@ from fnequiv.nncore import (
     leaky_relu,
     params_identical,
 )
-from fnequiv.transforms import PermutationSpec, apply_permutation, compose, inverse
+from fnequiv.transforms import NeuronSymmetry, apply_permutation, compose, inverse
 
 from oracles import (
     _ref_act_deriv,
@@ -64,6 +64,7 @@ from oracles import (
     greedy_cover_centers_reference,
     greedy_cover_reference,
     greedy_pack_reference,
+    neuron_symmetry_reference,
     orbit_hits_reference,
     permutation_images_reference,
 )
@@ -84,23 +85,46 @@ hidden_widths = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)
 
 def perm_specs(widths):
     return st.tuples(*[st.permutations(range(d)) for d in widths]).map(
-        lambda perms: PermutationSpec(tuple(np.array(p, dtype=np.int64) for p in perms))
+        lambda perms: NeuronSymmetry(tuple(np.array(p, dtype=np.int64) for p in perms))
+    )
+
+
+SIGNS = st.sampled_from([-1.0, 1.0])
+SCALES = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.25, 4.0))
+# VALUES without subnormals; scaled by factors in [1/4, 4], twice over, they
+# stay normal doubles, whose rounding is bounded in ulps.
+NORMAL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+    st.floats(1e-300, 4.0),
+    st.floats(-4.0, -1e-300),
+)
+# Per factor kind, the factors, an activation that admits them and the
+# network entries to act on.
+FACTOR_KINDS = {"sign": (SIGNS, TANH, VALUES), "scale": (SCALES, RELU, NORMAL_VALUES)}
+
+
+def elements(widths, factors=SIGNS):
+    """Neuron-symmetry elements on ``widths`` with factors drawn from ``factors``."""
+    return st.builds(
+        NeuronSymmetry,
+        st.tuples(*[st.permutations(range(d)) for d in widths]),
+        st.tuples(*[st.lists(factors, min_size=d, max_size=d) for d in widths]),
     )
 
 
 @st.composite
 def widths_and_specs(draw, n_specs):
     widths = draw(hidden_widths)
-    return widths, [draw(perm_specs(widths)) for _ in range(n_specs)]
+    return widths, [draw(elements(widths)) for _ in range(n_specs)]
 
 
 @st.composite
-def networks(draw, widths):
+def networks(draw, widths, values=VALUES):
     dims = (draw(st.integers(1, 3)), *widths, draw(st.integers(1, 2)))
     layers = []
     for d_in, d_out in zip(dims, dims[1:]):
-        W = draw(hnp.arrays(float, (d_out, d_in), elements=VALUES))
-        b = draw(hnp.arrays(float, (d_out,), elements=VALUES))
+        W = draw(hnp.arrays(float, (d_out, d_in), elements=values))
+        b = draw(hnp.arrays(float, (d_out,), elements=values))
         layers.append((W, b))
     return NetworkParams(tuple(layers))
 
@@ -112,7 +136,7 @@ def network_and_spec(draw):
 
 
 def identity(widths):
-    return PermutationSpec(tuple(np.arange(d) for d in widths))
+    return NeuronSymmetry(tuple(np.arange(d) for d in widths))
 
 
 class TestGroupLaws:
@@ -146,6 +170,106 @@ def test_apply_composed_equals_applying_in_turn(data):
     b = data.draw(perm_specs(widths))
     in_turn = apply_permutation(apply_permutation(params, a), b)
     assert params_identical(apply_permutation(params, compose(b, a)), in_turn)
+
+
+def arch_for(params, act):
+    """The architecture of ``params`` with activation ``act`` on every hidden layer."""
+    widths = tuple(len(b) for _, b in params.layers[:-1])
+    d_in, d_out = params.weight(1).shape[1], params.weight(len(widths) + 1).shape[0]
+    return Architecture(d_in, widths, (act,) * len(widths), d_out)
+
+
+# A weight between two hidden layers is multiplied by one factor and divided
+# by another.  Applied in turn, two elements round it 4 times; composed, the
+# factor products are rounded and then the weight twice.  Each side is thus
+# within 4 roundings (4 u relative, u = 2^-53) of the exact value, so the two
+# are within 8 u relative, which is at most 8 ulps of the larger.  An element
+# and its inverse round the weight 4 times and the inverse's factors 1/f
+# twice: 6 u from the weight itself.  Measured on 40000 random cases: 4 and
+# 3 ulps.
+SCALE_ULPS = 8
+
+
+def within_ulps(p, q, ulps):
+    a, b = p.flat(), q.flat()
+    return bool(np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(np.abs(a), np.abs(b)))))
+
+
+@st.composite
+def acted_on(draw, n_elements):
+    """A factor kind, a network, the architecture that admits the kind, and
+    ``n_elements`` elements with factors of that kind."""
+    kind = draw(st.sampled_from(sorted(FACTOR_KINDS)))
+    factors, act, values = FACTOR_KINDS[kind]
+    widths = draw(hidden_widths)
+    params = draw(networks(widths, values))
+    gs = [draw(elements(widths, factors)) for _ in range(n_elements)]
+    return kind, params, arch_for(params, act), gs
+
+
+class TestNeuronSymmetryAction:
+    @PROPERTY
+    @given(st.data())
+    def test_matches_neuron_loop(self, data):
+        widths = data.draw(hidden_widths)
+        params = data.draw(networks(widths))
+        g = data.draw(elements(widths, st.tuples(SIGNS, SCALES).map(lambda t: t[0] * t[1])))
+        image = g.apply(params, arch_for(params, IDENTITY))
+        expected = neuron_symmetry_reference(params.layers, g.perms, g.factors)
+        assert params_identical(image, NetworkParams(tuple(expected)))
+
+    @PROPERTY
+    @given(acted_on(2))
+    def test_apply_composed_equals_applying_in_turn(self, case):
+        kind, params, arch, (g, h) = case
+        in_turn = g.apply(h.apply(params, arch), arch)
+        composed = compose(g, h).apply(params, arch)
+        if kind == "sign":
+            assert params_identical(composed, in_turn)
+        else:
+            assert within_ulps(composed, in_turn, SCALE_ULPS)
+
+    @PROPERTY
+    @given(acted_on(1))
+    def test_inverse_undoes_apply(self, case):
+        kind, params, arch, (g,) = case
+        back = inverse(g).apply(g.apply(params, arch), arch)
+        if kind == "sign":
+            assert params_identical(back, params)
+        else:
+            assert within_ulps(back, params, SCALE_ULPS)
+
+    @PROPERTY
+    @given(acted_on(1))
+    def test_forward_preserved(self, case):
+        _, params, arch, (g,) = case
+        X = np.linspace(-1.0, 1.0, 7 * arch.input_dim).reshape(7, arch.input_dim)
+        base = forward_batch(arch, params, X)
+        moved = forward_batch(arch, g.apply(params, arch), X)
+        assert np.all(np.abs(moved - base) <= 1e-12 * (1.0 + np.abs(base)))
+
+    @PROPERTY
+    @given(st.data())
+    def test_gate(self, data):
+        # One neuron gets a factor; a negative one needs an odd activation,
+        # one of magnitude other than 1 a positively homogeneous one.
+        widths = data.draw(hidden_widths)
+        params = data.draw(networks(widths))
+        l = data.draw(st.integers(0, len(widths) - 1))
+        i = data.draw(st.integers(0, widths[l] - 1))
+        factor = data.draw(st.sampled_from([-1.0, 0.5, 2.0, -2.0]))
+        factors = [np.ones(d) for d in widths]
+        factors[l][i] = factor
+        g = NeuronSymmetry(tuple(np.arange(d) for d in widths), tuple(factors))
+        admits = {IDENTITY: True, TANH: abs(factor) == 1.0, RELU: factor > 0.0}
+        for act, ok in admits.items():
+            if ok:
+                g.apply(params, arch_for(params, act))
+            else:
+                with pytest.raises(UnsupportedTransformError):
+                    g.apply(params, arch_for(params, act))
+        with pytest.raises(UnsupportedTransformError):
+            apply_permutation(params, g)
 
 
 class TestCanonicalize:

@@ -40,6 +40,7 @@ from fnequiv.verify import run_suite
 
 NAN, INF = math.nan, math.inf
 ARCH = Architecture(2, (3,), (TANH,))
+DEEP = Architecture(2, (3, 3, 3), (TANH,) * 3)
 TINY = Architecture(1, (1,), (TANH,))
 PARAMS = random_params(ARCH, np.random.default_rng(0))
 NET = Network(ARCH, PARAMS)
@@ -83,6 +84,10 @@ class TestCheckRange:
 HOLES = [
     ("hidden_range_bound B", lambda v: hidden_range_bound(ARCH, v, 1.0, 1), NAN),
     ("hidden_range_bound B", lambda v: hidden_range_bound(ARCH, v, 1.0, 1), INF),
+    ("hidden_range_bound rho", lambda v: hidden_range_bound(DEEP, 1.0, 1.0, 3, (v, 1, 1)), -1.0),
+    ("hidden_range_bound rho", lambda v: hidden_range_bound(DEEP, 1.0, 1.0, 3, (1, v, 1)), NAN),
+    ("hidden_range_bound rho", lambda v: hidden_range_bound(DEEP, 1.0, 1.0, 3, (v, 1, 1)), 0.0),
+    ("hidden_range_bound rho", lambda v: hidden_range_bound(DEEP, 1.0, 1.0, 3, (1, 1, v)), INF),
     ("effective_volume B", lambda v: effective_volume(ARCH, v), NAN),
     ("effective_volume B", lambda v: effective_volume(ARCH, v), INF),
     ("volume bound epsilon", lambda v: volume_covering_bound(2, 4.0, v), NAN),
@@ -122,6 +127,12 @@ HOLES = [
 def test_out_of_range_argument_raises_domain_error(name, call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+def test_hidden_range_bound_needs_one_rho_per_hidden_layer():
+    # A short rho used to raise IndexError; BoundConfig makes the same check.
+    with pytest.raises(ConfigError, match="need 3 Lipschitz constants"):
+        hidden_range_bound(DEEP, 1.0, 1.0, 3, (1.0, 1.0))
 
 
 # +inf stays a valid tolerance, oracle radius and gradient threshold.

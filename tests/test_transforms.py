@@ -17,9 +17,8 @@ from fnequiv.nncore import (
     random_params,
 )
 from fnequiv.transforms import (
-    PermutationSpec,
+    NeuronSymmetry,
     PoolingPartition,
-    ScalingSpec,
     _permute_neurons,
     apply_permutation,
     apply_pooling_permutation,
@@ -28,7 +27,6 @@ from fnequiv.transforms import (
     attention_forward,
     attention_permutation_equivalent,
     compose,
-    identity_spec_for,
     inverse,
     pooled_forward,
     random_spec,
@@ -47,14 +45,14 @@ class TestPermutation:
         rng = np.random.default_rng(0)
         arch = Architecture(2, (3, 4), (TANH, RELU))
         params = random_params(arch, rng)
-        out = apply_permutation(params, identity_spec_for(arch))
+        out = apply_permutation(params, NeuronSymmetry(tuple(map(np.arange, arch.hidden_widths))))
         assert params_identical(out, params)
 
     def test_hand_swap(self):
         params = NetworkParams(
             (([[1.0], [2.0]], [3.0, 4.0]), ([[5.0, 6.0]], [7.0]))
         )
-        spec = PermutationSpec((np.array([1, 0]),))
+        spec = NeuronSymmetry((np.array([1, 0]),))
         out = apply_permutation(params, spec)
         assert out.weight(1).tolist() == [[2.0], [1.0]]
         assert out.bias(1).tolist() == [4.0, 3.0]
@@ -100,7 +98,7 @@ class TestPermutation:
         spec = random_spec(arch, rng)
         back = apply_permutation(apply_permutation(params, spec), inverse(spec))
         assert params_identical(back, params)
-        assert compose(spec, inverse(spec)) == identity_spec_for(arch)
+        assert compose(spec, inverse(spec)) == NeuronSymmetry(tuple(map(np.arange, arch.hidden_widths)))
 
     def test_box_closure(self):
         rng = np.random.default_rng(4)
@@ -114,15 +112,42 @@ class TestPermutation:
         arch = Architecture(1, (3,), (RELU,))
         params = random_params(arch, rng)
         with pytest.raises(ShapeError):
-            apply_permutation(params, PermutationSpec((np.array([1, 0]),)))
+            apply_permutation(params, NeuronSymmetry((np.array([1, 0]),)))
 
     def test_not_a_permutation(self):
         with pytest.raises(DomainError):
-            PermutationSpec((np.array([0, 0]),))
+            NeuronSymmetry((np.array([0, 0]),))
 
     def test_json_round_trip(self):
-        spec = PermutationSpec((np.array([2, 0, 1]), np.array([1, 0])))
-        assert PermutationSpec.from_json_list(spec.to_json_list()) == spec
+        spec = NeuronSymmetry((np.array([2, 0, 1]), np.array([1, 0])))
+        assert NeuronSymmetry.from_json_list(spec.to_json_list()) == spec
+
+
+class TestNeuronSymmetry:
+    @pytest.mark.parametrize("factor", [0.0, np.nan, np.inf, -np.inf])
+    def test_zero_or_non_finite_factor_rejected(self, factor):
+        with pytest.raises(DomainError):
+            NeuronSymmetry(([1, 0],), ([1.0, factor],))
+
+    def test_one_factor_per_neuron(self):
+        with pytest.raises(ShapeError):
+            NeuronSymmetry(([1, 0],), ([1.0, 1.0, 1.0],))
+
+    def test_factors_other_than_one_have_no_json_form(self):
+        flip = NeuronSymmetry(([1, 0],), ([1.0, -1.0],))
+        assert not flip.is_identity()
+        assert flip != NeuronSymmetry(([1, 0],))
+        with pytest.raises(DomainError):
+            flip.to_json_list()
+
+    def test_sign_flip_of_a_permuted_layer(self):
+        # New neuron 0 is old neuron 1 negated; new neuron 1 is old neuron 0.
+        params = NetworkParams((([[1.0], [2.0]], [3.0, 4.0]), ([[5.0, 6.0]], [7.0])))
+        arch = Architecture(1, (2,), (TANH,))
+        out = NeuronSymmetry(([1, 0],), ([-1.0, 1.0],)).apply(params, arch)
+        assert out.weight(1).tolist() == [[-2.0], [1.0]]
+        assert out.bias(1).tolist() == [-4.0, 3.0]
+        assert out.weight(2).tolist() == [[-6.0, 5.0]]
 
 
 class TestScaling:
@@ -130,14 +155,14 @@ class TestScaling:
         rng = np.random.default_rng(6)
         arch = Architecture(1, (3,), (RELU,))
         params = random_params(arch, rng)
-        out = apply_scaling(arch, params, ScalingSpec(1, (1.0,) * 3))
+        out = apply_scaling(arch, params, 1, (1.0,) * 3)
         assert params_identical(out, params)
 
     def test_uniform_doubling(self):
         rng = np.random.default_rng(7)
         arch = Architecture(2, (3,), (RELU,))
         params = random_params(arch, rng)
-        out = apply_scaling(arch, params, ScalingSpec(1, (2.0,) * 3))
+        out = apply_scaling(arch, params, 1, (2.0,) * 3)
         assert np.array_equal(out.weight(1), 2.0 * params.weight(1))
         assert np.array_equal(out.bias(1), 2.0 * params.bias(1))
         assert np.array_equal(out.weight(2), params.weight(2) / 2.0)
@@ -147,7 +172,7 @@ class TestScaling:
         rng = np.random.default_rng(8)
         arch = Architecture(2, (3,), (leaky_relu(0.2),))
         params = random_params(arch, rng)
-        out = apply_scaling(arch, params, ScalingSpec(1, (0.5, 2.0, 3.0)))
+        out = apply_scaling(arch, params, 1, (0.5, 2.0, 3.0))
         assert forward_gap(arch, params, out) <= EQUIV_ATOL
 
     def test_tanh_rejected(self):
@@ -155,20 +180,21 @@ class TestScaling:
         arch = Architecture(1, (2,), (TANH,))
         params = random_params(arch, rng)
         with pytest.raises(UnsupportedTransformError):
-            apply_scaling(arch, params, ScalingSpec(1, (2.0,) * 2))
+            apply_scaling(arch, params, 1, (2.0,) * 2)
 
     def test_sigmoid_rejected(self):
         rng = np.random.default_rng(10)
         arch = Architecture(1, (2,), (SIGMOID,))
         params = random_params(arch, rng)
         with pytest.raises(UnsupportedTransformError):
-            apply_scaling(arch, params, ScalingSpec(1, (2.0,) * 2))
+            apply_scaling(arch, params, 1, (2.0,) * 2)
 
     def test_nonpositive_factor_rejected(self):
+        arch = Architecture(1, (2,), (RELU,))
         with pytest.raises(DomainError):
-            ScalingSpec(1, (0.0, 1.0))
+            NeuronSymmetry.scaling(arch, 1, (0.0, 1.0))
         with pytest.raises(DomainError):
-            ScalingSpec(1, (-2.0,))
+            NeuronSymmetry.scaling(arch, 1, (-2.0,))
 
 
 class TestSignFlip:
@@ -214,8 +240,8 @@ class TestSignFlip:
 @pytest.mark.parametrize(
     "call,error",
     [
-        (lambda a, p: apply_scaling(a, p, ScalingSpec(2, (2.0,) * 2)), DomainError),
-        (lambda a, p: apply_scaling(a, p, ScalingSpec(1, (2.0,) * 3)), ShapeError),
+        (lambda a, p: apply_scaling(a, p, 2, (2.0,) * 2), DomainError),
+        (lambda a, p: apply_scaling(a, p, 1, (2.0,) * 3), ShapeError),
         (lambda a, p: apply_sign_flip(a, p, 0, [1.0, -1.0]), DomainError),
         (lambda a, p: apply_sign_flip(a, p, 1, [1.0, -1.0, 1.0]), ShapeError),
         (lambda a, p: apply_sign_flip(a, p, 1, [1.0, 0.5]), DomainError),
@@ -347,7 +373,7 @@ class TestFunctionPreservationSweep:
             arch_s = Architecture(d0, (width,), (RELU,))
             params_s = random_params(arch_s, rng)
             alpha = tuple(float(a) for a in rng.uniform(0.25, 4.0, width))
-            scaled = apply_scaling(arch_s, params_s, ScalingSpec(1, alpha))
+            scaled = apply_scaling(arch_s, params_s, 1, alpha)
             assert forward_gap(arch_s, params_s, scaled, n=64) <= EQUIV_ATOL
             # sign flip: odd
             signs = rng.choice([-1.0, 1.0], width)
