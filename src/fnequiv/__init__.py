@@ -32,16 +32,11 @@ from .nncore import (
 )
 from .transforms import (
     NeuronSymmetry,
-    PoolingPartition,
     apply_permutation,
-    apply_pooling_permutation,
     apply_scaling,
     apply_sign_flip,
-    attention_forward,
-    attention_permutation_equivalent,
     compose,
     inverse,
-    pooled_forward,
 )
 from .canonical import (
     CanonicalForm,
@@ -55,9 +50,7 @@ from .bounds import (
     BoundConfig,
     EntropyComparison,
     deep_covering_bound,
-    dudley_rademacher_bound,
     entropy_comparison,
-    pdim_uniform_covering_bound,
     shallow_covering_bound,
     stirling_bracket,
     volume_covering_bound,

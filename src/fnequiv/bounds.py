@@ -10,23 +10,11 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable
 
-from .errors import ConfigError, DomainError, IntegrationFailureError, check_range
+from .errors import ConfigError, check_range
 from .nncore import MAX_LOG_LINEAR, Architecture, linear_or_none, lipschitz_constants
 from .nncore import log_monomial, monomial
-
-DUDLEY_ABS_TOL = 1e-6
-DUDLEY_CONSTANT = 12.0
-# Divergence sentinel: entropies growing at least this fast near 0 make the
-# sqrt-integrand non-integrable.
-_DIVERGENCE_EXPONENT = 2.0
-
-PDIM_EXACT_MAX_D = 300
-PDIM_EXACT_MAX_N = 100_000
 
 
 @dataclass(frozen=True)
@@ -219,117 +207,23 @@ def entropy_comparison(cfg: BoundConfig) -> EntropyComparison:
     return EntropyComparison(floored=floored, raw=raw, **vals)
 
 
-def dudley_rademacher_bound(
-    entropy_fn: Callable[[float], float],
-    n: int,
-    upper_limit: float,
-) -> float:
-    """12 * integral_0^limit sqrt(entropy_fn(eps) / n) d(eps).
-
-    ``entropy_fn`` must be nonnegative and nonincreasing.  The quadrature is
-    split at the point where the entropy reaches 0 (the integrand has a kink
-    there).  Entropies growing like eps^-2 or faster near 0 make the integral
-    diverge; that raises IntegrationFailureError carrying the value over a
-    truncated range.
-    """
-    check_range("sample size", n, 1)
-    check_range("integration limit", upper_limit, 0, low_open=True)
-    probe = [upper_limit * t for t in (1e-9, 1e-4, 0.3, 1.0)]
-    vals = [float(entropy_fn(p)) for p in probe]
-    if any(v < 0 for v in vals):
-        raise DomainError("entropy function must be nonnegative")
-    if any(a < b - 1e-12 for a, b in zip(vals, vals[1:])):
-        raise DomainError("entropy function must be nonincreasing")
-    from scipy import integrate
-
-    integrand = lambda e: math.sqrt(float(entropy_fn(e)) / n)
-
-    # Estimate the growth exponent near 0 to detect divergence before quad
-    # burns its subdivision budget on it.
-    a, b = upper_limit * 1e-9, upper_limit * 1e-7
-    ea, eb = float(entropy_fn(a)), float(entropy_fn(b))
-    if eb > 0 and ea > eb:
-        exponent = math.log(ea / eb) / math.log(b / a)
-        if exponent >= _DIVERGENCE_EXPONENT - 1e-3:
-            cutoff = upper_limit * 1e-6
-            partial, _ = integrate.quad(integrand, cutoff, upper_limit, limit=200)
-            raise IntegrationFailureError(
-                f"entropy grows like eps^-{exponent:.2f} near 0; integral diverges",
-                partial_value=DUDLEY_CONSTANT * partial,
-            )
-
-    # Locate where the (nonincreasing) entropy first reaches 0.
-    split = upper_limit
-    if float(entropy_fn(upper_limit)) == 0.0:
-        lo, hi = 0.0, upper_limit
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(entropy_fn(mid)) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        split = hi
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            total, _ = integrate.quad(integrand, 0.0, split, epsabs=DUDLEY_ABS_TOL, limit=200)
-        except integrate.IntegrationWarning as exc:
-            cutoff = upper_limit * 1e-6
-            partial, _ = integrate.quad(integrand, cutoff, split, limit=200)
-            raise IntegrationFailureError(
-                f"quadrature did not converge: {exc}",
-                partial_value=DUDLEY_CONSTANT * partial,
-            ) from exc
-    return DUDLEY_CONSTANT * total
-
-
-def volume_covering_bound(d: int, volume: float, epsilon: float) -> float:
+def volume_covering_bound(d: int, volume, epsilon: float) -> float:
     """V * (2/eps)^d, the volume bound on covering/packing of a d-dim set;
-    +inf beyond the double range."""
+    +inf beyond the double range.  ``volume`` is V, or a pair ``(x, k)``
+    standing for V = x**k, which may itself leave the double range."""
     value = monomial(*_volume_factors(d, volume, epsilon))
     return math.inf if value is None else value
 
 
-def log_volume_covering_bound(d: int, volume: float, epsilon: float) -> float:
-    """log(V * (2/eps)^d), finite for every admissible input."""
+def log_volume_covering_bound(d: int, volume, epsilon: float) -> float:
+    """log(V * (2/eps)^d), finite for every admissible input; ``volume`` as
+    in ``volume_covering_bound``."""
     return log_monomial(*_volume_factors(d, volume, epsilon))
 
 
-def _volume_factors(d: int, volume: float, epsilon: float) -> tuple:
+def _volume_factors(d: int, volume, epsilon: float) -> tuple:
     check_range("dimension", d, 1)
-    check_range("volume", volume, 0, low_open=True)
+    x, k = volume if isinstance(volume, tuple) else (volume, 1)
+    check_range("volume", x, 0, low_open=True)
     check_range("epsilon", epsilon, 0, low_open=True)
-    return (volume, 1), (2.0 / epsilon, d, math.log(2.0) - math.log(epsilon))
-
-
-@dataclass(frozen=True)
-class PdimCoveringBound:
-    value: float
-    method: str  # "exact_sum" or "closed_form"
-
-
-def pdim_uniform_covering_bound(
-    d: int, n: int, B_range: float, epsilon: float
-) -> PdimCoveringBound:
-    """Uniform covering number bound for a class of pseudo-dimension d.
-
-    Exact sum over i of C(n, i) (B/eps)^i in rational arithmetic when n and d
-    are small; otherwise the (e n B / (eps d))^d closed form, which dominates
-    the sum for n >= d.
-    """
-    check_range("pseudo-dimension", d, 1)
-    check_range("sample size", n, 1)
-    check_range("range bound", B_range, 0, low_open=True)
-    check_range("epsilon", epsilon, 0, low_open=True)
-    if d <= PDIM_EXACT_MAX_D and n <= PDIM_EXACT_MAX_N:
-        ratio = Fraction(B_range) / Fraction(epsilon)
-        total = Fraction(0)
-        power = Fraction(1)
-        for i in range(1, min(d, n) + 1):
-            power *= ratio
-            total += math.comb(n, i) * power
-        return PdimCoveringBound(float(total), "exact_sum")
-    log_value = d * (math.log(math.e * n * B_range) - math.log(epsilon * d))
-    value = math.exp(log_value) if log_value <= MAX_LOG_LINEAR else math.inf
-    return PdimCoveringBound(value, "closed_form")
+    return (x, k), (2.0 / epsilon, d, math.log(2.0) - math.log(epsilon))

@@ -152,6 +152,7 @@ def _slab(key: np.ndarray, c: float, r: float) -> tuple:
     onto r past the end: c = -1 and key 1 + 2**-52 are a computed 2.0
     apart, and fl(c + 2) = 1.
     """
+    c, r = float(c), float(r)  # Python floats: a sum beyond a double is inf, no warning
     h = r + (abs(c) + r) * MARGIN
     return key.searchsorted(c - h), key.searchsorted(c + h, side="right")
 

@@ -356,7 +356,7 @@ def cmd_covering_sweep(args) -> int:
     for eps in epsilons:
         check_range("epsilon", eps, 0, low_open=True)
     space = empirical.grid_sample(args.dim, args.points_per_axis, args.half_width)
-    volume = (2.0 * args.half_width) ** args.dim
+    volume = (2.0 * args.half_width, args.dim)  # (2h)^d, which may leave the double range
     rows = [
         {
             "epsilon": eps,

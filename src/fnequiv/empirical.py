@@ -8,6 +8,7 @@ Some texts use "> eps" instead; the sandwich inequality holds either way.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +61,13 @@ class MetricSpaceSample:
 
 def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> MetricSpaceSample:
     """Uniform grid on [-half_width, half_width]^dim; one of more than
-    ``DEFAULT_GRID_BUDGET`` points raises before anything is allocated."""
+    ``DEFAULT_GRID_BUDGET`` points raises before anything is allocated, and
+    so does a half-width whose axis length 2 * half_width exceeds a double."""
     check_range("dim", dim, 1)
     check_range("points per axis", points_per_axis, 2)
-    check_range("half_width", half_width, 0, low_open=True)
+    check_range(
+        "half_width", half_width, 0, sys.float_info.max / 2, low_open=True, high_open=False
+    )
     _grid_count("points", points_per_axis, dim, DEFAULT_GRID_BUDGET)
     axis = np.linspace(-half_width, half_width, points_per_axis)
     mesh = np.meshgrid(*[axis] * dim, indexing="ij")

@@ -42,7 +42,10 @@ class EquivalenceVerdict:
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "sup_distance_estimate": self.sup_distance_estimate,
+            # A gap beyond a double overflowed to +inf; JSON has no such number.
+            "sup_distance_estimate": (
+                self.sup_distance_estimate if math.isfinite(self.sup_distance_estimate) else None
+            ),
             "witness": None if self.witness is None else self.witness.to_json_list(),
             "distinguishing_input": (
                 None
@@ -215,7 +218,8 @@ def sampled_sup_distance(
     n_samples: int = DEFAULT_N_SAMPLES,
     seed: int = 0,
 ) -> float:
-    """Max output gap over deterministic sample points in the B_x ball.
+    """Max output gap over deterministic sample points in the B_x ball, +inf
+    beyond a double.
 
     Lower-bounds the true sup-norm distance on the ball.
     """
@@ -229,9 +233,9 @@ def _max_gap(f1: Network, f2: Network, B_x, n_samples, seed):
     if f1.arch.output_dim != f2.arch.output_dim:
         raise ShapeError("output dimensions differ")
     X = ball_points(f1.arch.input_dim, n_samples, B_x, seed=seed)
-    gap = np.abs(
-        forward_batch(f1.arch, f1.params, X) - forward_batch(f2.arch, f2.params, X)
-    ).max(axis=1)
+    y1, y2 = forward_batch(f1.arch, f1.params, X), forward_batch(f2.arch, f2.params, X)
+    with np.errstate(over="ignore"):  # a gap beyond a double is +inf
+        gap = np.abs(y1 - y2).max(axis=1)
     i = int(np.argmax(gap))
     return float(gap[i]), X[i].copy()
 

@@ -55,15 +55,6 @@ class BudgetExceededError(FnequivError):
         self.required = required
 
 
-class IntegrationFailureError(FnequivError):
-    """Numerical integration diverged; ``partial_value`` holds the integral
-    over the truncated range that was still computable."""
-
-    def __init__(self, message, partial_value=None):
-        super().__init__(message)
-        self.partial_value = partial_value
-
-
 def check_range(name, value, low, high=math.inf, *, low_open=False, high_open=True, error=DomainError):
     """Raise ``error`` unless ``value`` lies between ``low`` and ``high``.
 

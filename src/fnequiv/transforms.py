@@ -8,7 +8,6 @@ gathering columns by ``p`` respectively.  ``NeuronSymmetry`` adds sign flips and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,95 +179,3 @@ def apply_scaling(arch: Architecture, params: NetworkParams, layer: int, alpha) 
 def apply_sign_flip(arch: Architecture, params: NetworkParams, layer: int, signs) -> NetworkParams:
     """Apply ``NeuronSymmetry.sign_flip(arch, layer, signs)`` to ``params``."""
     return NeuronSymmetry.sign_flip(arch, layer, signs).apply(params, arch)
-
-
-# ---------------------------------------------------------------------------
-# Pooling-region permutations
-
-
-@dataclass(frozen=True)
-class PoolingPartition:
-    """Non-overlapping row index sets with a pooling kind (max, min, avg)."""
-
-    regions: tuple[tuple[int, ...], ...]
-    kind: str = "max"
-
-    def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(tuple(map(int, r)) for r in self.regions))
-        if self.kind not in ("max", "min", "avg"):
-            raise DomainError(f"unknown pooling kind {self.kind!r}")
-        seen: set[int] = set()
-        for r in self.regions:
-            if not r:
-                raise DomainError("pooling regions must be non-empty")
-            if seen & set(r):
-                raise DomainError("pooling regions must be disjoint")
-            seen |= set(r)
-
-    def validate_against(self, n_rows: int) -> None:
-        covered = {i for r in self.regions for i in r}
-        if covered != set(range(n_rows)):
-            raise DomainError(
-                f"regions must partition rows 0..{n_rows - 1}; covered {sorted(covered)}"
-            )
-
-
-def apply_pooling_permutation(W, b, partition: PoolingPartition, perm):
-    """Permute rows of (W, b) without letting any row leave its pooling region."""
-    W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
-    if W.ndim != 2 or b.shape != (W.shape[0],):
-        raise ShapeError("W must be 2-D with one bias per row")
-    partition.validate_against(W.shape[0])
-    p = _as_perm(perm)
-    if p.size != W.shape[0]:
-        raise ShapeError("permutation size must match the number of rows")
-    for region in partition.regions:
-        members = set(region)
-        if any(int(p[i]) not in members for i in region):
-            raise DomainError("permutation moves rows across pooling regions")
-    return W[p], b[p]
-
-
-def pooled_forward(W, b, partition: PoolingPartition, x) -> np.ndarray:
-    """Linear map followed by per-region pooling; one output per region."""
-    W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
-    partition.validate_against(W.shape[0])
-    z = W @ np.asarray(x, dtype=float) + b
-    reduce = {"max": np.max, "min": np.min, "avg": np.mean}[partition.kind]
-    return np.array([reduce(z[list(r)]) for r in partition.regions])
-
-
-# ---------------------------------------------------------------------------
-# Attention-map permutations
-
-
-def _softmax_rows(A: np.ndarray) -> np.ndarray:
-    e = np.exp(A - A.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def attention_forward(X, W_Q, W_K, W_V) -> np.ndarray:
-    """Single-head self-attention: softmax(X Wq (X Wk)^T / sqrt(dk)) X Wv."""
-    X, W_Q, W_K, W_V = (np.asarray(a, dtype=float) for a in (X, W_Q, W_K, W_V))
-    if W_Q.shape[1] != W_K.shape[1]:
-        raise ShapeError("query and key matrices must share the projection width")
-    if not (X.shape[1] == W_Q.shape[0] == W_K.shape[0] == W_V.shape[0]):
-        raise ShapeError("embedding dimensions disagree")
-    d_k = W_Q.shape[1]
-    scores = (X @ W_Q) @ (X @ W_K).T / math.sqrt(d_k)
-    return _softmax_rows(scores) @ (X @ W_V)
-
-
-def attention_permutation_equivalent(W_Q, W_K, W_V, perm):
-    """Permute the projection columns of Wq and Wk identically.
-
-    The Gram product Wq Wk^T is invariant under any shared column
-    re-indexing, so the attention output is unchanged; Wv is returned as-is.
-    """
-    W_Q, W_K, W_V = (np.asarray(a, dtype=float) for a in (W_Q, W_K, W_V))
-    p = _as_perm(perm)
-    if W_Q.shape[1] != W_K.shape[1]:
-        raise ShapeError("query and key matrices must share the projection width")
-    if p.size != W_Q.shape[1]:
-        raise DomainError("permutation size must match the projection width")
-    return W_Q[:, p], W_K[:, p], W_V

@@ -159,16 +159,6 @@ def mp_stirling_bracket(d, dps=60):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature cross-check
-
-
-def trapezoid_integral(f, a, b, n=200_001):
-    xs = np.linspace(a, b, n)
-    ys = np.array([f(x) for x in xs])
-    return float(np.trapezoid(ys, xs))
-
-
-# ---------------------------------------------------------------------------
 # Exhaustive covering / packing on tiny instances
 
 

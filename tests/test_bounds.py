@@ -9,19 +9,17 @@ from fnequiv.bounds import (
     BoundConfig,
     EntropyComparison,
     deep_covering_bound,
-    dudley_rademacher_bound,
     entropy_comparison,
     log_volume_covering_bound,
-    pdim_uniform_covering_bound,
     permutation_discount,
     shallow_covering_bound,
     stirling_bracket,
     volume_covering_bound,
 )
-from fnequiv.errors import ConfigError, DomainError, IntegrationFailureError
+from fnequiv.errors import ConfigError, DomainError
 from fnequiv.nncore import Architecture, RELU, SIGMOID, TANH
 
-from oracles import mp_deep_log, mp_shallow_log, mp_stirling_bracket, trapezoid_integral
+from oracles import mp_deep_log, mp_shallow_log, mp_stirling_bracket
 
 
 def relu_arch(d0, hidden):
@@ -301,47 +299,20 @@ class TestBeyondDoubleRange:
             math.log(4.0) + 2 * math.log(2e200), rel=1e-15
         )
 
-
-class TestDudley:
-    def test_zero_entropy(self):
-        assert dudley_rademacher_bound(lambda e: 0.0, 4, 1.0) == 0.0
-
-    def test_constant_entropy_closed_form(self):
-        c = 2.25
-        fn = lambda e: c if e <= 1.0 else 0.0
-        got = dudley_rademacher_bound(fn, 1, 2.0)
-        assert got == pytest.approx(12.0 * math.sqrt(c), rel=1e-6)
-
-    def test_log_shape_matches_trapezoid_oracle(self):
-        S, K, n = 7.0, 2.0, 16
-        fn = lambda e: S * math.log(K / e) if e < K else 0.0
-        got = dudley_rademacher_bound(fn, n, K)
-        oracle = 12.0 * trapezoid_integral(
-            lambda e: math.sqrt(fn(e) / n), 1e-9, K, 400_001
-        )
-        assert got == pytest.approx(oracle, rel=1e-4)
-        # independent closed form: K*sqrt(S/n)*sqrt(pi)/2 times 12
-        closed = 12.0 * K * math.sqrt(S / n) * math.sqrt(math.pi) / 2.0
-        assert got == pytest.approx(closed, rel=1e-6)
-
-    def test_inverse_sqrt_n_scaling(self):
-        fn = lambda e: 3.0 * max(0.0, 1.0 - e)
-        r1 = dudley_rademacher_bound(fn, 5, 1.0)
-        r4 = dudley_rademacher_bound(fn, 20, 1.0)
-        assert r4 == pytest.approx(r1 / 2.0, rel=1e-9)
-
-    def test_divergent_entropy_reports_partial(self):
-        fn = lambda e: e**-2.0
-        with pytest.raises(IntegrationFailureError) as exc:
-            dudley_rademacher_bound(fn, 1, 1.0)
-        assert exc.value.partial_value is not None
-        assert exc.value.partial_value > 0.0
-
-    def test_bad_inputs(self):
-        with pytest.raises(DomainError):
-            dudley_rademacher_bound(lambda e: 1.0, 0, 1.0)
-        with pytest.raises(DomainError):
-            dudley_rademacher_bound(lambda e: -1.0, 1, 1.0)
+    def test_volume_as_a_power(self):
+        # (x, k) stands for x**k: in range it is the same product, bit for
+        # bit; out of range it is taken from its log.
+        for d, x, eps in [(2, 3.0, 0.5), (3, 0.7, 0.1), (7, 2.0, 0.25)]:
+            assert log_volume_covering_bound(d, (x, d), eps) == log_volume_covering_bound(
+                d, x**d, eps
+            )
+            assert volume_covering_bound(d, (x, d), eps) == volume_covering_bound(d, x**d, eps)
+        for x in (2e300, 2e-300):
+            assert log_volume_covering_bound(2, (x, 2), 0.5) == pytest.approx(
+                2 * math.log(x) + 2 * math.log(4.0), rel=1e-15
+            )
+        with pytest.raises(DomainError, match="volume"):
+            log_volume_covering_bound(2, (0.0, 2), 0.5)
 
 
 class TestVolumeCoveringBound:
@@ -365,29 +336,3 @@ class TestVolumeCoveringBound:
             volume_covering_bound(1, -1.0, 1.0)
         with pytest.raises(DomainError):
             volume_covering_bound(1, 1.0, 0.0)
-
-
-class TestPdimCoveringBound:
-    def test_single_term(self):
-        out = pdim_uniform_covering_bound(1, 1, 2.0, 2.0)
-        assert out.value == 1.0 and out.method == "exact_sum"
-
-    def test_small_sum(self):
-        out = pdim_uniform_covering_bound(2, 3, 2.0, 1.0)
-        assert out.value == 18.0
-
-    def test_dominated_by_closed_form(self):
-        out = pdim_uniform_covering_bound(5, 5, 1.0, 1.0)
-        assert out.value == 31.0  # 2^5 - 1
-        assert out.value <= math.e**5
-
-    def test_large_inputs_fall_back(self):
-        out = pdim_uniform_covering_bound(400, 10**7, 1.0, 0.5)
-        assert out.method == "closed_form"
-        assert out.value > 0
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            pdim_uniform_covering_bound(0, 1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            pdim_uniform_covering_bound(1, 1, 1.0, -1.0)

@@ -15,6 +15,7 @@ from fnequiv.nncore import (
     Architecture,
     Network,
     NetworkParams,
+    RELU,
     TANH,
     load_network,
     params_identical,
@@ -648,6 +649,35 @@ class TestBeyondDoubleRange:
         assert code == 0, err
         theory = float(stdout.splitlines()[-1].split(",")[-1])
         assert theory == pytest.approx(math.log(4.0) + 2 * math.log(2e200), rel=1e-15)
+
+    @pytest.mark.parametrize("half_width", [1e300, 1e-300])
+    def test_covering_sweep_volume_beyond_a_double(self, capsys, half_width):
+        # (2h)^2 overflows at 1e300 and underflows to 0 at 1e-300.
+        argv = ["covering-sweep", "--dim", "2", "--points-per-axis", "2", "--epsilons", "0.5"]
+        code, stdout, err = run_cli([*argv, f"--half-width={half_width}"], capsys)
+        assert code == 0 and err == ""
+        theory = float(stdout.splitlines()[-1].split(",")[-1])
+        assert theory == pytest.approx(2 * math.log(2 * half_width) + 2 * math.log(4.0), rel=1e-15)
+
+    def test_covering_sweep_refuses_a_grid_wider_than_a_double(self, capsys):
+        argv = ["covering-sweep", "--dim", "2", "--points-per-axis", "2", "--epsilons", "0.5"]
+        code, stdout, err = run_cli([*argv, "--half-width=1e308"], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: half_width must be in") and err.count("\n") == 1
+
+    def test_check_equiv_gap_beyond_a_double_is_null(self, tmp_path, capsys):
+        arch = Architecture(1, (1,), (RELU,))
+        paths = []
+        for name, bias in (("plus", 1.5e308), ("minus", -1.5e308)):
+            paths.append(tmp_path / f"{name}.json")
+            params = NetworkParams((([[1.0]], [0.0]), ([[1.0]], [bias])))
+            save_network(Network(arch, params), paths[-1])
+        argv = ["check-equiv", "--first", str(paths[0]), "--second", str(paths[1])]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        verdict = strict_json(stdout)["verdict"]
+        assert verdict["kind"] == "distinguished" and verdict["sup_distance_estimate"] is None
+        assert len(verdict["distinguishing_input"]) == 1
 
 
 class TestCoveringSweep:

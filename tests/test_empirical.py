@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 
@@ -594,6 +595,13 @@ class TestGridSample:
         with pytest.raises(BudgetExceededError) as exc:
             grid_sample(3, 2)
         assert exc.value.required is None
+
+    def test_widest_grid_a_double_holds(self):
+        # The axis spans 2 * half_width, the largest double; the greedy
+        # searches add a coordinate to a distance beyond it without a warning.
+        space = grid_sample(2, 3, sys.float_info.max / 2)
+        assert np.isfinite(space.points).all()
+        assert greedy_covering_estimate(space, 0.5) == greedy_packing_estimate(space, 0.5) == 9
 
     def test_budget_is_inclusive(self):
         assert len(grid_sample(2, 1000)) == DEFAULT_GRID_BUDGET

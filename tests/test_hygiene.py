@@ -96,12 +96,11 @@ def scipy_import_sites(source: str) -> list[str]:
 
 
 # The only functions that may load scipy, each for one kernel: the distance
-# kernel, the two MILP oracles, the sigmoid and the Dudley quadrature.  The
-# equivalence decisions, the sample points and the amplification check load
-# none of it.
+# kernel, the two MILP oracles and the sigmoid.  The equivalence decisions,
+# the sample points, the amplification check and the bounds load none of it.
 SCIPY_IMPORT_SITES = {
     ("nncore.py", "_chebyshev"), ("nncore.py", "_apply"), ("empirical.py", "_cover_milp"),
-    ("empirical.py", "_packing_milp"), ("bounds.py", "dudley_rademacher_bound"),
+    ("empirical.py", "_packing_milp"),
 }  # fmt: skip
 
 
@@ -144,16 +143,13 @@ PUBLIC_NAMES = [
     "Activation", "AmplificationCheck", "Architecture", "BasinSummary", "BoundConfig",
     "CanonicalForm", "EntropyComparison", "EquivalenceVerdict", "IDENTITY", "InitScheme",
     "MetricSpaceSample", "Network", "NetworkParams", "NeuronSymmetry", "OptimizerConfig",
-    "PoolingPartition", "RELU", "SIGMOID", "SymmetryProfile", "TANH", "TrainRun",
-    "activation_from_tag", "amplification_check", "apply_permutation",
-    "apply_pooling_permutation", "apply_scaling", "apply_sign_flip", "attention_forward",
-    "attention_permutation_equivalent", "basin_experiment", "canonicalize", "compose",
-    "decide_equivalence", "deep_covering_bound", "dudley_rademacher_bound", "effective_volume",
-    "entropy_comparison", "exact_covering_number", "exact_packing_number", "forward",
-    "forward_batch", "function_class_sample", "gradient", "greedy_covering_estimate",
-    "greedy_packing_estimate", "grid_sample", "hidden_range_bound",
-    "initialize", "inverse", "leaky_relu", "load_network", "orbit_membership",
-    "pdim_uniform_covering_bound", "pooled_forward", "sampled_sup_distance", "save_network",
+    "RELU", "SIGMOID", "SymmetryProfile", "TANH", "TrainRun", "activation_from_tag",
+    "amplification_check", "apply_permutation", "apply_scaling", "apply_sign_flip",
+    "basin_experiment", "canonicalize", "compose", "decide_equivalence", "deep_covering_bound",
+    "effective_volume", "entropy_comparison", "exact_covering_number", "exact_packing_number",
+    "forward", "forward_batch", "function_class_sample", "gradient", "greedy_covering_estimate",
+    "greedy_packing_estimate", "grid_sample", "hidden_range_bound", "initialize", "inverse",
+    "leaky_relu", "load_network", "orbit_membership", "sampled_sup_distance", "save_network",
     "shallow_covering_bound", "stirling_bracket", "symmetry_profile", "train",
     "volume_covering_bound",
 ]

@@ -18,17 +18,12 @@ from fnequiv.nncore import (
 )
 from fnequiv.transforms import (
     NeuronSymmetry,
-    PoolingPartition,
     _permute_neurons,
     apply_permutation,
-    apply_pooling_permutation,
     apply_scaling,
     apply_sign_flip,
-    attention_forward,
-    attention_permutation_equivalent,
     compose,
     inverse,
-    pooled_forward,
     random_spec,
 )
 
@@ -255,93 +250,65 @@ def test_singly_invalid_rescale_keeps_its_error_type(call, error):
 
 
 class TestPooling:
+    """A linear map followed by pooling over fixed row regions (the CNN case):
+    permuting rows within their regions leaves every region's max, min and
+    mean unchanged, and moving a row across regions does not."""
+
+    REGIONS = (np.array([0, 1, 2]), np.array([3, 4]))
+    REDUCE = {"max": np.max, "min": np.min, "avg": np.mean}
+
+    def pooled(self, W, b, X, kind):
+        Z = X @ W.T + b
+        return np.stack([self.REDUCE[kind](Z[:, r], axis=1) for r in self.REGIONS], axis=1)
+
     def setup_method(self):
         rng = np.random.default_rng(16)
-        self.W = rng.uniform(-1, 1, (4, 3))
-        self.b = rng.uniform(-1, 1, 4)
-        self.partition = PoolingPartition(((0, 1), (2, 3)), "max")
-
-    def test_singleton_regions_identity_only(self):
-        part = PoolingPartition(((0,), (1,), (2,), (3,)), "max")
-        W2, b2 = apply_pooling_permutation(self.W, self.b, part, [0, 1, 2, 3])
-        assert np.array_equal(W2, self.W) and np.array_equal(b2, self.b)
-        with pytest.raises(DomainError):
-            apply_pooling_permutation(self.W, self.b, part, [1, 0, 2, 3])
+        self.W, self.b = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, 5)
+        self.X = rng.uniform(-1, 1, (1000, 3))
 
     @pytest.mark.parametrize("kind", ["max", "min", "avg"])
     def test_within_region_swap_preserves_pooled_output(self, kind):
-        part = PoolingPartition(((0, 1), (2, 3)), kind)
-        W2, b2 = apply_pooling_permutation(self.W, self.b, part, [1, 0, 2, 3])
         rng = np.random.default_rng(17)
-        for _ in range(1000):
-            x = rng.uniform(-1, 1, 3)
-            got = pooled_forward(W2, b2, part, x)
-            want = pooled_forward(self.W, self.b, part, x)
-            assert np.abs(got - want).max() == 0.0
+        for _ in range(20):
+            p = np.concatenate([rng.permutation(r) for r in self.REGIONS])
+            got = self.pooled(self.W[p], self.b[p], self.X, kind)
+            # A mean sums its region in the permuted order.
+            tol = EQUIV_ATOL if kind == "avg" else 0.0
+            assert np.abs(got - self.pooled(self.W, self.b, self.X, kind)).max() <= tol
 
-    def test_row_multisets_preserved_per_region(self):
-        W2, b2 = apply_pooling_permutation(self.W, self.b, self.partition, [1, 0, 3, 2])
-        for region in self.partition.regions:
-            rows = {tuple(np.append(self.W[i], self.b[i])) for i in region}
-            rows2 = {tuple(np.append(W2[i], b2[i])) for i in region}
-            assert rows == rows2
-
-    def test_cross_region_swap_rejected(self):
-        with pytest.raises(DomainError):
-            apply_pooling_permutation(self.W, self.b, self.partition, [0, 2, 1, 3])
-
-    def test_partition_must_cover(self):
-        part = PoolingPartition(((0, 1),), "max")
-        with pytest.raises(DomainError):
-            apply_pooling_permutation(self.W, self.b, part, [1, 0, 2, 3])
+    @pytest.mark.parametrize("kind", ["max", "min", "avg"])
+    def test_cross_region_swap_changes_pooled_output(self, kind):
+        p = np.array([3, 1, 2, 0, 4])
+        got = self.pooled(self.W[p], self.b[p], self.X, kind)
+        assert np.abs(got - self.pooled(self.W, self.b, self.X, kind)).max() > EQUIV_ATOL
 
 
 class TestAttention:
-    def test_identity_permutation(self):
+    """softmax(X W_Q (X W_K)^T / sqrt(d_k)) X W_V depends on W_Q and W_K only
+    through W_K W_Q^T, the map of the net x -> W_K (W_Q^T x) with one hidden
+    identity layer of width d_k; so every element acting on that net
+    preserves the attention output."""
+
+    @pytest.mark.parametrize("kind", ["permutation", "signed_permutation", "scaling"])
+    def test_neuron_symmetry_preserves_attention(self, kind):
+        d_model, d_k = 3, 4
         rng = np.random.default_rng(18)
-        W_Q, W_K, W_V = rng.uniform(-1, 1, (3, 2, 2))
-        Q2, K2, V2 = attention_permutation_equivalent(W_Q, W_K, W_V, [0, 1])
-        assert np.array_equal(Q2, W_Q) and np.array_equal(K2, W_K) and np.array_equal(V2, W_V)
-
-    def test_column_swap_preserves_attention(self):
-        rng = np.random.default_rng(19)
-        X = rng.uniform(-1, 1, (3, 2))
-        W_Q, W_K, W_V = rng.uniform(-1, 1, (3, 2, 2))
-        Q2, K2, V2 = attention_permutation_equivalent(W_Q, W_K, W_V, [1, 0])
-        base = attention_forward(X, W_Q, W_K, W_V)
-        swapped = attention_forward(X, Q2, K2, V2)
-        assert np.abs(base - swapped).max() < 1e-12
-
-    def test_cyclic_permutation_many_inputs(self):
-        rng = np.random.default_rng(20)
-        W_Q = rng.uniform(-1, 1, (2, 3))
-        W_K = rng.uniform(-1, 1, (2, 3))
-        W_V = rng.uniform(-1, 1, (2, 2))
-        Q2, K2, V2 = attention_permutation_equivalent(W_Q, W_K, W_V, [2, 0, 1])
-        for _ in range(100):
-            X = rng.uniform(-1, 1, (4, 2))
-            assert (
-                np.abs(
-                    attention_forward(X, W_Q, W_K, W_V) - attention_forward(X, Q2, K2, V2)
-                ).max()
-                < 1e-12
-            )
-
-    def test_matches_independent_oracle(self):
-        rng = np.random.default_rng(21)
-        X = rng.uniform(-1, 1, (4, 3))
-        W_Q, W_K = rng.uniform(-1, 1, (2, 3, 2))
-        W_V = rng.uniform(-1, 1, (3, 3))
-        got = attention_forward(X, W_Q, W_K, W_V)
-        assert np.abs(got - attention_oracle(X, W_Q, W_K, W_V)).max() < 1e-12
-
-    def test_bad_permutation_rejected(self):
-        rng = np.random.default_rng(22)
-        W_Q, W_K, W_V = rng.uniform(-1, 1, (3, 2, 2))
-        with pytest.raises(DomainError):
-            attention_permutation_equivalent(W_Q, W_K, W_V, [0, 0])
-        with pytest.raises(DomainError):
-            attention_permutation_equivalent(W_Q, W_K, W_V, [0, 1, 2])
+        W_Q, W_K = rng.uniform(-1, 1, (2, d_model, d_k))
+        W_V = rng.uniform(-1, 1, (d_model, 2))
+        arch = Architecture(d_model, (d_k,), (IDENTITY,), d_model)
+        params = NetworkParams(((W_Q.T, np.zeros(d_k)), (W_K, np.zeros(d_model))))
+        factors = {
+            "permutation": np.ones(d_k),
+            "signed_permutation": rng.choice([-1.0, 1.0], d_k),
+            "scaling": rng.uniform(0.25, 4.0, d_k),
+        }[kind]
+        perm = np.arange(d_k) if kind == "scaling" else rng.permutation(d_k)
+        out = NeuronSymmetry((perm,), (factors,)).apply(params, arch)
+        W_Q2, W_K2 = out.weight(1).T, out.weight(2)
+        for _ in range(20):
+            X = rng.uniform(-1, 1, (5, d_model))
+            gap = attention_oracle(X, W_Q2, W_K2, W_V) - attention_oracle(X, W_Q, W_K, W_V)
+            assert np.abs(gap).max() <= EQUIV_ATOL
 
 
 class TestResidual:
