@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, check_range
-from .nncore import Architecture, NetworkParams, _flatten, linear_or_none, log_monomial
-from .nncore import stack_block
+from .nncore import Architecture, NetworkParams, _chebyshev, _flatten, linear_or_none
+from .nncore import log_monomial, stack_block
 from .transforms import NeuronSymmetry, _permute_neurons
 
 
@@ -121,19 +121,26 @@ def group_rows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, list[int
         return assignment, np.sort(order[lead]).tolist()
     if not np.isfinite(rows).all():
         raise DomainError("rows must be finite (no NaN or infinity) at a positive tolerance")
-    kept, assignment = _first_fit(rows, tolerance, lambda row, near: np.abs(near - row).max(axis=1))
+    kept, assignment = _first_fit(rows, tolerance, _chebyshev)
     return assignment, kept.tolist()
 
 
 # Relative slack on a slab's half-width; see _slab.
 MARGIN = 1e-9
+# Columns whose gaps bound a distance from below (empirical._greedy_cover_centers);
+# _first_fit takes the bound past _PIVOT_MIN_ROWS live slab rows only, as on
+# fewer its few array operations cost more than the kernel rows they spare.
+_PIVOTS = 3
+_PIVOT_MIN_ROWS = 64
 
 
 def _widest_column_order(pts: np.ndarray) -> tuple:
-    """The column with the widest range (the first on a tie) and a stable
-    sort of the rows on it; the rows need at least one column."""
-    col = int(np.argmax(np.ptp(pts, axis=0)))
-    return col, np.argsort(pts[:, col], kind="stable")
+    """The widest column (the first on a tie), a stable sort of the rows on
+    it, and the sorted rows' coordinates on the ``_PIVOTS`` widest columns,
+    it first, as a (pivots, rows) array; the rows need a column."""
+    cols = np.argsort(-np.ptp(pts, axis=0), kind="stable")[:_PIVOTS]
+    order = np.argsort(pts[:, cols[0]], kind="stable")
+    return int(cols[0]), order, pts[order, cols[:, None]]
 
 
 def _slab(key: np.ndarray, c: float, r: float) -> tuple:
@@ -163,27 +170,31 @@ def _first_fit(pts: np.ndarray, threshold: float, distances, sort=None) -> tuple
     Returns the kept rows' indices, ascending, and each row's group: the
     position of its kept row among them.
 
-    ``distances(row, rows)`` gives the L-infinity distances from one row
-    to each of ``rows``, bit for bit ``np.abs(rows - row).max(axis=1)``.
+    ``distances`` is ``nncore._chebyshev`` or a kernel of its signature.
     ``live`` marks the rows farther than ``threshold`` from every kept row;
     the next kept row is the first live one, and a kept row c takes the
     live rows within ``threshold`` of it, itself included, into its group.
-    Only those in c's ``_slab`` on the widest sorted column can be, so each
-    kept row costs one distance pass over the live rows of its slab.
+    Only those in c's ``_slab`` on the widest sorted column can be, and past
+    ``_PIVOT_MIN_ROWS`` live ones only those within ``threshold`` of c on
+    every pivot column: each kept row costs one distance pass over those.
     ``sort``, when given, is ``_widest_column_order(pts)`` made before.
     """
     assignment = np.zeros(len(pts), dtype=np.int64)
     if not pts.size:  # no rows, or no coordinates: every row is row 0
         return np.arange(min(len(pts), 1)), assignment
-    col, order = _widest_column_order(pts) if sort is None else sort
-    key = pts[order, col]
+    col, order, pivots = _widest_column_order(pts) if sort is None else sort
+    key = pivots[0]
+    by_row = np.empty_like(pivots)
+    by_row[:, order] = pivots
     live = np.ones(len(pts), dtype=bool)
     kept, i = [], 0
     while live[i]:
         lo, hi = _slab(key, pts[i, col], threshold)
         near = order[lo:hi]
         near = near[live[near]]
-        near = near[distances(pts[i], pts[near]) <= threshold]
+        if len(near) > _PIVOT_MIN_ROWS:
+            near = near[np.abs(by_row[:, near] - by_row[:, i, None]).max(axis=0) <= threshold]
+        near = near[distances(pts[i : i + 1], pts[near])[0] <= threshold]
         live[near] = False
         assignment[near] = len(kept)
         kept.append(i)

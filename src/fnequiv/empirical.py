@@ -130,32 +130,40 @@ def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> tuple:
     order they are chosen, and the R at which each center after the first
     was picked.
 
-    The points are sorted on their widest column, and ``md`` holds each
-    point's distance to the centers so far.  The next center is the point
-    with the largest ``md``, R, the lowest row index on a tie; the pass
-    stops once R <= eps.  Covered points stay in ``md`` but cannot be the
-    largest while R > eps.  Every ``md`` is at most R, so the new center can
-    only lower ``md`` inside its ``_slab`` of radius R; only that range is
-    rescanned.
+    ``md`` holds each point's distance to the centers so far.  The next
+    center is the point with the largest ``md``, R, the lowest row index on
+    a tie; the pass stops once R <= eps.  Covered points stay in ``md`` but
+    cannot be the largest while R > eps.  Every ``md`` is at most R, so the
+    new center can only lower ``md`` inside its ``_slab`` of radius R on the
+    widest sorted column.  Of the slab, only the points whose largest gap
+    to the center on the pivot columns (``_widest_column_order``) is below
+    their ``md`` go through the kernel.  That gap is the max of some of the
+    rounded |a - b| whose max is the distance, from the same doubles, so it
+    never exceeds the computed distance: a point it skips would keep its
+    ``md`` bit for bit.  Unlike the slab's ends, it needs no margin.
     """
     pts = space.points
     if not pts.shape[1]:  # no coordinates: every point is row 0
         return np.zeros(1, dtype=np.intp), np.empty(0)
-    col, order = space._sort()
-    P = pts[order]
-    key = P[:, col]
-    md = _chebyshev(pts[:1], P)[0]
+    _, order, pivots = space._sort()
+    key = pivots[0]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    md = _chebyshev(pts[:1], pts)[0]
     centers, radii = [0], []
     while True:
-        j = int(np.argmax(md))
-        R = md[j]
+        c = int(np.argmax(md))
+        R = md[c]
         if R <= epsilon:
             return np.array(centers, dtype=np.intp), np.array(radii, dtype=float)
-        ties = np.flatnonzero(md == R)
-        j = int(ties[np.argmin(order[ties])])
+        j = rank[c]
         lo, hi = _slab(key, key[j], R)
-        np.minimum(md[lo:hi], _chebyshev(P[j : j + 1], P[lo:hi])[0], out=md[lo:hi])
-        centers.append(int(order[j]))
+        gaps = pivots[:, lo:hi] - pivots[:, j, None]
+        np.abs(gaps, out=gaps)
+        near = order[lo:hi]
+        near = near[gaps.max(axis=0) < md[near]]
+        md[near] = np.minimum(md[near], _chebyshev(pts[c : c + 1], pts[near])[0])
+        centers.append(c)
         radii.append(R)
 
 
@@ -168,14 +176,7 @@ def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:
     ``canonical._first_fit``).
     """
     _check_oracle_args(space, epsilon)
-    return len(_first_fit(space.points, 2.0 * epsilon, _distances_to, space._sort())[0])
-
-
-def _distances_to(row: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_first_fit``'s distance kernel for the greedy and certified
-    packings: ``_chebyshev`` from ``row`` to each of ``rows``, looked up in
-    this module at each call."""
-    return _chebyshev(row[None], rows)[0]
+    return len(_first_fit(space.points, 2.0 * epsilon, _chebyshev, space._sort())[0])
 
 
 def exact_covering_number(space: MetricSpaceSample, epsilon: float) -> int:
@@ -237,7 +238,7 @@ def _certified_count(space: MetricSpaceSample, D: np.ndarray, epsilon: float) ->
     the certificate against another distance kernel.
     """
     covers = D <= epsilon
-    kept = _first_fit(space.points, 2.0 * epsilon, _distances_to, space._sort())[0]
+    kept = _first_fit(space.points, 2.0 * epsilon, _chebyshev, space._sort())[0]
     centers = _greedy_set_cover(covers)
     if len(kept) != len(centers) or covers[kept].sum(axis=0).max() > 1:
         return None

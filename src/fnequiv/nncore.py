@@ -336,25 +336,33 @@ def _flatten(layers) -> np.ndarray:
     return np.concatenate([a.reshape(*lead, -1) for W, b in layers for a in (W, b)], axis=-1)
 
 
-def _chebyshev(points: np.ndarray, centers: np.ndarray, out=None) -> np.ndarray:
+# Bytes of differences the one-row form of ``_chebyshev`` holds at once.
+_DISTANCE_BLOCK_BYTES = 2**16
+
+
+def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """L-infinity distances from each row of ``points`` (axis 0) to each row
     of ``centers`` (axis 1), bit for bit those of ``np.abs(a - b).max()``:
     a max of once-rounded |a - b|, which is the true distance correctly
     rounded, so three computed distances can miss the triangle inequality
-    by an ulp.
+    by an ulp.  Rows without coordinates are 0 apart.
 
-    Both inputs must be finite: the kernel skips NaN coordinates, so a NaN
-    row can come out at a finite distance (even 0) instead of NaN.
-
-    Put the fewer rows first: ``_chebyshev(one_row, many)[0]`` gives the
-    same bits as ``_chebyshev(many, one_row)[:, 0]``, 3-4x faster on
-    hundreds to thousands of rows.  ``out``, when given, must be a
-    C-contiguous float64 array of the result's shape; it is filled and
-    returned.
+    One row of ``points`` is taken against blocks of ``centers`` that hold
+    at most ``_DISTANCE_BLOCK_BYTES`` of differences; more rows fill the
+    matrix one coordinate at a time through one buffer of its size.
     """
-    from scipy.spatial.distance import cdist
-
-    return cdist(points, centers, metric="chebyshev", out=out)
+    if len(points) == 1:
+        step = max(1, _DISTANCE_BLOCK_BYTES // (8 * max(1, points.shape[1])))
+        if len(centers) <= step:
+            return np.abs(centers - points).max(axis=1, initial=0.0)[None]
+        blocks = range(0, len(centers), step)
+        return np.concatenate([_chebyshev(points, centers[s : s + step]) for s in blocks], axis=1)
+    out = np.zeros((len(points), len(centers)))
+    gaps = np.empty_like(out)
+    for a, b in zip(points.T, centers.T):
+        np.abs(np.subtract.outer(a, b, out=gaps), out=gaps)
+        np.maximum(out, gaps, out=out)
+    return out
 
 
 def params_identical(a: NetworkParams, b: NetworkParams) -> bool:

@@ -1095,3 +1095,13 @@ def test_basin_run_loads_no_scipy(tmp_path):
     assert scipy_modules_after(code) == "[]"
     summary = json.loads((tmp_path / "exp.summary.json").read_text())["summary"]
     assert summary["n_converged"] > 0  # so the clustering ran too
+
+
+def test_greedy_cover_and_pack_load_no_scipy():
+    # Importing scipy.spatial alone adds more than 30 MB to a run's peak
+    # memory; the greedy oracles compute their distances in numpy.
+    code = "import sys; from fnequiv import Architecture, RELU, function_class_sample; "
+    code += "from fnequiv import greedy_covering_estimate, greedy_packing_estimate; "
+    code += "s = function_class_sample(Architecture(1, (2,), (RELU,)), 1.0, 3, 1.0, 16); "
+    code += "assert greedy_covering_estimate(s, 0.1) >= greedy_packing_estimate(s, 0.1) > 1"
+    assert scipy_modules_after(code) == "[]"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fnequiv import canonical, empirical
+from fnequiv import canonical, empirical, nncore
 from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_bound
 from fnequiv.canonical import _first_fit
 from fnequiv.empirical import (
@@ -16,7 +16,6 @@ from fnequiv.empirical import (
     MetricSpaceSample,
     _certified_count,
     _cover_milp,
-    _distances_to,
     _edge_clique_cover,
     _greedy_cover_centers,
     _greedy_set_cover,
@@ -30,7 +29,7 @@ from fnequiv.empirical import (
 )
 from fnequiv.equivalence import ball_points
 from fnequiv.errors import BudgetExceededError, DomainError
-from fnequiv.nncore import Architecture, IDENTITY, RELU, TANH
+from fnequiv.nncore import Architecture, IDENTITY, RELU, TANH, _chebyshev
 
 from oracles import (
     edge_packing_number,
@@ -146,6 +145,17 @@ class TestGreedyEstimates:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * fclass_sample.points.nbytes
+
+    def test_distance_matrix_memory_bounded_by_the_result(self):
+        space = MetricSpaceSample(np.random.default_rng(6).uniform(-1, 1, (200, 35)))
+        space.distance_matrix()
+        tracemalloc.start()
+        try:
+            D = space.distance_matrix()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * D.nbytes
 
 
 class TestGreedyCoverRecord:
@@ -293,6 +303,49 @@ class TestGreedyCoverPruning:
         assert (centers.tolist(), radii.tolist()) == greedy_cover_centers_reference(pts, eps)
         assert centers.tolist() == [0, 1, 2]
         assert radii.tolist() == [8 * abs(u), y]
+
+    def test_pivot_bound_keeps_most_slab_rows_from_the_kernel(self, monkeypatch):
+        # Past its first call, the kernel reads only the slab rows whose gaps
+        # to the center on all three pivot columns are below their distance
+        # so far: here 7 % of them, where signed gaps would pass 30 %.
+        slab_rows, kernel_rows = [], []
+
+        def slab(*args):
+            lo, hi = canonical._slab(*args)
+            slab_rows.append(hi - lo)
+            return lo, hi
+
+        def kernel(points, centers):
+            kernel_rows.append(len(centers))
+            return nncore._chebyshev(points, centers)
+
+        monkeypatch.setattr(empirical, "_slab", slab)
+        monkeypatch.setattr(empirical, "_chebyshev", kernel)
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1, 1, (1000, 6)) * np.array([4, 2, 1, 1, 0.5, 0.5])
+        centers, radii = _greedy_cover_centers(MetricSpaceSample(pts), 0.1)
+        assert (centers.tolist(), radii.tolist()) == greedy_cover_centers_reference(pts, 0.1)
+        assert sum(kernel_rows[1:]) <= 0.1 * sum(slab_rows)
+
+    def test_pivot_bound_keeps_live_rows_from_the_pack_kernel(self, monkeypatch):
+        # Past _PIVOT_MIN_ROWS live slab rows, first fit sends the kernel only
+        # those within the threshold on every pivot column: here 10,454 rows
+        # against 22,624 without the bound.
+        def counted(rows):
+            def kernel(points, centers):
+                rows.append(len(centers))
+                return nncore._chebyshev(points, centers)
+
+            return kernel
+
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1, 1, (1000, 6)) * np.array([4, 2, 1, 1, 0.5, 0.5])
+        bounded, plain = [], []
+        kept = _first_fit(pts, 0.5, counted(bounded))[0]
+        assert len(kept) == greedy_pack_reference(pts, 0.25)
+        monkeypatch.setattr(canonical, "_PIVOT_MIN_ROWS", len(pts))
+        assert _first_fit(pts, 0.5, counted(plain))[0].tolist() == kept.tolist()
+        assert sum(bounded) <= 0.6 * sum(plain)
 
     @pytest.mark.parametrize("points", [np.zeros((3, 0)), np.array([]), np.array([[0.5, -2.0]])])
     def test_samples_of_one_distinct_point(self, points):
@@ -506,7 +559,7 @@ class TestCertifiedBracket:
         pts, eps = case
         space = MetricSpaceSample(pts)
         D = space.distance_matrix()
-        lower = len(_first_fit(pts, 2.0 * eps, _distances_to)[0])
+        lower = len(_first_fit(pts, 2.0 * eps, _chebyshev)[0])
         upper = len(_greedy_set_cover(D <= eps))
         n_opt, m_opt = _cover_milp(D, eps), _packing_milp(D, eps)
         assert lower <= m_opt <= n_opt <= upper
@@ -534,7 +587,7 @@ class TestCertifiedBracket:
         calls = spy_milp(monkeypatch)
         space = MetricSpaceSample(np.random.default_rng(0).uniform(-1, 1, (40, 2)))
         D = space.distance_matrix()
-        assert len(_first_fit(space.points, 0.5, _distances_to)[0]) == 9
+        assert len(_first_fit(space.points, 0.5, _chebyshev)[0]) == 9
         assert len(_greedy_set_cover(D <= 0.25)) == 17
         assert exact_covering_number(space, 0.25) == 15
         assert exact_packing_number(space, 0.25) == 10
@@ -550,7 +603,7 @@ class TestCertifiedBracket:
         space = MetricSpaceSample(np.arange(len(table))[:, None] / 1000)
         D = space.distance_matrix()
         assert (D == table).all()
-        kept = _first_fit(space.points, 2.0, _distances_to)[0]
+        kept = _first_fit(space.points, 2.0, empirical._chebyshev)[0]
         assert len(kept) == len(_greedy_set_cover(D <= 1.0))
         assert _certified_count(space, D, 1.0) is None
         assert exact_covering_number(space, 1.0) == _cover_milp(D, 1.0) == cover

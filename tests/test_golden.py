@@ -171,15 +171,16 @@ def test_basin_output_files_pinned(case, tmp_path, monkeypatch, capsys):
 
 
 def test_certified_sweep_loads_no_milp_solver():
-    # Every exact count of this sweep is certified without the solver, so a
-    # fresh process never imports scipy.optimize (about 11 MB).
+    # Every exact count of this sweep is certified without the solver, and
+    # the distances are the package's own, so a fresh process imports no
+    # scipy module at all.
     case = "covering_sweep_exact_grid12"
     code = "import contextlib, hashlib, io, sys; from fnequiv.cli import main\n"
     code += "out = io.StringIO()\nwith contextlib.redirect_stdout(out):\n"
     code += f"    assert main({CASES[case]!r}) == 0\n"
     code += f"assert hashlib.sha256(out.getvalue().encode()).hexdigest() == {DIGESTS[case]!r}\n"
     code += "assert 'scipy.optimize' not in sys.modules"
-    assert "'scipy.spatial'" in scipy_modules_after(code)
+    assert scipy_modules_after(code) == "[]"
 
 
 # Numeric environments with other floating-point kernels: OpenBLAS without

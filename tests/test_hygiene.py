@@ -95,12 +95,11 @@ def scipy_import_sites(source: str) -> list[str]:
     return sites
 
 
-# The only functions that may load scipy, each for one kernel: the distance
-# kernel, the two MILP oracles and the sigmoid.  The equivalence decisions,
-# the sample points, the amplification check and the bounds load none of it.
+# The only functions that may load scipy, each for one kernel: the two MILP
+# oracles and the sigmoid.  The distances, the equivalence decisions, the
+# sample points, the amplification check and the bounds load none of it.
 SCIPY_IMPORT_SITES = {
-    ("nncore.py", "_chebyshev"), ("nncore.py", "_apply"), ("empirical.py", "_cover_milp"),
-    ("empirical.py", "_packing_milp"),
+    ("nncore.py", "_apply"), ("empirical.py", "_cover_milp"), ("empirical.py", "_packing_milp"),
 }  # fmt: skip
 
 

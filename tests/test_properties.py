@@ -45,6 +45,7 @@ from fnequiv.nncore import (
     Architecture,
     Network,
     NetworkParams,
+    _DISTANCE_BLOCK_BYTES,
     _chebyshev,
     _forward_checked,
     _forward_trace,
@@ -755,25 +756,27 @@ class TestChebyshevKernel:
     @given(st.data())
     def test_one_row_first_matches_plain_numpy(self, data):
         # Coordinates of very different scales, signed zeros and
-        # subnormals, so that |a - b| rounds in every way it can.
+        # subnormals, so that |a - b| rounds in every way it can.  Some
+        # inputs have no rows or no columns, and some more rows than one
+        # block of the one-row form.
         coord = st.one_of(VALUES, st.floats(-1e300, 1e300), st.sampled_from([5e-324, -5e-324]))
-        dim = data.draw(st.integers(1, 6))
-        shape = st.tuples(st.integers(1, 40), st.just(dim))
+        dim = data.draw(st.integers(0, 6))
+        shape = st.tuples(st.integers(0, 40), st.just(dim))
         rows = data.draw(hnp.arrays(float, shape, elements=coord))
+        if data.draw(st.booleans()):
+            block = _DISTANCE_BLOCK_BYTES // (8 * max(1, dim))
+            rows = np.resize(rows, (data.draw(st.integers(block + 1, 3 * block)), dim))
         center = data.draw(hnp.arrays(float, (1, dim), elements=coord))
         fast = _chebyshev(center, rows)[0]
-        assert fast.tobytes() == np.abs(rows - center).max(axis=1).tobytes()
+        plain = np.abs(rows - center).max(axis=1) if dim else np.zeros(len(rows))
+        assert fast.tobytes() == plain.tobytes()
         assert fast.tobytes() == _chebyshev(rows, center)[:, 0].tobytes()
-
-    @PROPERTY
-    @given(st.data())
-    def test_out_buffer_gives_the_same_bits(self, data):
-        dim = data.draw(st.integers(1, 6))
-        a = data.draw(hnp.arrays(float, st.tuples(st.integers(1, 20), st.just(dim)), elements=VALUES))
-        b = data.draw(hnp.arrays(float, st.tuples(st.integers(1, 20), st.just(dim)), elements=VALUES))
-        buf = np.full((len(a), len(b)), np.nan)
-        assert _chebyshev(a, b, out=buf) is buf
-        assert buf.tobytes() == _chebyshev(a, b).tobytes()
+        others_shape = st.tuples(st.integers(0, 6), st.just(dim))
+        others = data.draw(hnp.arrays(float, others_shape, elements=coord))
+        matrix = _chebyshev(others, rows)
+        assert matrix.shape == (len(others), len(rows))
+        for i in range(len(others)):
+            assert matrix[i].tobytes() == _chebyshev(others[i : i + 1], rows)[0].tobytes()
 
 
 @st.composite
@@ -794,6 +797,24 @@ def cover_point_sets(draw):
     picks = st.integers(0, len(pool) - 1)
     picks = draw(hnp.arrays(np.intp, st.integers(1, 400), elements=picks, fill=st.nothing()))
     return pool[picks]
+
+
+@st.composite
+def wide_point_sets(draw):
+    """1-400 rows of 4-12 columns, picked with repeats from a pool of 1-400
+    rows with coordinates either continuous or on a 0.25 grid, each column
+    scaled by its own power of two (so grid distances stay exact): the
+    columns past the three widest still set many distances, so the pivot
+    bound skips some slab rows and lets others through to the kernel."""
+    dim = draw(st.integers(4, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pool = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        pool = rng.uniform(-1.0, 1.0, (n_pool, dim))
+    else:
+        pool = rng.integers(-4, 5, (n_pool, dim)) * 0.25
+    pool *= 2.0 ** rng.integers(-2, 3, dim)
+    return pool[rng.integers(0, n_pool, draw(st.integers(1, 400)))]
 
 
 ULP_1E6 = float(np.spacing(1e6))
@@ -828,3 +849,10 @@ class TestGreedyCoverCenters:
     @given(offset_point_sets(), st.sampled_from([0.25, 0.5, 1.0, 1.25, 2.5]))
     def test_match_reference_near_large_offsets(self, pts, eps_ulps):
         assert_cover_matches_reference(pts, eps_ulps * ULP_1E6)
+
+    @PROPERTY
+    @given(wide_point_sets(), st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    def test_match_reference_past_the_pivot_columns(self, pts, eps):
+        assert_cover_matches_reference(pts, eps)
+        space = MetricSpaceSample(pts)
+        assert greedy_packing_estimate(space, eps) == greedy_pack_reference(pts, eps)
