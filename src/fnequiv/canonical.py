@@ -127,20 +127,21 @@ def group_rows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, list[int
 
 # Relative slack on a slab's half-width; see _slab.
 MARGIN = 1e-9
-# Columns whose gaps bound a distance from below (empirical._greedy_cover_centers);
-# _first_fit takes the bound past _PIVOT_MIN_ROWS live slab rows only, as on
-# fewer its few array operations cost more than the kernel rows they spare.
+# Columns whose gaps bound a distance from below (_first_fit and
+# empirical._greedy_cover_centers); _first_fit takes the bound on slabs of
+# more than _PIVOT_MIN_ROWS rows, where it spares more than it costs.
 _PIVOTS = 3
 _PIVOT_MIN_ROWS = 64
 
 
 def _widest_column_order(pts: np.ndarray) -> tuple:
-    """The widest column (the first on a tie), a stable sort of the rows on
-    it, and the sorted rows' coordinates on the ``_PIVOTS`` widest columns,
-    it first, as a (pivots, rows) array; the rows need a column."""
-    cols = np.argsort(-np.ptp(pts, axis=0), kind="stable")[:_PIVOTS]
+    """A stable sort of the rows (which need a column) on the widest column,
+    the first on a tie; each row's place in it; and the sorted rows'
+    coordinates on the ``_PIVOTS`` widest columns, it first, as one array."""
+    with np.errstate(over="ignore"):  # a width beyond a double is +inf
+        cols = np.argsort(-np.ptp(pts, axis=0), kind="stable")[:_PIVOTS]
     order = np.argsort(pts[:, cols[0]], kind="stable")
-    return int(cols[0]), order, pts[order, cols[:, None]]
+    return order, np.argsort(order), pts[order, cols[:, None]]
 
 
 def _slab(key: np.ndarray, c: float, r: float) -> tuple:
@@ -174,31 +175,33 @@ def _first_fit(pts: np.ndarray, threshold: float, distances, sort=None) -> tuple
     ``live`` marks the rows farther than ``threshold`` from every kept row;
     the next kept row is the first live one, and a kept row c takes the
     live rows within ``threshold`` of it, itself included, into its group.
-    Only those in c's ``_slab`` on the widest sorted column can be, and past
-    ``_PIVOT_MIN_ROWS`` live ones only those within ``threshold`` of c on
-    every pivot column: each kept row costs one distance pass over those.
+    Only those in c's ``_slab`` on the widest sorted column can be, and in a
+    slab of over ``_PIVOT_MIN_ROWS`` rows only those within ``threshold`` of c
+    on every pivot: each kept row costs one distance pass over those.
     ``sort``, when given, is ``_widest_column_order(pts)`` made before.
     """
     assignment = np.zeros(len(pts), dtype=np.int64)
     if not pts.size:  # no rows, or no coordinates: every row is row 0
         return np.arange(min(len(pts), 1)), assignment
-    col, order, pivots = _widest_column_order(pts) if sort is None else sort
+    order, rank, pivots = _widest_column_order(pts) if sort is None else sort
     key = pivots[0]
-    by_row = np.empty_like(pivots)
-    by_row[:, order] = pivots
     live = np.ones(len(pts), dtype=bool)
     kept, i = [], 0
-    while live[i]:
-        lo, hi = _slab(key, pts[i, col], threshold)
-        near = order[lo:hi]
-        near = near[live[near]]
-        if len(near) > _PIVOT_MIN_ROWS:
-            near = near[np.abs(by_row[:, near] - by_row[:, i, None]).max(axis=0) <= threshold]
-        near = near[distances(pts[i : i + 1], pts[near])[0] <= threshold]
-        live[near] = False
-        assignment[near] = len(kept)
-        kept.append(i)
-        i = int(np.argmax(live))  # the first live row, or 0 when none is left
+    with np.errstate(over="ignore"):  # a gap beyond a double is +inf
+        while live[i]:
+            j = rank[i]
+            lo, hi = _slab(key, key[j], threshold)
+            near = order[lo:hi]
+            if hi - lo > _PIVOT_MIN_ROWS:
+                gaps = pivots[:, lo:hi] - pivots[:, j, None]
+                np.abs(gaps, out=gaps)
+                near = near[gaps.max(axis=0) <= threshold]
+            near = near[live[near]]
+            near = near[distances(pts[i : i + 1], pts[near])[0] <= threshold]
+            live[near] = False
+            assignment[near] = len(kept)
+            kept.append(i)
+            i = int(np.argmax(live))  # the first live row, or 0 when none is left
     return np.array(kept, dtype=np.intp), assignment
 
 

@@ -145,26 +145,25 @@ def _greedy_cover_centers(space: MetricSpaceSample, epsilon: float) -> tuple:
     pts = space.points
     if not pts.shape[1]:  # no coordinates: every point is row 0
         return np.zeros(1, dtype=np.intp), np.empty(0)
-    _, order, pivots = space._sort()
+    order, rank, pivots = space._sort()
     key = pivots[0]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
     md = _chebyshev(pts[:1], pts)[0]
     centers, radii = [0], []
-    while True:
-        c = int(np.argmax(md))
-        R = md[c]
-        if R <= epsilon:
-            return np.array(centers, dtype=np.intp), np.array(radii, dtype=float)
-        j = rank[c]
-        lo, hi = _slab(key, key[j], R)
-        gaps = pivots[:, lo:hi] - pivots[:, j, None]
-        np.abs(gaps, out=gaps)
-        near = order[lo:hi]
-        near = near[gaps.max(axis=0) < md[near]]
-        md[near] = np.minimum(md[near], _chebyshev(pts[c : c + 1], pts[near])[0])
-        centers.append(c)
-        radii.append(R)
+    with np.errstate(over="ignore"):  # a gap beyond a double is +inf
+        while True:
+            c = int(np.argmax(md))
+            R = md[c]
+            if R <= epsilon:
+                return np.array(centers, dtype=np.intp), np.array(radii, dtype=float)
+            j = rank[c]
+            lo, hi = _slab(key, key[j], R)
+            gaps = pivots[:, lo:hi] - pivots[:, j, None]
+            np.abs(gaps, out=gaps)
+            near = order[lo:hi]
+            near = near[gaps.max(axis=0) < md[near]]
+            md[near] = np.minimum(md[near], _chebyshev(pts[c : c + 1], pts[near])[0])
+            centers.append(c)
+            radii.append(R)
 
 
 def greedy_packing_estimate(space: MetricSpaceSample, epsilon: float) -> int:

@@ -337,7 +337,7 @@ def _flatten(layers) -> np.ndarray:
 
 
 # Bytes of differences the one-row form of ``_chebyshev`` holds at once.
-_DISTANCE_BLOCK_BYTES = 2**16
+_DISTANCE_BLOCK_BYTES = 2**18
 
 
 def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -345,23 +345,21 @@ def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     of ``centers`` (axis 1), bit for bit those of ``np.abs(a - b).max()``:
     a max of once-rounded |a - b|, which is the true distance correctly
     rounded, so three computed distances can miss the triangle inequality
-    by an ulp.  Rows without coordinates are 0 apart.
+    by an ulp.  Rows without coordinates are 0 apart, and a gap beyond a
+    double is +inf.
 
-    One row of ``points`` is taken against blocks of ``centers`` that hold
-    at most ``_DISTANCE_BLOCK_BYTES`` of differences; more rows fill the
-    matrix one coordinate at a time through one buffer of its size.
+    One row of ``points`` against at most ``_DISTANCE_BLOCK_BYTES`` of
+    differences is one broadcast; anything larger fills the matrix one
+    coordinate at a time through one buffer of its size.
     """
-    if len(points) == 1:
-        step = max(1, _DISTANCE_BLOCK_BYTES // (8 * max(1, points.shape[1])))
-        if len(centers) <= step:
+    with np.errstate(over="ignore"):
+        if len(points) == 1 and 8 * centers.size <= _DISTANCE_BLOCK_BYTES:
             return np.abs(centers - points).max(axis=1, initial=0.0)[None]
-        blocks = range(0, len(centers), step)
-        return np.concatenate([_chebyshev(points, centers[s : s + step]) for s in blocks], axis=1)
-    out = np.zeros((len(points), len(centers)))
-    gaps = np.empty_like(out)
-    for a, b in zip(points.T, centers.T):
-        np.abs(np.subtract.outer(a, b, out=gaps), out=gaps)
-        np.maximum(out, gaps, out=out)
+        out = np.zeros((len(points), len(centers)))
+        gaps = np.empty_like(out)
+        for a, b in zip(points.T, centers.T):
+            np.abs(np.subtract.outer(a, b, out=gaps), out=gaps)
+            np.maximum(out, gaps, out=out)
     return out
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fnequiv import canonical, empirical, nncore
 from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_bound
-from fnequiv.canonical import _first_fit
+from fnequiv.canonical import _first_fit, group_rows
 from fnequiv.empirical import (
     DEFAULT_GRID_BUDGET,
     METRIC_FUNCTION,
@@ -239,7 +239,8 @@ class TestSortRecord:
             )
         exact_covering_number(space, 0.8)
         assert sorts == [60]
-        assert space._sort_record[0] == int(np.argmax(np.ptp(pts, axis=0)))
+        widest = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
+        assert space._sort_record[2][0].tobytes() == np.sort(widest).tobytes()
         assert "_sort_record" not in repr(space)
 
     def test_no_coordinates_records_nothing(self):
@@ -327,25 +328,48 @@ class TestGreedyCoverPruning:
         assert (centers.tolist(), radii.tolist()) == greedy_cover_centers_reference(pts, 0.1)
         assert sum(kernel_rows[1:]) <= 0.1 * sum(slab_rows)
 
-    def test_pivot_bound_keeps_live_rows_from_the_pack_kernel(self, monkeypatch):
-        # Past _PIVOT_MIN_ROWS live slab rows, first fit sends the kernel only
-        # those within the threshold on every pivot column: here 10,454 rows
-        # against 22,624 without the bound.
-        def counted(rows):
-            def kernel(points, centers):
-                rows.append(len(centers))
-                return nncore._chebyshev(points, centers)
+    def test_pivot_bound_keeps_most_slab_rows_from_the_pack_kernel(self, monkeypatch):
+        # On slabs of more than _PIVOT_MIN_ROWS rows, first fit sends the
+        # kernel only the live rows within the threshold of the kept row on
+        # every pivot column: here 2,797 of the 56,552 slab rows, where the
+        # live ones alone are 22,624.
+        slab_rows, kernel_rows, plain_slab = [], [], canonical._slab
 
-            return kernel
+        def slab(*args):
+            lo, hi = plain_slab(*args)
+            slab_rows.append(hi - lo)
+            return lo, hi
 
+        def kernel(points, centers):
+            kernel_rows.append(len(centers))
+            return nncore._chebyshev(points, centers)
+
+        monkeypatch.setattr(canonical, "_slab", slab)
         rng = np.random.default_rng(0)
         pts = rng.uniform(-1, 1, (1000, 6)) * np.array([4, 2, 1, 1, 0.5, 0.5])
-        bounded, plain = [], []
-        kept = _first_fit(pts, 0.5, counted(bounded))[0]
-        assert len(kept) == greedy_pack_reference(pts, 0.25)
-        monkeypatch.setattr(canonical, "_PIVOT_MIN_ROWS", len(pts))
-        assert _first_fit(pts, 0.5, counted(plain))[0].tolist() == kept.tolist()
-        assert sum(bounded) <= 0.6 * sum(plain)
+        assert len(_first_fit(pts, 0.5, kernel)[0]) == greedy_pack_reference(pts, 0.25)
+        assert sum(kernel_rows) <= 0.1 * sum(slab_rows)
+
+    def test_gaps_beyond_a_double_are_infinite_without_a_warning(self):
+        # Coordinates +-1.5e308 are a finite 3e308 apart, beyond a double:
+        # the kernel, the column widths and the pivot gaps give +inf, as
+        # cdist did, and warnings are errors under pytest.  Rows 4 and 5
+        # share the sorted column's key, so one's slab holds the other; 30
+        # copies of each row make that slab long enough for first fit's
+        # pivot bound.
+        v = np.array([1.5e308, -1.5e308, 1e308, 0.0])
+        w = np.array([0.0, 1.5e308, 0.0, 0.0])
+        pts = np.array([0 * v, v, -v, 0.5 * v, w, -w])
+        with np.errstate(over="ignore"):
+            reference = greedy_cover_centers_reference(pts, 1.0)
+            packed = greedy_pack_reference(pts, 1.0)
+        assert _chebyshev(pts[1:2], pts[2:3]).tolist() == [[math.inf]]
+        assert _chebyshev(pts, pts)[4, 5] == math.inf
+        centers, radii = _greedy_cover_centers(MetricSpaceSample(pts), 1.0)
+        assert (centers.tolist(), radii.tolist()) == reference
+        assert greedy_packing_estimate(MetricSpaceSample(pts), 1.0) == packed == 6
+        assert group_rows(pts, 1.0)[1] == [0, 1, 2, 3, 4, 5]
+        assert group_rows(np.repeat(pts, 30, axis=0), 1.0)[1] == list(range(0, 180, 30))
 
     @pytest.mark.parametrize("points", [np.zeros((3, 0)), np.array([]), np.array([[0.5, -2.0]])])
     def test_samples_of_one_distinct_point(self, points):

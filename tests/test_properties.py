@@ -755,11 +755,12 @@ class TestChebyshevKernel:
     @PROPERTY
     @given(st.data())
     def test_one_row_first_matches_plain_numpy(self, data):
-        # Coordinates of very different scales, signed zeros and
-        # subnormals, so that |a - b| rounds in every way it can.  Some
-        # inputs have no rows or no columns, and some more rows than one
-        # block of the one-row form.
-        coord = st.one_of(VALUES, st.floats(-1e300, 1e300), st.sampled_from([5e-324, -5e-324]))
+        # Coordinates of very different scales, signed zeros, subnormals
+        # and +-1.5e308, whose gap is beyond a double, so that |a - b|
+        # rounds in every way it can.  Some inputs have no rows or no
+        # columns, and some more rows than one block of the one-row form.
+        extremes = st.sampled_from([5e-324, -5e-324, 1.5e308, -1.5e308])
+        coord = st.one_of(VALUES, st.floats(-1e300, 1e300), extremes)
         dim = data.draw(st.integers(0, 6))
         shape = st.tuples(st.integers(0, 40), st.just(dim))
         rows = data.draw(hnp.arrays(float, shape, elements=coord))
@@ -768,7 +769,8 @@ class TestChebyshevKernel:
             rows = np.resize(rows, (data.draw(st.integers(block + 1, 3 * block)), dim))
         center = data.draw(hnp.arrays(float, (1, dim), elements=coord))
         fast = _chebyshev(center, rows)[0]
-        plain = np.abs(rows - center).max(axis=1) if dim else np.zeros(len(rows))
+        with np.errstate(over="ignore"):
+            plain = np.abs(rows - center).max(axis=1) if dim else np.zeros(len(rows))
         assert fast.tobytes() == plain.tobytes()
         assert fast.tobytes() == _chebyshev(rows, center)[:, 0].tobytes()
         others_shape = st.tuples(st.integers(0, 6), st.just(dim))
