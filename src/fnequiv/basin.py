@@ -33,12 +33,15 @@ from .nncore import (
     forward_block,
     params_from_flat,
     stack_block,
+    _DISTANCE_BLOCK_BYTES,
     _flatten,
     _mse_value_and_grad,
     _unflatten,
 )
 
 DEFAULT_CLUSTER_TOL = 1e-3
+# The number of set bits in each byte value.
+_BIT_COUNTS = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +81,29 @@ class InitScheme:
             check_range("normal init sigma", self.sigma, 0)
 
 
-def _layer_draw(scheme: InitScheme, rng, n, fan_out, fan_in):
-    """The layer's (n, fan_out * fan_in) weight draw, then its (n, fan_out)
-    bias draw; a generator, so each is made only when asked for."""
-    if scheme.kind == "uniform":
-        yield rng.uniform(scheme.low, scheme.high, size=(n, fan_out * fan_in))
-        yield rng.uniform(scheme.low, scheme.high, size=(n, fan_out))
-    elif scheme.kind == "normal":
-        yield rng.normal(scheme.mu, scheme.sigma, size=(n, fan_out * fan_in))
-        yield rng.normal(scheme.mu, scheme.sigma, size=(n, fan_out))
-    else:  # xavier or he: they differ only in the fan that sets the std
-        fan = fan_in + fan_out if scheme.kind == "xavier" else fan_in
-        yield rng.normal(0.0, math.sqrt(2.0 / fan), size=(n, fan_out * fan_in))
-        yield np.zeros((n, fan_out))
+def _layer_draw(arch: Architecture, scheme: InitScheme, rng, n: int, rows: int | None = None):
+    """``n`` flat parameter draws from ``rng``, layer by layer: each layer's
+    (n, fan_out * fan_in) weight draw, then its (n, fan_out) bias draw, each
+    made ``rows`` rows at a time (all ``n`` at once by default).
+
+    A generator of (first column, first row, chunk) triples, so each chunk
+    is made only when asked for.  Consecutive draws continue the stream, so
+    a part's row chunks, stacked, are its one-call draw bit for bit.
+    """
+    rows = rows or n
+    col = 0
+    for (fan_out, fan_in), _ in arch.layer_shapes():
+        if scheme.kind == "uniform":
+            weights = biases = lambda size: rng.uniform(scheme.low, scheme.high, size)
+        elif scheme.kind == "normal":
+            weights = biases = lambda size: rng.normal(scheme.mu, scheme.sigma, size)
+        else:  # xavier or he: they differ only in the fan that sets the std
+            std = math.sqrt(2.0 / (fan_in + fan_out if scheme.kind == "xavier" else fan_in))
+            weights, biases = (lambda size: rng.normal(0.0, std, size)), np.zeros
+        for width, draw in ((fan_out * fan_in, weights), (fan_out, biases)):
+            for first in range(0, n, rows):
+                yield col, first, draw((min(rows, n - first), width))
+            col += width
 
 
 def initialize_batch(arch: Architecture, scheme: InitScheme, n: int) -> np.ndarray:
@@ -99,20 +112,18 @@ def initialize_batch(arch: Architecture, scheme: InitScheme, n: int) -> np.ndarr
     return _draw(arch, scheme, np.random.default_rng(scheme.seed), n)
 
 
-def _draw(arch: Architecture, scheme: InitScheme, rng, n: int) -> np.ndarray:
+def _draw(arch: Architecture, scheme: InitScheme, rng, n: int, out=None) -> np.ndarray:
     """``n`` flat parameter vectors from ``rng``, drawn layer by layer into
-    one (n, S) array.
+    ``out``, an (n, S) array (a new one by default), which is returned.
 
     Each weight or bias draw is copied into its columns and dropped before
     the next is made, so at most one of them is alive at a time.
     """
-    out = np.empty((n, arch.param_count))
-    col = 0
-    for (fan_out, fan_in), _ in arch.layer_shapes():
-        for part in _layer_draw(scheme, rng, n, fan_out, fan_in):
-            out[:, col : col + part.shape[1]] = part
-            col += part.shape[1]
-            del part
+    if out is None:
+        out = np.empty((n, arch.param_count))
+    for col, _, part in _layer_draw(arch, scheme, rng, n):
+        out[:, col : col + part.shape[1]] = part
+        del part
     return out
 
 
@@ -335,7 +346,9 @@ def basin_experiment(
     if cluster_tolerance is not None:
         check_range("cluster tolerance", cluster_tolerance, 0)
     children = np.random.SeedSequence(scheme.seed).spawn(n_runs)
-    starts = np.concatenate([_draw(arch, scheme, np.random.default_rng(c), 1) for c in children])
+    starts = np.empty((n_runs, arch.param_count))
+    for i, child in enumerate(children):
+        _draw(arch, scheme, np.random.default_rng(child), 1, out=starts[i : i + 1])
     trained = _train_lockstep(arch, starts, dataset, config)
     final, canon, _, _, converged, _ = trained
     conv = np.flatnonzero(converged)
@@ -421,9 +434,13 @@ def amplification_check(
     within one block they equal ``initialize_batch``'s.  A draw is within
     tol of an image when every coordinate's |x - v| is, so each column of
     each drawn part is tested once against each distinct value the images
-    hold there, and the tests are ANDed into a (k images x block) hit mask.
-    Memory is that mask, the column's per-value masks and one drawn part,
-    so it does not grow with ``n_draws``.
+    hold there, and the tests are ANDed into a (k images x block) hit mask,
+    packed 8 draws to a byte.  Each part is drawn and tested in chunks of
+    rows that fill about ``nncore._DISTANCE_BLOCK_BYTES`` (at least 8 rows)
+    and start on a byte of the mask; the draw stream, and with it every
+    count, is that of whole parts.  Memory is the packed mask (k x block / 8
+    bytes) and one chunk with its per-value masks and one column's gathered
+    (k x chunk / 8 bytes) masks, so it does not grow with ``n_draws``.
     """
     check_shapes(arch, theta_star)
     check_range("n_draws", n_draws, 1)
@@ -447,24 +464,29 @@ def amplification_check(
     columns = [np.unique(col, return_inverse=True) for col in image_mat.T]
     # The draw stream fixes this block size, not the buffers below: each block
     # draws layer by layer, so the stream, and with it every count, depends
-    # on it.  The hit mask, one column's per-value masks and one drawn part
-    # hold less than these 16 (S + k) bytes per draw.
+    # on it.  Chunks of whole mask bytes cut no part of the stream.
     block = stack_block(16 * (S + k))
+    widest = max(fan_out * fan_in for (fan_out, fan_in), _ in arch.layer_shapes())
+    rows = max(8, _DISTANCE_BLOCK_BYTES // (8 * widest) // 8 * 8)
+    n_values = max(len(values) for values, _ in columns)
     for start in range(0, n_draws, block):
         m = min(block, n_draws - start)
-        hit = np.ones((k, m), dtype=bool)
-        c = 0
-        for (fan_out, fan_in), _ in arch.layer_shapes():
-            for part in _layer_draw(scheme, rng, m, fan_out, fan_in):
-                for x in part.T:
-                    values, which = columns[c]
-                    near = np.empty((len(values), m), dtype=bool)
-                    for v, row in zip(values, near):
-                        np.less_equal(np.abs(x - v), tolerance, out=row)
-                    hit &= near[which]
-                    c += 1
-        single_hits += int(np.count_nonzero(hit[0]))
-        orbit_hits += int(np.count_nonzero(hit.any(axis=0)))
+        # packbits pads each chunk's masks with zero bits, so the first
+        # column's AND clears the padding of the mask's last byte.
+        hit = np.full((k, -(-m // 8)), 0xFF, dtype=np.uint8)
+        for col, first, part in _layer_draw(arch, scheme, rng, m, rows):
+            bits = hit[:, first // 8 : -(-(first + len(part)) // 8)]
+            near = np.empty((n_values, len(part)), dtype=bool)
+            gap = np.empty(len(part))
+            for x, (values, which) in zip(part.T, columns[col : col + part.shape[1]]):
+                for v, row in zip(values, near):
+                    np.subtract(x, v, out=gap)
+                    np.abs(gap, out=gap)
+                    np.less_equal(gap, tolerance, out=row)
+                bits &= np.packbits(near[: len(values)], axis=1)[which]
+            del part
+        single_hits += int(_BIT_COUNTS[hit[0]].sum())
+        orbit_hits += int(_BIT_COUNTS[np.bitwise_or.reduce(hit, axis=0)].sum())
 
     p_single = single_hits / n_draws
     p_orbit = orbit_hits / n_draws

@@ -34,6 +34,7 @@ class MetricSpaceSample:
     provenance: dict = field(default_factory=dict)
     _cover_record: tuple | None = field(default=None, init=False, repr=False)
     _sort_record: tuple | None = field(default=None, init=False, repr=False)
+    _exact_record: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.array(self.points, dtype=float))  # a private copy
@@ -209,12 +210,19 @@ def exact_packing_number(space: MetricSpaceSample, epsilon: float) -> int:
 def _exact_count(space: MetricSpaceSample, epsilon: float, solve) -> int:
     """An exact oracle after its argument and size checks: the certified
     count, or ``solve(D, epsilon)`` on the distance matrix D when the bracket
-    stays open."""
+    stays open.  The sample keeps D, made on first use, and the last eps's
+    bracket result, so a later exact oracle builds no D and the other
+    oracle at the same eps runs no bracket."""
     _check_oracle_args(space, epsilon)
     n = len(space)
     check_range("exact oracle point count", n, 1, EXACT_ORACLE_MAX_POINTS, high_open=False)
-    D = space.distance_matrix()
-    count = _certified_count(space, D, epsilon)
+    D, last, count = space._exact_record or (None, None, None)
+    if D is None:
+        D = space.distance_matrix()
+        D.setflags(write=False)
+    if last != epsilon:
+        count = _certified_count(space, D, epsilon)
+        object.__setattr__(space, "_exact_record", (D, epsilon, count))
     return solve(D, epsilon) if count is None else count
 
 

@@ -350,16 +350,21 @@ def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     One row of ``points`` against at most ``_DISTANCE_BLOCK_BYTES`` of
     differences is one broadcast; anything larger fills the matrix one
-    coordinate at a time through one buffer of its size.
+    block of rows at a time, one coordinate at a time, through one buffer
+    of at most ``_DISTANCE_BLOCK_BYTES`` (at least one row).
     """
     with np.errstate(over="ignore"):
         if len(points) == 1 and 8 * centers.size <= _DISTANCE_BLOCK_BYTES:
             return np.abs(centers - points).max(axis=1, initial=0.0)[None]
         out = np.zeros((len(points), len(centers)))
-        gaps = np.empty_like(out)
-        for a, b in zip(points.T, centers.T):
-            np.abs(np.subtract.outer(a, b, out=gaps), out=gaps)
-            np.maximum(out, gaps, out=out)
+        rows = max(1, _DISTANCE_BLOCK_BYTES // (8 * max(len(centers), 1)))
+        gaps = np.empty((min(rows, len(points)), len(centers)))
+        for first in range(0, len(points), rows):
+            block = out[first : first + rows]
+            buf = gaps[: len(block)]
+            for a, b in zip(points[first : first + rows].T, centers.T):
+                np.abs(np.subtract.outer(a, b, out=buf), out=buf)
+                np.maximum(block, buf, out=block)
     return out
 
 

@@ -361,17 +361,24 @@ def neuron_symmetry_reference(layers, perms, factors):
 def blocked_draws_reference(layer_shapes, kind, a, b, seed, n, block):
     """``n`` flat parameter draws from one ``default_rng(seed)``, ``block``
     rows at a time (the last block partial): within a block, each layer's
-    (m, fan_out * fan_in) weights, then its (m, fan_out) biases, each
-    ``rng.uniform(a, b)`` or ``rng.normal(a, b)`` as ``kind`` says, side by
-    side; the blocks stacked."""
+    (m, fan_out * fan_in) weights, then its (m, fan_out) biases, side by
+    side; the blocks stacked.  For ``uniform`` or ``normal`` each part is
+    ``rng.uniform(a, b)`` or ``rng.normal(a, b)``.  For ``xavier`` or
+    ``he`` (a and b unused) the weights are ``rng.normal(0, sqrt(2 / fan))``,
+    fan being fan_in + fan_out or fan_in, and the biases are zeros."""
     rng = np.random.default_rng(seed)
     blocks = []
     for start in range(0, n, block):
         m = min(block, n - start)
         parts = []
         for fan_out, fan_in in layer_shapes:
-            parts.append(getattr(rng, kind)(a, b, size=(m, fan_out * fan_in)))
-            parts.append(getattr(rng, kind)(a, b, size=(m, fan_out)))
+            if kind in ("xavier", "he"):
+                fan = fan_in + fan_out if kind == "xavier" else fan_in
+                parts.append(rng.normal(0.0, math.sqrt(2.0 / fan), size=(m, fan_out * fan_in)))
+                parts.append(np.zeros((m, fan_out)))
+            else:
+                parts.append(getattr(rng, kind)(a, b, size=(m, fan_out * fan_in)))
+                parts.append(getattr(rng, kind)(a, b, size=(m, fan_out)))
         blocks.append(np.concatenate(parts, axis=1))
     return np.concatenate(blocks)
 

@@ -15,6 +15,7 @@ from fnequiv.basin import (
     teacher_dataset,
     train,
     xor_dataset,
+    _layer_draw,
 )
 from fnequiv.canonical import canonicalize, distinct_permutation_images, symmetry_profile
 from fnequiv.errors import DomainError
@@ -427,7 +428,9 @@ class TestBasinSummaryReference:
         a = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.5, 1.0, 1.0, 0.0])
         b = np.array([1.0, 0.0, 1.0, 0.25, 0.0, 0.0, 1.0, 1.0, 0.0])
         rows = iter([a, a + 1e-4, b, b + 1e-4, b - 1e-4])
-        monkeypatch.setattr("fnequiv.basin._draw", lambda arch, scheme, rng, n: next(rows)[None])
+        monkeypatch.setattr(
+            "fnequiv.basin._draw", lambda arch, scheme, rng, n, out: np.copyto(out, next(rows))
+        )
         summary = basin_experiment(
             Architecture(2, (2,), (TANH,)),
             InitScheme("uniform"),
@@ -661,9 +664,57 @@ class TestAmplification:
         assert 0 < single < orbit
         assert (result.p_single, result.p_orbit) == (single / n, orbit / n)
 
-    def test_memory_bounded_by_block(self):
-        import fnequiv.nncore as nncore_mod
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            InitScheme("uniform", seed=5),
+            InitScheme("normal", seed=6, sigma=0.5),
+            InitScheme("xavier", seed=7),
+            InitScheme("he", seed=8),
+        ],
+        ids=lambda scheme: scheme.kind,
+    )
+    def test_counts_equal_blocked_reference_across_chunks(self, monkeypatch, scheme):
+        # 1003-draw blocks, three full ones and a partial one of 491 draws,
+        # each drawn and tested in chunks of 96 rows (the 100 rows of the
+        # patched budget, rounded down to whole mask bytes), so every block
+        # ends on a chunk of 43 or 11 rows and a mask byte with padding.
+        arch = Architecture(1, (3,), (RELU,))
+        theta_star = NetworkParams(
+            (
+                (np.array([[-0.5], [0.5], [-0.5]]), np.array([-0.5, -0.5, 0.5])),
+                (np.array([[0.1, -0.2, 0.3]]), np.array([0.0])),
+            )
+        )
+        images = np.stack([img.flat() for img in distinct_permutation_images(theta_star)])
+        block, n, tolerance = 1003, 3500, 0.8
+        monkeypatch.setattr(
+            "fnequiv.nncore.STACK_BLOCK_BYTES", 16 * (arch.param_count + len(images)) * block
+        )
+        monkeypatch.setattr("fnequiv.basin._DISTANCE_BLOCK_BYTES", 8 * 3 * 100)
+        result = amplification_check(arch, scheme, theta_star, n, tolerance)
+        a, b = (scheme.low, scheme.high) if scheme.kind == "uniform" else (scheme.mu, scheme.sigma)
+        draws = blocked_draws_reference(
+            [(3, 1), (1, 3)], scheme.kind, a, b, scheme.seed, n, block
+        )
+        single, orbit = amplification_counts_reference(draws, images, 0, tolerance)
+        assert 0 < single < orbit
+        assert (result.p_single, result.p_orbit) == (single / n, orbit / n)
 
+    @pytest.mark.parametrize("kind", ["uniform", "normal", "xavier", "he"])
+    @pytest.mark.parametrize("rows", [1, 8, 13, 1000])
+    def test_row_chunks_continue_the_stream(self, kind, rows):
+        # Chunked parts fill the same array as whole ones, bit for bit.
+        arch = Architecture(2, (3, 2), (TANH, RELU), 2)
+        scheme = InitScheme(kind, seed=4, sigma=0.5)
+        chunked = np.full((100, arch.param_count), np.nan)
+        chunks = _layer_draw(arch, scheme, np.random.default_rng(4), 100, rows)
+        for col, first, part in chunks:
+            assert len(part) == min(rows, 100 - first)
+            chunked[first : first + len(part), col : col + part.shape[1]] = part
+        assert chunked.tobytes() == initialize_batch(arch, scheme, 100).tobytes()
+
+    def test_memory_bounded_by_block(self):
         arch = Architecture(1, (3,), (RELU,))
         theta_star = NetworkParams(
             (
@@ -680,7 +731,9 @@ class TestAmplification:
         finally:
             tracemalloc.stop()
         assert result.n_images == 6
-        assert peak <= nncore_mod.STACK_BLOCK_BYTES
+        # The packed mask of a 131,072-draw block and one chunk, against
+        # 32 MiB for the block's whole draw.
+        assert peak <= 2 * 2**20
 
     def test_non_finite_theta_star_rejected(self):
         # The distance kernel skips NaN coordinates, so a NaN entry would

@@ -409,6 +409,37 @@ class TestExactOracles:
             assert greedy_covering_estimate(space, eps) >= exact_covering_number(space, eps)
             assert greedy_packing_estimate(space, eps) <= exact_packing_number(space, eps)
 
+    def test_oracles_share_one_distance_matrix(self, monkeypatch):
+        # The sample's D is built once for every call, and its bracket runs
+        # once per eps in a row; each count equals that of a fresh sample.
+        builds, brackets, certified = [], [], empirical._certified_count
+
+        def kernel(points, centers):
+            if len(points) == len(centers) == 144:
+                builds.append(1)
+            return nncore._chebyshev(points, centers)
+
+        def bracket(space, D, epsilon):
+            brackets.append(epsilon)
+            return certified(space, D, epsilon)
+
+        calls = [
+            (exact_covering_number, 0.375, 9),
+            (exact_packing_number, 0.375, 9),
+            (exact_packing_number, 0.75, 4),
+            (exact_covering_number, 0.75, 4),
+            (exact_covering_number, 0.1875, 16),
+            (exact_packing_number, 0.375, 9),
+        ]
+        fresh = [oracle(grid_sample(2, 12), eps) for oracle, eps, _ in calls]
+        monkeypatch.setattr(empirical, "_chebyshev", kernel)
+        monkeypatch.setattr(empirical, "_certified_count", bracket)
+        space = grid_sample(2, 12)
+        assert [oracle(space, eps) for oracle, eps, _ in calls] == fresh
+        assert fresh == [count for _, _, count in calls]
+        assert len(builds) == 1
+        assert brackets == [0.375, 0.75, 0.1875, 0.375]
+
     def test_size_guard(self):
         space = MetricSpaceSample(np.random.default_rng(3).uniform(0, 1, (300, 1)))
         with pytest.raises(DomainError):

@@ -752,6 +752,16 @@ class TestExactPacking:
 
 
 class TestChebyshevKernel:
+    def test_matrix_row_blocks_match_plain_numpy(self, monkeypatch):
+        # A budget of three rows of differences fills the 7-row matrix in
+        # blocks of 3, 3 and 1 rows through one 3-row buffer.
+        rng = np.random.default_rng(0)
+        points, centers = rng.normal(size=(7, 4)), rng.normal(size=(50, 4))
+        monkeypatch.setattr("fnequiv.nncore._DISTANCE_BLOCK_BYTES", 8 * 3 * len(centers))
+        plain = np.abs(points[:, None] - centers).max(axis=2)
+        assert _chebyshev(points, centers).tobytes() == plain.tobytes()
+        assert _chebyshev(points[:1], centers).tobytes() == plain[:1].tobytes()
+
     @PROPERTY
     @given(st.data())
     def test_one_row_first_matches_plain_numpy(self, data):
