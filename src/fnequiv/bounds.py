@@ -39,20 +39,8 @@ class BoundConfig:
         object.__setattr__(self, "rho", lipschitz_constants(self.arch, self.rho))
 
     @property
-    def rho_bar(self) -> float:
-        return math.prod(self.rho)
-
-    @property
     def log_rho_bar(self) -> float:
         return log_monomial(*((r, 1) for r in self.rho))
-
-    @property
-    def spectral_proxies(self) -> tuple[float, ...]:
-        """s_i = B * sqrt(d_i * d_{i-1}) for the hidden weight matrices."""
-        w = self.arch.widths
-        return tuple(
-            self.B * math.sqrt(w[i] * w[i - 1]) for i in range(1, self.arch.depth + 1)
-        )
 
     @property
     def log_s_bar(self) -> float:
@@ -61,10 +49,6 @@ class BoundConfig:
             log_monomial((self.B, 1), (math.sqrt(w[i] * w[i - 1]), 1))
             for i in range(1, self.arch.depth + 1)
         )
-
-    @property
-    def max_hidden_width(self) -> int:
-        return max(self.arch.hidden_widths)
 
 
 def shallow_covering_bound(cfg: BoundConfig) -> float:
@@ -92,15 +76,14 @@ def permutation_discount(arch: Architecture) -> float:
     return -arch.log_permutation_count
 
 
-def deep_covering_bound(cfg: BoundConfig, discount: bool = True) -> float:
+def deep_covering_bound(cfg: BoundConfig) -> float:
     """Log covering number of the deep class.
 
     log N <= S*log(4 (L+1) (B_x+1) (2B)^(L+2) rho_bar prod_j d_j / eps)
              - sum_l log(d_l!)
     where the width product runs over d_0..d_L.  At L=1 this dominates the
     shallow bound up to a different constant family; the two are not
-    numerically equal.  Pass ``discount=False`` to drop the
-    factorial term.
+    numerically equal.
     """
     arch = cfg.arch
     if arch.output_dim != 1:
@@ -115,10 +98,7 @@ def deep_covering_bound(cfg: BoundConfig, discount: bool = True) -> float:
         + log_widths
         - math.log(cfg.epsilon)
     )
-    size_term = S * log_base
-    if not discount:
-        return size_term
-    return size_term + permutation_discount(arch)
+    return S * log_base + permutation_discount(arch)
 
 
 @dataclass(frozen=True)
@@ -185,7 +165,7 @@ def entropy_comparison(cfg: BoundConfig) -> EntropyComparison:
     L = arch.depth
     S = arch.param_count
     U = arch.hidden_unit_count
-    W = cfg.max_hidden_width
+    W = max(arch.hidden_widths)
     eps = cfg.epsilon
     log_rs = cfg.log_rho_bar + cfg.log_s_bar
     rs = math.exp(log_rs) if log_rs <= MAX_LOG_LINEAR else math.inf

@@ -53,10 +53,18 @@ from .transforms import NeuronSymmetry
 OUTPUT_DIR_ENV = "FNEQUIV_OUTPUT_DIR"
 
 
-def _fmt(v: float | None) -> str:
-    """Fixed 17-significant-digit float formatting for CSV cells; None is an
-    empty cell."""
-    return "" if v is None else f"{v:.17g}"
+def _cell(value) -> str:
+    """One CSV cell: None is empty, a bool 0 or 1, a float 17 significant
+    digits, a list its cells joined with ``|``, anything else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, list):
+        return "|".join(map(_cell, value))
+    return str(value)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -147,7 +155,7 @@ def cmd_transform(args) -> int:
     doc = network_to_json_dict(out_net)
     doc["config"] = _echo(args, transform=spec_doc)
     _emit(_json_text(doc), args.output)
-    print(f"self-check: sampled sup distance to original = {_fmt(dist)}")
+    print(f"self-check: sampled sup distance to original = {_cell(dist)}")
     return 0
 
 
@@ -260,48 +268,33 @@ def _bounds_row(cfg: bounds_mod.BoundConfig) -> dict:
     }
 
 
-# The bounds CSV, one (column, cell) pair per column; a cell formats one
-# ``_bounds_row`` dict.
+# entropy-compare's CSV columns, and the bounds CSV's; a row is a dict with a
+# value for each column.
+_ENTROPY_COLUMNS = [*bounds_mod.EntropyComparison.ROW_NAMES, "floored"]
 _BOUNDS_COLUMNS = [
-    ("arch", lambda r: r["arch"]),
-    ("activations", lambda r: r["activations"].replace(",", "|")),
-    ("B", lambda r: _fmt(r["B"])),
-    ("B_x", lambda r: _fmt(r["B_x"])),
-    ("epsilon", lambda r: _fmt(r["epsilon"])),
-    ("rho", lambda r: "|".join(_fmt(x) for x in r["rho"])),
-    ("L", lambda r: str(r["L"])),
-    ("S", lambda r: str(r["S"])),
-    ("U", lambda r: str(r["U"])),
-    ("shallow_log_bound", lambda r: _fmt(r["shallow_log_bound"])),
-    ("deep_log_bound", lambda r: _fmt(r["deep_log_bound"])),
-    *[
-        (name, lambda r, name=name: _fmt(r["entropies"][name]))
-        for name in bounds_mod.EntropyComparison.ROW_NAMES
-    ],
-    ("floored", lambda r: "|".join(r["floored"])),
-    (
-        "stirling_brackets",
-        lambda r: ";".join(
-            f"{s['d']}:{_fmt(s['lower'])}<{s['factorial'] or ''}<{_fmt(s['upper'])}"
-            for s in r["stirling"]
-        ),
-    ),
-    ("log_total_volume", lambda r: _fmt(r["log_total_volume"])),
-    ("log_effective_volume", lambda r: _fmt(r["log_effective_volume"])),
-    ("effective_volume", lambda r: _fmt(r["effective_volume"])),
-]
-# entropy-compare's CSV: the five entropies and the floored rows.
-_ENTROPY_COLUMNS = [
-    c for c in _BOUNDS_COLUMNS if c[0] in (*bounds_mod.EntropyComparison.ROW_NAMES, "floored")
-]
+    "arch", "activations", "B", "B_x", "epsilon", "rho", "L", "S", "U", "shallow_log_bound",
+    "deep_log_bound", *_ENTROPY_COLUMNS, "stirling_brackets", "log_total_volume",
+    "log_effective_volume", "effective_volume",
+]  # fmt: skip
 
 
-def _table_text(config: dict, columns, rows) -> str:
-    """A CSV of ``rows`` under a ``# config:`` line, one (column, cell) pair
-    per column; a cell formats one row."""
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(name for name, _ in columns))
-    lines.extend(",".join(cell(r) for _, cell in columns) for r in rows)
+def _bounds_cells(row: dict) -> dict:
+    """A ``_bounds_row`` as its CSV row: the entropies as columns of their
+    own, the activations joined with ``|``, and the Stirling brackets as one
+    ``d:lower<d!<upper`` cell, a hidden layer each, joined with ``;``."""
+    brackets = ";".join(
+        f"{s['d']}:{_cell(s['lower'])}<{_cell(s['factorial'])}<{_cell(s['upper'])}"
+        for s in row["stirling"]
+    )
+    activations = row["activations"].split(",")
+    return {**row, **row["entropies"], "activations": activations, "stirling_brackets": brackets}
+
+
+def _table_text(config: dict, columns: list[str], rows) -> str:
+    """A CSV of the ``rows`` (dicts) under a ``# config:`` line, a
+    ``_cell`` for each named column."""
+    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(columns)]
+    lines.extend(",".join(_cell(row[name]) for name in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -314,7 +307,7 @@ def cmd_bounds(args) -> int:
     if args.format == "json":
         _emit(_json_text({"config": config, "rows": rows}), args.output)
     else:
-        _emit(_table_text(config, _BOUNDS_COLUMNS, rows), args.output)
+        _emit(_table_text(config, _BOUNDS_COLUMNS, map(_bounds_cells, rows)), args.output)
     return 0
 
 
@@ -326,7 +319,7 @@ def cmd_entropy_compare(args) -> int:
     if args.format == "json":
         _emit(_json_text({"config": config, **row}), args.output)
     else:
-        _emit(_table_text(config, _ENTROPY_COLUMNS, [row]), args.output)
+        _emit(_table_text(config, _ENTROPY_COLUMNS, [{**row, **row["entropies"]}]), args.output)
     return 0
 
 
@@ -334,17 +327,8 @@ def cmd_entropy_compare(args) -> int:
 # covering-sweep
 
 
-def _str_or_empty(v) -> str:
-    return "" if v is None else str(v)
-
-
 _COVER_COLUMNS = [
-    ("epsilon", lambda r: _fmt(r["epsilon"])),
-    ("greedy_cover", lambda r: str(r["greedy_cover"])),
-    ("exact_cover", lambda r: _str_or_empty(r["exact_cover"])),
-    ("greedy_pack", lambda r: str(r["greedy_pack"])),
-    ("exact_pack", lambda r: _str_or_empty(r["exact_pack"])),
-    ("theory_bound_log", lambda r: _fmt(r["theory_bound_log"])),
+    "epsilon", "greedy_cover", "exact_cover", "greedy_pack", "exact_pack", "theory_bound_log"
 ]
 
 
@@ -378,15 +362,8 @@ def cmd_covering_sweep(args) -> int:
 
 # The teacher dataset's settings; an xor run does not echo them.
 _TEACHER_ONLY = ("teacher_network", "n_points", "bx")
-# runs.csv, one (column, cell) pair per column; a cell formats one TrainRun.
-_RUNS_COLUMNS = [
-    ("run", lambda r: str(r.seed)),
-    ("converged", lambda r: str(int(r.converged))),
-    ("diverged", lambda r: str(int(r.diverged))),
-    ("iterations", lambda r: str(r.iterations)),
-    ("final_loss", lambda r: _fmt(r.final_loss)),
-    ("cluster_id", lambda r: _str_or_empty(r.cluster_id)),
-]
+# runs.csv's columns: a TrainRun's fields, its seed as "run".
+_RUNS_COLUMNS = ["run", "converged", "diverged", "iterations", "final_loss", "cluster_id"]
 
 
 def cmd_basin(args) -> int:
@@ -424,7 +401,8 @@ def cmd_basin(args) -> int:
     config = _echo(args, drop=("jobs", *teacher_only))
     doc = {"config": config, "summary": summary.to_json_dict()}
     _emit(_json_text(doc), args.output_prefix + ".summary.json")
-    _emit(_table_text(config, _RUNS_COLUMNS, summary.runs), args.output_prefix + ".runs.csv")
+    runs = ({**vars(r), "run": r.seed} for r in summary.runs)
+    _emit(_table_text(config, _RUNS_COLUMNS, runs), args.output_prefix + ".runs.csv")
     print(
         f"basin: {summary.n_converged}/{summary.n_runs} converged, "
         f"{len(summary.cluster_sizes)} clusters"

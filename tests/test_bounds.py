@@ -38,10 +38,6 @@ class TestBoundConfig:
         cfg2 = cfg_of(hidden=(2,), acts=(TANH,))
         assert cfg2.rho == (1.0,)
 
-    def test_spectral_proxies(self):
-        cfg = cfg_of(d0=4, hidden=(9,), B=2.0)
-        assert cfg.spectral_proxies == (2.0 * 6.0,)  # B*sqrt(9*4)
-
     def test_B_below_one_rejected(self):
         with pytest.raises(ConfigError):
             cfg_of(B=0.5)
@@ -122,12 +118,7 @@ class TestDeepBound:
             assert deep_covering_bound(cfg) == pytest.approx(want, rel=1e-10)
 
     def test_factorial_discount_exact(self):
-        cfg = cfg_of(d0=2, hidden=(3, 4), epsilon=0.3)
-        with_discount = deep_covering_bound(cfg)
-        without = deep_covering_bound(cfg, discount=False)
-        disc = permutation_discount(cfg.arch)
-        assert with_discount == without + disc  # bit-exact by construction
-        assert disc == -(math.lgamma(4) + math.lgamma(5))
+        assert permutation_discount(relu_arch(2, (3, 4))) == -(math.lgamma(4) + math.lgamma(5))
 
     def test_width_increment_bookkeeping(self):
         # growing one hidden width by 1 changes the discount by exactly
@@ -147,7 +138,7 @@ class TestDeepBound:
         # where C collects every width-independent factor
         cfg = cfg_of(d0=1, hidden=(d,) * L, B=1.5, B_x=0.8, epsilon=0.25)
         S = cfg.arch.param_count
-        C = 4 * (L + 1) * (cfg.B_x + 1) * (2 * cfg.B) ** (L + 2) * cfg.rho_bar * cfg.arch.input_dim
+        C = 4 * (L + 1) * (cfg.B_x + 1) * (2 * cfg.B) ** (L + 2) * math.prod(cfg.rho) * cfg.arch.input_dim
         regrouped = (
             S * (math.log(C) - math.log(cfg.epsilon))
             + L * S * math.log(d)
@@ -231,7 +222,7 @@ class TestEntropyComparison:
         cfg = cfg_of(d0=2, hidden=(3,), B=1.5, B_x=2.0, epsilon=0.5)
         comp = entropy_comparison(cfg)
         S = cfg.arch.param_count
-        rs = cfg.rho_bar * math.exp(cfg.log_s_bar)
+        rs = math.prod(cfg.rho) * math.exp(cfg.log_s_bar)
         want = S * math.log(rs * cfg.B_x / (math.factorial(3) * cfg.epsilon))
         assert comp.raw["permutation_aware"] == pytest.approx(want, rel=1e-12)
 
@@ -285,7 +276,7 @@ class TestBeyondDoubleRange:
 
     def test_rho_product_beyond_a_double(self):
         cfg = cfg_of(d0=1, hidden=(2, 2), rho=(1e300, 1e300))
-        assert cfg.rho_bar == math.inf
+        assert math.prod(cfg.rho) == math.inf
         assert cfg.log_rho_bar == pytest.approx(2 * math.log(1e300), rel=1e-15)
         assert math.isfinite(deep_covering_bound(cfg))
         assert entropy_comparison(cfg).lin_2019 is None

@@ -574,7 +574,9 @@ class TestActivationSlope:
         ),
     )
     def test_deriv_matches_input_formula(self, act, x):
-        assert same_bits(np.asarray(act.deriv(x)), np.asarray(_ref_act_deriv(act, x)))
+        with np.errstate(over="ignore"):  # a leaky slope above 1 may overflow sigma(x)
+            slope = act._slope(act(x))
+        assert same_bits(np.asarray(slope), np.asarray(_ref_act_deriv(act, x)))
 
 
 @st.composite
