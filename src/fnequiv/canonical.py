@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, check_range
-from .nncore import Architecture, NetworkParams, _chebyshev, _flatten, linear_or_none
-from .nncore import log_monomial, stack_block
+from .nncore import _DISTANCE_BLOCK_BYTES, Architecture, NetworkParams, _chebyshev, _flatten
+from .nncore import linear_or_none, log_monomial
 from .transforms import NeuronSymmetry, _permute_neurons
 
 
@@ -177,7 +177,9 @@ def _first_fit(pts: np.ndarray, threshold: float, distances, sort=None) -> tuple
     live rows within ``threshold`` of it, itself included, into its group.
     Only those in c's ``_slab`` on the widest sorted column can be, and in a
     slab of over ``_PIVOT_MIN_ROWS`` rows only those within ``threshold`` of c
-    on every pivot: each kept row costs one distance pass over those.
+    on every other pivot (the slab already bounds the sort column's gap, up
+    to its margin, which the kernel then decides): each kept row costs one
+    distance pass over those.
     ``sort``, when given, is ``_widest_column_order(pts)`` made before.
     """
     assignment = np.zeros(len(pts), dtype=np.int64)
@@ -193,9 +195,9 @@ def _first_fit(pts: np.ndarray, threshold: float, distances, sort=None) -> tuple
             lo, hi = _slab(key, key[j], threshold)
             near = order[lo:hi]
             if hi - lo > _PIVOT_MIN_ROWS:
-                gaps = pivots[:, lo:hi] - pivots[:, j, None]
+                gaps = pivots[1:, lo:hi] - pivots[1:, j, None]
                 np.abs(gaps, out=gaps)
-                near = near[gaps.max(axis=0) <= threshold]
+                near = near[gaps.max(axis=0, initial=0.0) <= threshold]
             near = near[live[near]]
             near = near[distances(pts[i : i + 1], pts[near])[0] <= threshold]
             live[near] = False
@@ -270,9 +272,10 @@ def distinct_permutation_images(params: NetworkParams) -> list[NetworkParams]:
     outgoing column together); layers whose duplicated rows feed distinct
     outgoing columns can produce strictly more images.  Images come in order
     of first occurrence, so the first is ``params`` itself, bit for bit (the
-    identity permutation comes first); permutations are taken in blocks of
-    ``nncore.stack_block`` size, so memory holds the distinct images plus
-    one block.  More than ``ORBIT_ENUMERATION_LIMIT`` permutations raise
+    identity permutation comes first); permutations are taken in blocks
+    whose two float64 copies of the parameters fill at most
+    ``nncore._DISTANCE_BLOCK_BYTES``, so memory holds the distinct images
+    plus one block.  More than ``ORBIT_ENUMERATION_LIMIT`` permutations raise
     ``BudgetExceededError`` before any is taken.
     """
     sizes = [params.weight(l).shape[0] for l in range(1, params.n_layers)]
@@ -283,7 +286,7 @@ def distinct_permutation_images(params: NetworkParams) -> list[NetworkParams]:
             required=total,
         )
     # Two float64 copies per permutation: the gathered layers and their rows.
-    block = stack_block(16 * sum(W.size + b.size for W, b in params.layers))
+    block = max(1, _DISTANCE_BLOCK_BYTES // (16 * sum(W.size + b.size for W, b in params.layers)))
     combos = _permutation_product(sizes)
     seen: set[bytes] = set()
     images = []

@@ -16,7 +16,8 @@ import numpy as np
 from .canonical import _canonical_layers, _first_fit, _slab, _widest_column_order, group_rows
 from .equivalence import ball_points
 from .errors import BudgetExceededError, DomainError, check_range
-from .nncore import Architecture, _chebyshev, _flatten, _forward_checked, _unflatten, forward_block
+from .nncore import _DISTANCE_BLOCK_BYTES, Architecture, _chebyshev, _flatten, _forward_checked
+from .nncore import _unflatten
 
 METRIC_PARAMS = "linf_params"
 METRIC_FUNCTION = "sampled_sup_function"
@@ -70,14 +71,22 @@ def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> Metr
         "half_width", half_width, 0, sys.float_info.max / 2, low_open=True, high_open=False
     )
     _grid_count("points", points_per_axis, dim, DEFAULT_GRID_BUDGET)
-    axis = np.linspace(-half_width, half_width, points_per_axis)
-    mesh = np.meshgrid(*[axis] * dim, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
     return MetricSpaceSample(
-        pts,
+        _grid_rows(np.linspace(-half_width, half_width, points_per_axis), dim),
         METRIC_PARAMS,
         {"kind": "grid", "dim": dim, "points_per_axis": points_per_axis, "half_width": half_width},
     )
+
+
+def _grid_rows(axis: np.ndarray, dim: int) -> np.ndarray:
+    """Every point of the grid ``axis`` ** dim, one row each, the last
+    coordinate fastest (C order), filled one column at a time: as a
+    (len(axis),) * dim array of rows, column j varies along axis j."""
+    rows = np.empty((len(axis) ** dim, dim))
+    grid = rows.reshape((len(axis),) * dim + (dim,))
+    for j in range(dim):
+        grid[..., j] = axis.reshape((-1,) + (1,) * (dim - 1 - j))
+    return rows
 
 
 def _grid_count(what: str, per_axis: int, dim: int, budget: int) -> int:
@@ -351,7 +360,8 @@ def function_class_sample(
     """Enumerate the parameter grid and sample each network as a function.
 
     Parameters run over the uniform ``grid_resolution``-point grid on
-    [-B, B] per coordinate; each network is evaluated on a fixed
+    [-B, B] per coordinate (B at most half the largest double, so the axis
+    length 2 B is one); each network is evaluated on a fixed
     deterministic point set in the B_x ball, and the resulting value vectors
     form the sample (their L-infinity metric is the max gap over the
     evaluation points, a finite surrogate for the sup norm).
@@ -360,30 +370,38 @@ def function_class_sample(
     representative per canonical form; the reduction ratio lands in the
     provenance.  Deduplication never changes the set of value vectors, since
     members of one canonical class implement the same function.
+
+    Memory, for a grid of ``total`` vectors of S parameters, ``kept`` of
+    them evaluated at m = evaluation points x outputs values each: the grid
+    takes G = 8 total S bytes, and deduplication holds at most about 4 G more
+    (the canonical rows and ``group_rows``' sorted copies).  Evaluation
+    writes the V = 8 kept m bytes of values in blocks of networks whose
+    activations fill at most ``nncore._DISTANCE_BLOCK_BYTES``.  The sample
+    then makes its own copy of the values and checks it (a byte per value),
+    so the peak is at most about max(5 G, 2.125 V) plus one block.
     """
-    check_range("B", B, 0, low_open=True)
+    check_range("B", B, 0, sys.float_info.max / 2, low_open=True, high_open=False)
     check_range("B_x", B_x, 0, low_open=True)
     check_range("grid resolution", grid_resolution, 2)
     check_range("evaluation point count", n_eval_points, 1)
     S = arch.param_count
     total = _grid_count("parameter vectors", grid_resolution, S, budget)
-    axis = np.linspace(-B, B, grid_resolution)
-    digits = np.unravel_index(np.arange(total), (grid_resolution,) * S)
-    thetas = np.stack([axis[d] for d in digits], axis=1)
+    thetas = _grid_rows(np.linspace(-B, B, grid_resolution), S)
 
     if dedup_canonical:
-        canon, _ = _canonical_layers(_unflatten(arch, thetas))
-        thetas = thetas[group_rows(_flatten(canon), 0.0)[1]]
+        canon = _flatten(_canonical_layers(_unflatten(arch, thetas))[0])
+        thetas = thetas[group_rows(canon, 0.0)[1]]
+        del canon
 
     X = ball_points(arch.input_dim, n_eval_points, B_x, seed=eval_seed)
-    block = forward_block(arch, X.shape[0])
-    values = np.concatenate(
-        [
-            _forward_checked(arch, _unflatten(arch, thetas[start : start + block]), X)
-            .reshape(-1, X.shape[0] * arch.output_dim)
-            for start in range(0, len(thetas), block)
-        ]
-    )
+    values = np.empty((len(thetas), X.shape[0] * arch.output_dim))
+    # 16 bytes per unit and input cover the two layers' activations (and
+    # the finiteness mask) the checked forward holds per network.
+    block = max(1, _DISTANCE_BLOCK_BYTES // (16 * X.shape[0] * sum(arch.widths[1:])))
+    for start in range(0, len(values), block):
+        out = _forward_checked(arch, _unflatten(arch, thetas[start : start + block]), X)
+        values[start : start + block] = out.reshape(len(out), -1)
+    del thetas  # the sample below copies the values
     return MetricSpaceSample(
         values,
         METRIC_FUNCTION,
@@ -396,7 +414,7 @@ def function_class_sample(
             "eval_seed": eval_seed,
             "n_eval_points": X.shape[0],
             "n_enumerated": int(total),
-            "n_kept": int(thetas.shape[0]),
-            "dedup_ratio": total / thetas.shape[0],
+            "n_kept": len(values),
+            "dedup_ratio": total / len(values),
         },
     )

@@ -66,8 +66,13 @@ def _monomial(factors) -> tuple[float | None, float]:
     return (value if normal and abs(math.log(value) - log_value) <= 1e-9 else None), log_value
 
 
-# Working-set bytes a computation over stacked networks or draws may hold at
-# once; it takes them in blocks of as many as fit (see ``stack_block``).
+# Working-set bytes of a block of stacked networks or draws for the two
+# computations whose block is more than a memory cut (see ``stack_block``):
+# ``basin._train_lockstep``, where each block runs a whole gradient-descent
+# loop, so fewer blocks cost fewer Python steps, and
+# ``basin.amplification_check``, whose block size fixes the draw stream, so
+# it must not move.  Every other stacked computation takes cache-sized
+# blocks of ``_DISTANCE_BLOCK_BYTES``.
 STACK_BLOCK_BYTES = 32 * 2**20
 
 
@@ -77,10 +82,10 @@ def stack_block(bytes_per_item: int) -> int:
 
 
 def forward_block(arch: Architecture, n_inputs: int) -> int:
-    """Networks per block in a stacked forward pass over ``n_inputs`` inputs,
+    """Networks per block in lockstep training over ``n_inputs`` inputs,
     sized at 16 bytes per unit and input: the training trace's float64
     activations of every layer, plus the backward sweep's same-sized
-    gradients (the checked forward holds less)."""
+    gradients."""
     return stack_block(16 * n_inputs * sum(arch.widths[1:]))
 
 
@@ -331,7 +336,14 @@ def _flatten(layers) -> np.ndarray:
     return np.concatenate([a.reshape(*lead, -1) for W, b in layers for a in (W, b)], axis=-1)
 
 
-# Bytes of differences the one-row form of ``_chebyshev`` holds at once.
+# Cache-sized working set of the pure computations that take their input in
+# blocks, where a block's size changes no result and only the fixed cost per
+# block argues for larger ones: ``_chebyshev``'s difference buffer,
+# ``basin.amplification_check``'s draw chunks,
+# ``empirical.function_class_sample``'s evaluation blocks and
+# ``canonical.distinct_permutation_images``' permutation blocks.  A block
+# of this size stays in cache; a larger one only adds peak memory and
+# freshly faulted pages.
 _DISTANCE_BLOCK_BYTES = 2**18
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fnequiv import canonical
 from fnequiv.canonical import (
     canonicalize,
     distinct_permutation_images,
@@ -23,6 +24,16 @@ from fnequiv.nncore import (
 from fnequiv.transforms import apply_permutation, random_spec
 
 from oracles import min_row_gap_reference, permutation_images_reference
+
+
+def permute_calls(monkeypatch, params) -> int:
+    """Calls ``distinct_permutation_images(params)`` makes to
+    ``_permute_neurons``: one per hidden layer and block of permutations."""
+    calls = []
+    permute = canonical._permute_neurons
+    monkeypatch.setattr(canonical, "_permute_neurons", lambda *a: calls.append(1) or permute(*a))
+    distinct_permutation_images(params)
+    return len(calls)
 
 
 def net_1_3_1(b1, W1=None, W2=None):
@@ -240,15 +251,17 @@ class TestCountingConsistency:
         ]
         whole = distinct_permutation_images(params)
         # 16 bytes per parameter of one permutation: 7 permutations per block.
-        monkeypatch.setattr("fnequiv.nncore.STACK_BLOCK_BYTES", 7 * 16 * params.flat().size)
+        monkeypatch.setattr("fnequiv.canonical._DISTANCE_BLOCK_BYTES", 7 * 16 * params.flat().size)
         blocked = distinct_permutation_images(params)
+        hidden = params.n_layers - 1
+        perms = math.prod(math.factorial(len(params.bias(l))) for l in range(1, hidden + 1))
+        assert permute_calls(monkeypatch, params) == hidden * math.ceil(perms / 7) > hidden
         for images in (whole, blocked):
             assert [img.flat().tobytes() for img in images] == expected
 
     def test_memory_bounded_by_block(self, monkeypatch):
         # 1-8-1 with eight identical neurons: 40320 permutations, one image.
         params = NetworkParams((([[0.5]] * 8, [0.25] * 8), ([[0.3] * 8], [0.0])))
-        monkeypatch.setattr("fnequiv.nncore.STACK_BLOCK_BYTES", 2**20)
         tracemalloc.start()
         try:
             images = distinct_permutation_images(params)
@@ -256,7 +269,9 @@ class TestCountingConsistency:
         finally:
             tracemalloc.stop()
         assert len(images) == 1 and params_identical(images[0], params)
-        assert peak <= 4 * 2**20
+        assert peak <= 4 * canonical._DISTANCE_BLOCK_BYTES
+        per_block = canonical._DISTANCE_BLOCK_BYTES // (16 * params.flat().size)
+        assert permute_calls(monkeypatch, params) == math.ceil(40320 / per_block) > 1
 
 
 class TestEffectiveVolume:

@@ -28,7 +28,7 @@ from fnequiv.empirical import (
     grid_sample,
 )
 from fnequiv.equivalence import ball_points
-from fnequiv.errors import BudgetExceededError, DomainError
+from fnequiv.errors import BudgetExceededError, DomainError, NumericError
 from fnequiv.nncore import Architecture, IDENTITY, RELU, TANH, _chebyshev
 
 from oracles import (
@@ -331,8 +331,8 @@ class TestGreedyCoverPruning:
     def test_pivot_bound_keeps_most_slab_rows_from_the_pack_kernel(self, monkeypatch):
         # On slabs of more than _PIVOT_MIN_ROWS rows, first fit sends the
         # kernel only the live rows within the threshold of the kept row on
-        # every pivot column: here 2,797 of the 56,552 slab rows, where the
-        # live ones alone are 22,624.
+        # every pivot column past the slab's sort column: here 2,797 of the
+        # 56,552 slab rows, where the live ones alone are 22,624.
         slab_rows, kernel_rows, plain_slab = [], [], canonical._slab
 
         def slab(*args):
@@ -349,6 +349,15 @@ class TestGreedyCoverPruning:
         pts = rng.uniform(-1, 1, (1000, 6)) * np.array([4, 2, 1, 1, 0.5, 0.5])
         assert len(_first_fit(pts, 0.5, kernel)[0]) == greedy_pack_reference(pts, 0.25)
         assert sum(kernel_rows) <= 0.1 * sum(slab_rows)
+
+    def test_one_column_pack_has_no_pivot_past_the_sort_column(self):
+        # Slabs of about 180 and 300 rows, past _PIVOT_MIN_ROWS, with no
+        # pivot left to bound them: the kernel alone decides.
+        pts = np.random.default_rng(8).uniform(-1, 1, (300, 1))
+        for eps in (0.3, 0.6):
+            assert greedy_packing_estimate(MetricSpaceSample(pts), eps) == greedy_pack_reference(
+                pts, eps
+            )
 
     def test_gaps_beyond_a_double_are_infinite_without_a_warning(self):
         # Coordinates +-1.5e308 are a finite 3e308 apart, beyond a double:
@@ -796,10 +805,43 @@ class TestFunctionClassSample:
         assert sample.provenance["n_kept"] == len(expected)
         np.testing.assert_allclose(sample.points, expected, rtol=0, atol=1e-12)
         # One network per block.
-        monkeypatch.setattr("fnequiv.nncore.STACK_BLOCK_BYTES", 1)
+        monkeypatch.setattr("fnequiv.empirical._DISTANCE_BLOCK_BYTES", 1)
+        blocks = []
+        forward = empirical._forward_checked
+        monkeypatch.setattr(
+            "fnequiv.empirical._forward_checked", lambda *args: blocks.append(1) or forward(*args)
+        )
         alone = function_class_sample(arch, 1.0, resolution, 1.0, 5, dedup_canonical=dedup)
+        assert len(blocks) == len(expected) > 1
         assert alone.points.tobytes() == sample.points.tobytes()
         assert alone.provenance == sample.provenance
+
+    def test_memory_bounded_as_documented(self):
+        # fclass-cover's class: G = 8 total S bytes of grid, V = 8 kept m
+        # bytes of values; the docstring bounds the peak by about
+        # max(5 G, 2.125 V) plus one evaluation block.
+        arch = Architecture(1, (2,), (RELU,))
+        function_class_sample(arch, 1.0, 4, 1.0, 32, dedup_canonical=True)
+        tracemalloc.start()
+        try:
+            sample = function_class_sample(arch, 1.0, 4, 1.0, 32, dedup_canonical=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        G = 8 * sample.provenance["n_enumerated"] * arch.param_count
+        V = sample.points.nbytes
+        assert peak <= max(5 * G, 2.125 * V) + nncore._DISTANCE_BLOCK_BYTES
+
+    @pytest.mark.parametrize("per_block", [None, 1], ids=["default_block", "one_net_per_block"])
+    def test_overflow_names_its_layer(self, monkeypatch, per_block):
+        # At B = 1e200 every first-layer pre-activation is finite and the
+        # second layer's products of two such weights overflow.
+        if per_block is not None:
+            monkeypatch.setattr("fnequiv.empirical._DISTANCE_BLOCK_BYTES", per_block)
+        arch = Architecture(1, (2,), (RELU,))
+        with pytest.raises(NumericError, match="at layer 2$") as exc:
+            function_class_sample(arch, 1e200, 4, 1.0, 32, dedup_canonical=True)
+        assert exc.value.layer == 2
 
 
 class TestMetricSpaceSample:

@@ -91,6 +91,7 @@ HOLES = [
     ("volume bound volume", lambda v: volume_covering_bound(2, v, 0.5), INF),
     ("function_class_sample B", lambda v: function_class_sample(TINY, v, 2, 1.0, 3), NAN),
     ("function_class_sample B", lambda v: function_class_sample(TINY, v, 2, 1.0, 3), INF),
+    ("function_class_sample B", lambda v: function_class_sample(TINY, v, 2, 1.0, 3), 1e308),
     ("decide_equivalence n_samples", lambda v: decide_equivalence(NET, NET, 1.0, n_samples=v), 0),
     ("decide_equivalence n_samples", lambda v: decide_equivalence(NET, NET, 1.0, n_samples=v), -5),
     ("OptimizerConfig grad_threshold", lambda v: OptimizerConfig(0.1, 10, v), NAN),
