@@ -36,6 +36,7 @@ from .nncore import (
     _DISTANCE_BLOCK_BYTES,
     _flatten,
     _mse_value_and_grad,
+    _targets,
     _unflatten,
 )
 
@@ -217,26 +218,38 @@ def _train_lockstep(arch, starts, dataset, config):
     block size changes no result.  Returns per-run arrays: final parameters,
     their canonical forms (a block's are sorted together once its loop ends),
     final losses, iteration counts, and converged/diverged flags.
+
+    A block's active runs step as one flat (R, S) parameter stack P and one
+    gradient stack G, which each step writes in place.  Their (W, b) views
+    are made once per block and again only at an iteration where some run
+    stops; a step is one ``_mse_value_and_grad`` into G's views, the stop
+    test, and P -= step * G.
     """
     X, Y = dataset
-    n = np.asarray(X).shape[0]
-    if n == 0:
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] == 0:
         raise DomainError("dataset must be nonempty")
+    Y = _targets(X, Y)
     n_runs = len(starts)
     final, canon = np.empty_like(starts), np.empty_like(starts)
     loss_at, iters_at = np.empty(n_runs), np.empty(n_runs, dtype=np.int64)
     converged_at, diverged_at = np.empty(n_runs, dtype=bool), np.empty(n_runs, dtype=bool)
-    block = forward_block(arch, n)
+    block = forward_block(arch, X.shape[0])
     for first in range(0, n_runs, block):
         active = np.arange(first, min(first + block, n_runs))
         P = starts[active]
+        G = np.empty_like(P)
+        layers, grads = _unflatten(arch, P), _unflatten(arch, G)
         for it in range(config.max_iters + 1):
-            loss, grads = _mse_value_and_grad(arch, _unflatten(arch, P), X, Y)
-            G = _flatten(grads)
-            diverged = ~np.isfinite(loss) | (loss > DIVERGENCE_THRESHOLD)
-            converged = ~diverged & (np.abs(G).max(axis=1) <= config.grad_threshold)
-            stop = diverged | converged | (it == config.max_iters)
-            if stop.any():
+            loss = _mse_value_and_grad(arch, layers, X, Y, grads)
+            # NaN and +inf fail <=, and a sum of squares is never -inf; a
+            # NaN partial fails the gradient test as it fails a max norm's.
+            diverged = ~(loss <= DIVERGENCE_THRESHOLD)
+            stop = diverged | (np.abs(G) <= config.grad_threshold).all(axis=1)
+            last = it == config.max_iters
+            if last or stop.any():
+                converged = stop & ~diverged
+                stop |= last
                 done = active[stop]
                 final[done] = P[stop]
                 loss_at[done], iters_at[done] = loss[stop], it
@@ -245,7 +258,9 @@ def _train_lockstep(arch, starts, dataset, config):
                     break
                 keep = ~stop
                 active, P, G = active[keep], P[keep], G[keep]
-            P = P - config.step_size * G
+                layers, grads = _unflatten(arch, P), _unflatten(arch, G)
+            G *= config.step_size
+            P -= G
         rows = slice(first, first + block)
         canon[rows] = _flatten(_canonical_layers(_unflatten(arch, final[rows]))[0])
     return final, canon, loss_at, iters_at, converged_at, diverged_at

@@ -113,8 +113,9 @@ def group_rows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, list[int
         # runs by that row is first fit for an equivalence relation.
         bits = rows.view(np.uint64)
         order = np.lexsort([np.arange(len(rows)), *bits.T[::-1]])
+        ordered = bits[order]  # the one sorted copy, compared with itself a row on
         lead = np.ones(len(rows), dtype=bool)
-        lead[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+        lead[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
         rank = np.argsort(np.argsort(order[lead]))
         assignment = np.empty(len(rows), dtype=np.int64)
         assignment[order] = rank[np.cumsum(lead) - 1]

@@ -38,13 +38,25 @@ class MetricSpaceSample:
     _exact_record: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.array(self.points, dtype=float))  # a private copy
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
         if self.metric not in (METRIC_PARAMS, METRIC_FUNCTION):
             raise DomainError(f"unknown metric tag {self.metric!r}")
+        self._take(np.array(self.points, dtype=float))  # a private copy
+
+    @classmethod
+    def _owning(cls, points: np.ndarray, metric: str, provenance: dict) -> MetricSpaceSample:
+        """A sample of the float array ``points`` itself, for a caller that
+        holds no other reference to it: made read-only and checked like any
+        sample's points, but not copied."""
+        sample = cls(points[:0], metric, provenance)
+        sample._take(points)
+        return sample
+
+    def _take(self, pts: np.ndarray) -> None:
+        pts = np.atleast_2d(pts)
+        pts.setflags(write=False)
         if not np.isfinite(pts).all():
             raise DomainError("points must be finite (no NaN or infinity)")
+        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -71,7 +83,7 @@ def grid_sample(dim: int, points_per_axis: int, half_width: float = 1.0) -> Metr
         "half_width", half_width, 0, sys.float_info.max / 2, low_open=True, high_open=False
     )
     _grid_count("points", points_per_axis, dim, DEFAULT_GRID_BUDGET)
-    return MetricSpaceSample(
+    return MetricSpaceSample._owning(
         _grid_rows(np.linspace(-half_width, half_width, points_per_axis), dim),
         METRIC_PARAMS,
         {"kind": "grid", "dim": dim, "points_per_axis": points_per_axis, "half_width": half_width},
@@ -373,12 +385,14 @@ def function_class_sample(
 
     Memory, for a grid of ``total`` vectors of S parameters, ``kept`` of
     them evaluated at m = evaluation points x outputs values each: the grid
-    takes G = 8 total S bytes, and deduplication holds at most about 4 G more
-    (the canonical rows and ``group_rows``' sorted copies).  Evaluation
-    writes the V = 8 kept m bytes of values in blocks of networks whose
-    activations fill at most ``nncore._DISTANCE_BLOCK_BYTES``.  The sample
-    then makes its own copy of the values and checks it (a byte per value),
-    so the peak is at most about max(5 G, 2.125 V) plus one block.
+    takes G = 8 total S bytes, and deduplication holds at most about 3 G more
+    (the canonical rows, their flat copy and ``group_rows``' one sorted
+    copy).  Evaluation holds the K = 8 kept S bytes of kept rows and writes
+    the V = 8 kept m bytes of values in blocks of networks whose activations
+    fill at most ``nncore._DISTANCE_BLOCK_BYTES``.  The sample takes the
+    values array as its own, without a copy, and checks it (a byte per
+    value), so the peak is at most about max(4 G, K + V, 1.125 V) plus one
+    block.
     """
     check_range("B", B, 0, sys.float_info.max / 2, low_open=True, high_open=False)
     check_range("B_x", B_x, 0, low_open=True)
@@ -401,8 +415,8 @@ def function_class_sample(
     for start in range(0, len(values), block):
         out = _forward_checked(arch, _unflatten(arch, thetas[start : start + block]), X)
         values[start : start + block] = out.reshape(len(out), -1)
-    del thetas  # the sample below copies the values
-    return MetricSpaceSample(
+    del thetas
+    return MetricSpaceSample._owning(
         values,
         METRIC_FUNCTION,
         {

@@ -343,7 +343,9 @@ def _flatten(layers) -> np.ndarray:
 # ``empirical.function_class_sample``'s evaluation blocks and
 # ``canonical.distinct_permutation_images``' permutation blocks.  A block
 # of this size stays in cache; a larger one only adds peak memory and
-# freshly faulted pages.
+# freshly faulted pages.  Evaluation blocks cut the stack of networks,
+# never one network's batch of inputs, whose row blocks would change output
+# bits (see ``forward_batch``).
 _DISTANCE_BLOCK_BYTES = 2**18
 
 
@@ -415,7 +417,18 @@ def forward(arch: Architecture, params: NetworkParams, x) -> np.ndarray:
 
 
 def forward_batch(arch: Architecture, params: NetworkParams, X) -> np.ndarray:
-    """Evaluate the network at a batch of inputs (one row each)."""
+    """Evaluate the network at a batch of inputs (one row each).
+
+    A row's output bits depend on the batch it is evaluated in: how BLAS
+    orders a product's sums depends on the product's shape.  On the
+    4-64-16-1 nets of the benchmark, evaluating 4096 ball points in row
+    blocks changes the layer-2 product in its last bits at every block size
+    tried (1 to 2048 rows), and merging the products of several networks
+    into one can change bits too.  So the sampled fallback of
+    ``equivalence`` evaluates its whole ball set in one call, and stacked
+    evaluation and lockstep training keep one product per network, which
+    gives each network the bits of its own call.
+    """
     check_shapes(arch, params)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != arch.input_dim:
@@ -450,7 +463,7 @@ def _forward_checked(arch, layers, X, trace=None) -> np.ndarray:
     h = X
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (W, b) in enumerate(layers, start=1):
-            z = h @ np.swapaxes(W, -1, -2)
+            z = h @ W.swapaxes(-1, -2)
             z += b[..., None, :]
             if trace is None and not np.isfinite(z).all():
                 raise NumericError(f"non-finite pre-activation at layer {l}", layer=l)
@@ -488,34 +501,38 @@ def _targets(X, Y) -> np.ndarray:
 def mse_gradient(arch: Architecture, params: NetworkParams, X, Y):
     """Full-batch MSE value and gradient, vectorized over the dataset."""
     check_shapes(arch, params)
-    value, grads = _mse_value_and_grad(arch, params.layers, X, Y)
-    return float(value), NetworkParams(grads)
-
-
-def _mse_value_and_grad(arch, layers, X, Y):
-    """Full-batch MSE and its (W, b) partials over plain or stacked layers
-    (see ``_forward_trace``); stacked layers give one value per network."""
     X = np.asarray(X, dtype=float)
+    grads = _unflatten(arch, np.empty(arch.param_count))
+    value = _mse_value_and_grad(arch, params.layers, X, _targets(X, Y), grads)
+    return float(value), NetworkParams(tuple(grads))
+
+
+def _mse_value_and_grad(arch, layers, X, Y, grads):
+    """Full-batch MSE over plain or stacked layers (see ``_forward_trace``),
+    one value per network when stacked, bit for bit
+    ``np.mean(np.sum(r * r, axis=-1), axis=-1)`` of the residuals r.  ``X``
+    is a float array of n inputs and ``Y`` their ``_targets``; the (W, b)
+    partials are written into ``grads``, views shaped like ``layers``."""
     post = _forward_trace(arch, layers, X)
-    resid = post[-1] - _targets(X, Y)
-    value = np.mean(np.sum(resid * resid, axis=-1), axis=-1)
-    return value, _backprop(arch, layers, post, (2.0 / X.shape[0]) * resid)
+    resid = post[-1] - Y
+    value = np.add.reduce(np.add.reduce(resid * resid, axis=-1), axis=-1) / X.shape[0]
+    _backprop(arch, layers, post, (2.0 / X.shape[0]) * resid, grads)
+    return value
 
 
-def _backprop(arch, layers, post, G):
+def _backprop(arch, layers, post, G, grads) -> None:
     """Reverse sweep over the activations ``post`` of a ``_forward_trace``,
     taking each hidden layer's slope from its activation (``_slope``).
     ``G`` holds the loss gradient w.r.t. the network output, one row per
     input (with the same leading stack axis as ``layers``, if any), and the
-    parameter partials are summed over the rows.  Returns the partials as
-    (W, b) pairs shaped like ``layers``."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    parameter partials, summed over the rows, are written into ``grads``:
+    (W, b) arrays shaped like ``layers``."""
     for l in range(len(layers), 0, -1):
-        W, _ = layers[l - 1]
-        grads[l - 1] = (np.swapaxes(G, -1, -2) @ post[l - 1], G.sum(axis=-2))
+        gW, gb = grads[l - 1]
+        np.matmul(G.swapaxes(-1, -2), post[l - 1], out=gW)
+        np.add.reduce(G, axis=-2, out=gb)
         if l > 1:
-            G = (G @ W) * arch.activations[l - 2]._slope(post[l - 1])
-    return tuple(grads)
+            G = (G @ layers[l - 1][0]) * arch.activations[l - 2]._slope(post[l - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fnequiv.basin import (
     train,
     xor_dataset,
     _layer_draw,
+    _train_lockstep,
 )
 from fnequiv.canonical import canonicalize, distinct_permutation_images, symmetry_profile
 from fnequiv.errors import DomainError
@@ -26,6 +27,8 @@ from fnequiv.nncore import (
     TANH,
     mse_gradient,
     random_params,
+    _flatten,
+    _unflatten,
 )
 from fnequiv.transforms import NeuronSymmetry, apply_permutation, random_spec
 from oracles import (
@@ -376,6 +379,56 @@ class TestLockstepTraining:
         for run in summary.runs:
             expected = canonicalize(run.final_params).params.flat()
             assert run.canonical_flat.tobytes() == expected.tobytes()
+
+    def test_nan_and_inf_losses_stop_as_diverged(self):
+        # 2-2-1 tanh on XOR, S = 9: (W1, b1, W2, b2).  Equal positive hidden
+        # units under output weights (+inf, -inf) give a NaN output; an
+        # output bias of 1e200 gives a finite output whose squared error
+        # overflows to +inf.  Both stop at iteration 0; the two ordinary
+        # runs around them go on as the per-run reference does.
+        arch = Architecture(2, (2,), (TANH,))
+        X, Y = xor_dataset()
+        cfg = OptimizerConfig(step_size=0.5, max_iters=50, grad_threshold=1e-3)
+        rng = np.random.default_rng(3)
+        nan_run = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, math.inf, -math.inf, 0.0]
+        inf_run = [*rng.uniform(-1, 1, 8), 1e200]
+        starts = np.array([rng.uniform(-1, 1, 9), nan_run, inf_run, rng.uniform(-1, 1, 9)])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            final, _, loss, iters, converged, diverged = _train_lockstep(
+                arch, starts, (X, Y), cfg
+            )
+        assert math.isnan(loss[1]) and loss[2] == math.inf
+        assert iters[1] == iters[2] == 0 and diverged[1:3].all() and not converged[1:3].any()
+        assert iters[0] > 0 and iters[3] > 0
+        for i in (0, 3):
+            layers, ref_loss, ref_iters, ref_conv, ref_div = gd_reference(
+                _unflatten(arch, starts[i]), arch.activations, X, Y,
+                cfg.step_size, cfg.max_iters, cfg.grad_threshold,
+            )  # fmt: skip
+            assert (iters[i], converged[i], diverged[i]) == (ref_iters, ref_conv, ref_div)
+            assert _bits(loss[i]) == _bits(ref_loss)
+            assert final[i].tobytes() == _flatten(layers).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+    def test_views_rebuilt_only_when_runs_stop(self, monkeypatch, name):
+        # One block of 16 runs: the (W, b) views of P and G are made at its
+        # start and again at each iteration where some, but not all, of the
+        # active runs stop (every distinct stopping iteration but the last),
+        # and the block's canonical forms unflatten its final stack once.
+        import fnequiv.basin as basin_mod
+        import fnequiv.nncore as nncore_mod
+
+        arch, scheme, dataset, cfg, _ = LOCKSTEP_CASES[name]
+        runs = basin_experiment(arch, scheme, dataset, 16, cfg).runs
+        starts = np.stack([run.init_params.flat() for run in runs])
+        calls = []
+        unflatten = nncore_mod._unflatten
+        counted = lambda *args: calls.append(1) or unflatten(*args)
+        monkeypatch.setattr(basin_mod, "_unflatten", counted)
+        monkeypatch.setattr(nncore_mod, "_unflatten", counted)
+        iters = _train_lockstep(arch, starts, dataset, cfg)[3]
+        assert iters.tolist() == [run.iterations for run in runs]
+        assert len(calls) == 2 * len(set(iters.tolist())) + 1 < cfg.max_iters
 
     def test_one_run_blocks_change_nothing(self, monkeypatch):
         import fnequiv.basin as basin_mod

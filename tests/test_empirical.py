@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fnequiv import canonical, empirical, nncore
 from fnequiv.bounds import BoundConfig, shallow_covering_bound, volume_covering_bound
-from fnequiv.canonical import _first_fit, group_rows
+from fnequiv.canonical import _canonical_layers, _first_fit, group_rows
 from fnequiv.empirical import (
     DEFAULT_GRID_BUDGET,
     METRIC_FUNCTION,
@@ -817,9 +817,10 @@ class TestFunctionClassSample:
         assert alone.provenance == sample.provenance
 
     def test_memory_bounded_as_documented(self):
-        # fclass-cover's class: G = 8 total S bytes of grid, V = 8 kept m
-        # bytes of values; the docstring bounds the peak by about
-        # max(5 G, 2.125 V) plus one evaluation block.
+        # fclass-cover's class: G = 8 total S bytes of grid, K = 8 kept S
+        # bytes of kept rows, V = 8 kept m bytes of values; the docstring
+        # bounds the peak by about max(4 G, K + V, 1.125 V) plus one
+        # evaluation block.  A second copy of the values breaks it.
         arch = Architecture(1, (2,), (RELU,))
         function_class_sample(arch, 1.0, 4, 1.0, 32, dedup_canonical=True)
         tracemalloc.start()
@@ -829,8 +830,31 @@ class TestFunctionClassSample:
         finally:
             tracemalloc.stop()
         G = 8 * sample.provenance["n_enumerated"] * arch.param_count
+        K = 8 * sample.provenance["n_kept"] * arch.param_count
         V = sample.points.nbytes
-        assert peak <= max(5 * G, 2.125 * V) + nncore._DISTANCE_BLOCK_BYTES
+        assert peak <= max(4 * G, K + V, 1.125 * V) + nncore._DISTANCE_BLOCK_BYTES
+
+    def test_dedup_step_memory(self):
+        # The sampler's dedup step on fclass-cover's 16384 x 7 grid (G bytes,
+        # built inside the trace): canonical rows, their flat copy and one
+        # sorted copy in group_rows stay under 4 G; a second sorted copy
+        # (3.93 MB) does not.
+        arch = Architecture(1, (2,), (RELU,))
+
+        def dedup():
+            thetas = empirical._grid_rows(np.linspace(-1.0, 1.0, 4), arch.param_count)
+            canon = nncore._flatten(_canonical_layers(nncore._unflatten(arch, thetas))[0])
+            return thetas, thetas[group_rows(canon, 0.0)[1]]
+
+        dedup()
+        tracemalloc.start()
+        try:
+            thetas, kept = dedup()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert thetas.shape == (16384, 7) and len(kept) == 8704
+        assert peak <= 4 * thetas.nbytes
 
     @pytest.mark.parametrize("per_block", [None, 1], ids=["default_block", "one_net_per_block"])
     def test_overflow_names_its_layer(self, monkeypatch, per_block):
@@ -845,6 +869,14 @@ class TestFunctionClassSample:
 
 
 class TestMetricSpaceSample:
+    def test_points_are_a_private_read_only_copy(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        space = MetricSpaceSample(rows)
+        assert not np.shares_memory(space.points, rows)
+        assert not space.points.flags.writeable
+        rows[0, 0] = 99.0
+        assert space.points[0, 0] == 0.0
+
     def test_metric_axioms_spot_check(self):
         rng = np.random.default_rng(4)
         space = MetricSpaceSample(rng.uniform(-1, 1, (20, 3)))

@@ -242,3 +242,32 @@ def test_traced_function_exists(module, name):
     # The traced benchmark run wraps each of these by name; a rename would
     # otherwise break only that run.
     assert callable(getattr(importlib.import_module(f"fnequiv.{module}"), name, None))
+
+
+def forward_backward_sites(source: str) -> list[str]:
+    """Where ``source`` multiplies matrices (``@``, ``@=``, ``matmul``,
+    ``dot``, ``einsum``) or applies an activation (``_apply``, ``_slope``),
+    as "line: what" in line order."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            sites.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in (
+            "matmul", "dot", "einsum", "_apply", "_slope"
+        ):
+            sites.append((node.lineno, node.attr))
+    return [f"{line}: {what}" for line, what in sorted(sites)]
+
+
+def test_basin_runs_no_forward_or_backward_of_its_own():
+    # The forward/backward pass lives in nncore only; basin trains through it.
+    basin = Path(fnequiv.__file__).parent / "basin.py"
+    assert forward_backward_sites(basin.read_text()) == []
+
+
+def test_forward_backward_site_detector():
+    source = "@dataclass\nclass C:\n    pass\n\n\nz = h @ W\nz @= W\n"
+    source += "np.matmul(a, b, out=c)\nnp.dot(a, b)\nact._apply(z, z)\nact._slope(y)\n"
+    assert forward_backward_sites(source) == [
+        "6: @", "7: @", "8: matmul", "9: dot", "10: _apply", "11: _slope"
+    ]

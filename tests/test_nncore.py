@@ -29,6 +29,8 @@ from fnequiv.nncore import (
     params_identical,
     random_params,
     _forward_checked,
+    _mse_value_and_grad,
+    _unflatten,
 )
 
 from oracles import (
@@ -249,6 +251,27 @@ class TestOverflowLayer:
 
 
 class TestGradient:
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_mse_value_is_mean_of_row_sums_bit_for_bit(self, outputs):
+        # 13 inputs, so the sum over them is pairwise past its first 8.
+        rng = np.random.default_rng(21)
+        arch = Architecture(3, (5, 4), (TANH, RELU), outputs)
+        X = rng.uniform(-1, 1, (13, 3))
+        Y = rng.uniform(-1, 1, (13, outputs))
+        P = rng.uniform(-1, 1, (6, arch.param_count))
+        G = np.empty_like(P)
+        stacked = _mse_value_and_grad(arch, _unflatten(arch, P), X, Y, _unflatten(arch, G))
+        resid = _forward_checked(arch, _unflatten(arch, P), X) - Y
+        want = np.mean(np.sum(resid * resid, axis=-1), axis=-1)
+        assert stacked.tobytes() == want.tobytes()
+        for row, grad_row, value in zip(P, G, want):
+            params = params_from_flat(arch, row)
+            resid = forward_batch(arch, params, X) - Y
+            plain, grad = mse_gradient(arch, params, X, Y)
+            assert np.float64(plain).tobytes() == value.tobytes()
+            assert plain == np.mean(np.sum(resid * resid, axis=-1), axis=-1)
+            assert grad.flat().tobytes() == grad_row.tobytes()
+
     def test_hand_chain_rule(self):
         arch, params = tiny_identity_net()
         g = gradient(arch, params, [1.0], [0.0])
