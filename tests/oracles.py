@@ -471,18 +471,16 @@ def function_class_reference(arch, B, grid_resolution, X, dedup):
 
 
 def ball_points_reference(dim, n, radius, seed=0):
-    """The scrambled-Halton ball points, built afresh with no cache: Halton
-    points mapped into the ball (Gaussian-inverse directions, radial
-    inverse-CDF), then the origin and the +-radius axis points appended."""
-    from scipy.stats import norm, qmc
-
-    sampler = qmc.Halton(d=dim + 1, scramble=True, seed=seed)
-    u = sampler.random(n)
-    z = norm.ppf(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    r = radius * u[:, dim:] ** (1.0 / dim)
-    pts = z / norms * r
+    """The seeded ball points, built afresh with no cache: ``n`` standard
+    normal rows, each divided by its norm, times radii ``radius * U **
+    (1 / dim)`` from the same generator, then the origin and the +-radius
+    axis points appended."""
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((n, dim))
+    lengths = np.linalg.norm(directions, axis=1, keepdims=True)
+    lengths[lengths == 0.0] = 1.0
+    radii = radius * rng.random((n, 1)) ** (1.0 / dim)
+    pts = directions / lengths * radii
     axes = np.concatenate([np.eye(dim), -np.eye(dim)]) * radius
     return np.concatenate([pts, np.zeros((1, dim)), axes])
 
