@@ -30,7 +30,6 @@ from .nncore import (
     check_same_shapes,
     check_shapes,
     forward_batch,
-    forward_block,
     params_from_flat,
     stack_block,
     _DISTANCE_BLOCK_BYTES,
@@ -234,7 +233,8 @@ def _train_lockstep(arch, starts, dataset, config):
     final, canon = np.empty_like(starts), np.empty_like(starts)
     loss_at, iters_at = np.empty(n_runs), np.empty(n_runs, dtype=np.int64)
     converged_at, diverged_at = np.empty(n_runs, dtype=bool), np.empty(n_runs, dtype=bool)
-    block = forward_block(arch, X.shape[0])
+    # 16 bytes per unit and input: the trace's activations plus same-sized gradients.
+    block = stack_block(16 * X.shape[0] * sum(arch.widths[1:]))
     for first in range(0, n_runs, block):
         active = np.arange(first, min(first + block, n_runs))
         P = starts[active]
@@ -263,6 +263,7 @@ def _train_lockstep(arch, starts, dataset, config):
             P -= G
         rows = slice(first, first + block)
         canon[rows] = _flatten(_canonical_layers(_unflatten(arch, final[rows]))[0])
+    canon.setflags(write=False)
     return final, canon, loss_at, iters_at, converged_at, diverged_at
 
 

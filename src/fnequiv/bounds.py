@@ -68,12 +68,7 @@ def shallow_covering_bound(cfg: BoundConfig) -> float:
     log_base = log_monomial(
         (16.0, 1), (cfg.B, 2), (cfg.B_x + 1.0, 1), (math.sqrt(d0), 1), (d1, 1)
     ) - math.log(cfg.epsilon)
-    return S * log_base + S_h * math.log(cfg.rho[0]) + permutation_discount(arch)
-
-
-def permutation_discount(arch: Architecture) -> float:
-    """The -sum_l log(d_l!) term contributed by hidden-layer permutations."""
-    return -arch.log_permutation_count
+    return S * log_base + S_h * math.log(cfg.rho[0]) - arch.log_permutation_count
 
 
 def deep_covering_bound(cfg: BoundConfig) -> float:
@@ -98,7 +93,7 @@ def deep_covering_bound(cfg: BoundConfig) -> float:
         + log_widths
         - math.log(cfg.epsilon)
     )
-    return S * log_base + permutation_discount(arch)
+    return S * log_base - arch.log_permutation_count
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ def entropy_comparison(cfg: BoundConfig) -> EntropyComparison:
         "pdim_2019": L * S * math.log(S) * log_monomial((bx, 1), (eps, -1)),
         "permutation_aware": L
         * S
-        * (log_rs + (math.log(cfg.B_x) + permutation_discount(arch) - math.log(eps)) / L),
+        * (log_rs + (math.log(cfg.B_x) - arch.log_permutation_count - math.log(eps)) / L),
     }
     floored = tuple(name for name, v in raw.items() if v is not None and v < 0.0)
     vals = {name: None if v is None else max(v, 0.0) for name, v in raw.items()}

@@ -43,7 +43,7 @@ def canonicalize(params: NetworkParams) -> CanonicalForm:
 
 def _canonical_layers(layers) -> tuple[list, list[np.ndarray]]:
     """``canonicalize`` on plain or stacked (W, b) layers (see
-    ``nncore._forward_trace``), each network sorted on its own.  Returns the
+    ``nncore._forward_checked``), each network sorted on its own.  Returns the
     canonical layers and the sort order of each hidden layer, one row per
     network when stacked."""
     layers = list(layers)

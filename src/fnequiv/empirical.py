@@ -295,42 +295,36 @@ def _greedy_set_cover(covers: np.ndarray) -> list:
 def _cover_milp(D: np.ndarray, epsilon: float) -> int:
     """The eps-covering number of the points with distance matrix ``D``,
     from a set-cover integer program."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    n = len(D)
-    covers = (D <= epsilon).astype(float)
-    res = milp(
-        c=np.ones(n),
-        constraints=LinearConstraint(covers, lb=np.ones(n), ub=np.full(n, np.inf)),
-        integrality=np.ones(n),
-        bounds=Bounds(0, 1),
-    )
-    if not res.success:
-        raise DomainError(f"set-cover solve failed: {res.message}")
-    return int(round(res.fun))
+    return _milp_count(D <= epsilon, 1.0, np.inf, maximize=False)
 
 
 def _packing_milp(D: np.ndarray, epsilon: float) -> int:
     """The eps-packing number of the points with distance matrix ``D``, from
     an integer program with one row per clique of ``_edge_clique_cover``."""
+    conflict = D <= 2.0 * epsilon
+    np.fill_diagonal(conflict, False)
+    return _milp_count(_edge_clique_cover(conflict), 0.0, 1.0, maximize=True)
+
+
+def _milp_count(rows: np.ndarray, lb: float, ub: float, maximize: bool) -> int:
+    """The least (or, with ``maximize``, the greatest) sum of a 0/1 vector x
+    with lb <= rows @ x <= ub in every row of the boolean matrix ``rows``."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
-    n = len(D)
-    conflict = D <= 2.0 * epsilon
-    np.fill_diagonal(conflict, False)
-    cliques = _edge_clique_cover(conflict)
-    # Sparse: a graph with few triangles needs about one row per pair.
-    A = csr_array(cliques, dtype=float)
+    n = rows.shape[1]
+    sign = -1.0 if maximize else 1.0
+    # Sparse: a packing graph with few triangles needs about one row per pair.
+    A = csr_array(rows, dtype=float)
     res = milp(
-        c=-np.ones(n),
-        constraints=LinearConstraint(A, lb=np.zeros(len(cliques)), ub=np.ones(len(cliques))),
+        c=np.full(n, sign),
+        constraints=LinearConstraint(A, lb=lb, ub=ub),
         integrality=np.ones(n),
         bounds=Bounds(0, 1),
     )
     if not res.success:
-        raise DomainError(f"packing solve failed: {res.message}")
-    return int(round(-res.fun))
+        raise DomainError(f"{'packing' if maximize else 'set-cover'} solve failed: {res.message}")
+    return int(round(sign * res.fun))
 
 
 def _edge_clique_cover(conflict: np.ndarray) -> np.ndarray:

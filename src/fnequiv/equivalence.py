@@ -18,7 +18,7 @@ import numpy as np
 
 from .canonical import _canonical_pair
 from .errors import ShapeError, check_range, check_seed
-from .nncore import Network, check_same_shapes, forward_batch
+from .nncore import Network, check_shapes, forward_batch
 from .transforms import NeuronSymmetry
 
 DEFAULT_TOLERANCE = 1e-7
@@ -131,8 +131,8 @@ def decide_equivalence(
     within each hidden layer are pairwise distinct; tied keys with different
     outgoing columns can leave a permuted pair to the sampled verdict.
     ``tolerance`` must be nonnegative, ``B_x`` finite and positive,
-    ``n_samples`` at least 1 and ``seed`` a nonnegative integer, whichever
-    route decides.
+    ``n_samples`` at least 1, ``seed`` a nonnegative integer and each
+    network's parameters shaped for its architecture, whichever route decides.
     """
     if f1.arch != f2.arch:
         raise ShapeError("architectures differ")
@@ -140,7 +140,8 @@ def decide_equivalence(
     check_range("B_x", B_x, 0, low_open=True)
     check_range("n_samples", n_samples, 1)
     check_seed(seed)
-    check_same_shapes(f1.params, f2.params)
+    check_shapes(f1.arch, f1.params)
+    check_shapes(f2.arch, f2.params)
     flats, witness = _canonical_pair(f1.params, f2.params)
     # Bytes, not values, so -0.0 and 0.0 differ.
     if flats[0].tobytes() == flats[1].tobytes():

@@ -81,14 +81,6 @@ def stack_block(bytes_per_item: int) -> int:
     return max(1, STACK_BLOCK_BYTES // bytes_per_item)
 
 
-def forward_block(arch: Architecture, n_inputs: int) -> int:
-    """Networks per block in lockstep training over ``n_inputs`` inputs,
-    sized at 16 bytes per unit and input: the training trace's float64
-    activations of every layer, plus the backward sweep's same-sized
-    gradients."""
-    return stack_block(16 * n_inputs * sum(arch.widths[1:]))
-
-
 # ---------------------------------------------------------------------------
 # Activations
 
@@ -317,7 +309,7 @@ def params_from_flat(arch: Architecture, vec: Sequence[float]) -> NetworkParams:
 
 def _unflatten(arch: Architecture, vecs: np.ndarray) -> list:
     """(W, b) views of flat parameter vectors: an (S,) vector gives plain
-    layers, an (R, S) stack gives stacked ones (see ``_forward_trace``)."""
+    layers, an (R, S) stack gives stacked ones (see ``_forward_checked``)."""
     lead = vecs.shape[:-1]
     layers = []
     pos = 0
@@ -438,28 +430,19 @@ def forward_batch(arch: Architecture, params: NetworkParams, X) -> np.ndarray:
     return _forward_checked(arch, params.layers, X)
 
 
-def _forward_trace(arch, layers, X) -> list:
-    """The forward pass keeping every activation, [X, h_1, ..., h_{L+1}],
-    for the backward sweep.
+def _forward_checked(arch, layers, X, trace=None) -> np.ndarray:
+    """Network outputs: the one forward layer loop, where each activation
+    overwrites its pre-activation.
 
     ``layers`` holds (W, b) pairs, either plain (W of shape (d_out, d_in)) or
     stacked over R networks (W of shape (R, d_out, d_in), b of shape
     (R, d_out)); the stacked case gives one (R, n, d) activation per layer
-    and computes each network exactly as the plain case does.  Overflow is
-    left as non-finite values, which training records as divergence.
-    """
-    trace = [X]
-    _forward_checked(arch, layers, X, trace)
-    return trace
-
-
-def _forward_checked(arch, layers, X, trace=None) -> np.ndarray:
-    """Network outputs over plain or stacked layers (see ``_forward_trace``):
-    the one forward layer loop, where each activation overwrites its
-    pre-activation.  With ``trace`` None, one layer's array is held at a
-    time, and ``NumericError`` names the first (1-based) layer with a
-    non-finite pre-activation; else every activation is appended to the list
-    ``trace``, unchecked."""
+    and computes each network exactly as the plain case does.  With
+    ``trace`` None, one layer's array is held at a time, and ``NumericError``
+    names the first (1-based) layer with a non-finite pre-activation; else
+    every activation is appended to the list ``trace`` (which the backward
+    sweep starts as ``[X]``), unchecked, and overflow is left as non-finite
+    values, which training records as divergence."""
     h = X
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (W, b) in enumerate(layers, start=1):
@@ -508,12 +491,13 @@ def mse_gradient(arch: Architecture, params: NetworkParams, X, Y):
 
 
 def _mse_value_and_grad(arch, layers, X, Y, grads):
-    """Full-batch MSE over plain or stacked layers (see ``_forward_trace``),
+    """Full-batch MSE over plain or stacked layers (see ``_forward_checked``),
     one value per network when stacked, bit for bit
     ``np.mean(np.sum(r * r, axis=-1), axis=-1)`` of the residuals r.  ``X``
     is a float array of n inputs and ``Y`` their ``_targets``; the (W, b)
     partials are written into ``grads``, views shaped like ``layers``."""
-    post = _forward_trace(arch, layers, X)
+    post = [X]
+    _forward_checked(arch, layers, X, post)
     resid = post[-1] - Y
     value = np.add.reduce(np.add.reduce(resid * resid, axis=-1), axis=-1) / X.shape[0]
     _backprop(arch, layers, post, (2.0 / X.shape[0]) * resid, grads)
@@ -521,12 +505,12 @@ def _mse_value_and_grad(arch, layers, X, Y, grads):
 
 
 def _backprop(arch, layers, post, G, grads) -> None:
-    """Reverse sweep over the activations ``post`` of a ``_forward_trace``,
-    taking each hidden layer's slope from its activation (``_slope``).
-    ``G`` holds the loss gradient w.r.t. the network output, one row per
-    input (with the same leading stack axis as ``layers``, if any), and the
-    parameter partials, summed over the rows, are written into ``grads``:
-    (W, b) arrays shaped like ``layers``."""
+    """Reverse sweep over the activations ``post`` = [X, h_1, ..., h_{L+1}]
+    traced by ``_forward_checked``, taking each hidden layer's slope from its
+    activation (``_slope``).  ``G`` holds the loss gradient w.r.t. the
+    network output, one row per input (with the same leading stack axis as
+    ``layers``, if any), and the parameter partials, summed over the rows,
+    are written into ``grads``: (W, b) arrays shaped like ``layers``."""
     for l in range(len(layers), 0, -1):
         gW, gb = grads[l - 1]
         np.matmul(G.swapaxes(-1, -2), post[l - 1], out=gW)

@@ -162,7 +162,7 @@ def apply_permutation(params: NetworkParams, g: NeuronSymmetry) -> NetworkParams
 def _permute_neurons(layers: list, l: int, p: np.ndarray) -> None:
     """Gather the rows of hidden layer ``l`` (1-based) and the columns of
     layer l+1 by ``p``, in place in the list ``layers``: plain (W, b) pairs
-    with ``p`` of shape (d,), or stacked ones (see ``nncore._forward_trace``)
+    with ``p`` of shape (d,), or stacked ones (see ``nncore._forward_checked``)
     with one permutation per network, ``p`` of shape (R, d).  The columns
     are gathered as rows of the transpose and copied back to C order."""
     (W, b), (W_next, b_next) = layers[l - 1], layers[l]

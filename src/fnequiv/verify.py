@@ -1,7 +1,8 @@
 """Named, seeded property suites runnable from the CLI.
 
-Each suite re-checks a family of invariants with fixed seeds and returns a
-machine-readable report; the CLI maps a failing suite to a nonzero exit.
+Each suite re-checks a family of invariants with fixed seeds; ``run_suite``
+reports its checks machine-readably, and the CLI maps a failing suite to a
+nonzero exit.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _random_arch(rng) -> Architecture:
     return Architecture(d0, widths, acts)
 
 
-def suite_permutation(seed: int = 0):
+def suite_permutation(seed: int = 0) -> list:
     """Function preservation, group structure, and box closure of the
     hidden-neuron permutation transform."""
     rng = np.random.default_rng(seed)
@@ -91,10 +92,10 @@ def suite_permutation(seed: int = 0):
             "permutation preserves the entry bound",
         )
     )
-    return {"suite": "permutation", "passed": all(c["passed"] for c in checks), "checks": checks}
+    return checks
 
 
-def suite_sandwich():
+def suite_sandwich() -> list:
     """Packing/covering sandwich and the volume bound on exact grid oracles."""
     checks = []
     cases = [(1, 9), (2, 7)]
@@ -121,10 +122,10 @@ def suite_sandwich():
                     f"M(e/2)={m_half} <= V(2/e)^d={vol_bound:.6g}",
                 )
             )
-    return {"suite": "sandwich", "passed": all(c["passed"] for c in checks), "checks": checks}
+    return checks
 
 
-def suite_amplification(seed: int = 0):
+def suite_amplification(seed: int = 0) -> list:
     """Orbit-hit probability equals image count times single-image probability
     for layer-symmetric initialization (no optimizer involved)."""
     arch = Architecture(1, (2,), (RELU,))
@@ -158,19 +159,17 @@ def suite_amplification(seed: int = 0):
             f"singleton orbit: ratio {dup.ratio}, images {dup.n_images}",
         )
     )
-    return {
-        "suite": "amplification",
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-    }
+    return checks
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
     check_seed(seed)
     if name == "permutation":
-        return suite_permutation(seed=seed)
-    if name == "sandwich":
-        return suite_sandwich()
-    if name == "amplification":
-        return suite_amplification(seed=seed)
-    raise KeyError(name)
+        checks = suite_permutation(seed=seed)
+    elif name == "sandwich":
+        checks = suite_sandwich()
+    elif name == "amplification":
+        checks = suite_amplification(seed=seed)
+    else:
+        raise KeyError(name)
+    return {"suite": name, "passed": all(c["passed"] for c in checks), "checks": checks}

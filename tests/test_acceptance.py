@@ -24,7 +24,6 @@ from fnequiv.basin import (
 from fnequiv.bounds import (
     BoundConfig,
     deep_covering_bound,
-    permutation_discount,
     shallow_covering_bound,
     stirling_bracket,
     volume_covering_bound,
@@ -215,7 +214,7 @@ def test_criterion_04_bound_formula_fidelity():
                 assert got == pytest.approx(want, rel=1e-10)
 
         # the permutation discount is exactly -sum_l log(d_l!)
-        disc = permutation_discount(Architecture(2, (3, 5), (TANH, TANH)))
+        disc = -Architecture(2, (3, 5), (TANH, TANH)).log_permutation_count
         assert disc == -(math.lgamma(4) + math.lgamma(6))
 
         for d in range(1, 171):

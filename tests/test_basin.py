@@ -380,6 +380,15 @@ class TestLockstepTraining:
             expected = canonicalize(run.final_params).params.flat()
             assert run.canonical_flat.tobytes() == expected.tobytes()
 
+    def test_canonical_flat_is_read_only(self):
+        # Like the run's NetworkParams, on both training entry points.
+        arch, scheme, dataset, cfg, _ = LOCKSTEP_CASES[sorted(LOCKSTEP_CASES)[0]]
+        runs = basin_experiment(arch, scheme, dataset, 4, cfg).runs
+        runs += (train(arch, initialize(arch, scheme), dataset, cfg),)
+        for run in runs:
+            assert not run.canonical_flat.flags.writeable
+            assert not run.final_params.layers[0][0].flags.writeable
+
     def test_nan_and_inf_losses_stop_as_diverged(self):
         # 2-2-1 tanh on XOR, S = 9: (W1, b1, W2, b2).  Equal positive hidden
         # units under output weights (+inf, -inf) give a NaN output; an

@@ -11,7 +11,6 @@ from fnequiv.bounds import (
     deep_covering_bound,
     entropy_comparison,
     log_volume_covering_bound,
-    permutation_discount,
     shallow_covering_bound,
     stirling_bracket,
     volume_covering_bound,
@@ -118,14 +117,14 @@ class TestDeepBound:
             assert deep_covering_bound(cfg) == pytest.approx(want, rel=1e-10)
 
     def test_factorial_discount_exact(self):
-        assert permutation_discount(relu_arch(2, (3, 4))) == -(math.lgamma(4) + math.lgamma(5))
+        assert -relu_arch(2, (3, 4)).log_permutation_count == -(math.lgamma(4) + math.lgamma(5))
 
     def test_width_increment_bookkeeping(self):
         # growing one hidden width by 1 changes the discount by exactly
         # -log(d_l + 1)
         a1 = relu_arch(2, (3, 5))
         a2 = relu_arch(2, (3, 6))
-        assert permutation_discount(a2) - permutation_discount(a1) == pytest.approx(
+        assert -a2.log_permutation_count - -a1.log_permutation_count == pytest.approx(
             -math.log(6.0), rel=1e-12
         )
         assert a2.param_count > a1.param_count

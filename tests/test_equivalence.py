@@ -253,6 +253,14 @@ class TestDecideEquivalence:
         with pytest.raises(ShapeError):
             decide_equivalence(a, b, 1.0)
 
+    def test_params_checked_against_their_architecture(self):
+        # Same 1-2-1 parameters under a 1-3-1 architecture: no route may
+        # decide on them, the structural one included.
+        params = random_net(Architecture(1, (2,), (TANH,)), 16).params
+        arch = Architecture(1, (3,), (TANH,))
+        with pytest.raises(ShapeError):
+            decide_equivalence(Network(arch, params), Network(arch, params), 1.0)
+
     @pytest.mark.parametrize(
         "B_x,tolerance", [(1.0, np.nan), (1.0, -1e-9), (np.nan, 1e-7), (np.inf, 1e-7), (0.0, 1e-7)]
     )

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 import types
@@ -95,11 +96,11 @@ def scipy_import_sites(source: str) -> list[str]:
     return sites
 
 
-# The only functions that may load scipy, each for one kernel: the two MILP
-# oracles and the sigmoid.  The distances, the equivalence decisions, the
+# The only functions that may load scipy, each for one kernel: the one MILP
+# solve and the sigmoid.  The distances, the equivalence decisions, the
 # sample points, the amplification check and the bounds load none of it.
 SCIPY_IMPORT_SITES = {
-    ("nncore.py", "_apply"), ("empirical.py", "_cover_milp"), ("empirical.py", "_packing_milp"),
+    ("nncore.py", "_apply"), ("empirical.py", "_milp_count"),
 }  # fmt: skip
 
 
@@ -271,3 +272,31 @@ def test_forward_backward_site_detector():
     assert forward_backward_sites(source) == [
         "6: @", "7: @", "8: matmul", "9: dot", "10: _apply", "11: _slope"
     ]
+
+
+PACKAGE_MODULES = {p.stem for p in SOURCES}
+
+
+def broken_references(module: str, source: str) -> list[str]:
+    """Cross-references in the text of ``fnequiv.<module>`` that name
+    nothing: each ``m.name`` whose ``m`` is a package module must be an
+    attribute of ``fnequiv.m``, and each (see ``name``) one of the module
+    itself."""
+    broken = [
+        f"{m}.{name}"
+        for m, name in re.findall(r"``(\w+)\.(\w+)", source)
+        if m in PACKAGE_MODULES and not hasattr(importlib.import_module(f"fnequiv.{m}"), name)
+    ]
+    own = importlib.import_module(f"fnequiv.{module}")
+    return broken + [n for n in re.findall(r"\(see[\s#]+``(\w+)``", source) if not hasattr(own, n)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_docstring_references_resolve(path):
+    assert broken_references(path.stem, path.read_text()) == []
+
+
+def test_broken_reference_detector():
+    source = "See ``nncore.stack_block`` and ``nncore.gone``, not ``np.gone``.\n"
+    source += "# (see ``forward_batch``) (see\n# ``missing``) (see ``basin.also_gone``)\n"
+    assert broken_references("nncore", source) == ["nncore.gone", "basin.also_gone", "missing"]
