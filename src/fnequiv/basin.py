@@ -22,7 +22,7 @@ from .canonical import (
     _canonical_layers,
     _canonical_pair,
 )
-from .errors import DomainError, check_range, check_seed
+from .errors import BudgetExceededError, DomainError, check_range, check_seed
 from .nncore import (
     Architecture,
     DIVERGENCE_THRESHOLD,
@@ -35,11 +35,15 @@ from .nncore import (
     _DISTANCE_BLOCK_BYTES,
     _flatten,
     _mse_value_and_grad,
+    _row_params,
     _targets,
     _unflatten,
 )
 
 DEFAULT_CLUSTER_TOL = 1e-3
+# Most bytes a basin experiment's three (n_runs, S) float64 run stacks
+# (starts, final parameters and canonical forms) may take together.
+_RUN_STACK_BYTES = 2**28
 # The number of set bits in each byte value.
 _BIT_COUNTS = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
 
@@ -88,15 +92,24 @@ def _layer_draw(arch: Architecture, scheme: InitScheme, rng, n: int, rows: int |
 
     A generator of (first column, first row, chunk) triples, so each chunk
     is made only when asked for.  Consecutive draws continue the stream, so
-    a part's row chunks, stacked, are its one-call draw bit for bit.
+    a part's row chunks, stacked, are its one-call draw bit for bit; and
+    one uniform or normal draw (``n`` = 1), whose parts all come from one
+    distribution, is a single (1, S) chunk from one call.
     """
     rows = rows or n
+    if scheme.kind == "uniform":
+        iid = lambda size: rng.uniform(scheme.low, scheme.high, size)
+    elif scheme.kind == "normal":
+        iid = lambda size: rng.normal(scheme.mu, scheme.sigma, size)
+    else:
+        iid = None
+    if iid and n == 1:
+        yield 0, 0, iid((1, arch.param_count))
+        return
     col = 0
     for (fan_out, fan_in), _ in arch.layer_shapes():
-        if scheme.kind == "uniform":
-            weights = biases = lambda size: rng.uniform(scheme.low, scheme.high, size)
-        elif scheme.kind == "normal":
-            weights = biases = lambda size: rng.normal(scheme.mu, scheme.sigma, size)
+        if iid:
+            weights = biases = iid
         else:  # xavier or he: they differ only in the fan that sets the std
             std = math.sqrt(2.0 / (fan_in + fan_out if scheme.kind == "xavier" else fan_in))
             weights, biases = (lambda size: rng.normal(0.0, std, size)), np.zeros
@@ -113,8 +126,10 @@ def initialize_batch(arch: Architecture, scheme: InitScheme, n: int) -> np.ndarr
 
 
 def _draw(arch: Architecture, scheme: InitScheme, rng, n: int, out=None) -> np.ndarray:
-    """``n`` flat parameter vectors from ``rng``, drawn layer by layer into
-    ``out``, an (n, S) array (a new one by default), which is returned.
+    """``n`` flat parameter vectors from ``rng``, drawn as ``_layer_draw``
+    makes them (one call for a single uniform or normal draw, else layer by
+    layer) into ``out``, an (n, S) array (a new one by default), which is
+    returned.
 
     Each weight or bias draw is copied into its columns and dropped before
     the next is made, so at most one of them is alive at a time.
@@ -202,6 +217,7 @@ def train(
     """
     check_shapes(arch, theta0)
     starts = theta0.flat()[None]
+    starts.setflags(write=False)
     trained = _train_lockstep(arch, starts, dataset, config)
     return _train_runs(arch, [seed], starts, trained, [None])[0]
 
@@ -214,9 +230,10 @@ def _train_lockstep(arch, starts, dataset, config):
     is non-finite or above ``DIVERGENCE_THRESHOLD`` (diverged), else when its
     gradient L-infinity norm is at most the threshold (converged), else when
     the iteration count reaches ``max_iters``.  Runs never interact, so the
-    block size changes no result.  Returns per-run arrays: final parameters,
-    their canonical forms (a block's are sorted together once its loop ends),
-    final losses, iteration counts, and converged/diverged flags.
+    block size changes no result.  Returns per-run arrays: final parameters
+    and their canonical forms (a block's are sorted together once its loop
+    ends), both read-only, final losses, iteration counts, and
+    converged/diverged flags.
 
     A block's active runs step as one flat (R, S) parameter stack P and one
     gradient stack G, which each step writes in place.  Their (W, b) views
@@ -263,27 +280,28 @@ def _train_lockstep(arch, starts, dataset, config):
             P -= G
         rows = slice(first, first + block)
         canon[rows] = _flatten(_canonical_layers(_unflatten(arch, final[rows]))[0])
+    final.setflags(write=False)
     canon.setflags(write=False)
     return final, canon, loss_at, iters_at, converged_at, diverged_at
 
 
 def _train_runs(arch, seeds, starts, trained, cluster_ids) -> tuple[TrainRun, ...]:
-    """One ``TrainRun`` per start, from ``_train_lockstep``'s arrays."""
+    """One ``TrainRun`` per row of the read-only ``starts``, from
+    ``_train_lockstep``'s arrays; its parameters are row views of the start
+    and final stacks."""
     final, canon, loss, iters, converged, diverged = trained
-    return tuple(
-        TrainRun(
-            seed=seed,
-            init_params=params_from_flat(arch, starts[i]),
-            final_params=params_from_flat(arch, final[i]),
-            final_loss=float(loss[i]),
-            iterations=int(iters[i]),
-            converged=bool(converged[i]),
-            diverged=bool(diverged[i]),
-            canonical_flat=canon[i],
-            cluster_id=cluster_ids[i],
-        )
-        for i, seed in enumerate(seeds)
+    columns = (
+        seeds,
+        _row_params(arch, starts),
+        _row_params(arch, final),
+        loss.tolist(),
+        iters.tolist(),
+        converged.tolist(),
+        diverged.tolist(),
+        canon,
+        cluster_ids,
     )
+    return tuple(TrainRun(*run) for run in zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +374,25 @@ def basin_experiment(
     reproducible and runs are independent; all runs are trained in lockstep
     in one process.  When no tolerance is given, a provisional pass picks
     the largest cluster and the final tolerance is a quarter of its
-    representative's minimal row gap.
+    representative's minimal row gap.  Runs whose three (n_runs, S) float64
+    stacks would take more than ``_RUN_STACK_BYTES`` (256 MiB) raise
+    ``BudgetExceededError`` before any seed is spawned.
     """
     check_range("n_runs", n_runs, 1)
     if cluster_tolerance is not None:
         check_range("cluster tolerance", cluster_tolerance, 0)
+    stack_bytes = 3 * 8 * n_runs * arch.param_count
+    if stack_bytes > _RUN_STACK_BYTES:
+        raise BudgetExceededError(
+            f"n_runs = {n_runs} runs of {arch.param_count} parameters need {stack_bytes} "
+            f"bytes of run stacks (limit {_RUN_STACK_BYTES})",
+            required=stack_bytes,
+        )
     children = np.random.SeedSequence(scheme.seed).spawn(n_runs)
     starts = np.empty((n_runs, arch.param_count))
     for i, child in enumerate(children):
         _draw(arch, scheme, np.random.default_rng(child), 1, out=starts[i : i + 1])
+    starts.setflags(write=False)
     trained = _train_lockstep(arch, starts, dataset, config)
     final, canon, _, _, converged, _ = trained
     conv = np.flatnonzero(converged)

@@ -34,7 +34,7 @@ from .basin import (
     xor_dataset,
 )
 from .canonical import canonicalize, effective_volume
-from .equivalence import decide_equivalence, sampled_sup_distance
+from .equivalence import decide_equivalence, sampled_sup_distance, _check_sample_budget
 from .errors import ConfigError, FnequivError, DomainError, check_range
 from .nncore import (
     Architecture,
@@ -149,6 +149,7 @@ def cmd_transform(args) -> int:
     if kind != "permutation":
         element = getattr(NeuronSymmetry, kind)(net.arch, layer, values)
     out_net = Network(net.arch, element.apply(net.params, net.arch))
+    _check_sample_budget("--samples", args.samples, net.arch.input_dim, *net.arch.widths)
     # Measured before anything is written, so an invalid --samples or --bx
     # leaves no output file.
     dist = sampled_sup_distance(net, out_net, args.bx, args.samples, seed=args.seed)
@@ -183,6 +184,8 @@ def cmd_canonicalize(args) -> int:
 def cmd_check_equiv(args) -> int:
     first = load_network(args.first)
     second = load_network(args.second)
+    widths = (*first.arch.widths, *second.arch.widths)
+    _check_sample_budget("--samples", args.samples, first.arch.input_dim, *widths)
     verdict = decide_equivalence(
         first, second, args.bx, args.tolerance, args.samples, seed=args.seed
     )

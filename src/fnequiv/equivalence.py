@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import _canonical_pair
-from .errors import ShapeError, check_range, check_seed
+from .errors import BudgetExceededError, ShapeError, check_range, check_seed
 from .nncore import Network, check_shapes, forward_batch
 from .transforms import NeuronSymmetry
 
@@ -25,6 +25,9 @@ DEFAULT_TOLERANCE = 1e-7
 DEFAULT_N_SAMPLES = 4096
 # How many distinct ball_points sets stay cached.
 _BALL_POINTS_CACHE_SIZE = 8
+# Most float64 entries a sample may hold: its (rows, dim) ball points, or
+# the (rows, widest layer) activations of a forward pass over them.
+_SAMPLE_ENTRY_LIMIT = 2**24
 
 STRUCTURALLY_EQUAL = "structurally_equal_by_permutation"
 NUMERICALLY_EQUIVALENT = "numerically_equivalent"
@@ -63,12 +66,30 @@ def ball_points(dim: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
     is always probed.  Each ``(dim, n, radius, seed)`` set is computed once
     per process and returned read-only; at most ``_BALL_POINTS_CACHE_SIZE``
     (8) sets are held, least recently used dropped first.  The seed must be
-    a nonnegative integer, so a cached set always equals a fresh one.
+    a nonnegative integer, so a cached set always equals a fresh one.  A
+    set of more than ``_SAMPLE_ENTRY_LIMIT`` (2^24) entries raises
+    ``BudgetExceededError`` before anything is drawn.
     """
     check_range("dim", dim, 1)
     check_range("sample point count n", n, 1)
     check_range("radius", radius, 0, low_open=True)
+    _check_sample_budget("sample point count n", n, dim, dim)
     return _ball_points(dim, n, radius, check_seed(seed))
+
+
+def _check_sample_budget(name: str, n: int, dim: int, *widths: int) -> None:
+    """Raise ``BudgetExceededError`` when ``n`` sample points in ``dim``
+    dimensions, with the origin and the 2 ``dim`` axis points, take more
+    than ``_SAMPLE_ENTRY_LIMIT`` float64 entries at the largest of
+    ``widths`` per point.  The message names the count as ``name``."""
+    width = max(widths)
+    entries = (n + 2 * dim + 1) * width
+    if entries > _SAMPLE_ENTRY_LIMIT:
+        raise BudgetExceededError(
+            f"{name} = {n} sample points of width {width} need {entries} float64 "
+            f"entries (limit {_SAMPLE_ENTRY_LIMIT})",
+            required=entries,
+        )
 
 
 @functools.lru_cache(maxsize=_BALL_POINTS_CACHE_SIZE)
@@ -95,8 +116,12 @@ def sampled_sup_distance(
     """Max output gap over deterministic sample points in the B_x ball, +inf
     beyond a double.
 
-    Lower-bounds the true sup-norm distance on the ball.
+    Lower-bounds the true sup-norm distance on the ball.  Samples whose
+    forward activations would exceed ``_SAMPLE_ENTRY_LIMIT`` entries raise
+    ``BudgetExceededError`` before any is drawn.
     """
+    widths = (*f1.arch.widths, *f2.arch.widths)
+    _check_sample_budget("n_samples", n_samples, f1.arch.input_dim, *widths)
     d, _ = _max_gap(f1, f2, B_x, n_samples, seed)
     return d
 
@@ -131,7 +156,8 @@ def decide_equivalence(
     within each hidden layer are pairwise distinct; tied keys with different
     outgoing columns can leave a permuted pair to the sampled verdict.
     ``tolerance`` must be nonnegative, ``B_x`` finite and positive,
-    ``n_samples`` at least 1, ``seed`` a nonnegative integer and each
+    ``n_samples`` at least 1 and within ``_SAMPLE_ENTRY_LIMIT`` (see
+    ``_check_sample_budget``), ``seed`` a nonnegative integer and each
     network's parameters shaped for its architecture, whichever route decides.
     """
     if f1.arch != f2.arch:
@@ -139,6 +165,7 @@ def decide_equivalence(
     check_range("tolerance", tolerance, 0, high_open=False)
     check_range("B_x", B_x, 0, low_open=True)
     check_range("n_samples", n_samples, 1)
+    _check_sample_budget("n_samples", n_samples, f1.arch.input_dim, *f1.arch.widths)
     check_seed(seed)
     check_shapes(f1.arch, f1.params)
     check_shapes(f2.arch, f2.params)

@@ -307,6 +307,20 @@ def params_from_flat(arch: Architecture, vec: Sequence[float]) -> NetworkParams:
     return NetworkParams(tuple(_unflatten(arch, vec)))
 
 
+def _row_params(arch: Architecture, stack: np.ndarray) -> list[NetworkParams]:
+    """``params_from_flat`` of each row of the read-only (R, S) float64
+    ``stack``, bit for bit, without its copy and shape check: each layer is
+    a read-only view of the stack, whose shape already fixes the layers'."""
+    if stack.flags.writeable:
+        raise ValueError("a parameter stack must be read-only to be viewed")
+    rows = []
+    for layers in zip(*(zip(W, b) for W, b in _unflatten(arch, stack))):
+        params = object.__new__(NetworkParams)
+        object.__setattr__(params, "layers", layers)
+        rows.append(params)
+    return rows
+
+
 def _unflatten(arch: Architecture, vecs: np.ndarray) -> list:
     """(W, b) views of flat parameter vectors: an (S,) vector gives plain
     layers, an (R, S) stack gives stacked ones (see ``_forward_checked``)."""

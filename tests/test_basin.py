@@ -15,17 +15,24 @@ from fnequiv.basin import (
     teacher_dataset,
     train,
     xor_dataset,
+    _draw,
     _layer_draw,
     _train_lockstep,
 )
-from fnequiv.canonical import canonicalize, distinct_permutation_images, symmetry_profile
-from fnequiv.errors import DomainError
+from fnequiv.canonical import (
+    canonicalize,
+    distinct_permutation_images,
+    group_rows,
+    symmetry_profile,
+)
+from fnequiv.errors import BudgetExceededError, DomainError
 from fnequiv.nncore import (
     Architecture,
     NetworkParams,
     RELU,
     TANH,
     mse_gradient,
+    params_from_flat,
     random_params,
     _flatten,
     _unflatten,
@@ -58,6 +65,27 @@ def duplicated_rows_params():
     )
 
 
+DRAW_ARCH = Architecture(3, (4, 2), (TANH, RELU), output_dim=2)
+
+
+def hand_drawn_layers(kind, rng, n):
+    """``n`` draws of ``DRAW_ARCH`` for ``InitScheme(kind, low=-0.5,
+    high=2.0, mu=0.25, sigma=1.5)``, made from ``rng`` layer by layer."""
+    want = []
+    for fan_in, fan_out in [(3, 4), (4, 2), (2, 2)]:
+        if kind == "uniform":
+            want += [rng.uniform(-0.5, 2.0, (n, fan_out * fan_in))]
+            want += [rng.uniform(-0.5, 2.0, (n, fan_out))]
+        elif kind == "normal":
+            want += [rng.normal(0.25, 1.5, (n, fan_out * fan_in))]
+            want += [rng.normal(0.25, 1.5, (n, fan_out))]
+        else:
+            var = 2.0 / (fan_in + fan_out) if kind == "xavier" else 2.0 / fan_in
+            want += [rng.normal(0.0, math.sqrt(var), (n, fan_out * fan_in))]
+            want += [np.zeros((n, fan_out))]
+    return np.concatenate(want, axis=1)
+
+
 class TestInitialize:
     def test_degenerate_uniform_gives_zeros(self):
         arch = Architecture(1, (2,), (RELU,))
@@ -72,24 +100,19 @@ class TestInitialize:
 
     @pytest.mark.parametrize("kind", ["uniform", "normal", "xavier", "he"])
     def test_draws_equal_hand_drawn_layers_bit_for_bit(self, kind):
-        arch = Architecture(3, (4, 2), (TANH, RELU), output_dim=2)
         scheme = InitScheme(kind, seed=21, low=-0.5, high=2.0, mu=0.25, sigma=1.5)
-        n = 5
-        rng = np.random.default_rng(21)
-        want = []
-        for fan_in, fan_out in [(3, 4), (4, 2), (2, 2)]:
-            if kind == "uniform":
-                want += [rng.uniform(-0.5, 2.0, (n, fan_out * fan_in))]
-                want += [rng.uniform(-0.5, 2.0, (n, fan_out))]
-            elif kind == "normal":
-                want += [rng.normal(0.25, 1.5, (n, fan_out * fan_in))]
-                want += [rng.normal(0.25, 1.5, (n, fan_out))]
-            else:
-                var = 2.0 / (fan_in + fan_out) if kind == "xavier" else 2.0 / fan_in
-                want += [rng.normal(0.0, math.sqrt(var), (n, fan_out * fan_in))]
-                want += [np.zeros((n, fan_out))]
-        got = initialize_batch(arch, scheme, n)
-        assert got.tobytes() == np.concatenate(want, axis=1).tobytes()
+        got = initialize_batch(DRAW_ARCH, scheme, 5)
+        assert got.tobytes() == hand_drawn_layers(kind, np.random.default_rng(21), 5).tobytes()
+
+    @pytest.mark.parametrize("kind", ["uniform", "normal", "xavier", "he"])
+    def test_one_row_draw_equals_the_layer_by_layer_stream(self, kind):
+        # A one-row uniform or normal draw is one generator call over the
+        # row; it must continue the stream exactly as layer-by-layer draws.
+        scheme = InitScheme(kind, seed=21, low=-0.5, high=2.0, mu=0.25, sigma=1.5)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):
+            got = _draw(DRAW_ARCH, scheme, rng, 1)
+            assert got.tobytes() == hand_drawn_layers(kind, ref, 1).tobytes()
 
     def test_xavier_layer_variance(self):
         arch = Architecture(1, (2,), (TANH,))
@@ -389,6 +412,27 @@ class TestLockstepTraining:
             assert not run.canonical_flat.flags.writeable
             assert not run.final_params.layers[0][0].flags.writeable
 
+    def test_run_params_are_read_only_views_of_the_stack_rows(self):
+        # Bit for bit what params_from_flat gives for each start and final
+        # row, on both training entry points, and never writable.
+        arch, scheme, dataset, cfg, _ = LOCKSTEP_CASES["xor_2_4_3_1_tanh_relu"]
+        children = np.random.SeedSequence(scheme.seed).spawn(6)
+        draws = [initialize_batch(arch, InitScheme("uniform", c), 1) for c in children]
+        starts = np.concatenate(draws)
+        final = _train_lockstep(arch, starts, dataset, cfg)[0]
+        runs = basin_experiment(arch, scheme, dataset, 6, cfg).runs
+        runs += (train(arch, params_from_flat(arch, starts[0]), dataset, cfg),)
+        for run, start, end in zip(runs, [*starts, starts[0]], [*final, final[0]]):
+            for params, row in ((run.init_params, start), (run.final_params, end)):
+                want = params_from_flat(arch, row)
+                assert len(params.layers) == len(want.layers)
+                for got, ref in zip(params.layers, want.layers):
+                    for a, b in zip(got, ref):
+                        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+                        assert not a.flags.writeable
+                        with pytest.raises(ValueError, match="read-only"):
+                            a[...] = 0.0
+
     def test_nan_and_inf_losses_stop_as_diverged(self):
         # 2-2-1 tanh on XOR, S = 9: (W1, b1, W2, b2).  Equal positive hidden
         # units under output weights (+inf, -inf) give a NaN output; an
@@ -516,6 +560,86 @@ class TestBasinSummaryReference:
         )
         assert summary.no_converged_runs
         _assert_summary_matches_reference(summary, cluster_tolerance)
+
+
+# The basin-xor benchmark's experiment at seed 1: 600 XOR runs of 2-4-1 tanh.
+BASIN_XOR = (
+    Architecture(2, (4,), (TANH,)),
+    InitScheme("uniform", seed=1),
+    xor_dataset(),
+    600,
+    OptimizerConfig(step_size=0.5, max_iters=1000, grad_threshold=1e-3),
+)
+
+
+class TestBasinXorCounts:
+    def test_first_fit_iterates_only_over_rows_with_a_neighbour(self, monkeypatch):
+        # Each _first_fit iteration makes one kernel pass.  Nearly every
+        # converged canonical form is a cluster of its own here (594 of
+        # 599 at the final tolerance), and group_rows settles those rows
+        # before first fit, which then iterates at most once per row that
+        # has another row within the tolerance: 0 and 9 of them, against
+        # 599 and 594 iterations when first fit took every row.
+        import fnequiv.basin as basin_mod
+        import fnequiv.canonical as canonical_mod
+
+        kernel, passes, calls = canonical_mod._chebyshev, [], []
+        monkeypatch.setattr(
+            canonical_mod, "_chebyshev", lambda p, c: passes.append(1) or kernel(p, c)
+        )
+
+        def counted(rows, tolerance):
+            before = len(passes)
+            out = group_rows(rows, tolerance)
+            calls.append((rows, tolerance, len(passes) - before))
+            return out
+
+        monkeypatch.setattr(basin_mod, "group_rows", counted)
+        summary = basin_experiment(*BASIN_XOR)
+        assert (summary.n_converged, len(summary.cluster_sizes)) == (599, 594)
+        assert len(calls) == 2
+        for rows, tolerance, iterations in calls:
+            near = [(np.abs(rows - row).max(axis=1) <= tolerance).sum() for row in rows]
+            crowded = sum(count > 1 for count in near)
+            assert iterations <= crowded < len(rows) // 50
+
+    def test_train_runs_makes_no_params_post_init_call(self, monkeypatch):
+        # Each run's two NetworkParams are views of the start and final
+        # stacks, made without the copy and check of __post_init__ (1200
+        # calls when built through params_from_flat).
+        import fnequiv.basin as basin_mod
+
+        post_init, train_runs, made = NetworkParams.__post_init__, basin_mod._train_runs, []
+        monkeypatch.setattr(
+            NetworkParams, "__post_init__", lambda self: made.append(1) or post_init(self)
+        )
+        during = []
+
+        def counted(*args):
+            before = len(made)
+            runs = train_runs(*args)
+            during.append(len(made) - before)
+            return runs
+
+        monkeypatch.setattr(basin_mod, "_train_runs", counted)
+        assert len(basin_experiment(*BASIN_XOR).runs) == 600
+        assert during == [0]
+
+
+class TestRunStackBudget:
+    def test_refused_before_any_draw_past_the_budget(self, monkeypatch):
+        # 2-2-1 has S = 9: three stacks of 9 doubles take 216 bytes a run.
+        arch, cfg = Architecture(2, (2,), (TANH,)), OptimizerConfig(0.1, 0)
+        monkeypatch.setattr("fnequiv.basin._RUN_STACK_BYTES", 2 * 216)
+        assert basin_experiment(arch, InitScheme("uniform"), xor_dataset(), 2, cfg).n_runs == 2
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew starts past the budget")
+
+        monkeypatch.setattr("fnequiv.basin._draw", no_draws)
+        with pytest.raises(BudgetExceededError, match="n_runs = 3 ") as err:
+            basin_experiment(arch, InitScheme("uniform"), xor_dataset(), 3, cfg)
+        assert err.value.required == 3 * 216
 
 
 class TestClusterToleranceChecked:

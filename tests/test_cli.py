@@ -171,6 +171,17 @@ class TestTransform:
         assert code == 1
         assert "malformed transform spec" in err
 
+    def test_self_check_sample_count_over_budget_exits_one(self, tmp_path, small_net, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "permutation", "perms": [[1, 0]]}))
+        out = tmp_path / "out.json"
+        argv = ["transform", "--network", str(small_net), "--transform", str(spec)]
+        argv += ["--output", str(out), "--samples", "1000000000000"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error: --samples = 1000000000000 ") and "limit" in err
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("flags", [["--samples", "0"], ["--bx", "nan"]], ids=["samples", "bx"])
     def test_invalid_self_check_writes_no_output(self, tmp_path, small_net, capsys, flags):
         spec = tmp_path / "spec.json"
@@ -239,6 +250,22 @@ class TestCheckEquiv:
         code, stdout, err = run_cli(argv, capsys)
         assert code == 1, err
         assert err.startswith("error:") and stdout == ""
+
+    @pytest.mark.parametrize("second", ["same", "other"])
+    def test_sample_count_over_budget_exits_one(self, tmp_path, small_net, capsys, second):
+        # 10^12 points would be a 16 TB array; the count is refused before
+        # any is drawn, on either route.
+        other = tmp_path / "other.json"
+        params = NetworkParams((([[1.0], [2.0]], [3.0, 4.5]), ([[5.0, 6.0]], [7.0])))
+        save_network(Network(Architecture(1, (2,), (TANH,)), params), other)
+        pair = [small_net, small_net if second == "same" else other]
+        argv = ["check-equiv", "--first", str(pair[0]), "--second", str(pair[1])]
+        out = tmp_path / "v.json"
+        argv += ["--samples", "1000000000000", "--output", str(out)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith("error: --samples = 1000000000000 ") and "limit" in err
+        assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_invalid_sample_count_exits_one(self, small_net, capsys, samples):
@@ -721,6 +748,27 @@ class TestCoveringSweep:
 
 
 class TestBasinCommand:
+    def test_run_count_over_budget_exits_one_promptly(self, tmp_path):
+        # Spawning 10^12 child seeds alone would run for hours and grow
+        # without bound, so the child gets a time limit and an
+        # address-space cap; the count is refused before any seed is made.
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        paths = [str(Path(fnequiv.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        argv = [sys.executable, "-m", "fnequiv.cli", "basin", "--arch", "2-4-1"]
+        argv += ["--n-runs", "1000000000000", "--output-prefix", str(tmp_path / "exp")]
+        run = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap
+        )
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: n_runs = 1000000000000 ") and "limit" in run.stderr
+        assert run.stdout == "" and not list(tmp_path.iterdir())
+
     def test_writes_summary_and_runs(self, tmp_path, capsys):
         prefix = tmp_path / "exp"
         code, stdout, _ = run_cli(

@@ -13,7 +13,7 @@ from fnequiv.equivalence import (
     decide_equivalence,
     sampled_sup_distance,
 )
-from fnequiv.errors import DomainError, ShapeError
+from fnequiv.errors import BudgetExceededError, DomainError, ShapeError
 from fnequiv.nncore import (
     Architecture,
     Network,
@@ -120,6 +120,36 @@ class TestBallPoints:
             ball_points(2, 8, 1.0, seed=seed)
             assert equivalence._ball_points.cache_info().currsize <= limit
         assert equivalence._ball_points.cache_info().currsize == limit
+
+
+class TestSampleBudget:
+    def test_ball_points_refused_just_past_the_budget(self, monkeypatch):
+        # A 2-D set holds its n points, the origin and 4 axis points.
+        monkeypatch.setattr(equivalence, "_SAMPLE_ENTRY_LIMIT", 100)
+        assert ball_points(2, 45, 1.0, seed=11).shape == (50, 2)
+        with pytest.raises(BudgetExceededError, match="sample point count n = 46 ") as err:
+            ball_points(2, 46, 1.0, seed=11)
+        assert err.value.required == 102
+
+    def test_forward_activations_count_at_the_widest_layer(self, monkeypatch):
+        # 2-8-1: the 8-wide hidden activations bound the sample, not its 2-D points.
+        monkeypatch.setattr(equivalence, "_SAMPLE_ENTRY_LIMIT", 400)
+        arch = Architecture(2, (8,), (TANH,))
+        f1, f2 = random_net(arch, 1), random_net(arch, 2)
+        assert sampled_sup_distance(f1, f2, 1.0, 45) > 0.0
+        assert decide_equivalence(f1, f2, 1.0, n_samples=45).kind == DISTINGUISHED
+        with pytest.raises(BudgetExceededError, match="n_samples = 46 "):
+            sampled_sup_distance(f1, f2, 1.0, 46)
+        for second in (f1, f2):  # either route
+            with pytest.raises(BudgetExceededError, match="n_samples = 46 "):
+                decide_equivalence(f1, second, 1.0, n_samples=46)
+
+    def test_a_trillion_samples_refused_before_any_draw(self):
+        net = random_net(Architecture(2, (3,), (TANH,)), 1)
+        with pytest.raises(BudgetExceededError, match="limit"):
+            ball_points(2, 10**12, 1.0)
+        with pytest.raises(BudgetExceededError, match="limit"):
+            sampled_sup_distance(net, net, 1.0, 10**12)
 
 
 class TestSampledSupDistance:

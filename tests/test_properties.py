@@ -18,6 +18,8 @@ from fnequiv.basin import InitScheme, amplification_check, initialize_batch, orb
 from fnequiv.canonical import (
     _canonical_layers,
     _canonical_pair,
+    _first_fit,
+    _lone_rows,
     canonicalize,
     distinct_permutation_images,
     group_rows,
@@ -681,6 +683,77 @@ class TestGroupRows:
         rows = centers[rng.integers(0, k, n)] + near[rng.integers(0, near.size, (n, d))]
         rows += rng.uniform(-tol, tol, (n, d)) * (rng.random((n, 1)) < 0.5)
         assert_matches_oracle(rows, tol)
+
+    @PROPERTY
+    @given(st.data())
+    def test_lone_rows_settled_first_match_first_fit(self, data):
+        # group_rows settles the rows _lone_rows marks before first fit; its
+        # groups must be first fit's over all rows, and a marked row must
+        # have no other row within tol.  Pair blocks are cut to one pair
+        # half the time.  Which rows the pass marks:
+        # - sparse: keys 0.75 tol apart on the widest column, neighbours in
+        #   key 2 tol apart on the next, and only the two highest keys
+        #   exactly tol apart; the pass runs to the end and marks exactly
+        #   the rows with no other row within tol;
+        # - dense: over 257 rows within tol / 2, so more than 128 pairs a
+        #   row, and one row 3 tol below them; the pass is skipped, so not
+        #   even that row, which it would settle first, is marked;
+        # - clustered: three such clusters of 5-20 rows, 3 tol apart, and
+        #   one row 3 tol above them; the pass stops once most settled rows
+        #   have a neighbour, before it settles that row;
+        # - tied rows on a 0.25 grid, and slab-margin near ties among
+        #   far-apart filler rows: -1 and 1 + 2**-52 are a computed 2.0
+        #   apart, but fl(-1 + 2) = 1 lies below the second, so only
+        #   _slab's margin keeps the pair.
+        kind = data.draw(st.sampled_from(["sparse", "dense", "clustered", "tied", "margin"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tol = data.draw(st.sampled_from([2.0**-10, 0.25, 0.5]))
+        d = data.draw(st.integers(2, 4) if kind == "sparse" else st.integers(1, 4))
+        if kind == "sparse":
+            n = data.draw(st.integers(5, 60))
+            rows = rng.integers(-4, 5, (n, d)) * (tol / 4)
+            rows[:, 0] = np.arange(n) * (0.75 * tol)
+            rows[:, 1] = np.arange(n) % 2 * (2 * tol)
+            rows[-1, 1:] = rows[-2, 1:]
+            rows[-1, 1] += tol
+        elif kind in ("dense", "clustered"):
+            sizes = [data.draw(st.integers(258, 300))] if kind == "dense" else [
+                data.draw(st.integers(5, 20)) for _ in range(3)
+            ]
+            rows = [rng.uniform(-tol / 4, tol / 4, (m, d)) for m in sizes]
+            for k, cluster in enumerate(rows):
+                cluster[:, 0] += 3 * k * tol
+            rows.append(np.zeros((1, d)))
+            rows[-1][0, 0] = -3 * tol if kind == "dense" else 3 * len(sizes) * tol
+            rows = np.concatenate(rows)
+        elif kind == "tied":
+            tol = data.draw(st.sampled_from([0.25, 0.5]))
+            rows = rng.integers(-8, 9, (data.draw(st.integers(1, 60)), d)) * 0.25
+        else:
+            tol = 2.0
+            m = data.draw(st.integers(2, 8))
+            ends = np.array([-1.0, 1.0 + 2**-52, 1.0, -1.0 - 2**-52])
+            near = rng.choice([-1.5, 0.0, 1.0], (m, d))
+            near[:, 0] = ends[rng.integers(0, 4, m)]
+            filler = np.zeros((12, d))
+            filler[:, 0] = 10.0 + 5.0 * np.arange(12)
+            rows = np.concatenate([near, filler])
+        shuffle = rng.permutation(len(rows))
+        rows = rows[shuffle]
+        with pytest.MonkeyPatch.context() as patch:
+            if data.draw(st.booleans()):
+                patch.setattr("fnequiv.canonical._DISTANCE_BLOCK_BYTES", 8 * d)
+            assignment, reps = group_rows(rows, tol)
+            lone = _lone_rows(rows, tol)
+        kept, want = _first_fit(rows, tol, _chebyshev)
+        assert assignment.tolist() == want.tolist() and reps == kept.tolist()
+        alone = np.array([(np.abs(rows - row).max(axis=1) <= tol).sum() == 1 for row in rows])
+        assert not (lone & ~alone).any()
+        last = np.argsort(shuffle)[-1]  # the sparse pair's or the one far row's place
+        if kind == "sparse":
+            assert lone.tolist() == alone.tolist() and alone.sum() == len(rows) - 2
+        elif kind in ("dense", "clustered"):
+            assert alone[last] and not lone[last] and (kind == "clustered" or not lone.any())
 
     @pytest.mark.parametrize("tolerance", [0.0, 0.1])
     def test_rows_without_columns_form_one_group(self, tolerance):
