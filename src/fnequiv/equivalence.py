@@ -5,7 +5,9 @@ bit-exactly, which recognizes permutation orbits whenever the sort keys
 (bias | incoming row) within each hidden layer are pairwise distinct.  The
 numeric route samples the input ball and is a one-sided check: it can
 distinguish, but a small sampled distance is not a certificate of
-equivalence.
+equivalence.  It runs in two stages over one cached ball set: the first 64
+random points with the origin and the axis points, then, unless a gap there
+already exceeds the tolerance, the whole set.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ _BALL_POINTS_CACHE_SIZE = 8
 # Most float64 entries a sample may hold: its (rows, dim) ball points, or
 # the (rows, widest layer) activations of a forward pass over them.
 _SAMPLE_ENTRY_LIMIT = 2**24
+# Random ball points in the sampled fallback's first stage.
+_FIRST_STAGE = 64
 
 STRUCTURALLY_EQUAL = "structurally_equal_by_permutation"
 NUMERICALLY_EQUIVALENT = "numerically_equivalent"
@@ -36,6 +40,13 @@ DISTINGUISHED = "distinguished"
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceVerdict:
+    """A decision: ``kind`` is one of the three kinds above.
+    ``sup_distance_estimate`` is 0.0 for a structural proof, else a lower
+    bound on the sup distance from the points evaluated, +inf beyond a
+    double.  ``witness`` is the permutation of a structural proof, and
+    ``distinguishing_input`` the worst evaluated point of a distinguished
+    pair."""
+
     kind: str
     sup_distance_estimate: float
     witness: NeuronSymmetry | None = None
@@ -126,17 +137,25 @@ def sampled_sup_distance(
     return d
 
 
-def _max_gap(f1: Network, f2: Network, B_x, n_samples, seed):
+def _max_gap(f1: Network, f2: Network, B_x, n_samples, seed, tolerance=math.inf):
+    """The largest output gap and its point: over the first stage if a gap
+    there exceeds ``tolerance``, else over the whole ball set."""
     if f1.arch.input_dim != f2.arch.input_dim:
         raise ShapeError("input dimensions differ")
     if f1.arch.output_dim != f2.arch.output_dim:
         raise ShapeError("output dimensions differ")
     X = ball_points(f1.arch.input_dim, n_samples, B_x, seed=seed)
-    y1, y2 = forward_batch(f1.arch, f1.params, X), forward_batch(f2.arch, f2.params, X)
-    with np.errstate(over="ignore"):  # a gap beyond a double is +inf
-        gap = np.abs(y1 - y2).max(axis=1)
-    i = int(np.argmax(gap))
-    return float(gap[i]), X[i].copy()
+    stages = [X]
+    if n_samples > _FIRST_STAGE and tolerance < math.inf:  # no gap exceeds +inf
+        stages.insert(0, np.concatenate([X[:_FIRST_STAGE], X[n_samples:]]))
+    for S in stages:
+        y1, y2 = forward_batch(f1.arch, f1.params, S), forward_batch(f2.arch, f2.params, S)
+        with np.errstate(over="ignore"):  # a gap beyond a double is +inf
+            gap = np.abs(y1 - y2).max(axis=1)
+        i = int(np.argmax(gap))
+        if gap[i] > tolerance:
+            break
+    return float(gap[i]), S[i].copy()
 
 
 def decide_equivalence(
@@ -152,6 +171,10 @@ def decide_equivalence(
     Tries a structural proof first (canonical forms compare bit-exactly,
     yielding an explicit permutation witness); otherwise falls back to
     sampling, labelling the pair numerically equivalent or distinguished.
+    A pair is distinguished by the sample's first stage when a gap there
+    exceeds ``tolerance``, and reports that stage's maximum; otherwise the
+    whole ball set decides.  The kinds equal those of the whole set, except
+    where a gap lies within rounding of ``tolerance``.
     The structural proof is found for every permuted pair whose sort keys
     within each hidden layer are pairwise distinct; tied keys with different
     outgoing columns can leave a permuted pair to the sampled verdict.
@@ -173,7 +196,7 @@ def decide_equivalence(
     # Bytes, not values, so -0.0 and 0.0 differ.
     if flats[0].tobytes() == flats[1].tobytes():
         return EquivalenceVerdict(STRUCTURALLY_EQUAL, 0.0, witness=witness)
-    dist, worst_x = _max_gap(f1, f2, B_x, n_samples, seed)
+    dist, worst_x = _max_gap(f1, f2, B_x, n_samples, seed, tolerance)
     if dist <= tolerance:
         return EquivalenceVerdict(NUMERICALLY_EQUIVALENT, dist)
     return EquivalenceVerdict(DISTINGUISHED, dist, distinguishing_input=worst_x)

@@ -430,10 +430,11 @@ def forward_batch(arch: Architecture, params: NetworkParams, X) -> np.ndarray:
     4-64-16-1 nets of the benchmark, evaluating 4096 ball points in row
     blocks changes the layer-2 product in its last bits at every block size
     tried (1 to 2048 rows), and merging the products of several networks
-    into one can change bits too.  So the sampled fallback of
-    ``equivalence`` evaluates its whole ball set in one call, and stacked
-    evaluation and lockstep training keep one product per network, which
-    gives each network the bits of its own call.
+    into one can change bits too.  So each stage of ``equivalence``'s
+    sampled fallback is one call, and a pair that reaches its last stage
+    gets the whole ball set's bits; stacked evaluation and lockstep training
+    keep one product per network, which gives each network the bits of its
+    own call.
     """
     check_shapes(arch, params)
     X = np.asarray(X, dtype=float)

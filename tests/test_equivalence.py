@@ -21,6 +21,7 @@ from fnequiv.nncore import (
     RELU,
     TANH,
     forward,
+    forward_batch,
     params_identical,
     random_params,
 )
@@ -43,6 +44,16 @@ def perturbed_pair():
     W[0, 0] += 0.5
     layers[1] = (W, b)
     return net, Network(arch, NetworkParams(tuple(layers)))
+
+
+def orbit_equiv_pair():
+    """A 4-64-16-1 (tanh, relu) net and a permuted copy with every entry
+    moved by 1e-3, like the orbit-equiv benchmark's perturbed pairs."""
+    arch = Architecture(4, (64, 16), (TANH, RELU))
+    net = random_net(arch, 17)
+    copy = apply_permutation(net.params, random_spec(arch, np.random.default_rng(18)))
+    moved = NetworkParams(tuple((W + 1e-3, b + 1e-3) for W, b in copy.layers))
+    return net, Network(arch, moved)
 
 
 class TestBallPoints:
@@ -307,3 +318,48 @@ class TestDecideEquivalence:
         doc = verdict.to_json_dict()
         assert doc["kind"] == STRUCTURALLY_EQUAL
         assert isinstance(doc["witness"], list)
+
+
+class TestStagedSample:
+    """Rows per ``forward_batch`` call: the first stage holds 64 random
+    points, the origin and the 2·d axis points (73 rows in 4-D), the
+    whole default set 4096 + 9 = 4105."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        calls = []
+
+        def counting(arch, params, X):
+            calls.append(len(X))
+            return forward_batch(arch, params, X)
+
+        monkeypatch.setattr(equivalence, "forward_batch", counting)
+        return calls
+
+    def test_perturbed_pair_stops_after_the_first_stage(self, rows):
+        verdict = decide_equivalence(*orbit_equiv_pair(), 1.0)
+        assert verdict.kind == DISTINGUISHED
+        assert rows == [73, 73]
+
+    def test_pair_under_tolerance_reaches_the_whole_set(self, rows):
+        verdict = decide_equivalence(*orbit_equiv_pair(), 1.0, tolerance=1e9)
+        assert verdict.kind == NUMERICALLY_EQUIVALENT
+        assert rows == [73, 73, 4105, 4105]
+
+    def test_stage_maximum_equal_to_tolerance_goes_on(self, rows):
+        f1, f2 = orbit_equiv_pair()
+        whole = sampled_sup_distance(f1, f2, 1.0)
+        first = decide_equivalence(f1, f2, 1.0).sup_distance_estimate
+        rows.clear()
+        verdict = decide_equivalence(f1, f2, 1.0, tolerance=first)
+        assert rows == [73, 73, 4105, 4105]
+        assert verdict.sup_distance_estimate == whole
+
+    def test_sampled_sup_distance_evaluates_the_whole_set_once(self, rows):
+        sampled_sup_distance(*orbit_equiv_pair(), 1.0)
+        assert rows == [4105, 4105]
+
+    @pytest.mark.parametrize("n_samples, expected", [(64, [73, 73]), (65, [73, 73, 74, 74])])
+    def test_a_set_of_at_most_64_points_is_one_stage(self, rows, n_samples, expected):
+        decide_equivalence(*orbit_equiv_pair(), 1.0, tolerance=1e9, n_samples=n_samples)
+        assert rows == expected

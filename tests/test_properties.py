@@ -3,8 +3,9 @@ canonical-form invariance, the first permutation image, the amplification
 check's image count and default tolerance, the stacked canonical sort, the
 pair canonicalization, the checked forward pass and training trace, the
 activation slopes, the hidden-layer range bound, the first-fit row grouper,
-the distance kernel, the greedy covering and packing oracles and the exact
-packing oracle against brute-force references."""
+the distance kernel, the greedy covering and packing oracles, the exact
+packing oracle and the staged sampled equivalence fallback against
+brute-force references."""
 
 import json
 import math
@@ -35,6 +36,7 @@ from fnequiv.equivalence import (
     DISTINGUISHED,
     NUMERICALLY_EQUIVALENT,
     STRUCTURALLY_EQUAL,
+    ball_points,
     decide_equivalence,
     sampled_sup_distance,
 )
@@ -943,3 +945,57 @@ class TestGreedyCoverCenters:
         assert_cover_matches_reference(pts, eps)
         space = MetricSpaceSample(pts)
         assert greedy_packing_estimate(space, eps) == greedy_pack_reference(pts, eps)
+
+
+
+@st.composite
+def staged_cases(draw):
+    """Two independent networks of one architecture with 1-2 hidden layers
+    of widths 1-8 and any activations, a sample of at most 64 points or of
+    more, a seed, and a tolerance as a multiple of the whole set's or the
+    first stage's maximum gap."""
+    widths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2).map(tuple))
+    a = draw(networks(widths))
+    b = [
+        tuple(draw(hnp.arrays(float, x.shape, elements=VALUES)) for x in layer)
+        for layer in a.layers
+    ]
+    acts = tuple(draw(ACTIVATIONS) for _ in widths)
+    arch = Architecture(a.layers[0][0].shape[1], widths, acts, a.layers[-1][0].shape[0])
+    n_samples = draw(st.one_of(st.integers(1, 64), st.integers(65, 300)))
+    seed = draw(st.integers(0, 3))
+    base = draw(st.sampled_from(["whole", "stage"]))
+    scales = st.sampled_from([0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0])
+    scale = draw(st.one_of(scales, st.floats(0.0, 2.0)))
+    return Network(arch, a), Network(arch, NetworkParams(tuple(b))), n_samples, seed, base, scale
+
+
+def batch_gaps(f1, f2, X):
+    """Each row's largest output gap, from one ``forward_batch`` call per network."""
+    y1, y2 = forward_batch(f1.arch, f1.params, X), forward_batch(f2.arch, f2.params, X)
+    return np.abs(y1 - y2).max(axis=1)
+
+
+class TestStagedSampledFallback:
+    @PROPERTY
+    @given(staged_cases())
+    def test_matches_the_whole_set_and_its_evaluated_rows(self, case):
+        f1, f2, n, seed, base, scale = case
+        X = ball_points(f1.arch.input_dim, n, 1.0, seed=seed)
+        whole = sampled_sup_distance(f1, f2, 1.0, n, seed)
+        assert whole == batch_gaps(f1, f2, X).max()
+        # The first stage: the first 64 random points, the origin and the axes.
+        first = np.concatenate([X[:64], X[n:]])
+        stage = batch_gaps(f1, f2, first).max()
+        tolerance = scale * (whole if base == "whole" else stage)
+        verdict = decide_equivalence(f1, f2, 1.0, tolerance=tolerance, n_samples=n, seed=seed)
+        assume(verdict.kind != STRUCTURALLY_EQUAL)
+        if abs(tolerance - whole) > 1e-9 * whole:
+            assert verdict.kind == (DISTINGUISHED if whole > tolerance else NUMERICALLY_EQUIVALENT)
+        rows = first if n > 64 and stage > tolerance else X
+        gaps = batch_gaps(f1, f2, rows)
+        assert verdict.sup_distance_estimate == gaps.max()
+        assert verdict.sup_distance_estimate <= whole * (1 + 1e-12)
+        if verdict.kind == DISTINGUISHED:
+            at = (rows == verdict.distinguishing_input).all(axis=1)
+            assert verdict.sup_distance_estimate in gaps[at]
