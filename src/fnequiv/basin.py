@@ -292,8 +292,8 @@ def _train_runs(arch, seeds, starts, trained, cluster_ids) -> tuple[TrainRun, ..
     final, canon, loss, iters, converged, diverged = trained
     columns = (
         seeds,
-        _row_params(arch, starts),
-        _row_params(arch, final),
+        _row_params(_unflatten(arch, starts)),
+        _row_params(_unflatten(arch, final)),
         loss.tolist(),
         iters.tolist(),
         converged.tolist(),

@@ -1,8 +1,8 @@
 """Canonical representatives under hidden-neuron permutations.
 
 Within every hidden layer the rows of the concatenated (bias | weight-row)
-matrix are put in non-increasing lexicographic order, bias first; the
-comparison extends through the weight entries because biases can tie.  This
+matrix are put in non-increasing lexicographic order, bias first, a NaN
+below every number; the weight entries decide only where biases tie.  This
 picks one element from each permutation orbit whose sort keys are pairwise
 distinct within every hidden layer.  Neurons with tied keys but different
 outgoing columns keep their relative order, so permuted copies of such a
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, check_range
 from .nncore import _DISTANCE_BLOCK_BYTES, Architecture, NetworkParams, _chebyshev, _flatten
-from .nncore import linear_or_none, log_monomial
+from .nncore import _row_params, linear_or_none, log_monomial
 from .transforms import NeuronSymmetry, _permute_neurons
 
 
@@ -45,15 +45,19 @@ def _canonical_layers(layers) -> tuple[list, list[np.ndarray]]:
     """``canonicalize`` on plain or stacked (W, b) layers (see
     ``nncore._forward_checked``), each network sorted on its own.  Returns the
     canonical layers and the sort order of each hidden layer, one row per
-    network when stacked."""
+    network when stacked.  A layer sorts on the bias alone unless a network
+    has two equal or a NaN bias there."""
     layers = list(layers)
     orders = []
     for l in range(1, len(layers)):
         W, b = layers[l - 1]
-        keys = np.concatenate([b[..., None], W], axis=-1)
-        # np.lexsort's primary key is its last, so feed the negated keys
-        # reversed: bias first, then the weight columns left to right.
-        order = np.lexsort(np.moveaxis(-keys, -1, 0)[::-1], axis=-1)
+        order = np.argsort(-b, axis=-1, kind="stable")
+        ranked = np.take_along_axis(b, order, axis=-1)
+        # A tie by value (0.0 ties -0.0) or a NaN needs the weights; np.lexsort's
+        # primary key is its last, so feed it the negated keys reversed.
+        if (ranked[..., 1:] == ranked[..., :-1]).any() or np.isnan(b).any():
+            keys = np.concatenate([b[..., None], W], axis=-1)
+            order = np.lexsort(np.moveaxis(-keys, -1, 0)[::-1], axis=-1)
         _permute_neurons(layers, l, order)
         orders.append(order)
     return layers, orders
@@ -344,7 +348,8 @@ def distinct_permutation_images(params: NetworkParams) -> list[NetworkParams]:
     identity permutation comes first); permutations are taken in blocks
     whose two float64 copies of the parameters fill at most
     ``nncore._DISTANCE_BLOCK_BYTES``, so memory holds the distinct images
-    plus one block.  More than ``ORBIT_ENUMERATION_LIMIT`` permutations raise
+    plus one block: each image is a read-only view of one copy of its block's
+    new images.  More than ``ORBIT_ENUMERATION_LIMIT`` permutations raise
     ``BudgetExceededError`` before any is taken.
     """
     sizes = [params.weight(l).shape[0] for l in range(1, params.n_layers)]
@@ -365,11 +370,16 @@ def distinct_permutation_images(params: NetworkParams) -> list[NetworkParams]:
         ]
         for l, perms in enumerate(zip(*chunk), start=1):
             _permute_neurons(layers, l, np.array(perms))
+        new = []
         for i, row in enumerate(_flatten(layers)):
             key = row.tobytes()
             if key not in seen:
                 seen.add(key)
-                images.append(NetworkParams(tuple((W[i], b[i]) for W, b in layers)))
+                new.append(i)
+        part = [tuple(a[new] for a in wb) for wb in layers]
+        for a in itertools.chain(*part):
+            a.setflags(write=False)
+        images += _row_params(part)
     return images
 
 

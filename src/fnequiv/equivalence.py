@@ -169,8 +169,9 @@ def decide_equivalence(
     """Decide whether two parameterizations implement the same function.
 
     Tries a structural proof first (canonical forms compare bit-exactly,
-    yielding an explicit permutation witness); otherwise falls back to
-    sampling, labelling the pair numerically equivalent or distinguished.
+    yielding an explicit permutation witness), unless the first layer's
+    biases already differ as multisets of bit patterns; otherwise samples,
+    labelling the pair numerically equivalent or distinguished.
     A pair is distinguished by the sample's first stage when a gap there
     exceeds ``tolerance``, and reports that stage's maximum; otherwise the
     whole ball set decides.  The kinds equal those of the whole set, except
@@ -192,10 +193,14 @@ def decide_equivalence(
     check_seed(seed)
     check_shapes(f1.arch, f1.params)
     check_shapes(f2.arch, f2.params)
-    flats, witness = _canonical_pair(f1.params, f2.params)
-    # Bytes, not values, so -0.0 and 0.0 differ.
-    if flats[0].tobytes() == flats[1].tobytes():
-        return EquivalenceVerdict(STRUCTURALLY_EQUAL, 0.0, witness=witness)
+    # A hidden permutation only reorders the first layer's biases, so
+    # canonical forms can be byte-equal only where their sorted bits are.
+    bits = [np.sort(f.params.bias(1).view(np.uint64)) for f in (f1, f2)]
+    if np.array_equal(*bits):
+        flats, witness = _canonical_pair(f1.params, f2.params)
+        # Bytes, not values, so -0.0 and 0.0 differ.
+        if flats[0].tobytes() == flats[1].tobytes():
+            return EquivalenceVerdict(STRUCTURALLY_EQUAL, 0.0, witness=witness)
     dist, worst_x = _max_gap(f1, f2, B_x, n_samples, seed, tolerance)
     if dist <= tolerance:
         return EquivalenceVerdict(NUMERICALLY_EQUIVALENT, dist)

@@ -307,14 +307,14 @@ def params_from_flat(arch: Architecture, vec: Sequence[float]) -> NetworkParams:
     return NetworkParams(tuple(_unflatten(arch, vec)))
 
 
-def _row_params(arch: Architecture, stack: np.ndarray) -> list[NetworkParams]:
-    """``params_from_flat`` of each row of the read-only (R, S) float64
-    ``stack``, bit for bit, without its copy and shape check: each layer is
-    a read-only view of the stack, whose shape already fixes the layers'."""
-    if stack.flags.writeable:
+def _row_params(stacked) -> list[NetworkParams]:
+    """One ``NetworkParams`` per network of the read-only float64 stacked
+    (W, b) layers (see ``_forward_checked``), bit for bit, without a copy or
+    shape check: each layer is a view of the stack, which fixes its shape."""
+    if any(a.flags.writeable for wb in stacked for a in wb):
         raise ValueError("a parameter stack must be read-only to be viewed")
     rows = []
-    for layers in zip(*(zip(W, b) for W, b in _unflatten(arch, stack))):
+    for layers in zip(*(zip(W, b) for W, b in stacked)):
         params = object.__new__(NetworkParams)
         object.__setattr__(params, "layers", layers)
         rows.append(params)

@@ -411,13 +411,19 @@ def canonical_sort(layers):
     ``layers`` is a list of (W, b) arrays.  The neurons of each hidden layer
     are ordered by the tuple (bias, incoming weights left to right), largest
     first, and neurons with equal tuples keep their relative order; the next
-    layer's columns follow the same order.  Returns (layers, orders).
+    layer's columns follow the same order.  As in numpy's sort, a NaN entry
+    is below every number and equal to any NaN.  Returns (layers, orders).
     """
     layers = [(np.array(W, dtype=float), np.array(b, dtype=float)) for W, b in layers]
     orders = []
+
+    def entry(v):
+        v = float(v)
+        return (False, 0.0) if math.isnan(v) else (True, v)
+
     for l in range(len(layers) - 1):
         W, b = layers[l]
-        keys = [(float(b[i]), *(float(w) for w in W[i])) for i in range(len(b))]
+        keys = [(entry(b[i]), *(entry(w) for w in W[i])) for i in range(len(b))]
         # sorted is stable, also with reverse=True.
         order = sorted(range(len(keys)), key=lambda i: keys[i], reverse=True)
         W_next, b_next = layers[l + 1]

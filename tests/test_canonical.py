@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -104,6 +105,54 @@ class TestCanonicalize:
         form = canonicalize(params)
         # equal biases: weight rows decide, descending
         assert form.params.weight(1).tolist() == [[3.0], [2.0], [1.0]]
+
+
+def lexsort_calls(monkeypatch, layers) -> int:
+    """Calls ``canonical._canonical_layers(layers)`` makes to ``np.lexsort``."""
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda *a, **k: calls.append(1) or lexsort(*a, **k))
+    canonical._canonical_layers(layers)
+    return len(calls)
+
+
+def random_stack(dims, R, seed):
+    """R standard normal networks of widths ``dims``, stacked."""
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.standard_normal((R, d_out, d_in)), rng.standard_normal((R, d_out)))
+        for d_in, d_out in zip(dims, dims[1:])
+    ]
+
+
+class TestBiasOnlySort:
+    # Stacks like those of orbit-equiv's pairs and of a 600-run basin.
+    @pytest.mark.parametrize("dims, R", [((4, 64, 16, 1), 2), ((2, 4, 1), 600)])
+    def test_distinct_biases_make_no_lexsort_call(self, monkeypatch, dims, R):
+        assert lexsort_calls(monkeypatch, random_stack(dims, R, 0)) == 0
+
+    # (layer, value, other): network 1 of three gets a bias ``value`` and
+    # another ``other`` in each listed hidden layer.
+    @pytest.mark.parametrize(
+        "ties",
+        [
+            [(0, 0.5, 0.5)],
+            [(1, 0.5, 0.5)],
+            [(0, 0.0, -0.0)],
+            [(1, np.inf, np.inf)],
+            [(0, np.nan, 0.5)],
+            [(0, 0.5, 0.5), (1, -0.0, 0.0)],
+        ],
+    )
+    def test_one_call_per_tied_layer(self, monkeypatch, ties):
+        layers = random_stack((2, 4, 3, 1), 3, 1)
+        for l, value, other in ties:
+            layers[l][1][1, :2] = value, other
+        assert lexsort_calls(monkeypatch, layers) == len(ties)
+        canon, _ = canonical._canonical_layers(layers)
+        for r in range(3):
+            net = lambda stack: NetworkParams(tuple((W[r], b[r]) for W, b in stack))
+            assert params_identical(net(canon), canonicalize(net(layers)).params)
 
 
 class TestSymmetryProfile:
@@ -272,6 +321,36 @@ class TestCountingConsistency:
         assert peak <= 4 * canonical._DISTANCE_BLOCK_BYTES
         per_block = canonical._DISTANCE_BLOCK_BYTES // (16 * params.flat().size)
         assert permute_calls(monkeypatch, params) == math.ceil(40320 / per_block) > 1
+
+    def test_images_are_compact_read_only_views(self, monkeypatch):
+        # 32-5-4-1 whose four second-layer neurons are whole duplicates: each
+        # run of 24 permutations, one block, brings exactly one new image.
+        rng = np.random.default_rng(9)
+        params = NetworkParams(
+            (
+                (rng.standard_normal((5, 32)), rng.standard_normal(5)),
+                (np.repeat(rng.standard_normal((1, 5)), 4, axis=0), [0.25] * 4),
+                ([[0.5] * 4], [0.0]),
+            )
+        )
+        image_bytes = params.flat().nbytes
+        monkeypatch.setattr(canonical, "_DISTANCE_BLOCK_BYTES", 24 * 16 * params.flat().size)
+        tracemalloc.start()
+        try:
+            images = distinct_permutation_images(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(images) == 120 and params_identical(images[0], params)
+        # Each image, its key among those seen and its objects, which take
+        # less than its parameters here, plus a few blocks; views kept into
+        # whole blocks would hold 24 permutations' parameters per image.
+        assert peak <= 3 * len(images) * image_bytes + 4 * canonical._DISTANCE_BLOCK_BYTES
+        for image in images:
+            for a in itertools.chain(*image.layers):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
 
 
 class TestEffectiveVolume:

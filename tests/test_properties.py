@@ -1,11 +1,11 @@
 """Property-based tests: the neuron-symmetry group laws and action,
 canonical-form invariance, the first permutation image, the amplification
-check's image count and default tolerance, the stacked canonical sort, the
-pair canonicalization, the checked forward pass and training trace, the
-activation slopes, the hidden-layer range bound, the first-fit row grouper,
-the distance kernel, the greedy covering and packing oracles, the exact
-packing oracle and the staged sampled equivalence fallback against
-brute-force references."""
+check's image count and default tolerance, the stacked canonical sort on any
+double, the pair canonicalization and when equivalence decisions call it,
+the checked forward pass and training trace, the activation slopes, the
+hidden-layer range bound, the first-fit row grouper, the distance kernel,
+the greedy covering and packing oracles, the exact packing oracle and the
+staged sampled equivalence fallback against brute-force references."""
 
 import json
 import math
@@ -32,6 +32,7 @@ from fnequiv.empirical import (
     greedy_covering_estimate,
     greedy_packing_estimate,
 )
+from fnequiv import equivalence
 from fnequiv.equivalence import (
     DISTINGUISHED,
     NUMERICALLY_EQUIVALENT,
@@ -56,8 +57,9 @@ from fnequiv.nncore import (
     hidden_range_bound,
     leaky_relu,
     params_identical,
+    random_params,
 )
-from fnequiv.transforms import NeuronSymmetry, apply_permutation, compose, inverse
+from fnequiv.transforms import NeuronSymmetry, apply_permutation, compose, inverse, random_spec
 
 from oracles import (
     _ref_act_deriv,
@@ -443,6 +445,62 @@ class TestStackedCanonicalize:
                 assert b[r].tobytes() == b_ref.tobytes() == b_one.tobytes()
 
 
+# Every kind of double, the special ones often, so that biases tie by value
+# (0.0 and -0.0, equal infinities) or are NaN.
+ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+TIED_PAIRS = st.sampled_from(
+    [(0.5, 0.5), (0.0, -0.0), (-0.0, 0.0), (math.inf, math.inf), (math.nan, -math.nan)]
+)
+
+
+@st.composite
+def full_float_layers(draw):
+    """Plain or stacked (W, b) layers with entries from ``ANY_FLOAT``.  The
+    biases are free, or distinct by value within each network, or distinct
+    but for one pair in one hidden layer of one network that ties (equal,
+    signed zeros or equal infinities) or is two NaNs."""
+    widths = draw(hidden_widths)
+    dims = (draw(st.integers(1, 3)), *widths, draw(st.integers(1, 2)))
+    lead = draw(st.sampled_from([(), (1,), (2,), (4,)]))
+    kind = draw(st.sampled_from(["free", "distinct", "one_tie"]))
+    layers = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        W = draw(hnp.arrays(float, (*lead, d_out, d_in), elements=ANY_FLOAT))
+        if kind == "free":
+            b = draw(hnp.arrays(float, (*lead, d_out), elements=ANY_FLOAT))
+        else:  # unique compares by value, so never draws both 0.0 and -0.0
+            distinct = hnp.arrays(float, d_out, elements=st.floats(allow_nan=False), unique=True)
+            b = np.array([draw(distinct) for _ in range(math.prod(lead))]).reshape(*lead, d_out)
+        layers.append((W, b))
+    hidden = [l for l, d in enumerate(widths) if d > 1]
+    if kind == "one_tie" and hidden:
+        b = layers[draw(st.sampled_from(hidden))][1]
+        b = b.reshape(-1, b.shape[-1])  # a view, one row per network
+        r = draw(st.integers(0, len(b) - 1))
+        i, j = draw(st.permutations(range(b.shape[1])))[:2]
+        b[r, i], b[r, j] = draw(TIED_PAIRS)
+    return layers
+
+
+class TestCanonicalLayersOnAnyFloat:
+    # More examples than PROPERTY's: a tie that decides the order is rare.
+    @settings(PROPERTY, max_examples=400)
+    @given(full_float_layers())
+    def test_matches_oracle(self, layers):
+        canon, orders = _canonical_layers(layers)
+        # Plain layers are compared as a stack of one network.
+        rows = (lambda a: a[None]) if layers[0][1].ndim == 1 else (lambda a: a)
+        for r in range(len(rows(layers[0][1]))):
+            expected, expected_orders = canonical_sort([(rows(W)[r], rows(b)[r]) for W, b in layers])
+            assert [rows(order)[r].tolist() for order in orders] == expected_orders
+            for (W, b), (W_ref, b_ref) in zip(canon, expected):
+                assert rows(W)[r].tobytes() == W_ref.tobytes()
+                assert rows(b)[r].tobytes() == b_ref.tobytes()
+
+
 @st.composite
 def pairs(draw):
     """Two same-shaped networks: a permuted copy, a permuted copy with the
@@ -508,6 +566,52 @@ class TestPairCanonicalization:
         assert verdict.kind == kind
         assert verdict.sup_distance_estimate == dist
         assert json.dumps(verdict.to_json_dict()["witness"]) == json.dumps(witness)
+
+
+def orbit_equiv_style_pair(kind):
+    """A 4-64-16-1 (tanh, relu) net, like orbit-equiv's, with a zero first
+    bias, and a copy: ``permuted``; ``perturbed``, permuted and every entry
+    moved by 1e-3; ``weights_moved``, permuted and the first layer's weights
+    moved by 1e-3; ``signed_zero``, the net with that bias -0.0."""
+    arch = Architecture(4, (64, 16), (TANH, RELU))
+    rng = np.random.default_rng(17)
+    layers = [[np.array(a) for a in wb] for wb in random_params(arch, rng).layers]
+    layers[0][1][0] = 0.0
+    params = NetworkParams(tuple(map(tuple, layers)))
+    copy = apply_permutation(params, random_spec(arch, rng)).layers
+    if kind == "perturbed":
+        copy = [(W + 1e-3, b + 1e-3) for W, b in copy]
+    elif kind == "weights_moved":
+        copy = [(copy[0][0] + 1e-3, copy[0][1]), *copy[1:]]
+    elif kind == "signed_zero":
+        layers[0][1][0] = -0.0
+        copy = layers
+    return Network(arch, params), Network(arch, NetworkParams(tuple(map(tuple, copy))))
+
+
+class TestBiasBitsBeforeCanonicalizing:
+    @pytest.mark.parametrize(
+        "kind, calls, expected",
+        [
+            ("perturbed", 0, DISTINGUISHED),
+            ("permuted", 1, STRUCTURALLY_EQUAL),
+            ("weights_moved", 1, DISTINGUISHED),
+            ("signed_zero", 0, NUMERICALLY_EQUIVALENT),
+        ],
+    )
+    def test_canonicalizes_only_pairs_whose_sorted_bias_bits_agree(
+        self, monkeypatch, kind, calls, expected
+    ):
+        f1, f2 = orbit_equiv_style_pair(kind)
+        made = []
+        pair = equivalence._canonical_pair
+        monkeypatch.setattr(equivalence, "_canonical_pair", lambda *a: made.append(1) or pair(*a))
+        # 64 points: one stage, so the whole-set route of two_call_verdict.
+        verdict = decide_equivalence(f1, f2, 1.0, n_samples=64)
+        assert len(made) == calls
+        assert verdict.kind == expected
+        got = (verdict.kind, verdict.sup_distance_estimate, verdict.to_json_dict()["witness"])
+        assert got == two_call_verdict(f1, f2, 1.0, 64)
 
 
 ACTIVATIONS = st.sampled_from([RELU, TANH, SIGMOID, IDENTITY, leaky_relu(0.1), leaky_relu(3.0)])
